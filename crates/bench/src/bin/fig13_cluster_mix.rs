@@ -10,7 +10,7 @@
 use keddah_bench::{default_config, gib, heading, mean, percentile, testbed};
 use keddah_core::mix::{JobMix, MixEntry};
 use keddah_core::pipeline::Keddah;
-use keddah_core::replay::replay_jobs;
+use keddah_core::replay::{jobs_to_flows, replay};
 use keddah_flowcap::Component;
 use keddah_hadoop::{JobSpec, Workload};
 use keddah_netsim::{SimOptions, Topology};
@@ -60,7 +60,8 @@ fn main() {
         mouse_threshold: 10_000,
         ..SimOptions::default()
     };
-    let report = replay_jobs(&jobs, &topo, opts).expect("mix fits fabric");
+    let flows = jobs_to_flows(&jobs, &topo).expect("mix fits fabric");
+    let report = replay(&topo, &flows, opts);
     println!(
         "replayed {} flows on {} — makespan {:.0} s, peak link {:.1}%",
         report.sim.results.len(),

@@ -17,12 +17,14 @@
 
 use keddah_bench::{cdf_rows, default_config, gib, heading, smoke, testbed};
 use keddah_core::pipeline::Keddah;
-use keddah_core::replay::{replay_trace, replay_trace_closed};
+use keddah_core::replay::{replay, replay_faulted, trace_to_flows};
 use keddah_core::source::TraceSource;
 use keddah_core::validate::compare_replays;
+use keddah_core::FaultSpec;
 use keddah_flowcap::Component;
 use keddah_hadoop::{JobSpec, Workload};
 use keddah_netsim::{SimOptions, Topology};
+use keddah_obs::Obs;
 
 const QUANTILES: &[f64] = &[0.1, 0.25, 0.5, 0.75, 0.9, 0.99];
 
@@ -45,15 +47,23 @@ fn main() {
         ..SimOptions::default()
     };
 
-    let source = TraceSource::new(trace, &topo).expect("trace fits topology");
+    let mut source = TraceSource::new(trace, &topo).expect("trace fits topology");
     println!(
         "{} flows, {} with inferred dependency edges",
         source.flow_count(),
         source.dependent_count()
     );
 
-    let open = replay_trace(trace, &topo, opts).expect("open-loop replay");
-    let closed = replay_trace_closed(trace, &topo, opts).expect("closed-loop replay");
+    let flows = trace_to_flows(trace, &topo).expect("trace fits topology");
+    let open = replay(&topo, &flows, opts);
+    let closed = replay_faulted(
+        &topo,
+        &mut source,
+        &FaultSpec::empty(),
+        opts,
+        &Obs::disabled(),
+    )
+    .expect("closed-loop replay");
 
     for row in compare_replays(&open, &closed).expect("both replays have flows") {
         println!(

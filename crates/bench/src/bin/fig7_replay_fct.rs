@@ -8,7 +8,7 @@
 
 use keddah_bench::{cdf_rows, default_config, gib, heading, testbed};
 use keddah_core::pipeline::Keddah;
-use keddah_core::replay::{replay_jobs, replay_trace};
+use keddah_core::replay::{jobs_to_flows, replay, trace_to_flows};
 use keddah_flowcap::Component;
 use keddah_hadoop::{JobSpec, Workload};
 use keddah_netsim::{SimOptions, Topology};
@@ -31,9 +31,10 @@ fn main() {
         ..SimOptions::default()
     };
 
-    let trace_replay = replay_trace(&traces[0], &topo, opts).expect("trace fits topology");
-    let model_replay =
-        replay_jobs(&[model.generate_job(1)], &topo, opts).expect("job fits topology");
+    let trace_flows = trace_to_flows(&traces[0], &topo).expect("trace fits topology");
+    let trace_replay = replay(&topo, &trace_flows, opts);
+    let model_flows = jobs_to_flows(&[model.generate_job(1)], &topo).expect("job fits topology");
+    let model_replay = replay(&topo, &model_flows, opts);
 
     for &component in Component::DATA {
         let empty = Vec::new();

@@ -8,7 +8,7 @@
 
 use keddah_bench::{default_config, gib, heading, percentile, testbed};
 use keddah_core::pipeline::Keddah;
-use keddah_core::replay::replay_jobs;
+use keddah_core::replay::{jobs_to_flows, replay};
 use keddah_flowcap::Component;
 use keddah_hadoop::{JobSpec, Workload};
 use keddah_netsim::{SimOptions, Topology};
@@ -43,7 +43,8 @@ fn main() {
         "fabric", "p50 (s)", "p95 (s)", "p99 (s)", "peak util"
     );
     for topo in &fabrics {
-        let report = replay_jobs(&jobs, topo, opts).expect("model fits all fabrics");
+        let flows = jobs_to_flows(&jobs, topo).expect("model fits all fabrics");
+        let report = replay(topo, &flows, opts);
         let shuffle = report
             .fct_by_component
             .get(&Component::Shuffle)

@@ -6,7 +6,7 @@
 
 use keddah_bench::{default_config, gib, heading, mean, percentile, testbed};
 use keddah_core::pipeline::Keddah;
-use keddah_core::replay::replay_jobs;
+use keddah_core::replay::{jobs_to_flows, replay};
 use keddah_flowcap::Component;
 use keddah_hadoop::{JobSpec, Workload};
 use keddah_netsim::{SimOptions, Topology};
@@ -35,7 +35,8 @@ fn main() {
     for n in [1u32, 2, 4, 8] {
         let jobs = model.generate_jobs(n, 1000, 15.0);
         let offered: f64 = jobs.iter().map(|j| j.total_bytes() as f64).sum::<f64>() / 1e9;
-        let report = replay_jobs(&jobs, &topo, opts).expect("jobs fit fabric");
+        let flows = jobs_to_flows(&jobs, &topo).expect("jobs fit fabric");
+        let report = replay(&topo, &flows, opts);
         let shuffle = report
             .fct_by_component
             .get(&Component::Shuffle)

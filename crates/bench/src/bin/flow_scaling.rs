@@ -1,23 +1,19 @@
-//! Flow-count scaling bench: bundled vs per-flow vs full-recompute
-//! allocation.
+//! Flow-count scaling bench: bundled vs per-flow allocation.
 //!
 //! Sweeps 1k/10k/100k/1M concurrent flows through the fluid engine in
 //! open loop (static arrivals) and closed loop (completion-chained
-//! arrivals), under three allocator shapes:
+//! arrivals), under two allocator shapes:
 //!
 //! * `incremental` — flow bundles + incremental [`FairShareState`]
 //!   (the default engine);
 //! * `no_aggregate` — singleton bundles (`SimOptions::aggregate =
-//!   false`, the `KEDDAH_NO_AGGREGATE` oracle): the pre-bundle engine,
-//!   i.e. the 100k-flow cliff this bench exists to pin;
-//! * `full` — singleton bundles plus forced full progressive filling on
-//!   every event (`SimOptions::full_recompute`): the pre-incremental
-//!   baseline.
+//!   false`, the oracle shape): the pre-bundle engine, i.e. the
+//!   100k-flow cliff this bench exists to pin.
 //!
-//! Results are identical across all three by construction — the sweep
+//! Results are identical across both by construction — the sweep
 //! measures events/second only — and land in `BENCH_netsim.json` next
-//! to the committed baseline. Cells too slow to time (the full
-//! baseline past 10k, the per-flow allocator at 1M) are emitted as
+//! to the committed baseline. Cells too slow to time (the per-flow
+//! allocator at 1M, and in closed loop past 10k) are emitted as
 //! explicit `"skipped": true` entries with a reason, which the
 //! regression gate treats as non-regressions rather than missing keys.
 //!
@@ -43,10 +39,12 @@ use std::time::Instant;
 use criterion::{black_box, BenchmarkId, Criterion};
 use keddah_bench::{heading, smoke};
 use keddah_des::SimTime;
+use keddah_faults::FaultSchedule;
 use keddah_netsim::{
-    simulate, simulate_source, FairShareState, FlowId, FlowResult, FlowSpec, HostId, SimOptions,
+    simulate, simulate_faulted, FairShareState, FlowId, FlowResult, FlowSpec, HostId, SimOptions,
     SimReport, Topology, TrafficSource,
 };
+use keddah_obs::Obs;
 use serde::{Deserialize, Serialize};
 
 /// Racks and hosts per rack of the bench fabric.
@@ -58,12 +56,8 @@ const PER_RACK: u32 = 16;
 /// override with `KEDDAH_BENCH_TOLERANCE`.
 const DEFAULT_TOLERANCE: f64 = 0.25;
 
-/// The allocator shapes swept: (name, aggregate, full_recompute).
-const ALLOCATORS: &[(&str, bool, bool)] = &[
-    ("incremental", true, false),
-    ("no_aggregate", false, false),
-    ("full", false, true),
-];
+/// The allocator shapes swept: (name, aggregate).
+const ALLOCATORS: &[(&str, bool)] = &[("incremental", true), ("no_aggregate", false)];
 
 fn fabric() -> Topology {
     Topology::leaf_spine(RACKS, PER_RACK, 4, 1e9, 2.0)
@@ -145,7 +139,7 @@ impl TrafficSource for ChainSource {
 struct Case {
     /// `open` or `closed`.
     workload: String,
-    /// `incremental`, `no_aggregate` or `full`.
+    /// `incremental` or `no_aggregate`.
     allocator: String,
     /// Target concurrent flow count.
     flows: usize,
@@ -166,16 +160,15 @@ struct BenchReport {
     bench: String,
     mode: String,
     topology: String,
-    /// Open-loop 10k-flow events/sec, incremental over full-recompute —
+    /// Open-loop 10k-flow events/sec, incremental over no_aggregate —
     /// the headline number the CI regression gate watches.
     speedup_open_10k: f64,
     cases: Vec<Case>,
 }
 
-fn options(aggregate: bool, full_recompute: bool) -> SimOptions {
+fn options(aggregate: bool) -> SimOptions {
     SimOptions {
         aggregate,
-        full_recompute,
         ..SimOptions::default()
     }
 }
@@ -185,11 +178,6 @@ fn options(aggregate: bool, full_recompute: bool) -> SimOptions {
 /// in the JSON as explicit skips.
 fn cap_reason(allocator: &str, workload: &str, n: usize) -> Option<String> {
     match allocator {
-        "full" if n > 10_000 => Some(
-            "full-recompute re-fills every entry on every event; past 10k flows one cell \
-             needs hours"
-                .to_string(),
-        ),
         "no_aggregate" if n > 100_000 => Some(
             "per-flow allocation at 1M flows needs hours — the cliff the bundled rows remove"
                 .to_string(),
@@ -244,25 +232,27 @@ fn skipped_case(label: &str, flows: usize, allocator: &str, reason: String) -> C
 }
 
 /// Criterion micro-group: allocator churn on a small fabric, insert and
-/// retire every flow once, incremental vs from-scratch refill.
+/// retire every flow once.
 fn bench_allocator_churn(c: &mut Criterion) {
     let topo = Topology::leaf_spine(4, 8, 2, 1e9, 2.0);
     let caps = topo.capacities();
     let flows = pair_local_flows_on(256, &topo);
     let mut group = c.benchmark_group("fair_share_churn");
     group.sample_size(if smoke() { 2 } else { 10 });
-    for (name, full) in [("incremental", false), ("full_recompute", true)] {
-        group.bench_with_input(BenchmarkId::new(name, flows.len()), &flows, |b, flows| {
+    group.bench_with_input(
+        BenchmarkId::new("incremental", flows.len()),
+        &flows,
+        |b, flows| {
             b.iter(|| {
-                let mut state = FairShareState::new(caps.clone(), 10e9).with_full_recompute(full);
+                let mut state = FairShareState::new(caps.clone(), 10e9);
                 let ids: Vec<_> = flows.iter().map(|f| state.insert_flow(f)).collect();
                 for id in ids {
                     state.remove_flow(id);
                 }
                 black_box(state.solves())
             });
-        });
-    }
+        },
+    );
     group.finish();
 }
 
@@ -351,7 +341,7 @@ fn main() {
         // Bigger sweeps shrink per-flow payload so simulated time — and
         // event count — stays proportional to the flow count.
         let bytes = (4 << 20) / (n / 1_000).max(1) as u64 + (1 << 20);
-        for &(allocator, aggregate, full) in ALLOCATORS {
+        for &(allocator, aggregate) in ALLOCATORS {
             for workload in ["open", "closed"] {
                 if let Some(reason) = cap_reason(allocator, workload, n) {
                     cases.push(skipped_case(workload, n, allocator, reason));
@@ -361,12 +351,18 @@ fn main() {
                     "open" => {
                         let flows = pair_local_flows(n, bytes);
                         timed("open", n, allocator, || {
-                            simulate(&topo, &flows, options(aggregate, full))
+                            simulate(&topo, &flows, options(aggregate))
                         })
                     }
                     _ => timed("closed", n, allocator, || {
                         let mut source = ChainSource::new(n, 2, bytes / 2);
-                        simulate_source(&topo, &mut source, options(aggregate, full))
+                        simulate_faulted(
+                            &topo,
+                            &mut source,
+                            &FaultSchedule::empty(),
+                            options(aggregate),
+                            &Obs::disabled(),
+                        )
                     }),
                 });
             }
@@ -381,12 +377,12 @@ fn main() {
     };
     let speedup = match (
         rate("open", "incremental", 10_000),
-        rate("open", "full", 10_000),
+        rate("open", "no_aggregate", 10_000),
     ) {
-        (Some(inc), Some(full)) => inc / full,
+        (Some(inc), Some(per_flow)) => inc / per_flow,
         _ => 0.0,
     };
-    println!("\nopen-loop 10k speedup (incremental / full): {speedup:.2}x");
+    println!("\nopen-loop 10k speedup (incremental / no_aggregate): {speedup:.2}x");
 
     let report = BenchReport {
         bench: "flow_scaling".to_string(),

@@ -12,10 +12,10 @@
 //!    family selection, producing a serializable [`model::KeddahModel`];
 //! 3. **Generate** ([`generate`]) — sample synthetic jobs from the model;
 //! 4. **Replay** ([`replay`]) — drive captured or generated traffic
-//!    through the flow-level network simulator (`keddah-netsim`), either
-//!    open loop (pre-computed start times) or closed loop ([`source`]:
-//!    dependent flows released only when their parents complete under the
-//!    simulated network);
+//!    through the flow-level network simulator (`keddah-netsim`) with one
+//!    kernel, [`replay::replay_faulted`], either open loop (pre-computed
+//!    start times) or closed loop ([`source`]: dependent flows released
+//!    only when their parents complete under the simulated network);
 //! 5. **Validate** ([`validate`]) — compare generated traffic to
 //!    held-out captures (two-sample KS, volume and count errors).
 //!
@@ -23,7 +23,7 @@
 //!
 //! ```
 //! use keddah_core::pipeline::Keddah;
-//! use keddah_core::replay::{replay_jobs};
+//! use keddah_core::replay::{jobs_to_flows, replay};
 //! use keddah_hadoop::{ClusterSpec, HadoopConfig, JobSpec, Workload};
 //! use keddah_netsim::{SimOptions, Topology};
 //!
@@ -42,7 +42,8 @@
 //! // leaf-spine fabric the physical testbed never had.
 //! let job = model.generate_job(7);
 //! let topo = Topology::leaf_spine(3, 3, 2, 1e9, 4.0);
-//! let report = replay_jobs(&[job], &topo, SimOptions::default()).unwrap();
+//! let flows = jobs_to_flows(&[job], &topo).unwrap();
+//! let report = replay(&topo, &flows, SimOptions::default());
 //! assert!(report.makespan_secs() > 0.0);
 //! ```
 

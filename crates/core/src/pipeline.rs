@@ -1,25 +1,19 @@
-//! The end-to-end Keddah pipeline: capture → model → generate → replay.
+//! The end-to-end Keddah pipeline: capture → model → generate → validate.
 //!
 //! [`Keddah`] is a thin facade over the toolchain stages for the common
 //! paths; each stage is also available directly ([`crate::dataset`],
-//! [`crate::fitting`], [`crate::generate`], [`crate::replay`],
-//! [`crate::validate`]) when an experiment needs to customize one step.
+//! [`crate::fitting`], [`crate::generate`], [`crate::validate`]) when an
+//! experiment needs to customize one step. Replay has its own kernel,
+//! [`crate::replay::replay_faulted`].
 
 use keddah_flowcap::Trace;
 use keddah_hadoop::{
     run_repeats, run_repeats_seeded, ClusterSpec, HadoopConfig, JobSpec, Workload,
 };
-use keddah_netsim::{SimOptions, Topology};
-
-use keddah_faults::FaultSpec;
 
 use crate::dataset::Dataset;
 use crate::fitting::fit_model;
 use crate::model::KeddahModel;
-use crate::replay::{
-    replay_model_closed, replay_model_closed_faulted, replay_trace, replay_trace_closed,
-    replay_trace_closed_faulted, replay_trace_faulted, ReplayReport,
-};
 use crate::validate::{validate_model, ValidationReport};
 use crate::Result;
 
@@ -128,88 +122,6 @@ impl Keddah {
         seed: u64,
     ) -> Result<ValidationReport> {
         validate_model(model, traces, generated_jobs, seed)
-    }
-
-    /// Stage 5 — replay: drives a capture trace through the network
-    /// simulator. `closed_loop` selects the discipline: open loop replays
-    /// captured start times verbatim; closed loop infers dependency edges
-    /// and releases dependent flows when their parents complete under the
-    /// simulated network (see [`crate::source::TraceSource`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`replay_trace`] / [`replay_trace_closed`].
-    pub fn replay(
-        trace: &Trace,
-        topo: &Topology,
-        options: SimOptions,
-        closed_loop: bool,
-    ) -> Result<ReplayReport> {
-        if closed_loop {
-            replay_trace_closed(trace, topo, options)
-        } else {
-            replay_trace(trace, topo, options)
-        }
-    }
-
-    /// Stage 5 variant generating jobs from a model on the fly, closed
-    /// loop (dependent stages sampled when their parents complete; see
-    /// [`crate::source::ModelSource`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`replay_model_closed`].
-    pub fn replay_model(
-        model: &KeddahModel,
-        topo: &Topology,
-        n_jobs: u32,
-        seed: u64,
-        stagger_secs: f64,
-        options: SimOptions,
-    ) -> Result<ReplayReport> {
-        replay_model_closed(model, topo, n_jobs, seed, stagger_secs, options)
-    }
-
-    /// Degraded-mode [`Keddah::replay`]: the same replay disciplines with
-    /// a fault schedule injected as DES events (node crashes abort flows,
-    /// link faults re-route or degrade them; see
-    /// [`keddah_netsim::simulate_faulted`]). An empty spec reproduces the
-    /// fault-free replay byte for byte.
-    ///
-    /// # Errors
-    ///
-    /// As [`crate::replay::replay_trace_faulted`] /
-    /// [`crate::replay::replay_trace_closed_faulted`].
-    pub fn replay_faulted(
-        trace: &Trace,
-        topo: &Topology,
-        options: SimOptions,
-        closed_loop: bool,
-        spec: &FaultSpec,
-    ) -> Result<ReplayReport> {
-        if closed_loop {
-            replay_trace_closed_faulted(trace, topo, spec, options)
-        } else {
-            replay_trace_faulted(trace, topo, spec, options)
-        }
-    }
-
-    /// Degraded-mode [`Keddah::replay_model`].
-    ///
-    /// # Errors
-    ///
-    /// As [`crate::replay::replay_model_closed_faulted`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn replay_model_faulted(
-        model: &KeddahModel,
-        topo: &Topology,
-        n_jobs: u32,
-        seed: u64,
-        stagger_secs: f64,
-        options: SimOptions,
-        spec: &FaultSpec,
-    ) -> Result<ReplayReport> {
-        replay_model_closed_faulted(model, topo, n_jobs, seed, stagger_secs, spec, options)
     }
 }
 

@@ -6,47 +6,48 @@
 //! topology, and split the resulting flow completion times back out by
 //! traffic component.
 //!
-//! Two replay disciplines are supported:
+//! Every replay runs through one kernel, [`replay_faulted`], which takes
+//! the traffic as a [`TrafficSource`]. The source picks the discipline:
 //!
-//! * **open loop** ([`replay`], [`replay_trace`], [`replay_jobs`]) —
-//!   every flow starts at its pre-computed time regardless of what the
-//!   network did to its predecessors;
-//! * **closed loop** ([`replay_source`], [`replay_trace_closed`],
-//!   [`replay_model_closed`]) — dependent flows (shuffle after map input,
+//! * **open loop** — a [`StaticSource`] over [`trace_to_flows`] or
+//!   [`jobs_to_flows`]: every flow starts at its pre-computed time
+//!   regardless of what the network did to its predecessors;
+//! * **closed loop** — a [`TraceSource`](crate::source::TraceSource) or
+//!   [`ModelSource`]: dependent flows (shuffle after map input,
 //!   write-pipeline hops after their upstream hop) are released only when
 //!   their parents complete *in the simulation*, so congestion propagates
 //!   through the job's causal structure. See [`crate::source`].
 //!
-//! Every discipline has a `*_faulted` variant taking a
-//! [`keddah_faults::FaultSpec`]: the schedule is validated against the
-//! topology and injected as DES events (crashes abort flows, link faults
-//! re-route or degrade them — see [`keddah_netsim::simulate_faulted`]).
-//! Aborted flows are excluded from the per-component FCT samples; an
-//! empty spec is byte-identical to the fault-free entry points.
+//! The kernel also takes a [`FaultSpec`], validated against the topology
+//! and injected as DES events (crashes abort flows, link faults re-route
+//! or degrade them — see [`keddah_netsim::simulate_faulted`]), and an
+//! [`Obs`] handle. Aborted flows are excluded from the per-component FCT
+//! samples; [`FaultSpec::empty`] and [`Obs::disabled`] give the clean,
+//! unobserved run. [`replay`], [`replay_observed`],
+//! [`replay_source_observed`] and [`replay_model_closed`] are one-line
+//! conveniences over it.
 //!
-//! Every entry point takes [`SimOptions`], whose performance knobs —
-//! [`SimOptions::aggregate`] (flow bundles, `KEDDAH_NO_AGGREGATE` to
-//! disable), [`SimOptions::solver_jobs`] (parallel fair-share component
-//! solves, `KEDDAH_SEQ_SOLVE` to force sequential) and
-//! [`SimOptions::full_recompute`] (`KEDDAH_FULL_RECOMPUTE`) — trade
-//! wall-clock only: replay reports are byte-identical at every knob
-//! setting, which is what lets DC-scale replays default to the fast
-//! path while the golden corpus pins correctness against the oracles.
+//! [`SimOptions::aggregate`] (flow bundles) and
+//! [`SimOptions::solver_jobs`] (parallel fair-share component solves)
+//! trade wall-clock only: replay reports are byte-identical at every
+//! setting, which is what lets DC-scale replays default to the fast path
+//! while the golden corpus pins correctness against the singleton-bundle
+//! and sequential-solve oracles.
 
 use std::collections::{BTreeMap, HashSet};
 
 use keddah_des::SimTime;
-use keddah_faults::{FaultSchedule, FaultSpec};
+use keddah_faults::FaultSpec;
 use keddah_flowcap::{Component, Trace};
 use keddah_netsim::{
-    simulate_faulted_observed, FlowSpec, HostId, SimOptions, SimReport, StaticSource, Topology,
+    simulate_faulted, FlowSpec, HostId, SimOptions, SimReport, StaticSource, Topology,
     TrafficSource,
 };
 use keddah_obs::Obs;
 
 use crate::generate::GeneratedJob;
 use crate::model::KeddahModel;
-use crate::source::{ModelSource, TraceSource};
+use crate::source::ModelSource;
 use crate::{CoreError, Result};
 
 /// Completion statistics of one replay, split by component.
@@ -80,8 +81,13 @@ pub(crate) fn tag_of(component: Component) -> u32 {
         .expect("component in ALL") as u32
 }
 
+/// Decodes a netsim `tag`. Sources outside this crate may tag flows
+/// freely, so tags that name no component count as [`Component::Other`].
 pub(crate) fn component_of(tag: u32) -> Component {
-    Component::ALL[tag as usize]
+    Component::ALL
+        .get(tag as usize)
+        .copied()
+        .unwrap_or(Component::Other)
 }
 
 /// Converts a capture trace into flow specs (node *n* maps to host *n*;
@@ -171,24 +177,45 @@ fn split_report(sim: SimReport) -> ReplayReport {
     }
 }
 
-/// Validates a fault spec against a replay topology and compiles it to
-/// the schedule the simulator consumes.
-fn compile_spec(spec: &FaultSpec, topo: &Topology) -> Result<FaultSchedule> {
+/// Replays a traffic source on a topology under a fault spec, recording
+/// into `obs`, and splits completions by component — the one replay
+/// kernel.
+///
+/// The source is asked for its initial flows and called back on every
+/// completion, so a reactive source releases dependent flows at
+/// simulated — not captured — times; it also hears
+/// [`TrafficSource::on_flow_aborted`] for every flow a fault kills. The
+/// spec is validated against the topology and its faults fire as DES
+/// events that abort or re-route flows. [`FaultSpec::empty`] takes the
+/// fault-free arithmetic path, and the report is byte-identical whether
+/// `obs` records or not (see [`simulate_faulted`] for what gets
+/// recorded).
+///
+/// # Errors
+///
+/// Returns [`CoreError::Fault`] if the spec references hosts or links
+/// outside the topology.
+pub fn replay_faulted(
+    topo: &Topology,
+    source: &mut dyn TrafficSource,
+    spec: &FaultSpec,
+    options: SimOptions,
+    obs: &Obs,
+) -> Result<ReplayReport> {
     spec.validate(topo.host_count(), topo.link_count() as u32)
         .map_err(|e| CoreError::Fault(e.to_string()))?;
-    Ok(spec.schedule())
+    let sim = simulate_faulted(topo, source, &spec.schedule(), options, obs);
+    Ok(split_report(sim))
 }
 
 /// Replays flow specs on a topology and splits completions by component
-/// (open loop).
+/// (open loop, no faults).
 #[must_use]
 pub fn replay(topo: &Topology, flows: &[FlowSpec], options: SimOptions) -> ReplayReport {
     replay_observed(topo, flows, options, &Obs::disabled())
 }
 
-/// [`replay`] with an observability handle (see
-/// [`simulate_faulted_observed`] for what gets recorded). Byte-identical
-/// to [`replay`] whether `obs` records or not.
+/// [`replay`] with an observability handle.
 #[must_use]
 pub fn replay_observed(
     topo: &Topology,
@@ -196,60 +223,27 @@ pub fn replay_observed(
     options: SimOptions,
     obs: &Obs,
 ) -> ReplayReport {
-    let mut source = StaticSource::new(flows.to_vec());
-    replay_source_observed(topo, &mut source, options, obs)
+    replay_source_observed(topo, &mut StaticSource::new(flows.to_vec()), options, obs)
 }
 
-/// Replays a reactive traffic source on a topology (closed loop): the
-/// source is asked for its initial flows and called back on every
-/// completion, so it can release dependent flows at simulated — not
-/// captured — times.
-pub fn replay_source(
-    topo: &Topology,
-    source: &mut dyn TrafficSource,
-    options: SimOptions,
-) -> ReplayReport {
-    replay_source_observed(topo, source, options, &Obs::disabled())
-}
-
-/// [`replay_source`] with an observability handle.
+/// Replays a reactive traffic source with no faults (see
+/// [`replay_faulted`]).
 pub fn replay_source_observed(
     topo: &Topology,
     source: &mut dyn TrafficSource,
     options: SimOptions,
     obs: &Obs,
 ) -> ReplayReport {
-    split_report(simulate_faulted_observed(
-        topo,
-        source,
-        &FaultSchedule::empty(),
-        options,
-        obs,
-    ))
+    replay_faulted(topo, source, &FaultSpec::empty(), options, obs)
+        .expect("an empty fault spec fits every topology")
 }
 
-/// Convenience: closed-loop replay of a capture trace, with dependency
-/// edges inferred by [`TraceSource`].
-///
-/// # Errors
-///
-/// As [`TraceSource::new`].
-pub fn replay_trace_closed(
-    trace: &Trace,
-    topo: &Topology,
-    options: SimOptions,
-) -> Result<ReplayReport> {
-    let mut source = TraceSource::new(trace, topo)?;
-    Ok(replay_source(topo, &mut source, options))
-}
-
-/// Convenience: closed-loop replay of jobs generated from a model, with
-/// dependent stages sampled on release by [`ModelSource`].
+/// Closed-loop replay of jobs generated from a model, with dependent
+/// stages sampled on release by [`ModelSource`].
 ///
 /// # Errors
 ///
 /// As [`ModelSource::new`].
-#[allow(clippy::too_many_arguments)]
 pub fn replay_model_closed(
     model: &KeddahModel,
     topo: &Topology,
@@ -259,150 +253,13 @@ pub fn replay_model_closed(
     options: SimOptions,
 ) -> Result<ReplayReport> {
     let mut source = ModelSource::new(model, n_jobs, seed, stagger_secs, topo)?;
-    Ok(replay_source(topo, &mut source, options))
-}
-
-/// Convenience: replay a capture trace end to end.
-///
-/// # Errors
-///
-/// As [`trace_to_flows`].
-pub fn replay_trace(trace: &Trace, topo: &Topology, options: SimOptions) -> Result<ReplayReport> {
-    let flows = trace_to_flows(trace, topo)?;
-    Ok(replay(topo, &flows, options))
-}
-
-/// Open-loop replay under a fault schedule: flows start at their
-/// pre-computed times, and the schedule's faults fire as DES events that
-/// abort or re-route them. An empty spec is byte-identical to [`replay`].
-///
-/// # Errors
-///
-/// Returns [`CoreError::Fault`] if the spec references hosts or links
-/// outside the topology.
-pub fn replay_faulted(
-    topo: &Topology,
-    flows: &[FlowSpec],
-    spec: &FaultSpec,
-    options: SimOptions,
-) -> Result<ReplayReport> {
-    replay_faulted_observed(topo, flows, spec, options, &Obs::disabled())
-}
-
-/// [`replay_faulted`] with an observability handle.
-///
-/// # Errors
-///
-/// As [`replay_faulted`].
-pub fn replay_faulted_observed(
-    topo: &Topology,
-    flows: &[FlowSpec],
-    spec: &FaultSpec,
-    options: SimOptions,
-    obs: &Obs,
-) -> Result<ReplayReport> {
-    let mut source = StaticSource::new(flows.to_vec());
-    replay_source_faulted_observed(topo, &mut source, spec, options, obs)
-}
-
-/// Closed-loop replay of a reactive source under a fault schedule. The
-/// source additionally hears [`TrafficSource::on_flow_aborted`] for every
-/// flow a fault kills.
-///
-/// # Errors
-///
-/// Returns [`CoreError::Fault`] if the spec references hosts or links
-/// outside the topology.
-pub fn replay_source_faulted(
-    topo: &Topology,
-    source: &mut dyn TrafficSource,
-    spec: &FaultSpec,
-    options: SimOptions,
-) -> Result<ReplayReport> {
-    replay_source_faulted_observed(topo, source, spec, options, &Obs::disabled())
-}
-
-/// [`replay_source_faulted`] with an observability handle. Every replay
-/// discipline funnels through this function, so enabling observability
-/// can never fork the arithmetic path.
-///
-/// # Errors
-///
-/// As [`replay_source_faulted`].
-pub fn replay_source_faulted_observed(
-    topo: &Topology,
-    source: &mut dyn TrafficSource,
-    spec: &FaultSpec,
-    options: SimOptions,
-    obs: &Obs,
-) -> Result<ReplayReport> {
-    let schedule = compile_spec(spec, topo)?;
-    Ok(split_report(simulate_faulted_observed(
-        topo, source, &schedule, options, obs,
-    )))
-}
-
-/// Faulted variant of [`replay_trace`] (open loop).
-///
-/// # Errors
-///
-/// As [`trace_to_flows`] and [`replay_faulted`].
-pub fn replay_trace_faulted(
-    trace: &Trace,
-    topo: &Topology,
-    spec: &FaultSpec,
-    options: SimOptions,
-) -> Result<ReplayReport> {
-    let flows = trace_to_flows(trace, topo)?;
-    replay_faulted(topo, &flows, spec, options)
-}
-
-/// Faulted variant of [`replay_trace_closed`].
-///
-/// # Errors
-///
-/// As [`TraceSource::new`] and [`replay_source_faulted`].
-pub fn replay_trace_closed_faulted(
-    trace: &Trace,
-    topo: &Topology,
-    spec: &FaultSpec,
-    options: SimOptions,
-) -> Result<ReplayReport> {
-    let mut source = TraceSource::new(trace, topo)?;
-    replay_source_faulted(topo, &mut source, spec, options)
-}
-
-/// Faulted variant of [`replay_model_closed`].
-///
-/// # Errors
-///
-/// As [`ModelSource::new`] and [`replay_source_faulted`].
-#[allow(clippy::too_many_arguments)]
-pub fn replay_model_closed_faulted(
-    model: &KeddahModel,
-    topo: &Topology,
-    n_jobs: u32,
-    seed: u64,
-    stagger_secs: f64,
-    spec: &FaultSpec,
-    options: SimOptions,
-) -> Result<ReplayReport> {
-    let mut source = ModelSource::new(model, n_jobs, seed, stagger_secs, topo)?;
-    replay_source_faulted(topo, &mut source, spec, options)
-}
-
-/// Convenience: replay generated jobs end to end.
-///
-/// # Errors
-///
-/// As [`jobs_to_flows`].
-pub fn replay_jobs(
-    jobs: &[GeneratedJob],
-    topo: &Topology,
-    options: SimOptions,
-) -> Result<ReplayReport> {
-    let flows = jobs_to_flows(jobs, topo)?;
-    Ok(replay(topo, &flows, options))
+    replay_faulted(
+        topo,
+        &mut source,
+        &FaultSpec::empty(),
+        options,
+        &Obs::disabled(),
+    )
 }
 
 #[cfg(test)]
@@ -433,10 +290,27 @@ mod tests {
         }
     }
 
+    /// Clean, unobserved kernel run of a static flow list.
+    fn replay_static(
+        topo: &Topology,
+        flows: &[FlowSpec],
+        spec: &FaultSpec,
+    ) -> Result<ReplayReport> {
+        let mut source = StaticSource::new(flows.to_vec());
+        replay_faulted(
+            topo,
+            &mut source,
+            spec,
+            SimOptions::default(),
+            &Obs::disabled(),
+        )
+    }
+
     #[test]
     fn generated_jobs_replay() {
         let topo = Topology::star(5, 1e9);
-        let report = replay_jobs(&[job()], &topo, SimOptions::default()).unwrap();
+        let flows = jobs_to_flows(&[job()], &topo).unwrap();
+        let report = replay(&topo, &flows, SimOptions::default());
         assert_eq!(report.sim.results.len(), 2);
         assert_eq!(report.fct_by_component[&Component::Shuffle].len(), 1);
         assert_eq!(report.fct_by_component[&Component::Control].len(), 1);
@@ -446,7 +320,7 @@ mod tests {
     #[test]
     fn small_topology_rejected() {
         let topo = Topology::star(2, 1e9);
-        let err = replay_jobs(&[job()], &topo, SimOptions::default()).unwrap_err();
+        let err = jobs_to_flows(&[job()], &topo).unwrap_err();
         assert!(matches!(err, CoreError::TopologyTooSmall { .. }));
         assert!(err.to_string().contains("host"));
     }
@@ -459,12 +333,28 @@ mod tests {
     }
 
     #[test]
+    fn foreign_tags_replay_as_other() {
+        // A caller-built source may tag flows with any u32.
+        let topo = Topology::star(3, 1e9);
+        let flow = FlowSpec {
+            src: HostId(1),
+            dst: HostId(2),
+            bytes: 1 << 20,
+            start: SimTime::ZERO,
+            tag: 7,
+        };
+        let report = replay_static(&topo, &[flow], &FaultSpec::empty()).unwrap();
+        assert_eq!(report.fct_by_component[&Component::Other].len(), 1);
+        assert_eq!(report.fct_by_component.len(), 1);
+    }
+
+    #[test]
     fn empty_fault_spec_matches_plain_replay() {
         let topo = Topology::star(5, 1e9);
         let flows = jobs_to_flows(&[job()], &topo).unwrap();
         let plain = replay(&topo, &flows, SimOptions::default());
-        let faulted = replay_faulted(&topo, &flows, &FaultSpec::empty(), SimOptions::default())
-            .expect("empty spec is always valid");
+        let faulted =
+            replay_static(&topo, &flows, &FaultSpec::empty()).expect("empty spec is always valid");
         assert_eq!(plain.fct_by_component, faulted.fct_by_component);
         assert_eq!(plain.sim.makespan(), faulted.sim.makespan());
         assert!(faulted.sim.faults.aborted.is_empty());
@@ -483,7 +373,7 @@ mod tests {
                 kind: FaultKind::NodeCrash { node: 2 },
             }],
         };
-        let report = replay_faulted(&topo, &flows, &spec, SimOptions::default()).unwrap();
+        let report = replay_static(&topo, &flows, &spec).unwrap();
         assert_eq!(report.sim.faults.aborted.len(), 1);
         assert!(!report.fct_by_component.contains_key(&Component::Shuffle));
         assert_eq!(report.fct_by_component[&Component::Control].len(), 1);
@@ -499,7 +389,7 @@ mod tests {
                 kind: FaultKind::NodeCrash { node: 99 },
             }],
         };
-        let err = replay_faulted(&topo, &[], &spec, SimOptions::default()).unwrap_err();
+        let err = replay_static(&topo, &[], &spec).unwrap_err();
         assert!(matches!(err, CoreError::Fault(_)));
         assert!(err.to_string().contains("fault schedule"));
     }

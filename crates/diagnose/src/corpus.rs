@@ -15,10 +15,10 @@ use std::fs;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use keddah_core::replay::{replay_faulted_observed, replay_observed, trace_to_flows};
+use keddah_core::replay::{replay_faulted, replay_observed, trace_to_flows};
 use keddah_faults::{generate, FaultClass, FaultGen, FaultKind, FaultSpec};
-use keddah_hadoop::{run_job_faulted, ClusterSpec, HadoopConfig, JobSpec, Workload};
-use keddah_netsim::{SimOptions, Topology};
+use keddah_hadoop::{run_dag, run_job, ClusterSpec, HadoopConfig, JobSpec, Workload};
+use keddah_netsim::{SimOptions, StaticSource, Topology};
 use keddah_obs::Obs;
 use serde::{Deserialize, Serialize};
 
@@ -310,8 +310,14 @@ fn draw_replay_scenario(
             break;
         }
         let obs = Obs::enabled();
-        let report = replay_faulted_observed(topo, flows, &spec, options, &obs)
-            .map_err(|e| DiagnoseError::Invalid(e.to_string()))?;
+        let report = replay_faulted(
+            topo,
+            &mut StaticSource::new(flows.to_vec()),
+            &spec,
+            options,
+            &obs,
+        )
+        .map_err(|e| DiagnoseError::Invalid(e.to_string()))?;
         if impact(&report) {
             return Ok((spec, report, obs));
         }
@@ -345,7 +351,7 @@ pub fn build_cell(spec: &CellSpec) -> Result<Cell> {
         .wrapping_add(spec.class as u64 * 10_007)
         .wrapping_add(spec.seed * 101 + 17);
 
-    let baseline_run = run_job_faulted(&cluster, &config, &job, capture_seed, &FaultSpec::empty());
+    let baseline_run = run_job(&cluster, &config, &job, capture_seed);
     let span_nanos = baseline_run.trace.makespan().as_nanos();
     let baseline_flows = trace_to_flows(&baseline_run.trace, &topo).map_err(|e| invalid(&e))?;
 
@@ -366,10 +372,18 @@ pub fn build_cell(spec: &CellSpec) -> Result<Cell> {
         }
         FaultClass::NodeCrash => {
             let fault_spec = draw_crash(span_nanos, fault_seed, &baseline_replay.sim.link_bytes)?;
-            let degraded_run = run_job_faulted(&cluster, &config, &job, capture_seed, &fault_spec);
+            let (degraded_run, _) = run_dag(
+                &cluster,
+                &config,
+                &job.workload.dag(),
+                job.input_bytes,
+                capture_seed,
+                &fault_spec,
+            );
             let flows = trace_to_flows(&degraded_run.trace, &topo).map_err(|e| invalid(&e))?;
             let obs = Obs::enabled();
-            let replay = replay_faulted_observed(&topo, &flows, &fault_spec, options, &obs)
+            let mut source = StaticSource::new(flows);
+            let replay = replay_faulted(&topo, &mut source, &fault_spec, options, &obs)
                 .map_err(|e| invalid(&e))?;
             degraded_run.counters.record_obs(&obs);
             (fault_spec, replay, obs)

@@ -5,9 +5,11 @@
 //! returns a [`JobRun`] holding the labelled [`Trace`] — the artefact the
 //! Keddah modelling step consumes.
 
-use keddah_des::Duration;
+use std::collections::BTreeMap;
+
+use keddah_des::{Duration, SimTime};
 use keddah_faults::FaultSpec;
-use keddah_flowcap::{FlowAssembler, Trace, TraceMeta};
+use keddah_flowcap::{FlowAssembler, PacketRecord, Trace, TraceMeta};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -16,7 +18,7 @@ use crate::config::HadoopConfig;
 use crate::dag::JobDag;
 use crate::net::NetModel;
 pub use crate::sim::StageStats;
-use crate::sim::{node_faults, simulate_dag_at_faulted, simulate_job_at_faulted, JobCounters};
+use crate::sim::{node_faults, simulate_dag_at_faulted, JobCounters};
 use crate::workload::JobSpec;
 
 /// The result of one simulated job execution.
@@ -24,13 +26,16 @@ use crate::workload::JobSpec;
 pub struct JobRun {
     /// The classified flow trace captured during the run.
     pub trace: Trace,
-    /// Job makespan (submission to last reducer).
+    /// Job makespan (submission to the last stage's completion).
     pub duration: Duration,
     /// Simulator-side execution counters (ground truth for tests).
     pub counters: JobCounters,
+    /// Per-stage execution summaries, in stage order.
+    pub stages: Vec<StageStats>,
 }
 
-/// Runs one job on the cluster and captures its traffic.
+/// Runs one job on the cluster and captures its traffic: [`run_dag`] on
+/// the workload's own DAG, with no faults.
 ///
 /// Deterministic: the same `(cluster, config, job, seed)` always produces
 /// an identical run and trace.
@@ -72,113 +77,31 @@ pub fn run_job_with_packets(
     config: &HadoopConfig,
     job: &JobSpec,
     seed: u64,
-) -> (JobRun, Vec<keddah_flowcap::PacketRecord>) {
-    run_job_with_packets_faulted(cluster, config, job, seed, &FaultSpec::empty())
-}
-
-/// [`run_job`] under a fault schedule: worker crashes and recoveries in
-/// `faults` degrade the job (killed attempts, shuffle re-fetch, reducer
-/// restarts) and trigger HDFS re-replication traffic. With an empty
-/// spec this is exactly [`run_job`] — the clean path draws the same RNG
-/// sequence and captures an identical trace.
-///
-/// Link-level faults in the spec are ignored here: the capture side has
-/// no network topology. They apply when the trace is replayed through
-/// `keddah-netsim`.
-///
-/// # Panics
-///
-/// As [`run_job`].
-#[must_use]
-pub fn run_job_faulted(
-    cluster: &ClusterSpec,
-    config: &HadoopConfig,
-    job: &JobSpec,
-    seed: u64,
-    faults: &FaultSpec,
-) -> JobRun {
-    run_job_with_packets_faulted(cluster, config, job, seed, faults).0
-}
-
-/// [`run_job_faulted`] also returning the raw packet capture — the
-/// faulted sibling of [`run_job_with_packets`].
-///
-/// # Panics
-///
-/// As [`run_job`].
-#[must_use]
-pub fn run_job_with_packets_faulted(
-    cluster: &ClusterSpec,
-    config: &HadoopConfig,
-    job: &JobSpec,
-    seed: u64,
-    faults: &FaultSpec,
-) -> (JobRun, Vec<keddah_flowcap::PacketRecord>) {
-    cluster.validate().expect("invalid cluster spec");
-    config.validate().expect("invalid hadoop config");
-    let timeline = node_faults(faults, cluster.worker_count());
-    let mut net = NetModel::new(cluster.nic_bps);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut counters = JobCounters::default();
-    let (end, _output) = simulate_job_at_faulted(
+) -> (JobRun, Vec<PacketRecord>) {
+    run_dag(
         cluster,
         config,
-        job,
-        &mut net,
-        &mut rng,
-        &mut counters,
-        keddah_des::SimTime::ZERO,
-        None,
-        &timeline,
-    );
-    let packets = net.take_packets();
-
-    let mut assembler = FlowAssembler::new();
-    assembler.extend(packets.iter().copied());
-    let flows = assembler.finish();
-    let meta = TraceMeta {
-        workload: job.workload.name().to_string(),
-        input_bytes: job.input_bytes,
-        reducers: config.reducers,
-        replication: config.replication,
-        block_bytes: config.block_bytes,
-        nodes: cluster.worker_count(),
+        &job.workload.dag(),
+        job.input_bytes,
         seed,
-        // Faulted captures embed their ground-truth counters; clean
-        // captures keep the historical (counter-free) byte layout.
-        counters: (!faults.is_empty()).then(|| counters.to_map()),
-    };
-    let mut trace = Trace::new(meta, flows);
-    trace.classify();
-    (
-        JobRun {
-            trace,
-            duration: end.saturating_since(keddah_des::SimTime::ZERO),
-            counters,
-        },
-        packets,
+        &FaultSpec::empty(),
     )
 }
 
-/// The result of one simulated DAG execution.
-#[derive(Debug, Clone)]
-pub struct DagRun {
-    /// The classified flow trace captured during the run.
-    pub trace: Trace,
-    /// Job makespan (submission to last stage's completion).
-    pub duration: Duration,
-    /// Simulator-side execution counters (whole job).
-    pub counters: JobCounters,
-    /// Per-stage execution summaries, in stage order.
-    pub stages: Vec<StageStats>,
-}
-
-/// Runs an arbitrary [`JobDag`] on the cluster and captures its
-/// traffic.
+/// Runs an arbitrary [`JobDag`] on the cluster under a fault schedule
+/// and captures its traffic — the one capture kernel. Returns the run
+/// and the raw, time-ordered packet capture it was assembled from.
 ///
-/// A [`crate::Workload`]'s own DAG (`workload.dag()`) captures the
-/// *same trace* as [`run_job`] for that workload — the legacy engine's
-/// byte-identity guarantee, pinned by `tests/dag_model.rs`.
+/// Worker crashes and recoveries in `faults` degrade the job (killed
+/// attempts, shuffle re-fetch, reducer restarts) and trigger HDFS
+/// re-replication traffic; the faulted trace's metadata embeds the
+/// job's counters. An empty spec draws the same RNG sequence as a clean
+/// run and captures an identical trace. Link-level faults are ignored
+/// here: the capture side has no network topology. They apply when the
+/// trace is replayed through `keddah-netsim`.
+///
+/// A [`crate::Workload`]'s own DAG (`workload.dag()`, named after the
+/// workload) is exactly what [`run_job`] runs.
 ///
 /// # Panics
 ///
@@ -190,25 +113,8 @@ pub fn run_dag(
     dag: &JobDag,
     input_bytes: u64,
     seed: u64,
-) -> DagRun {
-    run_dag_faulted(cluster, config, dag, input_bytes, seed, &FaultSpec::empty())
-}
-
-/// [`run_dag`] under a fault schedule (the DAG sibling of
-/// [`run_job_faulted`]).
-///
-/// # Panics
-///
-/// As [`run_dag`].
-#[must_use]
-pub fn run_dag_faulted(
-    cluster: &ClusterSpec,
-    config: &HadoopConfig,
-    dag: &JobDag,
-    input_bytes: u64,
-    seed: u64,
     faults: &FaultSpec,
-) -> DagRun {
+) -> (JobRun, Vec<PacketRecord>) {
     cluster.validate().expect("invalid cluster spec");
     config.validate().expect("invalid hadoop config");
     dag.validate().expect("invalid job dag");
@@ -224,31 +130,57 @@ pub fn run_dag_faulted(
         &mut net,
         &mut rng,
         &mut counters,
-        keddah_des::SimTime::ZERO,
+        SimTime::ZERO,
         None,
         &timeline,
     );
+    let packets = net.take_packets();
+    // Faulted captures embed their ground-truth counters; clean captures
+    // keep the historical (counter-free) byte layout.
+    let meta_counters = (!faults.is_empty()).then(|| counters.to_map());
+    let run = JobRun {
+        trace: assemble_trace(
+            cluster,
+            config,
+            seed,
+            dag.name.clone(),
+            input_bytes,
+            meta_counters,
+            &packets,
+        ),
+        duration: outcome.end.saturating_since(SimTime::ZERO),
+        counters,
+        stages: outcome.stages,
+    };
+    (run, packets)
+}
+
+/// Assembles a capture's time-ordered packets into flows and labels
+/// them, under metadata describing the run.
+fn assemble_trace(
+    cluster: &ClusterSpec,
+    config: &HadoopConfig,
+    seed: u64,
+    workload: String,
+    input_bytes: u64,
+    counters: Option<BTreeMap<String, u64>>,
+    packets: &[PacketRecord],
+) -> Trace {
     let mut assembler = FlowAssembler::new();
-    assembler.extend(net.take_packets());
-    let flows = assembler.finish();
+    assembler.extend(packets.iter().copied());
     let meta = TraceMeta {
-        workload: dag.name.clone(),
+        workload,
         input_bytes,
         reducers: config.reducers,
         replication: config.replication,
         block_bytes: config.block_bytes,
         nodes: cluster.worker_count(),
         seed,
-        counters: (!faults.is_empty()).then(|| counters.to_map()),
-    };
-    let mut trace = Trace::new(meta, flows);
-    trace.classify();
-    DagRun {
-        trace,
-        duration: outcome.end.saturating_since(keddah_des::SimTime::ZERO),
         counters,
-        stages: outcome.stages,
-    }
+    };
+    let mut trace = Trace::new(meta, assembler.finish());
+    trace.classify();
+    trace
 }
 
 /// The result of a chained benchmark session.
@@ -306,47 +238,44 @@ pub fn run_session(
     let mut rng = StdRng::seed_from_u64(seed);
     let mut job_ends = Vec::with_capacity(jobs.len());
     let mut all_counters = Vec::with_capacity(jobs.len());
-    let mut start = keddah_des::SimTime::ZERO;
+    let mut start = SimTime::ZERO;
     let mut chained: Option<Vec<crate::hdfs::Block>> = None;
     for job in jobs {
         let mut counters = JobCounters::default();
-        let (end, output) = crate::sim::simulate_job_at(
+        let outcome = simulate_dag_at_faulted(
             cluster,
             config,
-            job,
+            &job.workload.dag(),
+            job.input_bytes,
             &mut net,
             &mut rng,
             &mut counters,
             start,
             chained.take(),
+            &[],
         );
-        job_ends.push(end.saturating_since(keddah_des::SimTime::ZERO));
+        job_ends.push(outcome.end.saturating_since(SimTime::ZERO));
         all_counters.push(counters);
-        chained = (!output.is_empty()).then_some(output);
-        start = end + keddah_des::Duration::from_secs(2);
+        chained = (!outcome.last_output.is_empty()).then_some(outcome.last_output);
+        start = outcome.end + Duration::from_secs(2);
     }
 
-    let mut assembler = FlowAssembler::new();
-    assembler.extend(net.take_packets());
-    let flows = assembler.finish();
-    let meta = TraceMeta {
-        workload: jobs
-            .iter()
-            .map(|j| j.workload.name())
-            .collect::<Vec<_>>()
-            .join("+"),
-        input_bytes: jobs[0].input_bytes,
-        reducers: config.reducers,
-        replication: config.replication,
-        block_bytes: config.block_bytes,
-        nodes: cluster.worker_count(),
-        seed,
-        counters: None,
-    };
-    let mut trace = Trace::new(meta, flows);
-    trace.classify();
+    let workload = jobs
+        .iter()
+        .map(|j| j.workload.name())
+        .collect::<Vec<_>>()
+        .join("+");
+    let packets = net.take_packets();
     SessionRun {
-        trace,
+        trace: assemble_trace(
+            cluster,
+            config,
+            seed,
+            workload,
+            jobs[0].input_bytes,
+            None,
+            &packets,
+        ),
         job_ends,
         counters: all_counters,
     }

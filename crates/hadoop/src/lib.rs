@@ -44,8 +44,7 @@ pub use cluster::ClusterSpec;
 pub use config::HadoopConfig;
 pub use dag::{DagEdge, EdgeSource, JobDag, StageSpec, TransferKind};
 pub use driver::{
-    run_dag, run_dag_faulted, run_job, run_job_faulted, run_job_with_packets,
-    run_job_with_packets_faulted, run_repeats, run_repeats_seeded, run_session, DagRun, JobRun,
+    run_dag, run_job, run_job_with_packets, run_repeats, run_repeats_seeded, run_session, JobRun,
     SessionRun,
 };
 pub use sim::{JobCounters, StageStats};

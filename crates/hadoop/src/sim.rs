@@ -40,7 +40,6 @@ use crate::config::HadoopConfig;
 use crate::dag::{EdgeSource, JobDag, StageSpec, TransferKind};
 use crate::hdfs::{Block, Hdfs};
 use crate::net::{NetModel, Payload};
-use crate::workload::JobSpec;
 
 /// Delay between job submission and the ApplicationMaster becoming ready.
 const AM_STARTUP: Duration = Duration::from_secs(2);
@@ -1332,97 +1331,6 @@ impl<'a> StageSim<'a> {
     }
 }
 
-/// Simulates the full job: submission, AM startup, all MapReduce rounds,
-/// and control-plane traffic. Returns the job end time.
-///
-/// The caller provides the shared [`NetModel`] tap; the packets it
-/// accumulates are the capture.
-#[cfg(test)]
-pub(crate) fn simulate_job(
-    cluster: &ClusterSpec,
-    config: &HadoopConfig,
-    job: &JobSpec,
-    net: &mut NetModel,
-    rng: &mut StdRng,
-    counters: &mut JobCounters,
-) -> SimTime {
-    simulate_job_at(
-        cluster,
-        config,
-        job,
-        net,
-        rng,
-        counters,
-        SimTime::ZERO,
-        None,
-    )
-    .0
-}
-
-/// [`simulate_job`] generalized for chained sessions: the job starts at
-/// `start`, optionally consumes pre-existing `input_blocks` (a previous
-/// job's output) instead of placing fresh input, and returns its final
-/// output blocks alongside the end time.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn simulate_job_at(
-    cluster: &ClusterSpec,
-    config: &HadoopConfig,
-    job: &JobSpec,
-    net: &mut NetModel,
-    rng: &mut StdRng,
-    counters: &mut JobCounters,
-    start: SimTime,
-    input_blocks: Option<Vec<Block>>,
-) -> (SimTime, Vec<Block>) {
-    simulate_job_at_faulted(
-        cluster,
-        config,
-        job,
-        net,
-        rng,
-        counters,
-        start,
-        input_blocks,
-        &[],
-    )
-}
-
-/// [`simulate_job_at`] under a node-fault timeline: crashes and
-/// recoveries fire as DES events inside the stages (killing attempts,
-/// invalidating map output, restarting reducers), and every crash that
-/// costs a stored block a replica triggers NameNode-commanded
-/// re-replication traffic after the heartbeat-expiry delay.
-///
-/// An empty `faults` slice takes exactly the clean path — same RNG
-/// draws, same events, byte-identical capture.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn simulate_job_at_faulted(
-    cluster: &ClusterSpec,
-    config: &HadoopConfig,
-    job: &JobSpec,
-    net: &mut NetModel,
-    rng: &mut StdRng,
-    counters: &mut JobCounters,
-    start: SimTime,
-    input_blocks: Option<Vec<Block>>,
-    faults: &[NodeFault],
-) -> (SimTime, Vec<Block>) {
-    let dag = job.workload.dag();
-    let outcome = simulate_dag_at_faulted(
-        cluster,
-        config,
-        &dag,
-        job.input_bytes,
-        net,
-        rng,
-        counters,
-        start,
-        input_blocks,
-        faults,
-    );
-    (outcome.end, outcome.last_output)
-}
-
 /// Per-stage execution summary, derived from counter deltas around each
 /// stage's run — the DAG-level ground truth `keddah dag show` and the
 /// driver expose.
@@ -1468,6 +1376,15 @@ fn scale_block(block: &Block, selectivity: f64) -> Block {
 /// Simulates a [`JobDag`]: submission, AM startup, every stage in
 /// topological order over the bytes its in-edges deliver, then the
 /// re-replication and control planes over the whole span.
+///
+/// The job starts at `start` and consumes `input_blocks` (a previous
+/// job's output, for chained sessions) or, when `None`, freshly placed
+/// input. Node crashes and recoveries in `faults` fire as DES events
+/// inside the stages (killing attempts, invalidating map output,
+/// restarting reducers), and every crash that costs a stored block a
+/// replica triggers NameNode-commanded re-replication traffic after the
+/// heartbeat-expiry delay. An empty `faults` slice takes exactly the
+/// clean path — same RNG draws, same events, byte-identical capture.
 ///
 /// The caller provides the shared [`NetModel`] tap; the packets it
 /// accumulates are the capture.
@@ -1734,8 +1651,34 @@ fn emit_periodic(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::Workload;
+    use crate::workload::{JobSpec, Workload};
     use rand::SeedableRng;
+
+    /// Simulates `job`'s DAG from t = 0 on freshly placed input.
+    fn job_end(
+        cluster: &ClusterSpec,
+        config: &HadoopConfig,
+        job: &JobSpec,
+        net: &mut NetModel,
+        rng: &mut StdRng,
+        counters: &mut JobCounters,
+        faults: &[NodeFault],
+    ) -> SimTime {
+        let dag = job.workload.dag();
+        let outcome = simulate_dag_at_faulted(
+            cluster,
+            config,
+            &dag,
+            job.input_bytes,
+            net,
+            rng,
+            counters,
+            SimTime::ZERO,
+            None,
+            faults,
+        );
+        outcome.end
+    }
 
     fn run(job: JobSpec, seed: u64) -> (SimTime, JobCounters, NetModel) {
         let cluster = ClusterSpec::racks(2, 4);
@@ -1743,7 +1686,15 @@ mod tests {
         let mut net = NetModel::new(cluster.nic_bps);
         let mut rng = StdRng::seed_from_u64(seed);
         let mut counters = JobCounters::default();
-        let end = simulate_job(&cluster, &config, &job, &mut net, &mut rng, &mut counters);
+        let end = job_end(
+            &cluster,
+            &config,
+            &job,
+            &mut net,
+            &mut rng,
+            &mut counters,
+            &[],
+        );
         (end, counters, net)
     }
 
@@ -1794,7 +1745,15 @@ mod tests {
             let mut net = NetModel::new(cluster.nic_bps);
             let mut rng = StdRng::seed_from_u64(4);
             let mut counters = JobCounters::default();
-            simulate_job(&cluster, &config, &job, &mut net, &mut rng, &mut counters);
+            job_end(
+                &cluster,
+                &config,
+                &job,
+                &mut net,
+                &mut rng,
+                &mut counters,
+                &[],
+            );
             totals.push(counters.hdfs_write_bytes);
         }
         // Replication 3 writes ~(r-1)+1 = about 2-3x the pipeline bytes of
@@ -1828,7 +1787,15 @@ mod tests {
             let mut net = NetModel::new(cluster.nic_bps);
             let mut rng = StdRng::seed_from_u64(17);
             let mut counters = JobCounters::default();
-            let end = simulate_job(&cluster, &config, &job, &mut net, &mut rng, &mut counters);
+            let end = job_end(
+                &cluster,
+                &config,
+                &job,
+                &mut net,
+                &mut rng,
+                &mut counters,
+                &[],
+            );
             (end, counters)
         };
         let (end_clean, clean) = run(0.0);
@@ -1877,7 +1844,15 @@ mod tests {
         let mut net = NetModel::new(cluster.nic_bps);
         let mut rng = StdRng::seed_from_u64(5);
         let mut counters = JobCounters::default();
-        let end = simulate_job(&cluster, &config, &job, &mut net, &mut rng, &mut counters);
+        let end = job_end(
+            &cluster,
+            &config,
+            &job,
+            &mut net,
+            &mut rng,
+            &mut counters,
+            &[],
+        );
         assert!(counters.failed_map_attempts > 0);
         assert_eq!(counters.maps, 8);
         assert!(end > SimTime::from_secs(2));
@@ -1897,7 +1872,15 @@ mod tests {
             let mut net = NetModel::new(cluster.nic_bps);
             let mut rng = StdRng::seed_from_u64(31);
             let mut counters = JobCounters::default();
-            let end = simulate_job(&cluster, &config, &job, &mut net, &mut rng, &mut counters);
+            let end = job_end(
+                &cluster,
+                &config,
+                &job,
+                &mut net,
+                &mut rng,
+                &mut counters,
+                &[],
+            );
             (end, counters)
         };
         let (_, base) = run(false);
@@ -1921,7 +1904,15 @@ mod tests {
         let mut net = NetModel::new(cluster.nic_bps);
         let mut rng = StdRng::seed_from_u64(13);
         let mut counters = JobCounters::default();
-        let end = simulate_job(&cluster, &config, &job, &mut net, &mut rng, &mut counters);
+        let end = job_end(
+            &cluster,
+            &config,
+            &job,
+            &mut net,
+            &mut rng,
+            &mut counters,
+            &[],
+        );
         assert!(end > SimTime::from_secs(5));
         assert_eq!(counters.rounds, 3);
     }
@@ -1938,7 +1929,15 @@ mod tests {
             let mut net = NetModel::new(cluster.nic_bps);
             let mut rng = StdRng::seed_from_u64(77);
             let mut counters = JobCounters::default();
-            let end = simulate_job(&cluster, &config, &job, &mut net, &mut rng, &mut counters);
+            let end = job_end(
+                &cluster,
+                &config,
+                &job,
+                &mut net,
+                &mut rng,
+                &mut counters,
+                &[],
+            );
             (end, counters, net.take_packets())
         };
         let (e1, c1, p1) = go();
@@ -1967,15 +1966,13 @@ mod tests {
         let mut net = NetModel::new(cluster.nic_bps);
         let mut rng = StdRng::seed_from_u64(seed);
         let mut counters = JobCounters::default();
-        let (end, _) = simulate_job_at_faulted(
+        let end = job_end(
             &cluster,
             &config,
             &job,
             &mut net,
             &mut rng,
             &mut counters,
-            SimTime::ZERO,
-            None,
             &timeline,
         );
         (end, counters, net)

@@ -35,7 +35,7 @@
 //! Hence a flow's rate is a function of its component only, and cached
 //! rates of untouched components remain exactly what a from-scratch
 //! solve would produce. The property test
-//! `fair_share_state_matches_full_recompute` pins this with exact
+//! `incremental_fair_share_matches_full` pins this with exact
 //! (bitwise) equality, well inside the 1e-9 budget.
 //!
 //! # Weighted entries (flow bundles)
@@ -69,8 +69,7 @@
 //! Components are link-disjoint, so their solves share no state; results
 //! are merged in ascending component index. By the equivalence argument
 //! above the rates are bit-identical at any thread count — the
-//! determinism suite pins solver width (and the `KEDDAH_SEQ_SOLVE`
-//! oracle) as a no-op on replay output.
+//! determinism suite pins solver width as a no-op on replay output.
 //!
 //! [`insert_flow`]: FairShareState::insert_flow
 //! [`insert_weighted`]: FairShareState::insert_weighted
@@ -193,11 +192,10 @@ struct FlowSlot {
 /// Maintains the active flow set, per-link flow adjacency and per-flow
 /// rates across mutations. Inserting or removing a flow re-solves only
 /// the affected component (flows transitively sharing links with the
-/// mutated flow); when that dirty set exceeds
-/// [`fallback_threshold`](Self::with_fallback_threshold) of the active
-/// flows — or when full recompute is forced — the whole set is refilled
-/// with dense per-link arrays instead, which produces the same rates at
-/// a lower constant factor.
+/// mutated flow); when that dirty set reaches 64 entries and more than
+/// 75% of the entries on links, the whole set is refilled with dense
+/// per-link arrays instead, which produces the same rates at a lower
+/// constant factor.
 ///
 /// # Examples
 ///
@@ -219,10 +217,6 @@ struct FlowSlot {
 pub struct FairShareState {
     capacities: Vec<f64>,
     local_bps: f64,
-    full_recompute: bool,
-    /// Dirty-set fraction above which [`fill_dense`](Self::fill_dense)
-    /// replaces the component-local solve.
-    fallback_threshold: f64,
     slots: Vec<FlowSlot>,
     rates: Vec<f64>,
     free: Vec<u32>,
@@ -261,8 +255,6 @@ impl FairShareState {
         FairShareState {
             capacities,
             local_bps,
-            full_recompute: false,
-            fallback_threshold: 0.75,
             slots: Vec::new(),
             rates: Vec::new(),
             free: Vec::new(),
@@ -279,24 +271,6 @@ impl FairShareState {
             solved_flows: 0,
             dense_solves: 0,
         }
-    }
-
-    /// Forces full progressive filling on every mutation (the
-    /// pre-incremental engine's behaviour). Rates are identical either
-    /// way; this is the correctness oracle and the perf baseline the
-    /// `flow_scaling` bench measures against.
-    #[must_use]
-    pub fn with_full_recompute(mut self, full: bool) -> Self {
-        self.full_recompute = full;
-        self
-    }
-
-    /// Sets the dirty-set fraction above which a mutation falls back to
-    /// dense full filling (clamped to `(0, 1]`; default 0.75).
-    #[must_use]
-    pub fn with_fallback_threshold(mut self, frac: f64) -> Self {
-        self.fallback_threshold = frac.clamp(f64::MIN_POSITIVE, 1.0);
-        self
     }
 
     /// Lets dense refills solve independent components on up to `jobs`
@@ -534,8 +508,7 @@ impl FairShareState {
     }
 
     /// Total flow rates written across all solves — the incremental
-    /// path's work metric (the full-recompute path re-writes every
-    /// active flow on every event).
+    /// path's work metric (a dense refill re-writes every active entry).
     #[must_use]
     pub fn solved_flows(&self) -> u64 {
         self.solved_flows
@@ -551,10 +524,6 @@ impl FairShareState {
     /// everything via the dense path when the dirty set is large enough
     /// that component bookkeeping stops paying for itself.
     fn resolve_around(&mut self, seeds: &[u32]) {
-        if self.full_recompute {
-            self.fill_dense();
-            return;
-        }
         // BFS over the flow/link sharing graph. `flow_local` doubles as
         // the local index map for the fill; `link_local` likewise.
         self.stamp += 1;
@@ -592,8 +561,10 @@ impl FairShareState {
         // Dense fallback: once the dirty set is most of the active flows
         // (and big enough for the local index maps to cost more than
         // they save), plain full filling has the lower constant factor.
+        const DENSE_MIN_ENTRIES: usize = 64;
+        const DENSE_FRACTION: f64 = 0.75;
         let dirty_frac = members.len() as f64 / self.active_on_links.max(1) as f64;
-        if members.len() >= 64 && dirty_frac > self.fallback_threshold {
+        if members.len() >= DENSE_MIN_ENTRIES && dirty_frac > DENSE_FRACTION {
             self.fill_dense();
         } else {
             self.fill_local(&members, &comp_links);
@@ -874,24 +845,109 @@ mod tests {
         assert!(max_min_rates(&[], &[1.0], 1.0).is_empty());
     }
 
+    /// Capacities and weighted entries whose mutations take the
+    /// production dense fallback: `spokes` single-entry components (one
+    /// on each of links `1..=spokes`) come first, then a hub of `hub`
+    /// entries that all cross link 0 — one component, past both dense
+    /// gates once it has 64 entries and more than three times as many
+    /// as there are spokes. Most hub entries also cross one of three
+    /// narrow links, so hub rates differ. Weights cycle through
+    /// `1..=max_weight`.
+    fn hub_and_spokes(hub: u32, spokes: u32, max_weight: u32) -> (Vec<f64>, Vec<(Vec<u32>, u32)>) {
+        let narrow = spokes + 1;
+        let mut caps: Vec<f64> = (0..narrow).map(|l| 1e9 + f64::from(l) * 3.7e7).collect();
+        caps.extend([1e8, 2e8, 3e8]);
+        let mut entries: Vec<(Vec<u32>, u32)> = (1..=spokes)
+            .map(|l| (vec![l], 1 + l % max_weight))
+            .collect();
+        entries.extend((0..hub).map(|i| {
+            let links = if i % 4 == 0 {
+                vec![0]
+            } else {
+                vec![0, narrow + i % 3]
+            };
+            (links, 1 + i % max_weight)
+        }));
+        (caps, entries)
+    }
+
+    /// Per-member rates of weighted entries from [`max_min_rates`] over
+    /// the members spelled out one by one; every member of an entry must
+    /// get the same rate.
+    fn reference_rates(caps: &[f64], entries: &[(Vec<u32>, u32)]) -> Vec<f64> {
+        let members: Vec<Vec<u32>> = entries
+            .iter()
+            .flat_map(|(links, w)| std::iter::repeat_n(links.clone(), *w as usize))
+            .collect();
+        let rates = max_min_rates(&members, caps, 1e10);
+        let mut out = Vec::with_capacity(entries.len());
+        let mut k = 0;
+        for (_, w) in entries {
+            let member_rates = &rates[k..k + *w as usize];
+            assert!(member_rates
+                .iter()
+                .all(|r| r.to_bits() == member_rates[0].to_bits()));
+            out.push(member_rates[0]);
+            k += *w as usize;
+        }
+        out
+    }
+
+    /// Asserts each entry's rate is bitwise the reference rate.
+    fn assert_bitwise(state: &FairShareState, ids: &[FairFlowId], want: &[f64], what: &str) {
+        for (i, (&id, &w)) in ids.iter().zip(want).enumerate() {
+            let got = state.rate(id);
+            assert!(
+                got.to_bits() == w.to_bits(),
+                "{what}: entry {i} rate {got} != reference {w}"
+            );
+        }
+    }
+
     #[test]
     fn set_capacity_rescales_only_the_affected_component() {
-        // Two links, two isolated flows. Degrading link 0 must re-rate
-        // its flow and leave the other component untouched, on both the
-        // incremental and the dense-oracle paths.
-        for full in [false, true] {
-            let mut state = FairShareState::new(vec![10.0, 6.0], 100.0).with_full_recompute(full);
-            let f0 = state.insert_flow(&[0]);
-            let f1 = state.insert_flow(&[1]);
-            assert!(close(state.rate(f0), 10.0));
-            assert!(close(state.rate(f1), 6.0));
-            state.set_capacity(0, 2.5);
-            assert!(close(state.rate(f0), 2.5), "full={full}");
-            assert!(close(state.rate(f1), 6.0), "full={full}");
-            // Repair restores the original allocation.
-            state.set_capacity(0, 10.0);
-            assert!(close(state.rate(f0), 10.0), "full={full}");
-        }
+        let (mut caps, entries) = hub_and_spokes(70, 6, 1);
+        let mut state = FairShareState::new(caps.clone(), 1e10);
+        let ids: Vec<FairFlowId> = entries.iter().map(|(l, _)| state.insert_flow(l)).collect();
+        assert!(
+            state.dense_solves() > 0,
+            "the hub grew past the dense gates"
+        );
+        assert_bitwise(&state, &ids, &reference_rates(&caps, &entries), "built");
+
+        // Degrading the hub's trunk re-solves the hub densely.
+        let dense = state.dense_solves();
+        caps[0] = 2.5e8;
+        state.set_capacity(0, caps[0]);
+        assert!(state.dense_solves() > dense, "hub re-solved densely");
+        assert_bitwise(
+            &state,
+            &ids,
+            &reference_rates(&caps, &entries),
+            "hub degraded",
+        );
+
+        // Degrading a spoke's link re-solves that spoke alone.
+        let (dense, solved) = (state.dense_solves(), state.solved_flows());
+        caps[1] = 5e7;
+        state.set_capacity(1, caps[1]);
+        assert_eq!(state.dense_solves(), dense, "a spoke re-solves locally");
+        assert_eq!(state.solved_flows() - solved, 1, "only the spoke re-solved");
+        assert_bitwise(
+            &state,
+            &ids,
+            &reference_rates(&caps, &entries),
+            "spoke degraded",
+        );
+
+        // Repair restores the original allocation.
+        caps[0] = 1e9;
+        caps[1] = 1e9 + 3.7e7;
+        state.set_capacity(0, caps[0]);
+        state.set_capacity(1, caps[1]);
+        let (original_caps, _) = hub_and_spokes(70, 6, 1);
+        assert_eq!(caps, original_caps);
+        assert_bitwise(&state, &ids, &reference_rates(&caps, &entries), "repaired");
     }
 
     #[test]
@@ -946,7 +1002,7 @@ mod tests {
 
     /// Drives a state and a from-scratch shadow in lockstep, asserting
     /// bitwise-equal rates after every mutation.
-    fn assert_state_tracks_full(caps: &[f64], script: &[(bool, Vec<u32>)]) {
+    fn assert_state_tracks_full(caps: &[f64], script: &[(bool, Vec<u32>)]) -> FairShareState {
         let mut state = FairShareState::new(caps.to_vec(), 1e10);
         let mut alive: Vec<(FairFlowId, Vec<u32>)> = Vec::new();
         for (step, (remove, links)) in script.iter().enumerate() {
@@ -968,6 +1024,7 @@ mod tests {
                 );
             }
         }
+        state
     }
 
     #[test]
@@ -993,15 +1050,16 @@ mod tests {
     }
 
     #[test]
-    fn state_matches_full_under_forced_full_recompute() {
-        let caps = [8.0, 3.0];
-        let mut state = FairShareState::new(caps.to_vec(), 50.0).with_full_recompute(true);
-        let a = state.insert_flow(&[0]);
-        let b = state.insert_flow(&[0, 1]);
-        let full = max_min_rates(&[vec![0], vec![0, 1]], &caps, 50.0);
-        assert_eq!(state.rate(a), full[0]);
-        assert_eq!(state.rate(b), full[1]);
-        assert!(state.dense_solves() >= 2, "forced path is always dense");
+    fn state_matches_full_through_the_dense_fallback() {
+        // Grow the hub past the dense gates, churn it and the spokes,
+        // then regrow it: every step is checked against the reference.
+        let (caps, entries) = hub_and_spokes(70, 6, 1);
+        let mut script: Vec<(bool, Vec<u32>)> =
+            entries.iter().map(|(l, _)| (false, l.clone())).collect();
+        script.extend((0..12u32).map(|k| (true, vec![k * 5])));
+        script.extend(entries[6..16].iter().map(|(l, _)| (false, l.clone())));
+        let state = assert_state_tracks_full(&caps, &script);
+        assert!(state.dense_solves() > 0, "the dense fallback ran");
     }
 
     #[test]
@@ -1089,37 +1147,31 @@ mod tests {
 
     /// Builds one state from weighted bundles and one from the same
     /// members inserted individually, asserting bitwise-equal per-member
-    /// rates for every bundle.
-    fn assert_weighted_matches_singletons(caps: &[f64], bundles: &[(Vec<u32>, u32)]) {
-        for full in [false, true] {
-            let mut grouped = FairShareState::new(caps.to_vec(), 1e10).with_full_recompute(full);
-            let mut single = FairShareState::new(caps.to_vec(), 1e10).with_full_recompute(full);
-            let mut gids = Vec::new();
-            let mut sids = Vec::new();
-            for (links, w) in bundles {
-                gids.push(grouped.insert_weighted(links, *w));
-                sids.push(
-                    (0..*w)
-                        .map(|_| single.insert_flow(links))
-                        .collect::<Vec<_>>(),
-                );
-            }
-            for (bi, (gid, members)) in gids.iter().zip(&sids).enumerate() {
-                let want = single.rate(members[0]);
-                for &m in members {
-                    assert!(
-                        single.rate(m) == want,
-                        "bundle {bi} members diverge (full={full})"
-                    );
-                }
-                assert!(
-                    grouped.rate(*gid) == want,
-                    "bundle {bi}: grouped {} != singleton {} (full={full})",
-                    grouped.rate(*gid),
-                    want
-                );
+    /// rates for every bundle, equal to the reference. Returns both
+    /// states' dense solve counts.
+    fn assert_weighted_matches_singletons(caps: &[f64], bundles: &[(Vec<u32>, u32)]) -> (u64, u64) {
+        let mut grouped = FairShareState::new(caps.to_vec(), 1e10);
+        let mut single = FairShareState::new(caps.to_vec(), 1e10);
+        let mut gids = Vec::new();
+        let mut sids = Vec::new();
+        for (links, w) in bundles {
+            gids.push(grouped.insert_weighted(links, *w));
+            sids.push(
+                (0..*w)
+                    .map(|_| single.insert_flow(links))
+                    .collect::<Vec<_>>(),
+            );
+        }
+        let want = reference_rates(caps, bundles);
+        assert_bitwise(&grouped, &gids, &want, "grouped");
+        for (bi, members) in sids.iter().enumerate() {
+            let first = std::slice::from_ref(&members[0]);
+            assert_bitwise(&single, first, &want[bi..=bi], "singleton");
+            for &m in members {
+                assert!(single.rate(m) == want[bi], "bundle {bi} members diverge");
             }
         }
+        (grouped.dense_solves(), single.dense_solves())
     }
 
     #[test]
@@ -1134,6 +1186,12 @@ mod tests {
                 (vec![0, 0], 2), // crosses link 0 twice
                 (vec![], 4),     // local bundle
             ],
+        );
+        let (caps, bundles) = hub_and_spokes(70, 6, 4);
+        let (grouped, single) = assert_weighted_matches_singletons(&caps, &bundles);
+        assert!(
+            grouped > 0 && single > 0,
+            "both shapes ran the dense fallback"
         );
     }
 
@@ -1183,31 +1241,33 @@ mod tests {
 
     #[test]
     fn parallel_dense_solve_is_bit_identical() {
-        // Many disjoint components, forced through the dense path at
-        // widths 1 and 8: identical rates, bit for bit.
-        let n_links = 40usize;
-        let caps: Vec<f64> = (0..n_links).map(|l| 1e9 + l as f64 * 3.7e7).collect();
+        // The hub's dense refills also cover 20 disjoint spokes, so width
+        // 8 splits the components over threads: identical rates, bit for
+        // bit, and equal to the reference.
+        let (caps, entries) = hub_and_spokes(70, 20, 4);
         let build = |jobs: usize| {
-            let mut state = FairShareState::new(caps.clone(), 1e10)
-                .with_full_recompute(true)
-                .with_parallel(jobs);
-            let mut ids = Vec::new();
-            for i in 0..128u32 {
-                let l = (i as usize * 7) % n_links;
-                let links = if i % 3 == 0 {
-                    vec![l as u32, ((l + 1) % n_links) as u32]
-                } else {
-                    vec![l as u32]
-                };
-                ids.push(state.insert_weighted(&links, 1 + i % 4));
-            }
+            let mut state = FairShareState::new(caps.clone(), 1e10).with_parallel(jobs);
+            let ids: Vec<FairFlowId> = entries
+                .iter()
+                .map(|(links, w)| state.insert_weighted(links, *w))
+                .collect();
+            assert!(state.dense_solves() > 0, "width {jobs}: dense fallback ran");
             ids.iter().map(|&id| state.rate(id)).collect::<Vec<f64>>()
         };
         let seq = build(1);
         let par = build(8);
         assert!(
-            seq.iter().zip(&par).all(|(a, b)| a == b),
+            seq.iter()
+                .zip(&par)
+                .all(|(a, b)| a.to_bits() == b.to_bits()),
             "parallel dense solve diverged"
+        );
+        let want = reference_rates(&caps, &entries);
+        assert!(
+            seq.iter()
+                .zip(&want)
+                .all(|(a, b)| a.to_bits() == b.to_bits()),
+            "dense solve diverged from the reference"
         );
     }
 }

@@ -10,16 +10,18 @@
 //!   fat-tree fabrics, with ECMP shortest-path routing;
 //! * [`fair`] — max-min fair bandwidth sharing by progressive filling,
 //!   the standard fluid abstraction of long-lived TCP;
-//! * [`simulate`] / [`simulate_source`] — the event loop (built on the
-//!   shared [`keddah_des::Engine`]): flows arrive, share links, complete;
-//!   completions and per-link byte counts come back in a [`SimReport`];
+//! * [`simulate_faulted`] — the event loop (built on the shared
+//!   [`keddah_des::Engine`]): flows from a [`TrafficSource`] arrive,
+//!   share links and complete, under a `keddah-faults` schedule whose
+//!   node crashes, link failures/degradations and partitions fire as DES
+//!   events that abort or re-route flows ([`FaultStats`] accounts for
+//!   every lost byte); completions and per-link byte counts come back in
+//!   a [`SimReport`];
+//! * [`simulate`] — its open-loop convenience: a fixed flow list, no
+//!   faults, no observability;
 //! * [`TrafficSource`] — reactive traffic: sources are told when each
 //!   flow completes and may inject dependent flows, enabling closed-loop
-//!   replay where congestion delays dependent traffic;
-//! * [`simulate_faulted`] — the same loop under a `keddah-faults`
-//!   schedule: node crashes, link failures/degradations and partitions
-//!   fire as DES events that abort or re-route flows ([`FaultStats`]
-//!   accounts for every lost byte).
+//!   replay where congestion delays dependent traffic.
 //!
 //! # Examples
 //!
@@ -51,8 +53,7 @@ mod topology;
 pub use fair::{max_min_rates, FairFlowId, FairShareState};
 pub use routing::RouteCache;
 pub use sim::{
-    simulate, simulate_faulted, simulate_faulted_observed, simulate_source, FaultStats, FlowResult,
-    FlowSpec, SimOptions, SimReport,
+    simulate, simulate_faulted, FaultStats, FlowResult, FlowSpec, SimOptions, SimReport,
 };
 pub use source::{FlowId, StaticSource, TrafficSource};
 pub use tcp::{simulate_tcp, TcpOptions};

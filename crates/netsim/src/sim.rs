@@ -20,11 +20,10 @@
 //! thousands of flows, which is what removes the 100k-flow cliff.
 //!
 //! Service accounting is integer (Q64 fixed point, see [`Q_SCALE`]), so
-//! grouping flows into bundles — or not, via the `KEDDAH_NO_AGGREGATE`
-//! oracle knob on [`SimOptions::aggregate`] — never changes any flow's
-//! completion time: the golden-replay corpus and the determinism suite
-//! pin byte-identical reports across the aggregation, solver-parallelism
-//! and full-recompute knobs.
+//! grouping flows into bundles — or not, via the singleton-bundle oracle
+//! [`SimOptions::aggregate`] — never changes any flow's completion time:
+//! the golden-replay corpus and the determinism suite pin byte-identical
+//! reports across the aggregation and solver-parallelism knobs.
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -91,29 +90,17 @@ pub struct SimOptions {
     /// qualitative FCT effect slow start has in packet simulators. Off
     /// by default (pure fluid model).
     pub tcp_slow_start: bool,
-    /// Disable incremental fair-share maintenance and re-run full
-    /// progressive filling on every event (the pre-incremental engine's
-    /// behaviour). Completion times are identical either way — this is
-    /// the correctness oracle the determinism tests exercise and the
-    /// baseline the `flow_scaling` bench measures against. Defaults to
-    /// the `KEDDAH_FULL_RECOMPUTE` environment variable (set to anything
-    /// but `0`).
-    pub full_recompute: bool,
-    /// Collapse same-path flows into weighted fluid bundles (the
+    /// Collapse same-path flows into weighted fluid bundles (`true`, the
     /// default). `false` gives every flow its own singleton bundle and
     /// fair-share entry — the pre-bundle engine's shape, kept as a
     /// correctness oracle and as the `flow_scaling` ablation baseline.
     /// Completion times are identical either way (integer service
-    /// accounting; see the module docs). Defaults to `true` unless the
-    /// `KEDDAH_NO_AGGREGATE` environment variable is set (to anything
-    /// but `0`).
+    /// accounting; see the module docs).
     pub aggregate: bool,
     /// Scoped threads dense fair-share refills may fan independent
     /// components out over. `0` (the default) auto-sizes from the host;
-    /// rates — and hence replay output — are byte-identical at any
-    /// width. Setting the `KEDDAH_SEQ_SOLVE` environment variable (to
-    /// anything but `0`) forces sequential solves, the oracle the
-    /// determinism suite compares against.
+    /// `1` solves sequentially. Rates — and hence replay output — are
+    /// byte-identical at any width.
     pub solver_jobs: usize,
 }
 
@@ -124,13 +111,8 @@ impl Default for SimOptions {
             mouse_threshold: 0,
             local_bps: 10e9,
             tcp_slow_start: false,
-            full_recompute: std::env::var("KEDDAH_FULL_RECOMPUTE").is_ok_and(|v| v != "0"),
-            aggregate: !std::env::var("KEDDAH_NO_AGGREGATE").is_ok_and(|v| v != "0"),
-            solver_jobs: if std::env::var("KEDDAH_SEQ_SOLVE").is_ok_and(|v| v != "0") {
-                1
-            } else {
-                0
-            },
+            aggregate: true,
+            solver_jobs: 0,
         }
     }
 }
@@ -258,8 +240,8 @@ struct Bundle {
 /// per-event service increment `((rate * dt) * Q_SCALE) as u128` is the
 /// same integer however flows are grouped; integer addition then makes
 /// the cumulative curve associative. That grouping-invariance is what
-/// lets the `KEDDAH_NO_AGGREGATE` oracle reproduce bundled runs bit for
-/// bit.
+/// lets the singleton-bundle oracle (`aggregate: false`) reproduce
+/// bundled runs bit for bit.
 const Q_SCALE: f64 = 18_446_744_073_709_551_616.0; // 2^64
 
 /// Sub-byte residues count as drained (8 bits, in Q64): they are
@@ -389,14 +371,12 @@ enum Ev {
     Fault { idx: usize },
 }
 
-/// Runs the fluid simulation of `flows` over `topo`.
+/// Runs the fluid simulation of `flows` over `topo`: the open-loop,
+/// fault-free, unobserved convenience over [`simulate_faulted`].
 ///
 /// Flows are processed in start order; active flows share links by
 /// max-min fairness, recomputed at every arrival and departure. The
 /// result vector preserves input order.
-///
-/// This is the open-loop entry point: it wraps `flows` in a
-/// [`StaticSource`] and runs [`simulate_source`].
 ///
 /// # Panics
 ///
@@ -423,29 +403,24 @@ enum Ev {
 #[must_use]
 pub fn simulate(topo: &Topology, flows: &[FlowSpec], options: SimOptions) -> SimReport {
     let mut source = StaticSource::new(flows.to_vec());
-    simulate_source(topo, &mut source, options)
+    simulate_faulted(
+        topo,
+        &mut source,
+        &FaultSchedule::empty(),
+        options,
+        &Obs::disabled(),
+    )
 }
 
-/// Runs the fluid simulation with a reactive [`TrafficSource`].
+/// Runs the fluid simulation of a [`TrafficSource`] under a fault
+/// schedule, recording into `obs` — the one event loop every entry point
+/// funnels through.
 ///
-/// The source's initial flows are injected at their start times; on every
-/// completion the source may return dependent flows, which are injected
-/// in turn (starts in the simulated past are clamped to "now"). Results
-/// are indexed by injection order ([`FlowId`]).
-///
-/// # Panics
-///
-/// Panics if a flow references a host outside the topology.
-#[must_use]
-pub fn simulate_source(
-    topo: &Topology,
-    source: &mut dyn TrafficSource,
-    options: SimOptions,
-) -> SimReport {
-    simulate_faulted(topo, source, &FaultSchedule::empty(), options)
-}
-
-/// Runs the fluid simulation under a fault schedule.
+/// The source's initial flows are injected at their start times; on
+/// every completion the source may return dependent flows, which are
+/// injected in turn (starts in the simulated past are clamped to "now").
+/// Results are indexed by injection order ([`FlowId`]); a
+/// [`StaticSource`] gives open-loop replay.
 ///
 /// Each scheduled fault fires as a DES event at its exact timestamp:
 ///
@@ -465,29 +440,8 @@ pub fn simulate_source(
 /// Aborted flows get a [`FlowResult`] whose `finish` is the abort time,
 /// are listed in [`FaultStats::aborted`], and are reported to the source
 /// via [`TrafficSource::on_flow_aborted`], which may re-issue them. An
-/// empty schedule takes exactly the fault-free arithmetic path:
-/// [`simulate_source`] delegates here, and the golden replay corpus pins
-/// the byte-identity.
-///
-/// # Panics
-///
-/// Panics if a flow references a host outside the topology, or (debug
-/// builds only) if the fluid solver fails to make progress; release
-/// builds recover by draining the run and setting
-/// [`FaultStats::diverged`].
-#[must_use]
-pub fn simulate_faulted(
-    topo: &Topology,
-    source: &mut dyn TrafficSource,
-    schedule: &FaultSchedule,
-    options: SimOptions,
-) -> SimReport {
-    simulate_faulted_observed(topo, source, schedule, options, &Obs::disabled())
-}
-
-/// [`simulate_faulted`] with an observability handle: every entry point
-/// funnels through this one implementation, so the arithmetic path is
-/// identical whether `obs` records or not.
+/// empty schedule takes exactly the fault-free arithmetic path; the
+/// golden replay corpus pins the byte-identity.
 ///
 /// When `obs` is enabled the run emits trace events for engine
 /// dispatches (`des`/`dispatch`), flow lifecycle transitions
@@ -501,9 +455,12 @@ pub fn simulate_faulted(
 ///
 /// # Panics
 ///
-/// As [`simulate_faulted`].
+/// Panics if a flow references a host outside the topology, or (debug
+/// builds only) if the fluid solver fails to make progress; release
+/// builds recover by draining the run and setting
+/// [`FaultStats::diverged`].
 #[must_use]
-pub fn simulate_faulted_observed(
+pub fn simulate_faulted(
     topo: &Topology,
     source: &mut dyn TrafficSource,
     schedule: &FaultSchedule,
@@ -585,9 +542,8 @@ pub fn simulate_faulted_observed(
         0 => std::thread::available_parallelism().map_or(1, |n| n.get().min(8)),
         n => n,
     };
-    let mut fair = FairShareState::new(capacities.clone(), options.local_bps)
-        .with_full_recompute(options.full_recompute)
-        .with_parallel(solver_jobs);
+    let mut fair =
+        FairShareState::new(capacities.clone(), options.local_bps).with_parallel(solver_jobs);
     let mut now = 0.0f64;
     let mut peak_active = 0usize;
     // Completion predictions older than the last arrival/retirement are
@@ -1312,6 +1268,17 @@ mod tests {
         assert!(long_penalty >= 0.0);
     }
 
+    /// A clean, unobserved run of a reactive source.
+    fn run_source(topo: &Topology, source: &mut dyn TrafficSource) -> SimReport {
+        simulate_faulted(
+            topo,
+            source,
+            &FaultSchedule::empty(),
+            SimOptions::default(),
+            &Obs::disabled(),
+        )
+    }
+
     /// A source that releases one dependent flow when its parent (flow 0)
     /// completes.
     struct ChainSource {
@@ -1342,7 +1309,7 @@ mod tests {
             child: Some(flow(1, 2, 125_000_000, 0)),
             releases: Vec::new(),
         };
-        let report = simulate_source(&topo, &mut source, SimOptions::default());
+        let report = run_source(&topo, &mut source);
         assert_eq!(report.results.len(), 2);
         // Parent runs alone (~1 s), child starts only after it finishes.
         let parent = report.results[0];
@@ -1370,7 +1337,7 @@ mod tests {
             .collect();
         let direct = simulate(&topo, &flows, SimOptions::default());
         let mut source = StaticSource::new(flows.clone());
-        let via_source = simulate_source(&topo, &mut source, SimOptions::default());
+        let via_source = run_source(&topo, &mut source);
         assert_eq!(direct.results, via_source.results);
         assert_eq!(direct.link_bytes, via_source.link_bytes);
         assert_eq!(direct.peak_active, via_source.peak_active);
@@ -1386,7 +1353,7 @@ mod tests {
             child: Some(flow(1, 2, 1_000, 0)),
             releases: Vec::new(),
         };
-        let report = simulate_source(&topo, &mut source, SimOptions::default());
+        let report = run_source(&topo, &mut source);
         assert_eq!(report.results[1].spec.start, report.results[0].finish);
     }
 
@@ -1413,7 +1380,13 @@ mod tests {
 
     fn run_static(topo: &Topology, flows: &[FlowSpec], sched: &FaultSchedule) -> SimReport {
         let mut source = StaticSource::new(flows.to_vec());
-        simulate_faulted(topo, &mut source, sched, SimOptions::default())
+        simulate_faulted(
+            topo,
+            &mut source,
+            sched,
+            SimOptions::default(),
+            &Obs::disabled(),
+        )
     }
 
     fn conserved(report: &SimReport) {
@@ -1637,8 +1610,7 @@ mod tests {
         let plain = run_static(&topo, &flows, &sched);
         let obs = Obs::enabled();
         let mut source = StaticSource::new(flows.to_vec());
-        let observed =
-            simulate_faulted_observed(&topo, &mut source, &sched, SimOptions::default(), &obs);
+        let observed = simulate_faulted(&topo, &mut source, &sched, SimOptions::default(), &obs);
         assert_eq!(plain.results, observed.results);
         assert_eq!(plain.link_bytes, observed.link_bytes);
         assert_eq!(plain.faults, observed.faults);
@@ -1666,7 +1638,13 @@ mod tests {
             retries: 0,
         };
         let sched = schedule(vec![fault(500_000_000, FaultKind::NodeCrash { node: 3 })]);
-        let report = simulate_faulted(&topo, &mut source, &sched, SimOptions::default());
+        let report = simulate_faulted(
+            &topo,
+            &mut source,
+            &sched,
+            SimOptions::default(),
+            &Obs::disabled(),
+        );
         assert_eq!(source.retries, 1);
         assert_eq!(report.results.len(), 2, "retry was injected");
         let retry = report.results[1];

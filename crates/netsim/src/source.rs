@@ -62,9 +62,9 @@ pub trait TrafficSource {
 
 /// The open-loop source: every flow is known up front, nothing reacts.
 ///
-/// Running [`crate::simulate_source`] with a `StaticSource` is
-/// byte-for-byte identical to the pre-trait [`crate::simulate`] on the
-/// same specs.
+/// [`crate::simulate`] is [`crate::simulate_faulted`] over a
+/// `StaticSource`; the `replay_consistency` tests pin it byte for byte
+/// to the pre-trait event loop.
 #[derive(Debug, Clone)]
 pub struct StaticSource {
     flows: Vec<FlowSpec>,

@@ -17,10 +17,13 @@
 //! ```
 
 use keddah::core::pipeline::Keddah;
+use keddah::core::replay::{replay, replay_faulted, trace_to_flows};
 use keddah::core::source::TraceSource;
 use keddah::core::validate::compare_replays;
+use keddah::core::FaultSpec;
 use keddah::hadoop::{ClusterSpec, HadoopConfig, JobSpec, Workload};
 use keddah::netsim::{SimOptions, Topology};
+use keddah::obs::Obs;
 
 fn main() {
     // Capture one 2 GiB TeraSort on a 16-worker testbed.
@@ -40,15 +43,23 @@ fn main() {
         ..SimOptions::default()
     };
 
-    let source = TraceSource::new(trace, &topo).expect("trace fits topology");
+    let mut source = TraceSource::new(trace, &topo).expect("trace fits topology");
     println!(
         "capture: {} flows, {} gated behind an inferred dependency edge",
         source.flow_count(),
         source.dependent_count()
     );
 
-    let open = Keddah::replay(trace, &topo, opts, false).expect("open-loop replay");
-    let closed = Keddah::replay(trace, &topo, opts, true).expect("closed-loop replay");
+    let flows = trace_to_flows(trace, &topo).expect("trace fits topology");
+    let open = replay(&topo, &flows, opts);
+    let closed = replay_faulted(
+        &topo,
+        &mut source,
+        &FaultSpec::empty(),
+        opts,
+        &Obs::disabled(),
+    )
+    .expect("closed-loop replay");
 
     println!(
         "\n{:<12} {:>8} {:>16} {:>16}",

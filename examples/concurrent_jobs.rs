@@ -11,7 +11,7 @@
 //! ```
 
 use keddah::core::pipeline::Keddah;
-use keddah::core::replay::replay_jobs;
+use keddah::core::replay::{jobs_to_flows, replay};
 use keddah::flowcap::Component;
 use keddah::hadoop::{ClusterSpec, HadoopConfig, JobSpec, Workload};
 use keddah::netsim::{SimOptions, Topology};
@@ -50,7 +50,8 @@ fn main() {
     for n in [1u32, 2, 4, 8] {
         // 10 s stagger: jobs overlap heavily but not perfectly.
         let jobs = model.generate_jobs(n, 500, 10.0);
-        let report = replay_jobs(&jobs, &topo, opts).expect("topology fits the model");
+        let flows = jobs_to_flows(&jobs, &topo).expect("topology fits the model");
+        let report = replay(&topo, &flows, opts);
         let shuffle_fcts = report
             .fct_by_component
             .get(&Component::Shuffle)

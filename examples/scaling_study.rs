@@ -12,7 +12,7 @@
 
 use keddah::core::family::ModelFamily;
 use keddah::core::pipeline::Keddah;
-use keddah::core::replay::replay_jobs;
+use keddah::core::replay::{jobs_to_flows, replay};
 use keddah::flowcap::Component;
 use keddah::hadoop::{ClusterSpec, HadoopConfig, JobSpec, Workload};
 use keddah::netsim::{SimOptions, Topology};
@@ -61,7 +61,8 @@ fn main() {
         mouse_threshold: 10_000,
         ..SimOptions::default()
     };
-    let report = replay_jobs(&[job], &topo, opts).expect("fits fat-tree");
+    let flows = jobs_to_flows(&[job], &topo).expect("fits fat-tree");
+    let report = replay(&topo, &flows, opts);
     let mut shuffle = report
         .fct_by_component
         .get(&Component::Shuffle)

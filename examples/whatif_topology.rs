@@ -13,7 +13,7 @@
 //! ```
 
 use keddah::core::pipeline::Keddah;
-use keddah::core::replay::replay_jobs;
+use keddah::core::replay::{jobs_to_flows, replay};
 use keddah::flowcap::Component;
 use keddah::hadoop::{ClusterSpec, HadoopConfig, JobSpec, Workload};
 use keddah::netsim::{SimOptions, Topology};
@@ -58,8 +58,8 @@ fn main() {
         "topology", "p50 FCT", "p95 FCT", "p99 FCT", "makespan"
     );
     for topo in &topologies {
-        let report = match replay_jobs(&jobs, topo, opts) {
-            Ok(r) => r,
+        let report = match jobs_to_flows(&jobs, topo) {
+            Ok(flows) => replay(topo, &flows, opts),
             Err(e) => {
                 println!("{:<40} skipped: {e}", topo.name());
                 continue;

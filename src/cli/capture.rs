@@ -7,7 +7,7 @@ use keddah_faults::FaultSpec;
 use keddah_flowcap::classify::classify_all;
 use keddah_flowcap::tcpdump::read_text_lenient;
 use keddah_flowcap::FlowAssembler;
-use keddah_hadoop::{run_job_with_packets_faulted, ClusterSpec, HadoopConfig, JobSpec, Workload};
+use keddah_hadoop::{run_dag, ClusterSpec, HadoopConfig, JobSpec, Workload};
 
 use super::{err, obs_out, Args, Result};
 
@@ -204,6 +204,7 @@ pub fn run(args: &Args) -> Result<()> {
         cluster.worker_count()
     );
     let seeds: Vec<u64> = (0..repeats).map(|i| seed + u64::from(i)).collect();
+    let dag = job.workload.dag();
     // Simulate in parallel (workers pull seeds from a shared queue),
     // then write results in seed order so output is independent of
     // scheduling.
@@ -213,15 +214,21 @@ pub fn run(args: &Args) -> Result<()> {
         std::thread::scope(|scope| {
             for _ in 0..jobs.min(seeds.len()) {
                 let tx = tx.clone();
-                let (next, seeds, cluster, config, job, faults) =
-                    (&next, &seeds, &cluster, &config, &job, &faults);
+                let (next, seeds, cluster, config, dag, input_bytes, faults) = (
+                    &next,
+                    &seeds,
+                    &cluster,
+                    &config,
+                    &dag,
+                    job.input_bytes,
+                    &faults,
+                );
                 scope.spawn(move || loop {
                     let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                     if i >= seeds.len() {
                         break;
                     }
-                    let result =
-                        run_job_with_packets_faulted(cluster, config, job, seeds[i], faults);
+                    let result = run_dag(cluster, config, dag, input_bytes, seeds[i], faults);
                     if tx.send((i, result)).is_err() {
                         break;
                     }

@@ -3,7 +3,7 @@
 use std::fs;
 
 use keddah_core::mix::{JobMix, MixEntry};
-use keddah_core::replay::replay_jobs;
+use keddah_core::replay::{jobs_to_flows, replay};
 use keddah_core::KeddahModel;
 use keddah_netsim::SimOptions;
 
@@ -89,7 +89,8 @@ pub fn run(args: &Args) -> Result<()> {
             mouse_threshold: args.get_num("mouse-bytes", 10_000u64)?,
             ..SimOptions::default()
         };
-        let report = replay_jobs(&jobs, &topo, options).map_err(|e| err(e.to_string()))?;
+        let flows = jobs_to_flows(&jobs, &topo).map_err(|e| err(e.to_string()))?;
+        let report = replay(&topo, &flows, options);
         println!(
             "replayed {} flows on {} — makespan {:.0} s, peak link {:.1}%",
             report.sim.results.len(),

@@ -2,14 +2,11 @@
 
 use std::fs;
 
-use keddah_core::replay::{
-    jobs_to_flows, replay_faulted_observed, replay_observed, replay_source_faulted_observed,
-    replay_source_observed, trace_to_flows, ReplayReport,
-};
+use keddah_core::replay::{jobs_to_flows, replay_faulted, trace_to_flows, ReplayReport};
 use keddah_core::validate::compare_replays;
 use keddah_core::{FaultSpec, KeddahModel, ModelSource, TraceSource};
 use keddah_flowcap::Trace;
-use keddah_netsim::SimOptions;
+use keddah_netsim::{SimOptions, StaticSource, Topology, TrafficSource};
 use keddah_obs::Obs;
 
 use super::topo_spec::parse_topology;
@@ -85,11 +82,47 @@ pub fn run(args: &Args) -> Result<()> {
         None => None,
     };
 
+    let traffic = match (args.get("model"), args.get("trace")) {
+        (Some(_), Some(_)) => {
+            return Err(err("give either --model or --trace, not both"));
+        }
+        (Some(model_path), None) => {
+            let json = fs::read_to_string(model_path)
+                .map_err(|e| err(format!("cannot read {model_path}: {e}")))?;
+            Traffic::Model {
+                model: KeddahModel::from_json(&json).map_err(|e| err(e.to_string()))?,
+                jobs: args.get_num("jobs", 1u32)?.max(1),
+                seed: args.get_num("seed", 1u64)?,
+                stagger: args.get_num("stagger-secs", 10.0f64)?,
+            }
+        }
+        (None, Some(trace_path)) => {
+            let file = fs::File::open(trace_path)
+                .map_err(|e| err(format!("cannot open {trace_path}: {e}")))?;
+            let trace = Trace::read_jsonl(std::io::BufReader::new(file))
+                .map_err(|e| err(format!("cannot parse {trace_path}: {e}")))?;
+            Traffic::Trace(trace)
+        }
+        (None, None) => {
+            return Err(err("need --model or --trace; run `keddah replay --help`"));
+        }
+    };
+
+    let obs = obs_out::obs_from_args(args);
+    // Capture traces carry the simulator's ground-truth job counters in
+    // their metadata; surface them under the "hadoop" subsystem so
+    // replay artefacts can be checked against the capture they replay.
+    if let Traffic::Trace(trace) = &traffic {
+        if let Some(counters) = &trace.meta().counters {
+            for (name, value) in counters {
+                obs.add("hadoop", name, *value);
+            }
+        }
+    }
     // The obs handle records the run whose report gets printed: the
     // faulted run when --faults is given, otherwise the baseline. The
     // other run stays unobserved so artefacts describe one run, not a
     // mixture.
-    let obs = obs_out::obs_from_args(args);
     let disabled = Obs::disabled();
     let (base_obs, fault_obs) = if spec.is_some() {
         (&disabled, &obs)
@@ -98,94 +131,16 @@ pub fn run(args: &Args) -> Result<()> {
     };
 
     // With --faults, the baseline (fault-free) replay runs alongside the
-    // faulted one so per-component deltas can be reported.
-    let (baseline, faulted): (ReplayReport, Option<ReplayReport>) =
-        match (args.get("model"), args.get("trace")) {
-            (Some(_), Some(_)) => {
-                return Err(err("give either --model or --trace, not both"));
-            }
-            (Some(model_path), None) => {
-                let json = fs::read_to_string(model_path)
-                    .map_err(|e| err(format!("cannot read {model_path}: {e}")))?;
-                let model = KeddahModel::from_json(&json).map_err(|e| err(e.to_string()))?;
-                let jobs = args.get_num("jobs", 1u32)?.max(1);
-                let seed = args.get_num("seed", 1u64)?;
-                let stagger = args.get_num("stagger-secs", 10.0f64)?;
-                if closed_loop {
-                    let base = ModelSource::new(&model, jobs, seed, stagger, &topo)
-                        .map(|mut src| replay_source_observed(&topo, &mut src, options, base_obs))
-                        .map_err(|e| err(e.to_string()))?;
-                    let faulted = spec
-                        .as_ref()
-                        .map(|s| {
-                            ModelSource::new(&model, jobs, seed, stagger, &topo).and_then(
-                                |mut src| {
-                                    replay_source_faulted_observed(
-                                        &topo, &mut src, s, options, fault_obs,
-                                    )
-                                },
-                            )
-                        })
-                        .transpose()
-                        .map_err(|e| err(e.to_string()))?;
-                    (base, faulted)
-                } else {
-                    let jobs = model.generate_jobs(jobs, seed, stagger);
-                    let flows = jobs_to_flows(&jobs, &topo).map_err(|e| err(e.to_string()))?;
-                    let base = replay_observed(&topo, &flows, options, base_obs);
-                    let faulted = spec
-                        .as_ref()
-                        .map(|s| replay_faulted_observed(&topo, &flows, s, options, fault_obs))
-                        .transpose()
-                        .map_err(|e| err(e.to_string()))?;
-                    (base, faulted)
-                }
-            }
-            (None, Some(trace_path)) => {
-                let file = fs::File::open(trace_path)
-                    .map_err(|e| err(format!("cannot open {trace_path}: {e}")))?;
-                let trace = Trace::read_jsonl(std::io::BufReader::new(file))
-                    .map_err(|e| err(format!("cannot parse {trace_path}: {e}")))?;
-                // Capture traces carry the simulator's ground-truth job
-                // counters in their metadata; surface them under the
-                // "hadoop" subsystem so replay artefacts can be checked
-                // against the capture they replay.
-                if let Some(counters) = &trace.meta().counters {
-                    for (name, value) in counters {
-                        obs.add("hadoop", name, *value);
-                    }
-                }
-                if closed_loop {
-                    let base = TraceSource::new(&trace, &topo)
-                        .map(|mut src| replay_source_observed(&topo, &mut src, options, base_obs))
-                        .map_err(|e| err(e.to_string()))?;
-                    let faulted = spec
-                        .as_ref()
-                        .map(|s| {
-                            TraceSource::new(&trace, &topo).and_then(|mut src| {
-                                replay_source_faulted_observed(
-                                    &topo, &mut src, s, options, fault_obs,
-                                )
-                            })
-                        })
-                        .transpose()
-                        .map_err(|e| err(e.to_string()))?;
-                    (base, faulted)
-                } else {
-                    let flows = trace_to_flows(&trace, &topo).map_err(|e| err(e.to_string()))?;
-                    let base = replay_observed(&topo, &flows, options, base_obs);
-                    let faulted = spec
-                        .as_ref()
-                        .map(|s| replay_faulted_observed(&topo, &flows, s, options, fault_obs))
-                        .transpose()
-                        .map_err(|e| err(e.to_string()))?;
-                    (base, faulted)
-                }
-            }
-            (None, None) => {
-                return Err(err("need --model or --trace; run `keddah replay --help`"));
-            }
-        };
+    // faulted one so per-component deltas can be reported; each replays
+    // a fresh source.
+    let replay = |spec: &FaultSpec, obs: &Obs| -> Result<ReplayReport> {
+        let mut source = traffic
+            .source(&topo, closed_loop)
+            .map_err(|e| err(e.to_string()))?;
+        replay_faulted(&topo, source.as_mut(), spec, options, obs).map_err(|e| err(e.to_string()))
+    };
+    let baseline = replay(&FaultSpec::empty(), base_obs)?;
+    let faulted = spec.as_ref().map(|s| replay(s, fault_obs)).transpose()?;
 
     let report = faulted.as_ref().unwrap_or(&baseline);
 
@@ -252,4 +207,46 @@ pub fn run(args: &Args) -> Result<()> {
         }
     }
     obs_out::write_artifacts(&obs, args)
+}
+
+/// The traffic `keddah replay` reads: a model to generate jobs from, or
+/// a capture trace.
+enum Traffic {
+    Model {
+        model: KeddahModel,
+        jobs: u32,
+        seed: u64,
+        stagger: f64,
+    },
+    Trace(Trace),
+}
+
+impl Traffic {
+    /// A fresh source over the traffic: its flows at their pre-computed
+    /// starts for open loop, a reactive source for closed loop.
+    fn source(
+        &self,
+        topo: &Topology,
+        closed_loop: bool,
+    ) -> keddah_core::Result<Box<dyn TrafficSource>> {
+        Ok(match self {
+            Traffic::Model {
+                model,
+                jobs,
+                seed,
+                stagger,
+            } if closed_loop => Box::new(ModelSource::new(model, *jobs, *seed, *stagger, topo)?),
+            Traffic::Model {
+                model,
+                jobs,
+                seed,
+                stagger,
+            } => {
+                let generated = model.generate_jobs(*jobs, *seed, *stagger);
+                Box::new(StaticSource::new(jobs_to_flows(&generated, topo)?))
+            }
+            Traffic::Trace(trace) if closed_loop => Box::new(TraceSource::new(trace, topo)?),
+            Traffic::Trace(trace) => Box::new(StaticSource::new(trace_to_flows(trace, topo)?)),
+        })
+    }
 }

@@ -152,6 +152,58 @@ fn replay_trace_mode() {
 }
 
 #[test]
+fn replay_output_ignores_the_process_environment() {
+    // `SimOptions::default()` reads no process state: these variables
+    // name oracle modes, and must change neither the printed report nor
+    // the metrics artefact.
+    const ORACLE_VARS: [&str; 3] = [
+        "KEDDAH_NO_AGGREGATE",
+        "KEDDAH_FULL_RECOMPUTE",
+        "KEDDAH_SEQ_SOLVE",
+    ];
+    let dir = tmp_dir("pure-default");
+    let fixture = format!(
+        "{}/tests/fixtures/terasort.jsonl",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let replay = |name: &str, oracle_env: bool| -> (Vec<u8>, String) {
+        let metrics = dir.join(name);
+        let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_keddah"));
+        cmd.args([
+            "replay",
+            "--trace",
+            &fixture,
+            "--topology",
+            "leaf-spine:3x3x2:1gbps:2.0",
+            "--closed-loop",
+            "--metrics-out",
+            metrics.to_str().unwrap(),
+        ]);
+        for var in ORACLE_VARS {
+            if oracle_env {
+                cmd.env(var, "1");
+            } else {
+                cmd.env_remove(var);
+            }
+        }
+        let out = cmd.output().expect("keddah runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let snapshot = std::fs::read_to_string(&metrics).expect("metrics written");
+        (out.stdout, snapshot)
+    };
+    let (plain_out, plain_metrics) = replay("plain.json", false);
+    let (env_out, env_metrics) = replay("env.json", true);
+    assert!(!plain_out.is_empty());
+    assert_eq!(plain_out, env_out, "stdout");
+    assert_eq!(plain_metrics, env_metrics, "metrics");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn error_paths_are_reported() {
     assert!(run(&["nope"]).unwrap_err().contains("unknown command"));
     assert!(run(&["capture"]).unwrap_err().contains("--workload"));

@@ -13,11 +13,23 @@
 //!    or invent bytes regardless of topology, transfer kind, or
 //!    selectivity.
 
+use keddah::faults::FaultSpec;
 use keddah::hadoop::{
-    run_dag, run_job, ClusterSpec, DagEdge, EdgeSource, HadoopConfig, JobDag, JobSpec, StageSpec,
-    TransferKind, Workload,
+    run_dag, run_job, ClusterSpec, DagEdge, EdgeSource, HadoopConfig, JobDag, JobRun, JobSpec,
+    StageSpec, TransferKind, Workload,
 };
 use proptest::prelude::*;
+
+/// A clean capture of `dag`.
+fn run_clean(
+    cluster: &ClusterSpec,
+    config: &HadoopConfig,
+    dag: &JobDag,
+    input_bytes: u64,
+    seed: u64,
+) -> JobRun {
+    run_dag(cluster, config, dag, input_bytes, seed, &FaultSpec::empty()).0
+}
 
 // ---------------------------------------------------------------------
 // Legacy equivalence
@@ -32,7 +44,7 @@ fn every_paper_workload_is_byte_identical_through_its_dag() {
     for (i, &workload) in Workload::PAPER.iter().enumerate() {
         let seed = 100 + i as u64;
         let job = run_job(&cluster, &config, &JobSpec::new(workload, 256 << 20), seed);
-        let dag = run_dag(&cluster, &config, &workload.dag(), 256 << 20, seed);
+        let dag = run_clean(&cluster, &config, &workload.dag(), 256 << 20, seed);
         assert_eq!(
             job.trace,
             dag.trace,
@@ -57,13 +69,13 @@ fn new_workload_dags_run_end_to_end() {
         .with_reducers(3)
         .with_block_bytes(32 << 20);
     for workload in [Workload::PigJoin, Workload::DataGrid, Workload::TpcxHs] {
-        let run = run_dag(&cluster, &config, &workload.dag(), 256 << 20, 5);
+        let run = run_clean(&cluster, &config, &workload.dag(), 256 << 20, 5);
         assert!(!run.trace.is_empty(), "{}", workload.name());
         assert_eq!(run.stages.len(), workload.dag().stages.len());
         assert!(run.stages.iter().all(|s| s.maps > 0));
     }
     // The fragment-replicate join actually broadcasts.
-    let pig = run_dag(&cluster, &config, &Workload::PigJoin.dag(), 256 << 20, 5);
+    let pig = run_clean(&cluster, &config, &Workload::PigJoin.dag(), 256 << 20, 5);
     assert!(pig.counters.broadcast_bytes > 0);
 }
 
@@ -184,7 +196,7 @@ proptest! {
         let dag = build_dag(&specs);
         dag.validate().expect("generated DAGs are valid");
         let input_bytes = input_mb << 20;
-        let run = run_dag(&cluster, &config, &dag, input_bytes, 17);
+        let run = run_clean(&cluster, &config, &dag, input_bytes, 17);
 
         // Mirror the engine stage by stage.
         let job_input = split_blocks(input_bytes, config.block_bytes);

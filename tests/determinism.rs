@@ -3,9 +3,11 @@
 //! goal ("enabling reproducible Hadoop research").
 
 use keddah::core::pipeline::Keddah;
-use keddah::core::replay::replay_jobs;
+use keddah::core::replay::{jobs_to_flows, replay, replay_faulted, replay_model_closed};
+use keddah::core::{FaultSpec, ModelSource, TraceSource};
 use keddah::hadoop::{run_job, ClusterSpec, HadoopConfig, JobSpec, Workload};
 use keddah::netsim::{SimOptions, Topology};
+use keddah::obs::Obs;
 
 #[test]
 fn capture_is_deterministic() {
@@ -40,12 +42,8 @@ fn full_pipeline_is_deterministic() {
         let model = Keddah::fit(&traces).expect("fits");
         let generated = model.generate_job(7);
         let topo = Topology::star(8, 1e9);
-        let replay = replay_jobs(
-            std::slice::from_ref(&generated),
-            &topo,
-            SimOptions::default(),
-        )
-        .expect("replays");
+        let flows = jobs_to_flows(std::slice::from_ref(&generated), &topo).expect("replays");
+        let replay = replay(&topo, &flows, SimOptions::default());
         (model, generated, replay.sim.fcts())
     };
     let (m1, g1, f1) = run(5);
@@ -57,8 +55,6 @@ fn full_pipeline_is_deterministic() {
 
 #[test]
 fn closed_loop_replay_is_deterministic() {
-    use keddah::core::replay::{replay_model_closed, replay_trace_closed};
-
     let cluster = ClusterSpec::racks(2, 3);
     let config = HadoopConfig::default().with_reducers(3);
     let job = JobSpec::new(Workload::TeraSort, 512 << 20);
@@ -73,8 +69,19 @@ fn closed_loop_replay_is_deterministic() {
     let nanos = |r: &keddah::core::replay::ReplayReport| -> Vec<u64> {
         r.sim.results.iter().map(|f| f.finish.as_nanos()).collect()
     };
-    let a = replay_trace_closed(&traces[0], &topo, opts).expect("replays");
-    let b = replay_trace_closed(&traces[0], &topo, opts).expect("replays");
+    let replay_trace = || {
+        let mut source = TraceSource::new(&traces[0], &topo).expect("trace fits");
+        replay_faulted(
+            &topo,
+            &mut source,
+            &FaultSpec::empty(),
+            opts,
+            &Obs::disabled(),
+        )
+        .expect("replays")
+    };
+    let a = replay_trace();
+    let b = replay_trace();
     assert_eq!(nanos(&a), nanos(&b), "closed-loop trace replay identical");
 
     // Model replay: same seed, byte-identical; different seed, different.
@@ -88,7 +95,6 @@ fn closed_loop_replay_is_deterministic() {
 
 #[test]
 fn closed_loop_replay_is_parallelism_invariant_through_the_runner() {
-    use keddah::core::replay::replay_model_closed;
     use keddah::core::{MatrixCell, Runner};
 
     // The runner's derived seeds make captures (and hence fitted models)
@@ -140,16 +146,12 @@ fn closed_loop_replay_is_parallelism_invariant_through_the_runner() {
 }
 
 #[test]
-fn full_recompute_knob_and_jobs_width_never_change_comparisons() {
-    use keddah::core::replay::{replay_jobs, replay_model_closed};
+fn jobs_width_never_changes_comparisons() {
     use keddah::core::validate::compare_replays;
     use keddah::core::{MatrixCell, Runner};
 
-    // The incremental allocator (`full_recompute: false`) must be
-    // invisible end to end: open-vs-closed replay comparisons of the
-    // same fitted model serialize byte-identically whether rates come
-    // from incremental component re-solves or from full progressive
-    // filling, at any runner width.
+    // Open-vs-closed replay comparisons of the same fitted model
+    // serialize byte-identically at any runner width.
     let cells = vec![MatrixCell::new(
         Workload::TeraSort,
         512 << 20,
@@ -157,34 +159,36 @@ fn full_recompute_knob_and_jobs_width_never_change_comparisons() {
         2,
     )];
     let topo = Topology::star(8, 1e9);
-    let comparison_json = |parallelism: usize, full_recompute: bool| -> String {
+    let comparison_json = |parallelism: usize| -> String {
         let runner = Runner::new(ClusterSpec::racks(2, 3));
         let results = runner.run_matrix(&cells, parallelism);
         let model = results[0].model.as_ref().expect("cell fits a model");
-        let opts = SimOptions {
-            full_recompute,
-            ..SimOptions::default()
-        };
+        let opts = SimOptions::default();
         let jobs = model.generate_jobs(2, 11, 5.0);
-        let open = replay_jobs(&jobs, &topo, opts).expect("open replay");
+        let flows = jobs_to_flows(&jobs, &topo).expect("open replay");
+        let open = replay(&topo, &flows, opts);
         let closed = replay_model_closed(model, &topo, 2, 11, 5.0, opts).expect("closed replay");
         let rows = compare_replays(&open, &closed).expect("comparable components");
         serde_json::to_string(&rows).expect("comparison serializes")
     };
-    let base = comparison_json(1, false);
+    let base = comparison_json(1);
     assert!(base.contains("ks_statistic"), "comparison is non-trivial");
-    assert_eq!(base, comparison_json(4, false), "width changes nothing");
-    assert_eq!(
-        base,
-        comparison_json(1, true),
-        "full-recompute oracle is byte-identical to the incremental path"
-    );
-    assert_eq!(base, comparison_json(4, true), "oracle at width 4");
+    assert_eq!(base, comparison_json(4), "width changes nothing");
+}
+
+/// Closed-loop replay of `model` (2 jobs, seed 11) under `spec`.
+fn model_replay(
+    model: &keddah::core::KeddahModel,
+    topo: &Topology,
+    spec: &FaultSpec,
+    opts: SimOptions,
+) -> keddah::core::replay::ReplayReport {
+    let mut source = ModelSource::new(model, 2, 11, 5.0, topo).expect("model fits");
+    replay_faulted(topo, &mut source, spec, opts, &Obs::disabled()).expect("replays")
 }
 
 #[test]
-fn fault_schedules_never_change_comparisons_across_widths_and_oracle() {
-    use keddah::core::replay::{replay_model_closed, replay_model_closed_faulted};
+fn fault_schedules_never_change_comparisons_across_widths() {
     use keddah::core::validate::compare_replays;
     use keddah::core::{MatrixCell, Runner};
     use keddah::faults::{generate, FaultGen};
@@ -192,9 +196,7 @@ fn fault_schedules_never_change_comparisons_across_widths_and_oracle() {
     // Degraded-mode replay must be as reproducible as the clean path:
     // the baseline-vs-faulted comparison of the same fitted model and
     // the same seed-derived fault schedule serializes byte-identically
-    // at any runner width and under the full-recompute oracle
-    // (`SimOptions::full_recompute`, the programmatic face of the
-    // `KEDDAH_FULL_RECOMPUTE` env knob).
+    // at any runner width.
     let cells = vec![MatrixCell::new(
         Workload::TeraSort,
         512 << 20,
@@ -215,18 +217,16 @@ fn fault_schedules_never_change_comparisons_across_widths_and_oracle() {
     let spec = generate(&gen, 41);
     assert_eq!(spec, generate(&gen, 41), "spec derivation is pure");
 
-    let comparison_json = |parallelism: usize, full_recompute: bool| -> String {
+    let comparison_json = |parallelism: usize| -> String {
         let runner = Runner::new(ClusterSpec::racks(2, 3));
         let results = runner.run_matrix(&cells, parallelism);
         let model = results[0].model.as_ref().expect("cell fits a model");
         let opts = SimOptions {
-            full_recompute,
             mouse_threshold: 10_000,
             ..SimOptions::default()
         };
-        let baseline = replay_model_closed(model, &topo, 2, 11, 5.0, opts).expect("baseline");
-        let faulted = replay_model_closed_faulted(model, &topo, 2, 11, 5.0, &spec, opts)
-            .expect("faulted replay");
+        let baseline = model_replay(model, &topo, &FaultSpec::empty(), opts);
+        let faulted = model_replay(model, &topo, &spec, opts);
         assert!(
             faulted.sim.faults.faults_applied > 0,
             "the schedule actually fired"
@@ -234,20 +234,13 @@ fn fault_schedules_never_change_comparisons_across_widths_and_oracle() {
         let rows = compare_replays(&baseline, &faulted).expect("comparable components");
         serde_json::to_string(&rows).expect("comparison serializes")
     };
-    let base = comparison_json(1, false);
+    let base = comparison_json(1);
     assert!(base.contains("ks_statistic"), "comparison is non-trivial");
-    assert_eq!(base, comparison_json(4, false), "width changes nothing");
-    assert_eq!(
-        base,
-        comparison_json(1, true),
-        "full-recompute oracle is byte-identical to the incremental path"
-    );
-    assert_eq!(base, comparison_json(4, true), "oracle at width 4");
+    assert_eq!(base, comparison_json(4), "width changes nothing");
 }
 
 #[test]
 fn aggregation_and_solver_width_knobs_never_change_replays() {
-    use keddah::core::replay::{replay_model_closed, replay_model_closed_faulted};
     use keddah::faults::{generate, FaultGen};
 
     // Flow bundles (`aggregate`) and parallel component solves
@@ -280,9 +273,8 @@ fn aggregation_and_solver_width_knobs_never_change_replays() {
             mouse_threshold: 10_000,
             ..SimOptions::default()
         };
-        let clean = replay_model_closed(&model, &topo, 2, 11, 5.0, opts).expect("clean replay");
-        let faulted = replay_model_closed_faulted(&model, &topo, 2, 11, 5.0, &spec, opts)
-            .expect("faulted replay");
+        let clean = model_replay(&model, &topo, &FaultSpec::empty(), opts);
+        let faulted = model_replay(&model, &topo, &spec, opts);
         assert!(faulted.sim.faults.faults_applied > 0, "schedule fired");
         let nanos = |r: &keddah::core::replay::ReplayReport| -> Vec<u64> {
             r.sim.results.iter().map(|f| f.finish.as_nanos()).collect()

@@ -2,7 +2,7 @@
 //! simulated capture to network-simulator replay.
 
 use keddah::core::pipeline::Keddah;
-use keddah::core::replay::{replay_jobs, replay_trace};
+use keddah::core::replay::{jobs_to_flows, replay, trace_to_flows};
 use keddah::core::KeddahModel;
 use keddah::flowcap::Component;
 use keddah::hadoop::{ClusterSpec, HadoopConfig, JobSpec, Workload};
@@ -51,8 +51,10 @@ fn capture_model_generate_replay_validate() {
         mouse_threshold: 10_000,
         ..SimOptions::default()
     };
-    let trace_replay = replay_trace(&traces[0], &topo, opts).expect("trace replays");
-    let model_replay = replay_jobs(&[generated], &topo, opts).expect("generated replays");
+    let trace_flows = trace_to_flows(&traces[0], &topo).expect("trace replays");
+    let trace_replay = replay(&topo, &trace_flows, opts);
+    let model_flows = jobs_to_flows(&[generated], &topo).expect("generated replays");
+    let model_replay = replay(&topo, &model_flows, opts);
     assert!(trace_replay.makespan_secs() > 1.0);
     assert!(model_replay.makespan_secs() > 1.0);
     assert!(trace_replay
@@ -176,7 +178,7 @@ fn oversubscription_hurts_generated_shuffle() {
     };
     let mean_fct = |oversub: f64| -> f64 {
         let topo = Topology::leaf_spine(3, 3, 2, 1e9, oversub);
-        let report = replay_jobs(&jobs, &topo, opts).expect("replays");
+        let report = replay(&topo, &jobs_to_flows(&jobs, &topo).expect("replays"), opts);
         let fcts = &report.fct_by_component[&Component::Shuffle];
         fcts.iter().sum::<f64>() / fcts.len() as f64
     };

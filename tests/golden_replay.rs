@@ -6,15 +6,18 @@
 //! any change to routing, fair sharing (incremental or not), flow
 //! bundling, drain order or completion prediction that shifts a single
 //! flow's finish time by one nanosecond fails here — and every cell of
-//! the knob matrix (aggregation on/off, solver width 1 vs 8,
-//! full-recompute on/off) must produce the same pins. Regenerate the
+//! the knob matrix (aggregation on/off, solver width 1 vs 8) must
+//! produce the same pins. Regenerate the
 //! fixtures with `keddah capture` (workload/seed in each fixture's
 //! name) and re-pin only when the engine's semantics intentionally
 //! change.
 
-use keddah::core::replay::{replay_trace, replay_trace_closed, ReplayReport};
+use keddah::core::replay::{replay, replay_faulted, trace_to_flows, ReplayReport};
+use keddah::core::TraceSource;
+use keddah::faults::FaultSpec;
 use keddah::flowcap::Trace;
 use keddah::netsim::{SimOptions, Topology};
+use keddah::obs::Obs;
 
 fn fixture(name: &str) -> Trace {
     let path = format!("{}/tests/fixtures/{name}.jsonl", env!("CARGO_MANIFEST_DIR"));
@@ -54,32 +57,32 @@ fn summarize(report: &ReplayReport) -> Vec<(u32, u64, u64, u64)> {
 }
 
 /// Replays `name` both ways and checks the pinned summaries across the
-/// engine's performance-knob matrix: incremental vs full-recompute fair
-/// share, flow bundles vs singleton entries (the `KEDDAH_NO_AGGREGATE`
-/// oracle shape) and sequential vs 8-way parallel component solves.
-/// Every cell must reproduce the pins bit-for-bit — the knobs trade
-/// wall-clock, never results.
+/// engine's performance-knob matrix: flow bundles vs singleton entries
+/// (the oracle shape) and sequential vs 8-way parallel component
+/// solves. Every cell must reproduce the pins bit-for-bit — the knobs
+/// trade wall-clock, never results.
 fn check(name: &str, open_pins: &[(u32, u64, u64, u64)], closed_pins: &[(u32, u64, u64, u64)]) {
     let trace = fixture(name);
     let topo = fabric();
-    for (full_recompute, aggregate, solver_jobs) in [
-        (false, true, 1),
-        (false, true, 8),
-        (false, false, 1),
-        (true, true, 8),
-        (true, false, 1),
-    ] {
+    let flows = trace_to_flows(&trace, &topo).expect("trace fits the fabric");
+    for (aggregate, solver_jobs) in [(true, 1), (true, 8), (false, 1)] {
         let opts = SimOptions {
-            full_recompute,
             aggregate,
             solver_jobs,
             ..options()
         };
-        let knobs =
-            format!("full_recompute={full_recompute} aggregate={aggregate} jobs={solver_jobs}");
-        let open = replay_trace(&trace, &topo, opts).expect("open replay");
+        let knobs = format!("aggregate={aggregate} jobs={solver_jobs}");
+        let open = replay(&topo, &flows, opts);
         assert_eq!(summarize(&open), open_pins, "{name} open loop ({knobs})");
-        let closed = replay_trace_closed(&trace, &topo, opts).expect("closed replay");
+        let mut source = TraceSource::new(&trace, &topo).expect("trace fits the fabric");
+        let closed = replay_faulted(
+            &topo,
+            &mut source,
+            &FaultSpec::empty(),
+            opts,
+            &Obs::disabled(),
+        )
+        .expect("closed replay");
         assert_eq!(
             summarize(&closed),
             closed_pins,

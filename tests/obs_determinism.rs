@@ -7,15 +7,14 @@
 //! matrix runner folds identical metrics for any worker count.
 
 use keddah::core::replay::{
-    replay_faulted_observed, replay_observed, replay_source_faulted_observed,
-    replay_source_observed, trace_to_flows, ReplayReport,
+    replay_faulted, replay_observed, replay_source_observed, trace_to_flows, ReplayReport,
 };
 use keddah::core::runner::{MatrixCell, Runner};
 use keddah::core::TraceSource;
 use keddah::faults::{FaultKind, FaultSpec, TimedFault};
 use keddah::flowcap::Trace;
 use keddah::hadoop::{ClusterSpec, HadoopConfig, Workload};
-use keddah::netsim::{SimOptions, Topology};
+use keddah::netsim::{SimOptions, StaticSource, Topology};
 use keddah::obs::Obs;
 
 fn fixture(name: &str) -> Trace {
@@ -93,9 +92,16 @@ fn observed_faulted_open_loop_is_byte_identical() {
     let flows = trace_to_flows(&trace, &topo).expect("flows");
     let spec = crash_spec();
     let obs = Obs::enabled();
-    let plain =
-        replay_faulted_observed(&topo, &flows, &spec, options(), &Obs::disabled()).expect("plain");
-    let observed = replay_faulted_observed(&topo, &flows, &spec, options(), &obs).expect("obs");
+    let plain = replay_faulted(
+        &topo,
+        &mut StaticSource::new(flows.clone()),
+        &spec,
+        options(),
+        &Obs::disabled(),
+    )
+    .expect("plain");
+    let observed =
+        replay_faulted(&topo, &mut StaticSource::new(flows), &spec, options(), &obs).expect("obs");
     assert_reports_identical(&plain, &observed, "faulted open loop");
     // Acceptance pin: the "faults" counters mirror FaultStats exactly.
     let snap = obs.metrics();
@@ -127,12 +133,11 @@ fn observed_faulted_closed_loop_is_byte_identical() {
     let obs = Obs::enabled();
     let plain = {
         let mut src = TraceSource::new(&trace, &topo).expect("source");
-        replay_source_faulted_observed(&topo, &mut src, &spec, options(), &Obs::disabled())
-            .expect("plain")
+        replay_faulted(&topo, &mut src, &spec, options(), &Obs::disabled()).expect("plain")
     };
     let observed = {
         let mut src = TraceSource::new(&trace, &topo).expect("source");
-        replay_source_faulted_observed(&topo, &mut src, &spec, options(), &obs).expect("obs")
+        replay_faulted(&topo, &mut src, &spec, options(), &obs).expect("obs")
     };
     assert_reports_identical(&plain, &observed, "faulted closed loop");
     // Closed loop with no faults, same contract.

@@ -163,13 +163,15 @@ proptest! {
     /// The incremental allocator is bitwise-equivalent to from-scratch
     /// progressive filling after every insert/remove, on arbitrary
     /// topologies and mutation orders — including local flows (empty
-    /// link lists) and flows crossing the same link twice.
+    /// link lists), flows crossing the same link twice, and scripts long
+    /// enough to grow a component past the 64 entries at which re-solves
+    /// take the dense fallback.
     #[test]
     fn incremental_fair_share_matches_full(
         caps in prop::collection::vec(1.0f64..1e9, 1..12),
         ops in prop::collection::vec(
             (0u32..4, prop::collection::vec(0u32..12, 0..4), 0usize..8),
-            1..60
+            1..400
         ),
     ) {
         use keddah::netsim::fair::{max_min_rates, FairShareState};
@@ -357,9 +359,11 @@ proptest! {
             1..40
         )
     ) {
+        use keddah::faults::FaultSchedule;
         use keddah::netsim::{
-            simulate, simulate_source, FlowSpec, HostId, SimOptions, StaticSource, Topology,
+            simulate, simulate_faulted, FlowSpec, HostId, SimOptions, StaticSource, Topology,
         };
+        use keddah::obs::Obs;
         let specs: Vec<FlowSpec> = flows
             .iter()
             .map(|&(src, hop, bytes, start_ms)| FlowSpec {
@@ -373,7 +377,13 @@ proptest! {
         let topo = Topology::star(8, 1e9);
         let opts = SimOptions::default();
         let open = simulate(&topo, &specs, opts);
-        let closed = simulate_source(&topo, &mut StaticSource::new(specs), opts);
+        let closed = simulate_faulted(
+            &topo,
+            &mut StaticSource::new(specs),
+            &FaultSchedule::empty(),
+            opts,
+            &Obs::disabled(),
+        );
         prop_assert_eq!(open.results.len(), closed.results.len());
         for (a, b) in open.results.iter().zip(&closed.results) {
             prop_assert_eq!(a.spec, b.spec);
@@ -391,10 +401,11 @@ proptest! {
             1..30
         )
     ) {
-        use keddah::core::replay::replay_source;
+        use keddah::core::replay::replay_source_observed;
         use keddah::core::source::TraceSource;
         use keddah::flowcap::{Component, FiveTuple, FlowRecord, NodeId, Trace, TraceMeta};
         use keddah::netsim::{SimOptions, Topology};
+        use keddah::obs::Obs;
         use std::collections::BTreeMap;
 
         let records: Vec<FlowRecord> = flows
@@ -417,7 +428,8 @@ proptest! {
         let trace = Trace::new(TraceMeta::default(), records.clone());
         let topo = Topology::star(6, 1e9);
         let mut source = TraceSource::new(&trace, &topo).unwrap();
-        let report = replay_source(&topo, &mut source, SimOptions::default());
+        let report =
+            replay_source_observed(&topo, &mut source, SimOptions::default(), &Obs::disabled());
 
         // Every flow ran exactly once; per-component bytes survive.
         prop_assert_eq!(report.sim.results.len(), records.len());
@@ -562,7 +574,13 @@ proptest! {
             injected_bytes: 0,
             aborts_heard: 0,
         };
-        let report = simulate_faulted(&topo, &mut source, &spec.schedule(), SimOptions::default());
+        let report = simulate_faulted(
+            &topo,
+            &mut source,
+            &spec.schedule(),
+            SimOptions::default(),
+            &keddah::obs::Obs::disabled(),
+        );
         let stats = &report.faults;
 
         prop_assert!(!stats.diverged, "solver made progress");

@@ -73,8 +73,8 @@ fn fluid_and_tcp_rank_fabrics_identically() {
 // sets `fixture_flows` regenerates, then re-derived once when flow
 // bundles moved service accounting from f64 bits to Q64 fixed point
 // (one leaf-spine entry shifted by a single nanosecond). The pins are
-// knob-invariant: aggregation, solver parallelism and full-recompute
-// must all reproduce them bit for bit.
+// knob-invariant: aggregation and solver parallelism must both
+// reproduce them bit for bit.
 // ---------------------------------------------------------------------
 
 fn splitmix(state: &mut u64) -> u64 {
@@ -190,8 +190,10 @@ fn static_source_is_byte_identical_to_pre_refactor_loop() {
 
 #[test]
 fn closed_loop_shifts_dependent_starts_under_congestion() {
-    use keddah::core::replay::replay_source;
+    use keddah::core::replay::replay_faulted;
     use keddah::core::source::TraceSource;
+    use keddah::faults::FaultSpec;
+    use keddah::obs::Obs;
 
     // Capture on a non-blocking testbed, replay on a heavily
     // oversubscribed fabric: parents slow down, so closed-loop replay
@@ -216,7 +218,14 @@ fn closed_loop_shifts_dependent_starts_under_congestion() {
         &keddah::core::replay::trace_to_flows(trace, &topo).expect("trace fits"),
         opts,
     );
-    let closed = replay_source(&topo, &mut source, opts);
+    let closed = replay_faulted(
+        &topo,
+        &mut source,
+        &FaultSpec::empty(),
+        opts,
+        &Obs::disabled(),
+    )
+    .expect("empty spec");
 
     // Map each dependent entry to its closed-loop start and compare with
     // its captured (zero-shifted) start, which is what open loop used.
