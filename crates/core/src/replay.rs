@@ -27,12 +27,11 @@
 //! [`replay_source_observed`] and [`replay_model_closed`] are one-line
 //! conveniences over it.
 //!
-//! [`SimOptions::aggregate`] (flow bundles) and
-//! [`SimOptions::solver_jobs`] (parallel fair-share component solves)
-//! trade wall-clock only: replay reports are byte-identical at every
-//! setting, which is what lets DC-scale replays default to the fast path
-//! while the golden corpus pins correctness against the singleton-bundle
-//! and sequential-solve oracles.
+//! [`SimOptions::aggregate`] (flow bundles) trades wall-clock only:
+//! replay reports are byte-identical either way, which is what lets
+//! DC-scale replays default to the fast path while the golden corpus
+//! pins correctness against the singleton-bundle oracle.
+//! [`SimOptions::solver_jobs`] has no effect.
 
 use std::collections::{BTreeMap, HashSet};
 

@@ -62,14 +62,17 @@
 //! bundles solvable per event. The `aggregated_rates_match_per_flow`
 //! proptest pins the bitwise equivalence.
 //!
-//! # Parallel component solves
+//! # Cached link shares
 //!
-//! [`with_parallel`](FairShareState::with_parallel) lets the dense
-//! (full-refill) path solve independent components on scoped threads.
-//! Components are link-disjoint, so their solves share no state; results
-//! are merged in ascending component index. By the equivalence argument
-//! above the rates are bit-identical at any thread count — the
-//! determinism suite pins solver width as a no-op on replay output.
+//! Every re-solve is one progressive fill over a list of links — a BFS
+//! component, or the whole set of busy links (see [`FairShareState`]).
+//! The fill keeps each link's share `(remaining / unfrozen).max(0.0)`
+//! and recomputes it only when a freeze changes that link's remaining
+//! capacity or unfrozen count. Both operands are then the values a
+//! fresh division at the next round's bottleneck scan would read, so the
+//! cached share is that division's result bit for bit; the scan breaks
+//! ties on the same global link id, and so picks the same bottleneck as
+//! [`max_min_rates`] in every round.
 //!
 //! [`insert_flow`]: FairShareState::insert_flow
 //! [`insert_weighted`]: FairShareState::insert_weighted
@@ -187,15 +190,31 @@ struct FlowSlot {
     alive: bool,
 }
 
+/// A BFS component is the *giant* when it holds at least this many
+/// entries and more than `GIANT_FRACTION` of the entries on links.
+const GIANT_MIN_ENTRIES: usize = 64;
+const GIANT_FRACTION: f64 = 0.75;
+/// Whole-set solves after which a mutation in the giant measures it
+/// again with a BFS.
+const REMEASURE_EVERY: u32 = 32;
+
 /// Incremental max-min fair allocator.
 ///
 /// Maintains the active flow set, per-link flow adjacency and per-flow
-/// rates across mutations. Inserting or removing a flow re-solves only
-/// the affected component (flows transitively sharing links with the
-/// mutated flow); when that dirty set reaches 64 entries and more than
-/// 75% of the entries on links, the whole set is refilled with dense
-/// per-link arrays instead, which produces the same rates at a lower
-/// constant factor.
+/// rates across mutations. Each mutation re-solves over one of two link
+/// lists, chosen from what the allocator has observed:
+///
+/// * the *component* holding the mutated entry's links (for
+///   [`set_capacity`](Self::set_capacity), the changed link's), found by
+///   a BFS over the flow/link sharing graph;
+/// * every busy link (one with at least one entry), with no BFS, when
+///   those links lie in the *giant*: the component the latest BFS to
+///   reach it found to hold at least 64 entries and more than 75% of the
+///   entries on links. The whole set then costs little more to fill than
+///   the component, and the BFS is skipped. After 32 whole-set solves
+///   the next such mutation takes the BFS instead, which measures the
+///   giant again, so a network that has since fragmented returns to
+///   component solves.
 ///
 /// # Examples
 ///
@@ -223,22 +242,38 @@ pub struct FairShareState {
     /// link -> active entries crossing it, one entry per crossing (an
     /// entry listing a link twice appears twice).
     link_flows: Vec<Vec<u32>>,
+    /// link -> members crossing it (weights summed, one term per
+    /// crossing): the unfrozen count a fill starts the link at.
+    load: Vec<u32>,
+    /// The busy links, unordered: the whole-set path's link list.
+    /// `busy_pos[l]` is busy link `l`'s index in it.
+    busy: Vec<u32>,
+    busy_pos: Vec<u32>,
     /// Active member flows (weights summed), local (link-less) included.
     active: usize,
     /// Active *entries* (not members) that traverse at least one link —
-    /// the dense-fallback heuristic's denominator.
+    /// the giant's fraction denominator.
     active_on_links: usize,
-    /// Scoped threads the dense path may fan components out over
-    /// (1 = sequential). Rates are identical at any width.
-    parallel: usize,
+    /// The stamp the giant's links carry in `link_mark`, if a giant is
+    /// known; links that go idle lose it.
+    giant: Option<u64>,
+    /// Whole-set solves since the giant was last measured.
+    unmeasured: u32,
 
-    // Stamped scratch maps: an entry is valid iff its stamp equals
-    // `stamp`, so per-solve clearing is O(touched), not O(total).
+    // Stamped marks: each BFS and each fill takes a fresh `stamp`, so
+    // clearing is O(1). A BFS marks the entries and links it visits (the
+    // giant's links keep the stamp of the BFS that measured it); a fill
+    // marks the entries it freezes.
     stamp: u64,
     flow_mark: Vec<u64>,
-    flow_local: Vec<u32>,
     link_mark: Vec<u64>,
-    link_local: Vec<u32>,
+
+    // Fill scratch, indexed by global link id; valid during a fill for
+    // the links in `scan`, the list being filled (the BFS queue before).
+    remaining: Vec<f64>,
+    unfrozen: Vec<u32>,
+    share: Vec<f64>,
+    scan: Vec<u32>,
 
     // Instrumentation for benches and the DESIGN ablation.
     solves: u64,
@@ -259,27 +294,24 @@ impl FairShareState {
             rates: Vec::new(),
             free: Vec::new(),
             link_flows: vec![Vec::new(); n_links],
+            load: vec![0; n_links],
+            busy: Vec::new(),
+            busy_pos: vec![0; n_links],
             active: 0,
             active_on_links: 0,
-            parallel: 1,
+            giant: None,
+            unmeasured: 0,
             stamp: 0,
             flow_mark: Vec::new(),
-            flow_local: Vec::new(),
             link_mark: vec![0; n_links],
-            link_local: vec![0; n_links],
+            remaining: vec![0.0; n_links],
+            unfrozen: vec![0; n_links],
+            share: vec![0.0; n_links],
+            scan: Vec::new(),
             solves: 0,
             solved_flows: 0,
             dense_solves: 0,
         }
-    }
-
-    /// Lets dense refills solve independent components on up to `jobs`
-    /// scoped threads (see the module's parallel-solve section). Rates
-    /// are bit-identical at any width; 1 (the default) is sequential.
-    #[must_use]
-    pub fn with_parallel(mut self, jobs: usize) -> Self {
-        self.parallel = jobs.max(1);
-        self
     }
 
     /// Registers a flow crossing `links` and re-solves the affected
@@ -310,10 +342,11 @@ impl FairShareState {
             );
         }
         let id = if let Some(slot) = self.free.pop() {
-            self.slots[slot as usize].links.clear();
-            self.slots[slot as usize].links.extend_from_slice(links);
-            self.slots[slot as usize].weight = weight;
-            self.slots[slot as usize].alive = true;
+            // `remove_flow` left the recycled slot's link list empty.
+            let s = &mut self.slots[slot as usize];
+            s.links.extend_from_slice(links);
+            s.weight = weight;
+            s.alive = true;
             slot
         } else {
             self.slots.push(FlowSlot {
@@ -323,7 +356,6 @@ impl FairShareState {
             });
             self.rates.push(0.0);
             self.flow_mark.push(0);
-            self.flow_local.push(0);
             (self.slots.len() - 1) as u32
         };
         self.active += weight as usize;
@@ -333,9 +365,15 @@ impl FairShareState {
         }
         self.active_on_links += 1;
         for &l in links {
-            self.link_flows[l as usize].push(id);
+            let l = l as usize;
+            if self.load[l] == 0 {
+                self.busy_pos[l] = self.busy.len() as u32;
+                self.busy.push(l as u32);
+            }
+            self.link_flows[l].push(id);
+            self.load[l] += weight;
         }
-        self.resolve_around(&[id]);
+        self.resolve(id);
         FairFlowId(id)
     }
 
@@ -355,8 +393,11 @@ impl FairShareState {
         assert!(dw > 0, "weight delta must be positive");
         self.slots[slot].weight += dw;
         self.active += dw as usize;
+        for &l in &self.slots[slot].links {
+            self.load[l as usize] += dw;
+        }
         if !self.slots[slot].links.is_empty() {
-            self.resolve_around(&[id.0]);
+            self.resolve(id.0);
         }
     }
 
@@ -381,8 +422,11 @@ impl FairShareState {
         );
         self.slots[slot].weight = w - dw;
         self.active -= dw as usize;
+        for &l in &self.slots[slot].links {
+            self.load[l as usize] -= dw;
+        }
         if !self.slots[slot].links.is_empty() {
-            self.resolve_around(&[id.0]);
+            self.resolve(id.0);
         }
     }
 
@@ -414,39 +458,46 @@ impl FairShareState {
             self.slots.get(slot).is_some_and(|s| s.alive),
             "remove_flow on stale handle {id:?}"
         );
+        let w = self.slots[slot].weight;
         self.slots[slot].alive = false;
-        self.rates[slot] = 0.0;
-        self.active -= self.slots[slot].weight as usize;
         self.slots[slot].weight = 0;
-        let links = std::mem::take(&mut self.slots[slot].links);
+        self.rates[slot] = 0.0;
+        self.active -= w as usize;
         self.free.push(id.0);
-        if links.is_empty() {
+        if self.slots[slot].links.is_empty() {
             return;
         }
         self.active_on_links -= 1;
-        // Collect the orphaned neighbours before dropping the adjacency.
-        self.stamp += 1;
-        let mut seeds: Vec<u32> = Vec::new();
-        for &l in &links {
-            self.link_flows[l as usize].retain(|&f| f != id.0);
-            for &f in &self.link_flows[l as usize] {
-                if self.flow_mark[f as usize] != self.stamp {
-                    self.flow_mark[f as usize] = self.stamp;
-                    seeds.push(f);
+        for li in 0..self.slots[slot].links.len() {
+            let l = self.slots[slot].links[li] as usize;
+            self.link_flows[l].retain(|&f| f != id.0);
+            self.load[l] -= w;
+            if self.load[l] == 0 {
+                // Idle: off the whole-set list, and out of the giant, so
+                // a later entry alone on it re-solves locally.
+                let pos = self.busy_pos[l] as usize;
+                self.busy.swap_remove(pos);
+                if let Some(&moved) = self.busy.get(pos) {
+                    self.busy_pos[moved as usize] = pos as u32;
                 }
+                self.link_mark[l] = 0;
             }
         }
-        if !seeds.is_empty() {
-            self.resolve_around(&seeds);
-        }
+        // The dead entry's links seed the re-solve; it is on no link's
+        // list, so no fill reaches it.
+        self.resolve(id.0);
+        // Freed rather than cleared for the slot's next tenant: kept
+        // capacity fragmented the heap, and peak RSS grew pass after pass
+        // over repeated replays.
+        self.slots[slot].links = Vec::new();
     }
 
     /// Changes one link's capacity (a degraded or repaired optic, a
     /// downed link at 0) and re-solves only the component sharing it:
-    /// the link's flows seed the dirty set exactly like an arrival on
+    /// an entry on the link seeds the re-solve exactly like an arrival on
     /// that link would, so the incremental allocator absorbs fault
-    /// events without a dense refill. With no flows on the link this is
-    /// a pure bookkeeping update.
+    /// events without refilling unrelated components. With no flows on
+    /// the link this is a pure bookkeeping update.
     ///
     /// # Panics
     ///
@@ -462,9 +513,8 @@ impl FairShareState {
             "capacity must be finite and non-negative, got {bps}"
         );
         self.capacities[link as usize] = bps;
-        let seeds = self.link_flows[link as usize].clone();
-        if !seeds.is_empty() {
-            self.resolve_around(&seeds);
+        if let Some(&f) = self.link_flows[link as usize].first() {
+            self.resolve(f);
         }
     }
 
@@ -484,6 +534,14 @@ impl FairShareState {
         self.rates[slot]
     }
 
+    /// [`rate`](Self::rate) without its stale-handle check, for callers
+    /// that hold `id` live by construction: the simulator reads every
+    /// live bundle's rate twice per event.
+    pub(crate) fn live_rate(&self, id: FairFlowId) -> f64 {
+        debug_assert!(self.slots[id.0 as usize].alive, "stale handle {id:?}");
+        self.rates[id.0 as usize]
+    }
+
     /// Rates of every active flow, sorted by handle.
     #[must_use]
     pub fn rates(&self) -> Vec<(FairFlowId, f64)> {
@@ -501,299 +559,180 @@ impl FairShareState {
         self.active
     }
 
-    /// Total component solves performed, dense fallbacks included.
+    /// Total solves performed, whole-set solves included.
     #[must_use]
     pub fn solves(&self) -> u64 {
         self.solves
     }
 
-    /// Total flow rates written across all solves — the incremental
-    /// path's work metric (a dense refill re-writes every active entry).
+    /// Total entry rates written across all solves — the incremental
+    /// path's work metric (a whole-set solve re-writes every entry on a
+    /// link).
     #[must_use]
     pub fn solved_flows(&self) -> u64 {
         self.solved_flows
     }
 
-    /// How many solves fell back to dense full filling.
+    /// How many solves filled every busy link (the whole-set path)
+    /// rather than one BFS component.
     #[must_use]
     pub fn dense_solves(&self) -> u64 {
         self.dense_solves
     }
 
-    /// Re-solves the component reachable from `seeds` (flows), or
-    /// everything via the dense path when the dirty set is large enough
-    /// that component bookkeeping stops paying for itself.
-    fn resolve_around(&mut self, seeds: &[u32]) {
-        // BFS over the flow/link sharing graph. `flow_local` doubles as
-        // the local index map for the fill; `link_local` likewise.
-        self.stamp += 1;
-        let stamp = self.stamp;
-        let mut members: Vec<u32> = Vec::with_capacity(seeds.len());
-        let mut comp_links: Vec<u32> = Vec::new();
-        for &f in seeds {
-            if self.flow_mark[f as usize] != stamp {
-                self.flow_mark[f as usize] = stamp;
-                self.flow_local[f as usize] = members.len() as u32;
-                members.push(f);
-            }
-        }
-        let mut head = 0usize;
-        while head < members.len() {
-            let f = members[head] as usize;
-            head += 1;
-            for li in 0..self.slots[f].links.len() {
-                let l = self.slots[f].links[li] as usize;
-                if self.link_mark[l] != stamp {
-                    self.link_mark[l] = stamp;
-                    self.link_local[l] = comp_links.len() as u32;
-                    comp_links.push(l as u32);
-                    for gi in 0..self.link_flows[l].len() {
-                        let g = self.link_flows[l][gi] as usize;
-                        if self.flow_mark[g] != stamp {
-                            self.flow_mark[g] = stamp;
-                            self.flow_local[g] = members.len() as u32;
-                            members.push(g as u32);
-                        }
-                    }
-                }
-            }
-        }
-        // Dense fallback: once the dirty set is most of the active flows
-        // (and big enough for the local index maps to cost more than
-        // they save), plain full filling has the lower constant factor.
-        const DENSE_MIN_ENTRIES: usize = 64;
-        const DENSE_FRACTION: f64 = 0.75;
-        let dirty_frac = members.len() as f64 / self.active_on_links.max(1) as f64;
-        if members.len() >= DENSE_MIN_ENTRIES && dirty_frac > DENSE_FRACTION {
-            self.fill_dense();
-        } else {
-            self.fill_local(&members, &comp_links);
-        }
-    }
-
-    /// Progressive filling restricted to one component, with the
-    /// component's links remapped to dense local indices. Reproduces
-    /// [`max_min_rates`]'s arithmetic exactly: identical share
-    /// divisions, identical subtraction-and-clamp updates, and the same
-    /// bottleneck tie-break (lowest *global* link index).
-    fn fill_local(&mut self, members: &[u32], comp_links: &[u32]) {
-        self.solves += 1;
-        self.solved_flows += members.len() as u64;
-        let out = solve_component(
-            &self.slots,
-            &self.link_flows,
-            &self.capacities,
-            &self.flow_local,
-            &self.link_local,
-            members,
-            comp_links,
-        );
-        for (&f, &r) in members.iter().zip(&out) {
-            self.rates[f as usize] = r;
-        }
-    }
-
-    /// Dense full refill: decomposes the active graph into
-    /// link-connected components and fills each independently (on scoped
-    /// threads when [`with_parallel`](Self::with_parallel) allows),
-    /// merging rates in ascending component index. Per the module's
-    /// equivalence argument this is bit-identical to one global
-    /// progressive fill, and to [`max_min_rates`] over the active set.
-    fn fill_dense(&mut self) {
-        self.solves += 1;
-        self.dense_solves += 1;
-        // Decomposition: BFS from each unvisited linked entry, in slot
-        // order, writing component-relative local indices into the
-        // stamped maps. Flattened storage, one (member, link) range per
-        // component.
-        self.stamp += 1;
-        let stamp = self.stamp;
-        let mut members: Vec<u32> = Vec::new();
-        let mut links: Vec<u32> = Vec::new();
-        let mut comps: Vec<(usize, usize, usize, usize)> = Vec::new();
-        for start in 0..self.slots.len() {
-            if !self.slots[start].alive
-                || self.slots[start].links.is_empty()
-                || self.flow_mark[start] == stamp
-            {
-                continue;
-            }
-            let (ms, ls) = (members.len(), links.len());
-            self.flow_mark[start] = stamp;
-            self.flow_local[start] = 0;
-            members.push(start as u32);
-            let mut head = ms;
-            while head < members.len() {
-                let f = members[head] as usize;
-                head += 1;
-                for li in 0..self.slots[f].links.len() {
-                    let l = self.slots[f].links[li] as usize;
-                    if self.link_mark[l] != stamp {
-                        self.link_mark[l] = stamp;
-                        self.link_local[l] = (links.len() - ls) as u32;
-                        links.push(l as u32);
-                        for gi in 0..self.link_flows[l].len() {
-                            let g = self.link_flows[l][gi] as usize;
-                            if self.flow_mark[g] != stamp {
-                                self.flow_mark[g] = stamp;
-                                self.flow_local[g] = (members.len() - ms) as u32;
-                                members.push(g as u32);
-                            }
-                        }
-                    }
-                }
-            }
-            comps.push((ms, members.len(), ls, links.len()));
-        }
-        self.solved_flows += members.len() as u64;
-
-        // Components are link-disjoint, so solving them in parallel
-        // shares no state; the spawn gate only avoids thread overhead on
-        // small refills (rates are identical either way).
-        let jobs = self.parallel.min(comps.len()).max(1);
-        if jobs > 1 && members.len() >= 64 {
-            let (slots, link_flows, capacities) = (&self.slots, &self.link_flows, &self.capacities);
-            let (flow_local, link_local) = (&self.flow_local, &self.link_local);
-            let (members_ref, links_ref, comps_ref) = (&members, &links, &comps);
-            let solved: Vec<Vec<(usize, Vec<f64>)>> = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..jobs)
-                    .map(|tid| {
-                        s.spawn(move || {
-                            comps_ref
-                                .iter()
-                                .enumerate()
-                                .filter(|(ci, _)| ci % jobs == tid)
-                                .map(|(ci, &(ms, me, ls, le))| {
-                                    (
-                                        ci,
-                                        solve_component(
-                                            slots,
-                                            link_flows,
-                                            capacities,
-                                            flow_local,
-                                            link_local,
-                                            &members_ref[ms..me],
-                                            &links_ref[ls..le],
-                                        ),
-                                    )
-                                })
-                                .collect()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("component solver thread"))
-                    .collect()
-            });
-            // Deterministic merge: ascending component index. The slots
-            // are disjoint, so this fixes presentation order only.
-            let mut per_comp: Vec<Option<Vec<f64>>> = vec![None; comps.len()];
-            for (ci, out) in solved.into_iter().flatten() {
-                per_comp[ci] = Some(out);
-            }
-            for (ci, &(ms, me, _, _)) in comps.iter().enumerate() {
-                let out = per_comp[ci].take().expect("every component solved");
-                for (&f, r) in members[ms..me].iter().zip(out) {
-                    self.rates[f as usize] = r;
-                }
-            }
-        } else {
-            for &(ms, me, ls, le) in &comps {
-                let out = solve_component(
-                    &self.slots,
-                    &self.link_flows,
-                    &self.capacities,
-                    &self.flow_local,
-                    &self.link_local,
-                    &members[ms..me],
-                    &links[ls..le],
-                );
-                for (&f, &r) in members[ms..me].iter().zip(&out) {
-                    self.rates[f as usize] = r;
-                }
-            }
-        }
-    }
-}
-
-/// Weighted progressive filling over one link-connected component.
-/// `flow_local` / `link_local` map global ids to component-relative
-/// indices (valid for every member/link of this component); returns the
-/// per-member rate of each entry, indexed like `members`.
-///
-/// The arithmetic is [`max_min_rates`]'s exactly, with each weight-`w`
-/// entry standing for `w` interleaved member freezes (see the module's
-/// weighted-entries section for why that is bit-identical).
-fn solve_component(
-    slots: &[FlowSlot],
-    link_flows: &[Vec<u32>],
-    capacities: &[f64],
-    flow_local: &[u32],
-    link_local: &[u32],
-    members: &[u32],
-    comp_links: &[u32],
-) -> Vec<f64> {
-    let mut remaining: Vec<f64> = comp_links.iter().map(|&l| capacities[l as usize]).collect();
-    // All entries crossing a component link are members by closure, so
-    // the unfrozen count starts at the full member (weight) total.
-    let mut unfrozen: Vec<u32> = comp_links
-        .iter()
-        .map(|&l| {
-            link_flows[l as usize]
+    /// Re-solves after a mutation of slot `seed` (live, or just
+    /// removed): over every busy link when the seed's links lie in the
+    /// giant, else over the component holding them, found by a BFS that
+    /// also measures whether that component is the giant.
+    fn resolve(&mut self, seed: u32) {
+        let in_giant = self.giant.is_some_and(|g| {
+            self.slots[seed as usize]
+                .links
                 .iter()
-                .map(|&f| slots[f as usize].weight)
-                .sum()
-        })
-        .collect();
-    let mut frozen: Vec<bool> = vec![false; members.len()];
-    let mut out: Vec<f64> = vec![0.0; members.len()];
-
-    loop {
-        // Bottleneck: smallest share; ties break on the smallest global
-        // link id, exactly like the full solver's ascending link scan.
-        let mut best: Option<(f64, u32, usize)> = None;
-        for (j, (&count, &global)) in unfrozen.iter().zip(comp_links).enumerate() {
-            if count == 0 {
-                continue;
-            }
-            let share = (remaining[j] / f64::from(count)).max(0.0);
-            match best {
-                Some((s, g, _)) if s < share || (s == share && g < global) => {}
-                _ => best = Some((share, global, j)),
+                .any(|&l| self.link_mark[l as usize] == g)
+        });
+        if in_giant && self.unmeasured < REMEASURE_EVERY {
+            self.unmeasured += 1;
+            self.dense_solves += 1;
+            self.scan.clear();
+            self.scan.extend_from_slice(&self.busy);
+            self.fill();
+            return;
+        }
+        // BFS over the flow/link sharing graph, with `scan` as its queue:
+        // it ends holding the component's links, plus any seed link that
+        // went idle, which the fill drops unread.
+        self.stamp += 1;
+        let stamp = self.stamp;
+        self.scan.clear();
+        let mut reached_giant = self.queue_links(seed as usize, stamp);
+        let mut entries = 0usize;
+        let mut head = 0;
+        while head < self.scan.len() {
+            let l = self.scan[head] as usize;
+            head += 1;
+            for gi in 0..self.link_flows[l].len() {
+                let g = self.link_flows[l][gi] as usize;
+                if self.flow_mark[g] != stamp {
+                    self.flow_mark[g] = stamp;
+                    entries += 1;
+                    reached_giant |= self.queue_links(g, stamp);
+                }
             }
         }
-        let Some((share, _, bottleneck)) = best else {
-            break;
-        };
-        for &f in &link_flows[comp_links[bottleneck] as usize] {
-            let local = flow_local[f as usize] as usize;
-            if frozen[local] {
-                continue;
+        if entries == 0 {
+            return; // a removal left its links idle: nothing to re-solve
+        }
+        if entries >= GIANT_MIN_ENTRIES
+            && entries as f64 / self.active_on_links as f64 > GIANT_FRACTION
+        {
+            self.giant = Some(stamp);
+            self.unmeasured = 0;
+        } else if reached_giant {
+            self.giant = None;
+        }
+        self.fill();
+    }
+
+    /// Queues the links of slot `f` that BFS `stamp` has not visited;
+    /// returns whether one of them carried the giant's mark.
+    fn queue_links(&mut self, f: usize, stamp: u64) -> bool {
+        let mut reached_giant = false;
+        for &l in &self.slots[f].links {
+            let mark = &mut self.link_mark[l as usize];
+            if *mark != stamp {
+                reached_giant |= self.giant == Some(*mark);
+                *mark = stamp;
+                self.scan.push(l);
             }
-            frozen[local] = true;
-            out[local] = share;
-            let w = slots[f as usize].weight;
-            for &l in &slots[f as usize].links {
-                let lj = link_local[l as usize] as usize;
-                unfrozen[lj] -= w;
-                if unfrozen[lj] == 0 {
-                    // This freeze emptied the link: its `remaining` is
-                    // never read again, so the member-wise drain below
-                    // would be dead work — O(links), not O(members).
+        }
+        reached_giant
+    }
+
+    /// Weighted progressive filling over the links in `scan`, which holds
+    /// every link of every entry crossing one of them (one component, or
+    /// the busy set). Reproduces [`max_min_rates`]'s arithmetic exactly:
+    /// identical share divisions (cached, see the module docs), identical
+    /// subtraction-and-clamp updates with each weight-`w` entry standing
+    /// for `w` member freezes, and the same bottleneck tie-break (lowest
+    /// *global* link index).
+    fn fill(&mut self) {
+        self.solves += 1;
+        self.stamp += 1;
+        let frozen = self.stamp;
+        let Self {
+            capacities,
+            slots,
+            rates,
+            link_flows,
+            load,
+            flow_mark,
+            remaining,
+            unfrozen,
+            share,
+            scan,
+            solved_flows,
+            ..
+        } = self;
+        for &l in scan.iter() {
+            let l = l as usize;
+            remaining[l] = capacities[l];
+            unfrozen[l] = load[l];
+            share[l] = (remaining[l] / f64::from(unfrozen[l])).max(0.0);
+        }
+        loop {
+            // Bottleneck: smallest share; ties break on the smallest
+            // global link id, exactly like the full solver's ascending
+            // link scan. Drained links leave the list as it is scanned.
+            let mut best: Option<(f64, u32)> = None;
+            let mut kept = 0;
+            for i in 0..scan.len() {
+                let l = scan[i];
+                if unfrozen[l as usize] == 0 {
                     continue;
                 }
-                // The member-wise rounding sequence, one literal
-                // subtract-and-clamp per member crossing.
-                let mut rem = remaining[lj];
-                for _ in 0..w {
-                    rem = (rem - share).max(0.0);
+                scan[kept] = l;
+                kept += 1;
+                let s = share[l as usize];
+                match best {
+                    Some((bs, bl)) if bs < s || (bs == s && bl < l) => {}
+                    _ => best = Some((s, l)),
                 }
-                remaining[lj] = rem;
+            }
+            scan.truncate(kept);
+            let Some((s, bottleneck)) = best else {
+                break;
+            };
+            for &f in &link_flows[bottleneck as usize] {
+                let f = f as usize;
+                if flow_mark[f] == frozen {
+                    continue;
+                }
+                flow_mark[f] = frozen;
+                rates[f] = s;
+                *solved_flows += 1;
+                let w = slots[f].weight;
+                for &l in &slots[f].links {
+                    let l = l as usize;
+                    unfrozen[l] -= w;
+                    if unfrozen[l] == 0 {
+                        // This freeze emptied the link: its `remaining` is
+                        // never read again, so the member-wise drain below
+                        // would be dead work — O(links), not O(members).
+                        continue;
+                    }
+                    // The member-wise rounding sequence, one literal
+                    // subtract-and-clamp per member crossing.
+                    let mut rem = remaining[l];
+                    for _ in 0..w {
+                        rem = (rem - s).max(0.0);
+                    }
+                    remaining[l] = rem;
+                    share[l] = (rem / f64::from(unfrozen[l])).max(0.0);
+                }
             }
         }
     }
-    out
 }
 
 #[cfg(test)]
@@ -845,12 +784,12 @@ mod tests {
         assert!(max_min_rates(&[], &[1.0], 1.0).is_empty());
     }
 
-    /// Capacities and weighted entries whose mutations take the
-    /// production dense fallback: `spokes` single-entry components (one
-    /// on each of links `1..=spokes`) come first, then a hub of `hub`
-    /// entries that all cross link 0 — one component, past both dense
-    /// gates once it has 64 entries and more than three times as many
-    /// as there are spokes. Most hub entries also cross one of three
+    /// Capacities and weighted entries whose mutations take both solve
+    /// paths: `spokes` single-entry components (one on each of links
+    /// `1..=spokes`) come first, then a hub of `hub` entries that all
+    /// cross link 0 — one component, the giant once it has 64 entries
+    /// and more than three times as many as there are spokes, after
+    /// which its mutations fill the whole set. Most hub entries also cross one of three
     /// narrow links, so hub rates differ. Weights cycle through
     /// `1..=max_weight`.
     fn hub_and_spokes(hub: u32, spokes: u32, max_weight: u32) -> (Vec<f64>, Vec<(Vec<u32>, u32)>) {
@@ -1050,8 +989,28 @@ mod tests {
     }
 
     #[test]
-    fn state_matches_full_through_the_dense_fallback() {
-        // Grow the hub past the dense gates, churn it and the spokes,
+    fn share_ties_break_on_the_lowest_link_id() {
+        // Both links open at share 0.2. Filling link 0 first leaves link
+        // 1's lone flow 0.20000000000000007; filling link 1 first would
+        // hand that last bit to link 0's lone flow instead.
+        let caps = [1.0, 1.0];
+        let links = [
+            vec![1],
+            vec![0],
+            vec![0, 1],
+            vec![0, 1],
+            vec![0, 1],
+            vec![0, 1],
+        ];
+        let want = max_min_rates(&links, &caps, 1e10);
+        assert!(want[0] > want[1], "the tie order shows: {want:?}");
+        let script: Vec<(bool, Vec<u32>)> = links.into_iter().map(|l| (false, l)).collect();
+        assert_state_tracks_full(&caps, &script);
+    }
+
+    #[test]
+    fn state_matches_full_through_the_whole_set_path() {
+        // Grow the hub into the giant, churn it and the spokes,
         // then regrow it: every step is checked against the reference.
         let (caps, entries) = hub_and_spokes(70, 6, 1);
         let mut script: Vec<(bool, Vec<u32>)> =
@@ -1059,7 +1018,7 @@ mod tests {
         script.extend((0..12u32).map(|k| (true, vec![k * 5])));
         script.extend(entries[6..16].iter().map(|(l, _)| (false, l.clone())));
         let state = assert_state_tracks_full(&caps, &script);
-        assert!(state.dense_solves() > 0, "the dense fallback ran");
+        assert!(state.dense_solves() > 0, "the whole-set path ran");
     }
 
     #[test]
@@ -1148,7 +1107,7 @@ mod tests {
     /// Builds one state from weighted bundles and one from the same
     /// members inserted individually, asserting bitwise-equal per-member
     /// rates for every bundle, equal to the reference. Returns both
-    /// states' dense solve counts.
+    /// states' whole-set solve counts.
     fn assert_weighted_matches_singletons(caps: &[f64], bundles: &[(Vec<u32>, u32)]) -> (u64, u64) {
         let mut grouped = FairShareState::new(caps.to_vec(), 1e10);
         let mut single = FairShareState::new(caps.to_vec(), 1e10);
@@ -1191,7 +1150,7 @@ mod tests {
         let (grouped, single) = assert_weighted_matches_singletons(&caps, &bundles);
         assert!(
             grouped > 0 && single > 0,
-            "both shapes ran the dense fallback"
+            "both shapes ran the whole-set path"
         );
     }
 
@@ -1240,34 +1199,76 @@ mod tests {
     }
 
     #[test]
-    fn parallel_dense_solve_is_bit_identical() {
-        // The hub's dense refills also cover 20 disjoint spokes, so width
-        // 8 splits the components over threads: identical rates, bit for
-        // bit, and equal to the reference.
+    fn both_solve_paths_match_the_reference_at_every_step() {
+        // One weighted script: the spokes and the young hub re-solve by
+        // component, the grown hub over the whole set, and removals then
+        // shrink the hub until a re-measure finds it is no longer the
+        // giant. Every step equals the reference bit for bit.
         let (caps, entries) = hub_and_spokes(70, 20, 4);
-        let build = |jobs: usize| {
-            let mut state = FairShareState::new(caps.clone(), 1e10).with_parallel(jobs);
-            let ids: Vec<FairFlowId> = entries
-                .iter()
-                .map(|(links, w)| state.insert_weighted(links, *w))
-                .collect();
-            assert!(state.dense_solves() > 0, "width {jobs}: dense fallback ran");
-            ids.iter().map(|&id| state.rate(id)).collect::<Vec<f64>>()
-        };
-        let seq = build(1);
-        let par = build(8);
-        assert!(
-            seq.iter()
-                .zip(&par)
-                .all(|(a, b)| a.to_bits() == b.to_bits()),
-            "parallel dense solve diverged"
+        let mut state = FairShareState::new(caps.clone(), 1e10);
+        let mut live: Vec<(FairFlowId, (Vec<u32>, u32))> = Vec::new();
+        let script = entries
+            .into_iter()
+            .map(Some)
+            .chain(std::iter::repeat_n(None, 40));
+        let mut steps = [0u32; 2]; // checked steps: [component, whole set]
+        let mut whole_set = false;
+        for op in script {
+            let before = state.dense_solves();
+            match op {
+                Some((links, w)) => live.push((state.insert_weighted(&links, w), (links, w))),
+                None => state.remove_flow(live.pop().expect("a live hub entry").0),
+            }
+            let (ids, now): (Vec<FairFlowId>, Vec<(Vec<u32>, u32)>) = live.iter().cloned().unzip();
+            assert_bitwise(&state, &ids, &reference_rates(&caps, &now), "step");
+            whole_set = state.dense_solves() > before;
+            steps[usize::from(whole_set)] += 1;
+        }
+        assert!(steps[0] > 0 && steps[1] > 0, "both paths ran: {steps:?}");
+        assert!(!whole_set, "the shrunken hub re-solves by component");
+    }
+
+    #[test]
+    fn spoke_mutations_stay_local_beside_a_whole_set_hub() {
+        let (caps, mut entries) = hub_and_spokes(70, 6, 1);
+        let mut state = FairShareState::new(caps.clone(), 1e10);
+        let mut ids: Vec<FairFlowId> = entries.iter().map(|(l, _)| state.insert_flow(l)).collect();
+        let whole_sets = state.dense_solves();
+        assert!(whole_sets > 0, "the hub took the whole-set path");
+
+        // A second entry on spoke link 1 re-solves that spoke alone.
+        let solved = state.solved_flows();
+        ids.push(state.insert_flow(&[1]));
+        entries.push((vec![1], 1));
+        assert_eq!(state.solved_flows() - solved, 2, "the spoke's two entries");
+        assert_eq!(state.dense_solves(), whole_sets, "the insert stayed local");
+        assert_bitwise(&state, &ids, &reference_rates(&caps, &entries), "insert");
+
+        // Removing it re-solves the spoke's remaining entry alone.
+        let solved = state.solved_flows();
+        state.remove_flow(ids.pop().expect("the spoke entry"));
+        entries.pop();
+        assert_eq!(state.solved_flows() - solved, 1, "the spoke's one entry");
+        assert_eq!(state.dense_solves(), whole_sets, "the removal stayed local");
+        assert_bitwise(&state, &ids, &reference_rates(&caps, &entries), "remove");
+
+        // Draining narrow link 7 takes it out of the hub (which stays the
+        // giant): an entry alone on it then re-solves by itself.
+        for k in (0..entries.len()).rev() {
+            if entries[k].0.contains(&7) {
+                state.remove_flow(ids.remove(k));
+                entries.remove(k);
+            }
+        }
+        let (whole_sets, solved) = (state.dense_solves(), state.solved_flows());
+        ids.push(state.insert_flow(&[7]));
+        entries.push((vec![7], 1));
+        assert_eq!(state.solved_flows() - solved, 1, "the drained link's entry");
+        assert_eq!(
+            state.dense_solves(),
+            whole_sets,
+            "the drained link left the giant"
         );
-        let want = reference_rates(&caps, &entries);
-        assert!(
-            seq.iter()
-                .zip(&want)
-                .all(|(a, b)| a.to_bits() == b.to_bits()),
-            "dense solve diverged from the reference"
-        );
+        assert_bitwise(&state, &ids, &reference_rates(&caps, &entries), "drained");
     }
 }

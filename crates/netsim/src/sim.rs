@@ -23,7 +23,7 @@
 //! grouping flows into bundles — or not, via the singleton-bundle oracle
 //! [`SimOptions::aggregate`] — never changes any flow's completion time:
 //! the golden-replay corpus and the determinism suite pin byte-identical
-//! reports across the aggregation and solver-parallelism knobs.
+//! reports across the aggregation knob.
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -97,10 +97,8 @@ pub struct SimOptions {
     /// Completion times are identical either way (integer service
     /// accounting; see the module docs).
     pub aggregate: bool,
-    /// Scoped threads dense fair-share refills may fan independent
-    /// components out over. `0` (the default) auto-sizes from the host;
-    /// `1` solves sequentially. Rates — and hence replay output — are
-    /// byte-identical at any width.
+    /// Has no effect: fair-share solves always run on the calling
+    /// thread. Kept so that code setting it still compiles.
     pub solver_jobs: usize,
 }
 
@@ -536,14 +534,8 @@ pub fn simulate_faulted(
     // Incremental max-min state, one weighted entry per bundle:
     // arrivals/retirements re-solve only the affected component; rates
     // stay bit-identical to full per-flow progressive filling on every
-    // event (see `fair`), so every knob below changes wall-clock, never
-    // results.
-    let solver_jobs = match options.solver_jobs {
-        0 => std::thread::available_parallelism().map_or(1, |n| n.get().min(8)),
-        n => n,
-    };
-    let mut fair =
-        FairShareState::new(capacities.clone(), options.local_bps).with_parallel(solver_jobs);
+    // event (see `fair`).
+    let mut fair = FairShareState::new(capacities.clone(), options.local_bps);
     let mut now = 0.0f64;
     let mut peak_active = 0usize;
     // Completion predictions older than the last arrival/retirement are
@@ -617,8 +609,7 @@ pub fn simulate_faulted(
                     .map(|&bi| {
                         let b = &bundles[bi as usize];
                         b.members
-                            .iter()
-                            .next()
+                            .first()
                             .map_or(0.0, |&(tq, _)| q_to_bits(tq.saturating_sub(b.service)))
                     })
                     .collect::<Vec<_>>(),
@@ -670,7 +661,7 @@ pub fn simulate_faulted(
         if dt > 0.0 {
             for &bi in &live {
                 let b = &mut bundles[bi as usize];
-                let rate = fair.rate(b.fair.expect("live bundle"));
+                let rate = fair.live_rate(b.fair.expect("live bundle"));
                 b.service = b.service.saturating_add(((rate * dt) * Q_SCALE) as u128);
             }
         }
@@ -819,8 +810,7 @@ pub fn simulate_faulted(
                     let mut best: Option<(u128, u32)> = None;
                     for &bi in &live {
                         let b = &bundles[bi as usize];
-                        let &(target, idx) =
-                            b.members.iter().next().expect("live bundle has members");
+                        let &(target, idx) = b.members.first().expect("live bundle has members");
                         let rem = target.saturating_sub(b.service);
                         if best.is_none_or(|head| (rem, idx) < head) {
                             best = Some((rem, idx));
@@ -1035,9 +1025,9 @@ pub fn simulate_faulted(
         let mut next_completion = f64::INFINITY;
         for &bi in &live {
             let b = &bundles[bi as usize];
-            let &(target, _) = b.members.iter().next().expect("live bundle has members");
+            let &(target, _) = b.members.first().expect("live bundle has members");
             let rem_bits = q_to_bits(target.saturating_sub(b.service));
-            let pred = now + rem_bits / fair.rate(b.fair.expect("live bundle")).max(1e-9);
+            let pred = now + rem_bits / fair.live_rate(b.fair.expect("live bundle")).max(1e-9);
             next_completion = next_completion.min(pred);
         }
         if next_completion.is_finite() {

@@ -240,14 +240,13 @@ fn fault_schedules_never_change_comparisons_across_widths() {
 }
 
 #[test]
-fn aggregation_and_solver_width_knobs_never_change_replays() {
+fn aggregation_knob_never_changes_replays() {
     use keddah::faults::{generate, FaultGen};
 
-    // Flow bundles (`aggregate`) and parallel component solves
-    // (`solver_jobs`) are pure performance knobs: every cell of the
-    // matrix below — including the pre-bundle singleton shape and an
-    // 8-wide solver — must reproduce finish times, link bytes and fault
-    // accounting bit for bit, on both the clean and the faulted path.
+    // Flow bundles (`aggregate`) are a pure performance knob: the
+    // pre-bundle singleton shape must reproduce finish times, link bytes
+    // and fault accounting bit for bit, on both the clean and the
+    // faulted path.
     let cluster = ClusterSpec::racks(2, 3);
     let config = HadoopConfig::default().with_reducers(3);
     let job = JobSpec::new(Workload::TeraSort, 512 << 20);
@@ -266,10 +265,9 @@ fn aggregation_and_solver_width_knobs_never_change_replays() {
     };
     let spec = generate(&gen, 41);
 
-    let fingerprint = |aggregate: bool, solver_jobs: usize| {
+    let fingerprint = |aggregate: bool| {
         let opts = SimOptions {
             aggregate,
-            solver_jobs,
             mouse_threshold: 10_000,
             ..SimOptions::default()
         };
@@ -287,14 +285,11 @@ fn aggregation_and_solver_width_knobs_never_change_replays() {
             faulted.sim.faults.clone(),
         )
     };
-    let base = fingerprint(true, 1);
-    assert_eq!(base, fingerprint(true, 8), "solver width changes nothing");
     assert_eq!(
-        base,
-        fingerprint(false, 1),
+        fingerprint(true),
+        fingerprint(false),
         "singleton-bundle oracle is byte-identical to aggregation"
     );
-    assert_eq!(base, fingerprint(false, 8), "oracle at width 8");
 }
 
 #[test]

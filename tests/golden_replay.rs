@@ -5,9 +5,8 @@
 //! The pins freeze the replay engine's externally visible arithmetic:
 //! any change to routing, fair sharing (incremental or not), flow
 //! bundling, drain order or completion prediction that shifts a single
-//! flow's finish time by one nanosecond fails here — and every cell of
-//! the knob matrix (aggregation on/off, solver width 1 vs 8) must
-//! produce the same pins. Regenerate the
+//! flow's finish time by one nanosecond fails here — and replays with
+//! aggregation on and off must produce the same pins. Regenerate the
 //! fixtures with `keddah capture` (workload/seed in each fixture's
 //! name) and re-pin only when the engine's semantics intentionally
 //! change.
@@ -56,22 +55,20 @@ fn summarize(report: &ReplayReport) -> Vec<(u32, u64, u64, u64)> {
         .collect()
 }
 
-/// Replays `name` both ways and checks the pinned summaries across the
-/// engine's performance-knob matrix: flow bundles vs singleton entries
-/// (the oracle shape) and sequential vs 8-way parallel component
-/// solves. Every cell must reproduce the pins bit-for-bit — the knobs
-/// trade wall-clock, never results.
+/// Replays `name` both ways and checks the pinned summaries with flow
+/// bundles and with singleton entries (the oracle shape). Both must
+/// reproduce the pins bit-for-bit — the knob trades wall-clock, never
+/// results.
 fn check(name: &str, open_pins: &[(u32, u64, u64, u64)], closed_pins: &[(u32, u64, u64, u64)]) {
     let trace = fixture(name);
     let topo = fabric();
     let flows = trace_to_flows(&trace, &topo).expect("trace fits the fabric");
-    for (aggregate, solver_jobs) in [(true, 1), (true, 8), (false, 1)] {
+    for aggregate in [true, false] {
         let opts = SimOptions {
             aggregate,
-            solver_jobs,
             ..options()
         };
-        let knobs = format!("aggregate={aggregate} jobs={solver_jobs}");
+        let knobs = format!("aggregate={aggregate}");
         let open = replay(&topo, &flows, opts);
         assert_eq!(summarize(&open), open_pins, "{name} open loop ({knobs})");
         let mut source = TraceSource::new(&trace, &topo).expect("trace fits the fabric");
