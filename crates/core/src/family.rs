@@ -173,9 +173,17 @@ impl ModelFamily {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Json`] on malformed input.
+    /// Returns [`CoreError::Json`] on malformed input or an anchor with a
+    /// distribution whose parameters its family rejects.
     pub fn from_json(json: &str) -> Result<ModelFamily> {
-        serde_json::from_str(json).map_err(|e| CoreError::Json(e.to_string()))
+        let family: ModelFamily =
+            serde_json::from_str(json).map_err(|e| CoreError::Json(e.to_string()))?;
+        for (i, anchor) in family.anchors.iter().enumerate() {
+            anchor
+                .check_distributions()
+                .map_err(|msg| CoreError::Json(format!("anchor {i}: {msg}")))?;
+        }
+        Ok(family)
     }
 }
 
@@ -271,9 +279,24 @@ mod tests {
 
     #[test]
     fn family_json_roundtrip() {
-        let family = ModelFamily::fit(&[anchor(1, 10), anchor(2, 20)]).expect("fits");
+        let mut family = ModelFamily::fit(&[anchor(1, 10), anchor(2, 20)]).expect("fits");
         let back = ModelFamily::from_json(&family.to_json()).expect("parses");
         assert_eq!(family, back);
+
+        // A malformed anchor distribution is rejected on load, naming
+        // where it sits.
+        let shuffle = family.anchors[1]
+            .components
+            .get_mut(&Component::Shuffle)
+            .expect("has shuffle");
+        shuffle.size_dist =
+            serde_json::from_str(r#"{"family":"empirical","knots":[],"n":0}"#).unwrap();
+        let err = ModelFamily::from_json(&family.to_json()).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("anchor 1: component shuffle: size_dist: invalid parameter knots"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -93,15 +93,13 @@ fn fit_with_fallback(
     samples: &[f64],
     candidates: &[Candidate],
 ) -> Result<(FittedDist, FitQuality)> {
-    if let Ok(report) = fit_best(samples, candidates) {
-        if report.ks_statistic <= EMPIRICAL_FALLBACK_KS {
-            let fit = FitQuality {
-                ks_statistic: report.ks_statistic,
-                ks_p_value: report.ks_p_value,
-                samples: samples.len() as u64,
-            };
-            return Ok((report.dist, fit));
-        }
+    if let Ok(Some(report)) = fit_best(samples, candidates, EMPIRICAL_FALLBACK_KS) {
+        let fit = FitQuality {
+            ks_statistic: report.ks_statistic,
+            ks_p_value: report.ks_p_value,
+            samples: samples.len() as u64,
+        };
+        return Ok((report.dist, fit));
     }
     let emp = Empirical::fit(samples).map_err(CoreError::Stat)?;
     let ks = ks_one_sample(samples, |x| emp.cdf(x)).map_err(CoreError::Stat)?;

@@ -179,8 +179,8 @@ impl KeddahModel {
     ///
     /// # Errors
     ///
-    /// Returns [`crate::CoreError::Json`] on malformed input or a version
-    /// mismatch.
+    /// Returns [`crate::CoreError::Json`] on malformed input, a version
+    /// mismatch, or a distribution whose parameters its family rejects.
     pub fn from_json(json: &str) -> crate::Result<KeddahModel> {
         let model: KeddahModel =
             serde_json::from_str(json).map_err(|e| crate::CoreError::Json(e.to_string()))?;
@@ -190,7 +190,26 @@ impl KeddahModel {
                 model.version
             )));
         }
+        model
+            .check_distributions()
+            .map_err(crate::CoreError::Json)?;
         Ok(model)
+    }
+
+    /// Rejects a model read from outside whose distributions would fail
+    /// when sampled or inspected (see [`FittedDist::validate`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the component and field.
+    pub(crate) fn check_distributions(&self) -> std::result::Result<(), String> {
+        for (component, cm) in &self.components {
+            for (field, dist) in [("size_dist", &cm.size_dist), ("start_dist", &cm.start_dist)] {
+                dist.validate()
+                    .map_err(|e| format!("component {component}: {field}: {e}"))?;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -255,6 +274,33 @@ mod tests {
         m.version = 99;
         let err = KeddahModel::from_json(&m.to_json()).unwrap_err();
         assert!(err.to_string().contains("version"));
+    }
+
+    #[test]
+    fn malformed_distributions_rejected() {
+        let cases = [
+            (
+                "size_dist",
+                r#"{"family":"empirical","knots":[],"n":0}"#,
+                "component shuffle: size_dist: invalid parameter knots = 0",
+            ),
+            (
+                "start_dist",
+                r#"{"family":"loglogistic","alpha":3.0,"beta":-2.0}"#,
+                "component shuffle: start_dist: invalid parameter beta = -2",
+            ),
+        ];
+        for (field, dist, want) in cases {
+            let dist: FittedDist = serde_json::from_str(dist).unwrap();
+            let mut m = sample_model();
+            let shuffle = m.components.get_mut(&Component::Shuffle).unwrap();
+            match field {
+                "size_dist" => shuffle.size_dist = dist,
+                _ => shuffle.start_dist = dist,
+            }
+            let err = KeddahModel::from_json(&m.to_json()).unwrap_err();
+            assert!(err.to_string().contains(want), "{err}");
+        }
     }
 
     #[test]

@@ -67,11 +67,13 @@ impl Weibull {
     pub fn fit_mle(samples: &[f64]) -> Result<Self> {
         check_positive_sample(samples)?;
         let n = samples.len() as f64;
-        let mean_ln = samples.iter().map(|&x| x.ln()).sum::<f64>() / n;
-        let var_ln = samples
+        // Each sample's log once, not once per Newton iteration.
+        let logs: Vec<f64> = samples.iter().map(|&x| x.ln()).collect();
+        let mean_ln = logs.iter().sum::<f64>() / n;
+        let var_ln = logs
             .iter()
-            .map(|&x| {
-                let d = x.ln() - mean_ln;
+            .map(|&lx| {
+                let d = lx - mean_ln;
                 d * d
             })
             .sum::<f64>()
@@ -89,8 +91,7 @@ impl Weibull {
             let mut s0 = 0.0; // sum x^k
             let mut s1 = 0.0; // sum x^k ln x
             let mut s2 = 0.0; // sum x^k (ln x)^2
-            for &x in samples {
-                let lx = x.ln();
+            for &lx in &logs {
                 let xk = (k * lx).exp();
                 s0 += xk;
                 s1 += xk * lx;
@@ -228,6 +229,28 @@ mod tests {
                 "scale: fit={} truth={lambda}",
                 fit.scale()
             );
+        }
+    }
+
+    #[test]
+    fn mle_is_pinned_bit_for_bit() {
+        // Tie-heavy: Newton stops on its tolerance after 6 iterations.
+        let mut ties: Vec<f64> = (0..60)
+            .map(|i| [512.0, 1024.0, 1024.0, 4096.0, 65536.0][i % 5])
+            .collect();
+        ties.extend((1..=20).map(|i| 300.0 * f64::from(i)));
+        // Block-size-heavy: 95% at 128 MiB. The shape collapses toward 0
+        // and Newton runs all 200 iterations.
+        const BLOCK: f64 = 134_217_728.0;
+        let mut blocks = vec![BLOCK; 190];
+        blocks.extend((1..=10).map(|i| BLOCK * f64::from(i) / 11.0));
+        for (xs, shape, scale) in [
+            (&ties, 0x3fe2_262b_afbe_e598, 0x40b8_149e_768d_e3cd),
+            (&blocks, 0x3f20_c6f7_a09d_b19d, 0x419e_9c79_fcbf_e3d1),
+        ] {
+            let fit = Weibull::fit_mle(xs).unwrap();
+            assert_eq!(fit.shape().to_bits(), shape, "shape {}", fit.shape());
+            assert_eq!(fit.scale().to_bits(), scale, "scale {}", fit.scale());
         }
     }
 

@@ -15,7 +15,7 @@ use crate::distributions::{
     Distribution, Empirical, Exponential, Gamma, LogLogistic, LogNormal, Normal, Pareto, Uniform,
     Weibull,
 };
-use crate::ks::{ks_one_sample, KsResult};
+use crate::ks::{ks_finish, ks_lower_bound, ks_result, ks_sorted, sorted_sample, KsResult};
 use crate::{Result, StatError};
 
 /// A distribution family that can be entered into a candidate sweep.
@@ -231,6 +231,45 @@ impl FittedDist {
         }
     }
 
+    /// Checks the stored parameters, for distributions read from outside
+    /// rather than fitted: a parametric family must accept them through
+    /// its own `new`, and an empirical table needs at least 2 finite,
+    /// non-decreasing knots.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StatError::InvalidParameter`] naming the first rejected
+    /// parameter.
+    pub fn validate(&self) -> Result<()> {
+        match self {
+            FittedDist::Exponential(d) => Exponential::new(d.rate()).map(drop),
+            FittedDist::Uniform(d) => Uniform::new(d.low(), d.high()).map(drop),
+            FittedDist::Normal(d) => Normal::new(d.mu(), d.sigma()).map(drop),
+            FittedDist::LogLogistic(d) => LogLogistic::new(d.alpha(), d.beta()).map(drop),
+            FittedDist::LogNormal(d) => LogNormal::new(d.mu(), d.sigma()).map(drop),
+            FittedDist::Weibull(d) => Weibull::new(d.shape(), d.scale()).map(drop),
+            FittedDist::Pareto(d) => Pareto::new(d.xm(), d.alpha()).map(drop),
+            FittedDist::Gamma(d) => Gamma::new(d.shape(), d.scale()).map(drop),
+            FittedDist::Empirical(d) => {
+                let knots = d.knots();
+                let bad = if knots.len() < 2 {
+                    Some(knots.len() as f64)
+                } else if let Some(&k) = knots.iter().find(|k| !k.is_finite()) {
+                    Some(k)
+                } else {
+                    knots.windows(2).find(|w| w[1] < w[0]).map(|w| w[1])
+                };
+                match bad {
+                    Some(value) => Err(StatError::InvalidParameter {
+                        name: "knots",
+                        value,
+                    }),
+                    None => Ok(()),
+                }
+            }
+        }
+    }
+
     /// The fitted parameters as `(name, value)` pairs, for table output.
     #[must_use]
     pub fn params(&self) -> Vec<(&'static str, f64)> {
@@ -309,8 +348,36 @@ pub enum Selection {
     AndersonDarling,
 }
 
+/// Runs every candidate's maximum-likelihood fit on `samples` in their
+/// original order (likelihood sums depend on it), keeping each family
+/// whose support admits the sample with its position in `candidates`.
+fn fit_candidates(samples: &[f64], candidates: &[Candidate]) -> Vec<(usize, FittedDist)> {
+    (candidates.iter().enumerate())
+        .filter_map(|(idx, cand)| Some((idx, cand.fit(samples).ok()?)))
+        .collect()
+}
+
+/// The score card of a fit whose KS distance `d` is already known, or
+/// `None` if its log-likelihood over `samples` is not finite.
+fn score(dist: FittedDist, d: f64, samples: &[f64]) -> Option<FitReport> {
+    let log_likelihood = dist.log_likelihood(samples);
+    if !log_likelihood.is_finite() {
+        return None;
+    }
+    let KsResult { statistic, p_value } = ks_result(d, samples.len());
+    let params = dist.candidate().map_or(0, Candidate::param_count);
+    Some(FitReport {
+        aic: 2.0 * params as f64 - 2.0 * log_likelihood,
+        dist,
+        ks_statistic: statistic,
+        ks_p_value: p_value,
+        log_likelihood,
+    })
+}
+
 /// Fits every candidate in `candidates` and returns the score cards of all
-/// that succeeded, sorted best-first by KS statistic.
+/// that succeeded, sorted best-first by KS statistic (ties keep the order
+/// of `candidates`).
 ///
 /// Candidates whose support does not admit the sample (e.g. Pareto on
 /// negative data) are silently skipped; they are not errors of the sweep.
@@ -323,29 +390,17 @@ pub fn fit_all(samples: &[f64], candidates: &[Candidate]) -> Result<Vec<FitRepor
     if samples.is_empty() {
         return Err(StatError::EmptySample);
     }
+    let fitted = fit_candidates(samples, candidates);
     let mut reports = Vec::new();
-    for &cand in candidates {
-        let Ok(dist) = cand.fit(samples) else {
-            continue;
-        };
-        let Ok(KsResult { statistic, p_value }) = ks_one_sample(samples, |x| dist.cdf(x)) else {
-            continue;
-        };
-        if !statistic.is_finite() {
-            continue;
+    if !fitted.is_empty() {
+        // A successful fit implies a finite sample, so this cannot fail.
+        let sorted = sorted_sample(samples)?;
+        for (_, dist) in fitted {
+            let d = ks_sorted(&sorted, &|x| dist.cdf(x));
+            if d.is_finite() {
+                reports.extend(score(dist, d, samples));
+            }
         }
-        let log_likelihood = dist.log_likelihood(samples);
-        if !log_likelihood.is_finite() {
-            continue;
-        }
-        let aic = 2.0 * cand.param_count() as f64 - 2.0 * log_likelihood;
-        reports.push(FitReport {
-            dist,
-            ks_statistic: statistic,
-            ks_p_value: p_value,
-            log_likelihood,
-            aic,
-        });
     }
     if reports.is_empty() {
         return Err(StatError::NoConvergence("no candidate family fit"));
@@ -357,13 +412,79 @@ pub fn fit_all(samples: &[f64], candidates: &[Candidate]) -> Result<Vec<FitRepor
     Ok(reports)
 }
 
-/// Fits every candidate and returns the single best by KS statistic.
+/// Returns the candidate with the smallest KS statistic if that statistic
+/// is at most `max_ks`, and `Ok(None)` otherwise: the first report of
+/// [`fit_all`] within `max_ks`, bit for bit, at a fraction of the cost.
+///
+/// Every candidate's maximum-likelihood fit runs on `samples` as given.
+/// The KS scans then share one sorted copy of the sample. Each candidate
+/// first gets a cheap lower bound on its distance from a sixteenth of the
+/// tie groups. Candidates are finished in ascending (bound, position in
+/// `candidates`) order, and one is dropped as soon as its running distance
+/// exceeds `max_ks` or the best finished distance. Ties go to the earlier
+/// candidate, and only a candidate about to become the best has its
+/// log-likelihood summed; a non-finite one disqualifies it.
 ///
 /// # Errors
 ///
-/// Same as [`fit_all`].
-pub fn fit_best(samples: &[f64], candidates: &[Candidate]) -> Result<FitReport> {
-    Ok(fit_all(samples, candidates)?.remove(0))
+/// Returns [`StatError::EmptySample`] for an empty sample,
+/// [`StatError::InvalidParameter`] if `max_ks` is NaN, or
+/// [`StatError::NoConvergence`] if no candidate could be fitted.
+pub fn fit_best(
+    samples: &[f64],
+    candidates: &[Candidate],
+    max_ks: f64,
+) -> Result<Option<FitReport>> {
+    if samples.is_empty() {
+        return Err(StatError::EmptySample);
+    }
+    if max_ks.is_nan() {
+        return Err(StatError::InvalidParameter {
+            name: "max_ks",
+            value: max_ks,
+        });
+    }
+    let fitted = fit_candidates(samples, candidates);
+    if fitted.is_empty() {
+        return Err(StatError::NoConvergence("no candidate family fit"));
+    }
+    best_within(samples, &fitted, max_ks)
+}
+
+/// The bounded sweep of [`fit_best`] over fits already made, each
+/// tagged with its position in the candidate list.
+fn best_within(
+    samples: &[f64],
+    fitted: &[(usize, FittedDist)],
+    max_ks: f64,
+) -> Result<Option<FitReport>> {
+    let sorted = sorted_sample(samples)?;
+    let mut order: Vec<(f64, usize)> = (fitted.iter().enumerate())
+        .map(|(k, (_, dist))| (ks_lower_bound(&sorted, &|x| dist.cdf(x)), k))
+        .collect();
+    order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+
+    // The best finished candidate: its position in the list and report.
+    let mut best: Option<(usize, FitReport)> = None;
+    for (bound, k) in order {
+        let (idx, dist) = &fitted[k];
+        let limit = best
+            .as_ref()
+            .map_or(max_ks, |(_, b)| b.ks_statistic.min(max_ks));
+        let Some(d) = ks_finish(&sorted, &|x| dist.cdf(x), bound, limit) else {
+            continue;
+        };
+        let loses_tie = best
+            .as_ref()
+            .is_some_and(|(b_idx, b)| d == b.ks_statistic && idx > b_idx);
+        if !d.is_finite() || loses_tie {
+            continue;
+        }
+        if let Some(report) = score(dist.clone(), d, samples) {
+            best = Some((*idx, report));
+        }
+    }
+    Ok(best.map(|(_, report)| report))
 }
 
 /// Fits every candidate and selects by the given criterion.
@@ -501,6 +622,41 @@ mod tests {
     }
 
     #[test]
+    fn validate_rejects_what_new_would() {
+        let ok = [
+            r#"{"family":"loglogistic","alpha":3.0,"beta":2.0}"#,
+            r#"{"family":"uniform","low":1.0,"high":2.0}"#,
+            r#"{"family":"empirical","knots":[1.0,1.0,4.0],"n":3}"#,
+        ];
+        let bad = [
+            (
+                r#"{"family":"loglogistic","alpha":3.0,"beta":-2.0}"#,
+                "beta",
+            ),
+            (r#"{"family":"uniform","low":2.0,"high":1.0}"#, "high"),
+            (r#"{"family":"exponential","rate":0.0}"#, "rate"),
+            (r#"{"family":"empirical","knots":[],"n":0}"#, "knots"),
+            (r#"{"family":"empirical","knots":[5.0],"n":1}"#, "knots"),
+            (
+                r#"{"family":"empirical","knots":[1.0,3.0,2.0],"n":3}"#,
+                "knots",
+            ),
+        ];
+        for json in ok {
+            let d: FittedDist = serde_json::from_str(json).unwrap();
+            assert_eq!(d.validate(), Ok(()), "{json}");
+        }
+        for (json, field) in bad {
+            let d: FittedDist = serde_json::from_str(json).unwrap();
+            let err = d.validate().unwrap_err();
+            assert!(
+                matches!(err, StatError::InvalidParameter { name, .. } if name == field),
+                "{json}: {err}"
+            );
+        }
+    }
+
+    #[test]
     fn params_report_is_complete() {
         let d = FittedDist::Normal(Normal::new(1.0, 2.0).unwrap());
         let params = d.params();
@@ -549,6 +705,92 @@ mod tests {
         let xs = draw(&truth, 3000, 77);
         let by_ad = fit_select(&xs, Candidate::POSITIVE, Selection::AndersonDarling).unwrap();
         assert_eq!(by_ad.dist.name(), "lognormal");
+    }
+
+    /// Bit patterns of everything a report carries.
+    fn bits(r: &FitReport) -> (&'static str, Vec<u64>, [u64; 4]) {
+        let params = r.dist.params().iter().map(|(_, v)| v.to_bits()).collect();
+        let scores = [r.ks_statistic, r.ks_p_value, r.log_likelihood, r.aic];
+        (r.dist.name(), params, scores.map(f64::to_bits))
+    }
+
+    /// Two uniform fits of `1..=32` whose KS distances tie at exactly 0.5
+    /// (both reach it at the top sample, where the bound does not look),
+    /// with the earlier one's bound above the later one's.
+    fn tied_fits() -> (Vec<f64>, Vec<(usize, FittedDist)>) {
+        let xs: Vec<f64> = (1..=32).map(f64::from).collect();
+        let early = FittedDist::Uniform(Uniform::new(0.0, 64.0).unwrap());
+        let late = FittedDist::Uniform(Uniform::new(-32.0, 96.0).unwrap());
+        (xs, vec![(0, early), (1, late)])
+    }
+
+    #[test]
+    fn ks_tie_goes_to_the_earlier_candidate_that_finishes_later() {
+        use crate::ks::ks_one_sample;
+        let (xs, fitted) = tied_fits();
+        let sorted = sorted_sample(&xs).unwrap();
+        let [(_, early), (_, late)] = &fitted[..] else {
+            unreachable!()
+        };
+        for d in [early, late] {
+            assert_eq!(ks_one_sample(&xs, |x| d.cdf(x)).unwrap().statistic, 0.5);
+        }
+        // The later candidate has the smaller bound, so it finishes first.
+        assert!(
+            ks_lower_bound(&sorted, &|x| late.cdf(x)) < ks_lower_bound(&sorted, &|x| early.cdf(x))
+        );
+        let best = best_within(&xs, &fitted, f64::INFINITY).unwrap().unwrap();
+        assert_eq!(&best.dist, early);
+        assert_eq!(best.ks_statistic, 0.5);
+        // The reference sweep agrees.
+        let reference = score(early.clone(), 0.5, &xs).unwrap();
+        assert_eq!(bits(&best), bits(&reference));
+    }
+
+    #[test]
+    fn winner_exactly_at_max_ks_is_kept() {
+        let (xs, fitted) = tied_fits();
+        let best = best_within(&xs, &fitted, 0.5).unwrap().unwrap();
+        assert_eq!(best.dist, fitted[0].1);
+        assert_eq!(best.ks_statistic, 0.5);
+
+        let truth = LogNormal::new(3.0, 0.6).unwrap();
+        let xs = draw(&truth, 500, 31);
+        let all = fit_all(&xs, Candidate::POSITIVE).unwrap();
+        let winner = fit_best(&xs, Candidate::POSITIVE, all[0].ks_statistic)
+            .unwrap()
+            .expect("the winner's own distance admits it");
+        assert_eq!(bits(&winner), bits(&all[0]));
+    }
+
+    #[test]
+    fn nothing_within_max_ks_is_none() {
+        let (xs, fitted) = tied_fits();
+        assert_eq!(best_within(&xs, &fitted, 0.5f64.next_down()).unwrap(), None);
+
+        let truth = LogNormal::new(3.0, 0.6).unwrap();
+        let xs = draw(&truth, 500, 31);
+        let all = fit_all(&xs, Candidate::POSITIVE).unwrap();
+        let below = all[0].ks_statistic.next_down();
+        assert_eq!(fit_best(&xs, Candidate::POSITIVE, below).unwrap(), None);
+        assert_eq!(fit_best(&xs, Candidate::POSITIVE, 0.0).unwrap(), None);
+    }
+
+    #[test]
+    fn fit_best_rejects_bad_input() {
+        assert!(matches!(
+            fit_best(&[], Candidate::ALL, 0.1),
+            Err(StatError::EmptySample)
+        ));
+        assert!(matches!(
+            fit_best(&[1.0, 2.0], Candidate::ALL, f64::NAN),
+            Err(StatError::InvalidParameter { name: "max_ks", .. })
+        ));
+        // No positive-support family admits a negative sample.
+        assert!(matches!(
+            fit_best(&[-1.0, 2.0], Candidate::POSITIVE, 0.1),
+            Err(StatError::NoConvergence(_))
+        ));
     }
 
     #[test]

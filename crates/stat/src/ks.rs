@@ -37,45 +37,129 @@ pub struct KsResult {
 /// assert!(r.statistic < 0.02);
 /// ```
 pub fn ks_one_sample<F: Fn(f64) -> f64>(samples: &[f64], cdf: F) -> Result<KsResult> {
+    let sorted = sorted_sample(samples)?;
+    Ok(ks_result(ks_sorted(&sorted, &cdf), sorted.len()))
+}
+
+/// A sorted copy of `samples`, the input every one-sample scan below
+/// takes.
+///
+/// # Errors
+///
+/// Returns [`StatError::EmptySample`] if `samples` is empty or
+/// [`StatError::InvalidParameter`] if a sample is non-finite.
+pub(crate) fn sorted_sample(samples: &[f64]) -> Result<Vec<f64>> {
     if samples.is_empty() {
         return Err(StatError::EmptySample);
     }
+    if let Some(&x) = samples.iter().find(|x| !x.is_finite()) {
+        return Err(StatError::InvalidParameter {
+            name: "sample",
+            value: x,
+        });
+    }
     let mut sorted = samples.to_vec();
-    for &x in &sorted {
-        if !x.is_finite() {
-            return Err(StatError::InvalidParameter {
-                name: "sample",
-                value: x,
-            });
-        }
-    }
     sorted.sort_by(f64::total_cmp);
-    let n = sorted.len() as f64;
-    let mut d: f64 = 0.0;
-    // Group tied sample values so reference distributions with point
-    // masses (e.g. the empirical quantile-table model on block-sized
-    // flows) are compared correctly: at a distinct value v, the lower
-    // comparison uses F(v^-), the upper uses F(v).
-    let mut i = 0;
-    while i < sorted.len() {
-        let v = sorted[i];
-        let mut j = i + 1;
-        while j < sorted.len() && sorted[j] == v {
-            j += 1;
-        }
-        let lo = i as f64 / n;
-        let hi = j as f64 / n;
-        let f_at = cdf(v);
-        let delta = (v.abs() * 1e-12).max(f64::MIN_POSITIVE);
-        let f_before = cdf(v - delta);
-        d = d.max((f_before - lo).abs()).max((hi - f_at).abs());
-        i = j;
-    }
-    let p_value = kolmogorov_sf(d * (n.sqrt() + 0.12 + 0.11 / n.sqrt()));
-    Ok(KsResult {
+    Ok(sorted)
+}
+
+/// The statistic `d` of a sample of `n` values with its asymptotic
+/// p-value.
+pub(crate) fn ks_result(d: f64, n: usize) -> KsResult {
+    let n = n as f64;
+    KsResult {
         statistic: d,
-        p_value,
+        p_value: kolmogorov_sf(d * (n.sqrt() + 0.12 + 0.11 / n.sqrt())),
+    }
+}
+
+/// The tie groups of a sorted sample: maximal runs `[i, j)` of equal
+/// values, in order.
+fn tie_groups(sorted: &[f64]) -> impl Iterator<Item = (usize, usize)> + '_ {
+    let mut i = 0;
+    std::iter::from_fn(move || {
+        let v = *sorted.get(i)?;
+        let start = i;
+        i += 1;
+        while i < sorted.len() && sorted[i] == v {
+            i += 1;
+        }
+        Some((start, i))
     })
+}
+
+/// The KS distance term of the tie group `[i, j)` of `sorted`.
+///
+/// Grouping tied values lets reference distributions with point masses
+/// (e.g. the empirical quantile-table model on block-sized flows) be
+/// compared correctly: at a distinct value v, the lower comparison uses
+/// F(v^-), the upper uses F(v). The KS distance is the maximum of these
+/// terms over all groups, so it does not depend on the order in which
+/// the groups are visited.
+#[inline]
+fn group_term<F: Fn(f64) -> f64>(sorted: &[f64], i: usize, j: usize, cdf: &F) -> f64 {
+    let n = sorted.len() as f64;
+    let v = sorted[i];
+    let lo = i as f64 / n;
+    let hi = j as f64 / n;
+    let f_at = cdf(v);
+    let delta = (v.abs() * 1e-12).max(f64::MIN_POSITIVE);
+    let f_before = cdf(v - delta);
+    (f_before - lo).abs().max((hi - f_at).abs())
+}
+
+/// The one-sample KS distance of a sorted sample against `cdf`.
+pub(crate) fn ks_sorted<F: Fn(f64) -> f64>(sorted: &[f64], cdf: &F) -> f64 {
+    tie_groups(sorted)
+        .map(|(i, j)| group_term(sorted, i, j, cdf))
+        .fold(0.0, f64::max)
+}
+
+/// Sorted positions between the tie groups [`ks_lower_bound`] samples.
+const BOUND_STRIDE: usize = 16;
+
+/// A lower bound on [`ks_sorted`]: the largest term among the tie
+/// groups that hold a sorted position divisible by 16, about one group
+/// in 16 for a sample without ties and each group once however large.
+pub(crate) fn ks_lower_bound<F: Fn(f64) -> f64>(sorted: &[f64], cdf: &F) -> f64 {
+    let mut d: f64 = 0.0;
+    let mut p = 0;
+    while p < sorted.len() {
+        let v = sorted[p];
+        // The group began at or after the previous group's end, which is
+        // fewer than BOUND_STRIDE positions back.
+        let i = p - sorted[..p].iter().rev().take_while(|&&x| x == v).count();
+        let j = p + sorted[p..].partition_point(|&x| x == v);
+        d = d.max(group_term(sorted, i, j, cdf));
+        p = j.next_multiple_of(BOUND_STRIDE);
+    }
+    d
+}
+
+/// Completes a scan that [`ks_lower_bound`] began with `bound`: scores
+/// the groups the bound skipped and returns the full [`ks_sorted`]
+/// distance, or `None` as soon as the running distance exceeds `limit`.
+pub(crate) fn ks_finish<F: Fn(f64) -> f64>(
+    sorted: &[f64],
+    cdf: &F,
+    bound: f64,
+    limit: f64,
+) -> Option<f64> {
+    let mut d = bound;
+    if d > limit {
+        return None;
+    }
+    for (i, j) in tie_groups(sorted) {
+        // A group holding a multiple of the stride was scored by the bound.
+        if i.next_multiple_of(BOUND_STRIDE) < j {
+            continue;
+        }
+        d = d.max(group_term(sorted, i, j, cdf));
+        if d > limit {
+            return None;
+        }
+    }
+    Some(d)
 }
 
 /// Two-sample KS test.
@@ -260,6 +344,34 @@ mod tests {
         assert!((identical.p_value - 1.0).abs() < 1e-12);
         let two_each = ks_two_sample(&[1.0, 2.0], &[1.5, 2.5]).unwrap();
         assert!(two_each.statistic.is_finite() && two_each.p_value.is_finite());
+    }
+
+    #[test]
+    fn bound_and_finish_agree_with_the_full_scan() {
+        use crate::distributions::{Empirical, LogNormal};
+        let d = LogNormal::new(4.0, 1.5).unwrap();
+        let mut rng = StdRng::seed_from_u64(15);
+        // Continuous draws, then the same with block-sized point masses
+        // spanning many bound positions, then a sample too small to reach
+        // the second bound position.
+        let smooth: Vec<f64> = (0..500).map(|_| d.sample(&mut rng)).collect();
+        let mut massed = smooth.clone();
+        massed.extend([64.0; 70].iter().chain(&[128.0; 300]));
+        let tiny = vec![3.0, 1.0, 2.0, 2.0];
+        for xs in [smooth, massed, tiny] {
+            let sorted = sorted_sample(&xs).unwrap();
+            let emp = Empirical::fit(&xs[..xs.len() / 2]).unwrap();
+            let cdfs: [&dyn Fn(f64) -> f64; 2] = [&|x| d.cdf(x), &|x| emp.cdf(x)];
+            for cdf in cdfs {
+                let full = ks_sorted(&sorted, &cdf);
+                let bound = ks_lower_bound(&sorted, &cdf);
+                assert!(bound <= full, "bound {bound} above distance {full}");
+                let finished = ks_finish(&sorted, &cdf, bound, f64::INFINITY).unwrap();
+                assert_eq!(finished.to_bits(), full.to_bits());
+                assert_eq!(ks_finish(&sorted, &cdf, bound, full), Some(full));
+                assert_eq!(ks_finish(&sorted, &cdf, bound, full.next_down()), None);
+            }
+        }
     }
 
     #[test]

@@ -32,7 +32,8 @@
 //! let mut rng = StdRng::seed_from_u64(7);
 //! let truth = LogNormal::new(2.0, 0.5).unwrap();
 //! let samples: Vec<f64> = (0..2000).map(|_| truth.sample(&mut rng)).collect();
-//! let report = fit_best(&samples, Candidate::ALL).unwrap();
+//! // The best family, if its KS distance is at most 0.05.
+//! let report = fit_best(&samples, Candidate::ALL, 0.05).unwrap().unwrap();
 //! assert_eq!(report.dist.name(), "lognormal");
 //! ```
 

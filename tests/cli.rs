@@ -236,6 +236,60 @@ fn error_paths_are_reported() {
         .contains("unknown flag"));
 }
 
+/// A one-component model file whose shuffle sizes follow `size_dist`.
+fn model_with_size_dist(size_dist: &str) -> String {
+    format!(
+        r#"{{"version": 1, "workload": "terasort", "input_bytes": 1073741824,
+  "reducers": 4, "replication": 3, "block_bytes": 134217728, "nodes": 6,
+  "runs": 2, "makespan": {{"mean": 60.0, "std": 1.0}},
+  "components": {{"shuffle": {{
+    "size_dist": {size_dist},
+    "size_fit": {{"ks_statistic": 0.05, "ks_p_value": 0.4, "samples": 100}},
+    "start_dist": {{"family": "exponential", "rate": 0.1}},
+    "start_fit": {{"ks_statistic": 0.05, "ks_p_value": 0.4, "samples": 100}},
+    "count": {{"mean": 16.0, "std": 1.0}},
+    "pattern": "many_to_few"}}}}}}"#
+    )
+}
+
+#[test]
+fn malformed_model_distributions_are_errors_not_panics() {
+    let dir = tmp_dir("malformed-model");
+    let cases = [
+        (
+            "empty-knots.json",
+            r#"{"family": "empirical", "knots": [], "n": 0}"#,
+            "component shuffle: size_dist: invalid parameter knots = 0",
+        ),
+        (
+            "negative-beta.json",
+            r#"{"family": "loglogistic", "alpha": 3.0, "beta": -2.0}"#,
+            "component shuffle: size_dist: invalid parameter beta = -2",
+        ),
+    ];
+    for (name, size_dist, want) in cases {
+        let path = dir.join(name);
+        std::fs::write(&path, model_with_size_dist(size_dist)).expect("model written");
+        let path = path.to_str().unwrap();
+        for args in [vec!["generate", "--model", path], vec!["inspect", path]] {
+            let out = std::process::Command::new(env!("CARGO_BIN_EXE_keddah"))
+                .args(&args)
+                .output()
+                .expect("keddah runs");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+            assert!(
+                stderr
+                    .lines()
+                    .any(|l| l.starts_with("keddah: ") && l.contains(want)),
+                "{args:?}: {stderr}"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn faults_gen_show_and_degraded_replay() {
     let dir = tmp_dir("faults");

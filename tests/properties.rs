@@ -1,14 +1,23 @@
 //! Property-based tests over the toolchain's core invariants.
 
+use keddah::core::fitting::EMPIRICAL_FALLBACK_KS;
 use keddah::des::{Duration, SimTime};
 use keddah::flowcap::{FlowAssembler, NodeId, PacketRecord, Timeline};
 use keddah::netsim::fair::max_min_rates;
 use keddah::stat::distributions::{
     Distribution, Empirical, Exponential, LogNormal, Pareto, Weibull,
 };
-use keddah::stat::fit::{fit_all, Candidate};
+use keddah::stat::fit::{fit_all, fit_best, Candidate, FitReport};
 use keddah::stat::Ecdf;
 use proptest::prelude::*;
+
+/// Family, parameters, statistic, p-value, log-likelihood and AIC of a
+/// fit report, as bit patterns.
+fn report_bits(r: &FitReport) -> (&'static str, Vec<u64>, [u64; 4]) {
+    let params = r.dist.params().iter().map(|(_, v)| v.to_bits()).collect();
+    let scores = [r.ks_statistic, r.ks_p_value, r.log_likelihood, r.aic];
+    (r.dist.name(), params, scores.map(f64::to_bits))
+}
 
 proptest! {
     /// Quantile/CDF consistency holds for every valid parameterization
@@ -52,6 +61,46 @@ proptest! {
                 prop_assert!(r.ks_statistic >= 0.0 && r.ks_statistic <= 1.0);
                 let q = r.dist.quantile(0.5);
                 prop_assert!(q.is_finite() && q >= 0.0);
+            }
+        }
+    }
+
+    /// The bounded sweep returns exactly the first report of the full
+    /// sweep within `max_ks`, bit for bit, on samples that mix
+    /// block-sized point masses with continuous draws. Shifted copies,
+    /// some values negative, exercise every family.
+    #[test]
+    fn bounded_sweep_matches_full_sweep(
+        draws in prop::collection::vec(0.001f64..0.999, 1..160),
+        masses in prop::collection::vec((0usize..4, 1usize..80, 0usize..1000), 0..4),
+        sigma in 0.1f64..2.5,
+        shift in 0.0f64..2.0,
+    ) {
+        const BLOCKS: [f64; 4] = [1024.0, 65_536.0, 67_108_864.0, 134_217_728.0];
+        let continuous = LogNormal::new(13.8, sigma).unwrap();
+        let mut xs: Vec<f64> = draws.iter().map(|&u| continuous.quantile(u)).collect();
+        for &(block, count, at) in &masses {
+            for c in 0..count {
+                xs.insert((at + 7 * c) % (xs.len() + 1), BLOCKS[block]);
+            }
+        }
+        let shifted: Vec<f64> = xs.iter().map(|&x| x - shift * 1e6).collect();
+        for (sample, candidates) in [(&xs, Candidate::POSITIVE), (&shifted, Candidate::ALL)] {
+            let all = fit_all(sample, candidates);
+            for max_ks in [0.0, 0.05, EMPIRICAL_FALLBACK_KS, f64::INFINITY] {
+                let best = fit_best(sample, candidates, max_ks);
+                prop_assert!(best.is_ok() || all.is_err(), "{best:?} with max_ks {max_ks}");
+                let want = all
+                    .as_ref()
+                    .ok()
+                    .and_then(|reports| reports.iter().find(|r| r.ks_statistic <= max_ks));
+                let got = best.ok().flatten();
+                prop_assert_eq!(
+                    got.as_ref().map(report_bits),
+                    want.map(report_bits),
+                    "max_ks {}",
+                    max_ks
+                );
             }
         }
     }
