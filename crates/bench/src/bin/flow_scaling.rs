@@ -268,6 +268,7 @@ fn pair_local_flows_on(n: usize, topo: &Topology) -> Vec<Vec<u32>> {
             let dst = rack * 8 + (slot + 1) % 8;
             router
                 .route(HostId(src), HostId(dst), i as u64)
+                .expect("no link is down")
                 .into_iter()
                 .map(|l| l.0)
                 .collect()

@@ -226,6 +226,7 @@ impl TrafficSource for TraceSource {
         self.roots.iter().map(|&e| self.entries[e].spec).collect()
     }
 
+    /// Releases the flow's dependents, each `lag` after `result.finish`.
     fn on_flow_complete(&mut self, id: FlowId, result: &FlowResult) -> Vec<FlowSpec> {
         let entry = self.injected[id.0];
         let mut released = Vec::new();
@@ -236,6 +237,13 @@ impl TrafficSource for TraceSource {
             released.push(spec);
         }
         released
+    }
+
+    /// Releases the dependents of a killed flow as a completion would,
+    /// `lag` after the abort: the job carries on, so every captured flow
+    /// is still injected once and ends delivered or lost.
+    fn on_flow_aborted(&mut self, id: FlowId, result: &FlowResult, _lost: u64) -> Vec<FlowSpec> {
+        self.on_flow_complete(id, result)
     }
 }
 
@@ -443,6 +451,13 @@ impl TrafficSource for ModelSource {
             _ => {}
         }
         out
+    }
+
+    /// An aborted read or shuffle counts toward its stage barrier as a
+    /// completion does, so the job's later stages are still released —
+    /// at the abort time if it was the last one outstanding.
+    fn on_flow_aborted(&mut self, id: FlowId, result: &FlowResult, _lost: u64) -> Vec<FlowSpec> {
+        self.on_flow_complete(id, result)
     }
 }
 

@@ -518,6 +518,11 @@ impl FairShareState {
         }
     }
 
+    /// A link's current capacity, bits/s.
+    pub(crate) fn capacity(&self, link: u32) -> f64 {
+        self.capacities[link as usize]
+    }
+
     /// The current **per-member** rate of an active entry, bits/s (for
     /// weight-1 entries this is simply the flow's rate).
     ///

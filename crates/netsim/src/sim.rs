@@ -24,18 +24,29 @@
 //! [`SimOptions::aggregate`] — never changes any flow's completion time:
 //! the golden-replay corpus and the determinism suite pin byte-identical
 //! reports across the aggregation knob.
+//!
+//! # A flow's life
+//!
+//! Each step has exactly one implementation: `inject` appends released
+//! flows to the arena and schedules their arrivals; `arrive` routes a
+//! flow through the fault-aware [`RouteCache`]; `join` and `leave` move
+//! a fluid flow in and out of its path's bundle; `complete` records a
+//! delivery (mice and bundle members alike); `abort` records a loss
+//! (doomed at injection, killed by a fault, or drained after the solver
+//! diverged). A flow a fault takes off its path gives its undrained
+//! bytes back from that path's [`SimReport::link_bytes`].
 
 use std::collections::{BTreeSet, HashMap};
 
-use keddah_des::{Duration, Engine, SimTime};
+use keddah_des::{Duration, Engine, EventQueue, SimTime};
 use keddah_faults::{FaultKind, FaultSchedule};
-use keddah_obs::Obs;
+use keddah_obs::{Counter, Histogram, Obs};
 use serde::{Deserialize, Serialize};
 
 use crate::fair::{FairFlowId, FairShareState};
 use crate::routing::RouteCache;
 use crate::source::{FlowId, StaticSource, TrafficSource};
-use crate::topology::{HostId, Topology};
+use crate::topology::{HostId, LinkId, Topology};
 
 /// A flow to inject: who talks to whom, how much, starting when.
 ///
@@ -162,7 +173,9 @@ pub struct FaultStats {
 pub struct SimReport {
     /// Per-flow outcomes, in the same order as the input specs.
     pub results: Vec<FlowResult>,
-    /// Total bytes carried per directed link (by link id).
+    /// Payload bytes carried per directed link (by link id). A flow a
+    /// fault killed or rerouted counts on each path only the bytes it
+    /// moved there.
     pub link_bytes: Vec<u64>,
     /// Largest number of concurrently active fluid flows.
     pub peak_active: usize,
@@ -259,98 +272,6 @@ fn q_to_bits(q: u128) -> f64 {
     (q as f64) / Q_SCALE
 }
 
-/// The bundle for `links`, creating (and, under aggregation, memoizing)
-/// it on first use. Without aggregation every call creates a fresh
-/// singleton bundle — the oracle shape.
-fn bundle_for_path(
-    bundles: &mut Vec<Bundle>,
-    by_path: &mut HashMap<Vec<u32>, u32>,
-    aggregate: bool,
-    links: Vec<u32>,
-) -> u32 {
-    if aggregate {
-        if let Some(&bi) = by_path.get(&links) {
-            return bi;
-        }
-    }
-    let bi = u32::try_from(bundles.len()).expect("bundle count fits u32");
-    if aggregate {
-        by_path.insert(links.clone(), bi);
-    }
-    bundles.push(Bundle {
-        links,
-        fair: None,
-        service: 0,
-        members: BTreeSet::new(),
-        live_pos: 0,
-    });
-    bi
-}
-
-/// Attaches flow `idx` to bundle `bi` with `amount_q` of service to
-/// drain, (re)activating the bundle's fair entry as needed.
-#[allow(clippy::too_many_arguments)]
-fn join_bundle(
-    bundles: &mut [Bundle],
-    live: &mut Vec<u32>,
-    fair: &mut FairShareState,
-    member_of: &mut [Option<(u32, u128)>],
-    active_members: &mut usize,
-    bi: u32,
-    idx: usize,
-    amount_q: u128,
-) {
-    let b = &mut bundles[bi as usize];
-    match b.fair {
-        Some(id) => fair.add_weight(id, 1),
-        None => {
-            b.fair = Some(fair.insert_weighted(&b.links, 1));
-            b.live_pos = live.len();
-            live.push(bi);
-        }
-    }
-    let target = b.service.saturating_add(amount_q);
-    b.members.insert((target, idx as u32));
-    member_of[idx] = Some((bi, target));
-    *active_members += 1;
-}
-
-/// Detaches flow `idx` from its bundle, returning its undrained Q64
-/// remainder; the last member out retires the bundle's fair entry.
-fn leave_bundle(
-    bundles: &mut [Bundle],
-    live: &mut Vec<u32>,
-    fair: &mut FairShareState,
-    member_of: &mut [Option<(u32, u128)>],
-    active_members: &mut usize,
-    idx: usize,
-) -> u128 {
-    let (bi, target) = member_of[idx].take().expect("flow is an active member");
-    let (rem_q, id, emptied) = {
-        let b = &mut bundles[bi as usize];
-        let removed = b.members.remove(&(target, idx as u32));
-        debug_assert!(removed, "member set out of sync");
-        let id = b.fair.expect("member bundle is live");
-        let emptied = b.members.is_empty();
-        if emptied {
-            b.fair = None;
-        }
-        (target.saturating_sub(b.service), id, emptied)
-    };
-    *active_members -= 1;
-    if emptied {
-        let pos = bundles[bi as usize].live_pos;
-        live.swap_remove(pos);
-        if let Some(&moved) = live.get(pos) {
-            bundles[moved as usize].live_pos = pos;
-        }
-        fair.remove_flow(id);
-    } else {
-        fair.sub_weight(id, 1);
-    }
-    rem_q
-}
-
 /// Engine events of the fluid loop. Nanosecond timestamps order events;
 /// the precise `f64` times ride in the payloads so drain arithmetic never
 /// quantizes.
@@ -425,10 +346,10 @@ pub fn simulate(topo: &Topology, flows: &[FlowSpec], options: SimOptions) -> Sim
 /// - `NodeCrash` kills every flow to/from the host (hosts are leaf
 ///   nodes, so no transit traffic exists) and dooms later arrivals that
 ///   touch it until a `NodeRecover`;
-/// - `LinkDown` invalidates the route cache, moves each flow crossing
-///   the link onto a surviving shortest path (keeping its undrained
-///   bits) or aborts it when none exists, and zeroes the link's
-///   capacity;
+/// - `LinkDown` marks the link down in the [`RouteCache`], moves each
+///   flow crossing it onto a surviving shortest path (keeping its
+///   undrained bits) or aborts it when none exists, and zeroes the
+///   link's capacity;
 /// - `LinkDegraded { factor }` rescales the link's capacity; the link's
 ///   flows seed the incremental fair-share dirty set, so only their
 ///   component re-solves;
@@ -437,9 +358,10 @@ pub fn simulate(topo: &Topology, flows: &[FlowSpec], options: SimOptions) -> Sim
 ///
 /// Aborted flows get a [`FlowResult`] whose `finish` is the abort time,
 /// are listed in [`FaultStats::aborted`], and are reported to the source
-/// via [`TrafficSource::on_flow_aborted`], which may re-issue them. An
-/// empty schedule takes exactly the fault-free arithmetic path; the
-/// golden replay corpus pins the byte-identity.
+/// via [`TrafficSource::on_flow_aborted`], which may re-issue them or
+/// release their dependents. An empty schedule takes exactly the
+/// fault-free arithmetic path; the golden replay corpus pins the
+/// byte-identity, and one faulted replay.
 ///
 /// When `obs` is enabled the run emits trace events for engine
 /// dispatches (`des`/`dispatch`), flow lifecycle transitions
@@ -465,31 +387,14 @@ pub fn simulate_faulted(
     options: SimOptions,
     obs: &Obs,
 ) -> SimReport {
-    // Metric handles are registered once, up front; all of them are
-    // inert no-ops when `obs` is disabled.
     let c_dispatch = obs.counter("des", "events_dispatched");
-    let c_started = obs.counter("netsim", "flows_started");
-    let c_completed = obs.counter("netsim", "flows_completed");
-    let c_aborted = obs.counter("netsim", "flows_aborted");
-    let c_rerouted = obs.counter("netsim", "flows_rerouted");
-    let c_mice = obs.counter("netsim", "mice_fastpath");
-    let h_bytes = obs.histogram("netsim", "flow_bytes");
-    let h_fct = obs.histogram("netsim", "fct_us");
-
-    let capacities = topo.capacities();
-    let mut link_bytes = vec![0u64; capacities.len()];
-
-    // The flow arena: grows as the source injects. Results and bundle
-    // membership share its indexing (= FlowId = injection order).
-    let mut flows: Vec<FlowSpec> = source.on_start();
-    let mut results: Vec<Option<FlowResult>> = vec![None; flows.len()];
-    let mut member_of: Vec<Option<(u32, u128)>> = vec![None; flows.len()];
-
+    let mut run = Run::new(topo, source, schedule, options, obs);
     let mut engine: Engine<Ev> = Engine::new();
     // Initial arrivals are scheduled in start order (stable), so
     // same-nanosecond arrivals pop in the order the pre-engine loop
     // processed them; one batched heapify seeds even million-flow runs
     // in linear time.
+    let flows = &run.flows;
     let mut order: Vec<usize> = (0..flows.len()).collect();
     order.sort_by_key(|&i| flows[i].start);
     engine.schedule_batch(
@@ -506,44 +411,6 @@ pub fn simulate_faulted(
             .enumerate()
             .map(|(i, fault)| (fault.at(), Ev::Fault { idx: i })),
     );
-
-    // Fault state. `faults_on` gates every fault check on the hot path:
-    // with an empty schedule the arithmetic below is exactly the
-    // fault-free loop's.
-    let faults_on = !schedule.is_empty();
-    let mut fstats = FaultStats::default();
-    let mut host_down = vec![false; topo.host_count() as usize];
-    // Capacities as currently faulted; the mice fast-path reads these
-    // (identical to `capacities` until a link fault changes one).
-    let mut cur_capacities = capacities.clone();
-    let mut link_down = vec![false; capacities.len()];
-    let mut any_link_down = false;
-    // Active partition cuts, as host membership masks.
-    let mut partitions: Vec<Vec<bool>> = Vec::new();
-    let mut diverged = false;
-
-    let mut router = RouteCache::new(topo);
-    // Bundle state: same-path flows share one bundle (or each flow its
-    // own, under the no-aggregate oracle). `live` lists bundles with
-    // members; `member_of` maps a flow to its bundle and service target.
-    let mut bundles: Vec<Bundle> = Vec::new();
-    let mut by_path: HashMap<Vec<u32>, u32> = HashMap::new();
-    let mut live: Vec<u32> = Vec::new();
-    let mut active_members = 0usize;
-    let mut peak_bundles = 0usize;
-    // Incremental max-min state, one weighted entry per bundle:
-    // arrivals/retirements re-solve only the affected component; rates
-    // stay bit-identical to full per-flow progressive filling on every
-    // event (see `fair`).
-    let mut fair = FairShareState::new(capacities.clone(), options.local_bps);
-    let mut now = 0.0f64;
-    let mut peak_active = 0usize;
-    // Completion predictions older than the last arrival/retirement are
-    // stale; the generation counter skips them.
-    let mut gen: u64 = 0;
-    let mut iterations: u64 = 0;
-    let mut events: u64 = 0;
-
     // The engine-level tap: every delivered event is visible to the
     // tracer before its handler runs. Read-only, so it cannot perturb
     // the simulation.
@@ -557,463 +424,167 @@ pub fn simulate_faulted(
             format!("{ev:?}")
         });
     };
-    engine.run_with_tap(tap, |t, ev, queue| {
+    engine.run_with_tap(tap, |t, ev, queue| run.step(t, ev, queue));
+    run.report()
+}
+
+/// The fluid loop's state, with one method per step of a flow's life
+/// (see the module docs).
+struct Run<'a> {
+    topo: &'a Topology,
+    source: &'a mut dyn TrafficSource,
+    schedule: &'a FaultSchedule,
+    options: SimOptions,
+    obs: &'a Obs,
+    router: RouteCache<'a>,
+    /// Incremental max-min state, one weighted entry per bundle:
+    /// arrivals/retirements re-solve only the affected component; rates
+    /// stay bit-identical to full per-flow progressive filling on every
+    /// event (see `fair`). Its capacities are the faulted ones.
+    fair: FairShareState,
+    /// The flow arena: grows as the source injects. Results and bundle
+    /// membership share its indexing (= FlowId = injection order).
+    flows: Vec<FlowSpec>,
+    results: Vec<Option<FlowResult>>,
+    /// A fluid flow's bundle and absolute service target.
+    member_of: Vec<Option<(u32, u128)>>,
+    /// Same-path flows share one bundle (or each flow its own, under the
+    /// no-aggregate oracle); `live` lists the bundles with members.
+    bundles: Vec<Bundle>,
+    by_path: HashMap<Vec<u32>, u32>,
+    live: Vec<u32>,
+    active_members: usize,
+    peak_active: usize,
+    peak_bundles: usize,
+    link_bytes: Vec<u64>,
+    fstats: FaultStats,
+    host_down: Vec<bool>,
+    /// Active partition cuts, as host membership masks.
+    partitions: Vec<Vec<bool>>,
+    now: f64,
+    /// Completion predictions older than the last event are stale; the
+    /// generation counter skips them.
+    gen: u64,
+    iterations: u64,
+    events: u64,
+    // Metric handles, registered once; inert when `obs` is disabled.
+    c_started: Counter,
+    c_completed: Counter,
+    c_aborted: Counter,
+    c_rerouted: Counter,
+    c_mice: Counter,
+    h_bytes: Histogram,
+    h_fct: Histogram,
+}
+
+impl<'a> Run<'a> {
+    fn new(
+        topo: &'a Topology,
+        source: &'a mut dyn TrafficSource,
+        schedule: &'a FaultSchedule,
+        options: SimOptions,
+        obs: &'a Obs,
+    ) -> Self {
+        let flows = source.on_start();
+        let n = flows.len();
+        Run {
+            topo,
+            source,
+            schedule,
+            options,
+            obs,
+            router: RouteCache::new(topo),
+            fair: FairShareState::new(topo.capacities(), options.local_bps),
+            flows,
+            results: vec![None; n],
+            member_of: vec![None; n],
+            bundles: Vec::new(),
+            by_path: HashMap::new(),
+            live: Vec::new(),
+            active_members: 0,
+            peak_active: 0,
+            peak_bundles: 0,
+            link_bytes: vec![0; topo.link_count()],
+            fstats: FaultStats::default(),
+            host_down: vec![false; topo.host_count() as usize],
+            partitions: Vec::new(),
+            now: 0.0,
+            gen: 0,
+            iterations: 0,
+            events: 0,
+            c_started: obs.counter("netsim", "flows_started"),
+            c_completed: obs.counter("netsim", "flows_completed"),
+            c_aborted: obs.counter("netsim", "flows_aborted"),
+            c_rerouted: obs.counter("netsim", "flows_rerouted"),
+            c_mice: obs.counter("netsim", "mice_fastpath"),
+            h_bytes: obs.histogram("netsim", "flow_bytes"),
+            h_fct: obs.histogram("netsim", "fct_us"),
+        }
+    }
+
+    /// Handles one engine event at `t`.
+    fn step(&mut self, t: SimTime, ev: Ev, queue: &mut EventQueue<Ev>) {
         // The event's precise time: arrivals carry exact nanoseconds,
         // completions their predicted f64.
         let tf = match ev {
-            Ev::Arrive { id } => flows[id].start.as_secs_f64(),
-            Ev::Complete { gen: g, at } => {
-                if g != gen {
+            Ev::Arrive { id } => self.flows[id].start.as_secs_f64(),
+            Ev::Complete { gen, at } => {
+                if gen != self.gen {
                     return; // stale prediction: rates changed since
                 }
                 at
             }
             Ev::Notify { id } => {
                 // Completion callback: the source may release dependents.
-                events += 1;
-                let result = results[id].expect("notified flow has a result");
-                for mut spec in source.on_flow_complete(FlowId(id), &result) {
-                    // A dependent flow cannot start before its trigger.
-                    if spec.start < t {
-                        spec.start = t;
-                    }
-                    let id = flows.len();
-                    flows.push(spec);
-                    results.push(None);
-                    member_of.push(None);
-                    queue.push(spec.start, Ev::Arrive { id });
-                }
-                return; // fluid state untouched
+                // Fluid state is untouched.
+                self.events += 1;
+                let result = self.results[id].expect("notified flow has a result");
+                let released = self.source.on_flow_complete(FlowId(id), &result);
+                self.inject(t, released, queue);
+                return;
             }
-            Ev::Fault { idx } => schedule.events()[idx].at().as_secs_f64(),
+            Ev::Fault { idx } => self.schedule.events()[idx].at().as_secs_f64(),
         };
 
-        iterations += 1;
-        events += 1;
-        if !diverged && iterations > 20 * flows.len() as u64 + 10_000 {
+        self.iterations += 1;
+        self.events += 1;
+        if !self.fstats.diverged && self.iterations > 20 * self.flows.len() as u64 + 10_000 {
             // The solver stopped making progress — an internal invariant
             // violation, never expected. Loud in debug builds; release
             // builds must not abort the process mid-fault-scenario, so
             // they recover: drain the run by aborting everything still
-            // active (accounted as lost) and doom later arrivals. The
-            // report flags it via `FaultStats::diverged`.
+            // active (accounted as lost) and doom later arrivals.
             debug_assert!(
                 false,
-                "fluid simulation failed to converge: {} active flows in {} bundles at t={now}, \
-                 {} total, head remainders={:?}, rates={:?}",
-                active_members,
-                live.len(),
-                flows.len(),
-                live.iter()
-                    .take(5)
-                    .map(|&bi| {
-                        let b = &bundles[bi as usize];
-                        b.members
-                            .first()
-                            .map_or(0.0, |&(tq, _)| q_to_bits(tq.saturating_sub(b.service)))
-                    })
-                    .collect::<Vec<_>>(),
-                live.iter()
-                    .take(5)
-                    .map(|&bi| fair.rate(bundles[bi as usize].fair.expect("live bundle")))
-                    .collect::<Vec<_>>()
+                "fluid simulation failed to converge: {} active flows in {} bundles at t={}",
+                self.active_members,
+                self.live.len(),
+                self.now
             );
-            diverged = true;
-            fstats.diverged = true;
-            let mut drain: Vec<u32> = live
-                .iter()
-                .flat_map(|&bi| bundles[bi as usize].members.iter().map(|&(_, idx)| idx))
-                .collect();
-            drain.sort_unstable();
-            for idx in drain {
-                let idx = idx as usize;
-                let rem_q = leave_bundle(
-                    &mut bundles,
-                    &mut live,
-                    &mut fair,
-                    &mut member_of,
-                    &mut active_members,
-                    idx,
-                );
-                let spec = flows[idx];
-                let lost = spec.bytes.min((q_to_bits(rem_q) / 8.0).round() as u64);
-                c_aborted.inc();
-                obs.trace(
-                    t.as_nanos(),
-                    "netsim",
-                    "flow_abort",
-                    Some(idx as u64),
-                    || format!("divergence drain, lost_bytes={lost}"),
-                );
-                fstats.lost_bytes += lost;
-                fstats.delivered_bytes += spec.bytes - lost;
-                fstats.aborted.push(idx);
-                let finish = SimTime::from_secs_f64(now).max(t);
-                results[idx] = Some(FlowResult { spec, finish });
-                // No re-issue callback here: a diverged run must drain,
-                // not refill.
+            self.fstats.diverged = true;
+            for id in self.active(|_, _| true) {
+                let finish = SimTime::from_secs_f64(self.now).max(t);
+                let (_, lost) = self.evict(id);
+                self.abort(t, id, lost, finish, "divergence drain", queue);
             }
         }
 
         // Advance every live bundle's service curve to the event's
         // precise time — O(bundles), the loop that used to be O(flows).
-        let dt = (tf - now).max(0.0);
+        let dt = (tf - self.now).max(0.0);
         if dt > 0.0 {
-            for &bi in &live {
-                let b = &mut bundles[bi as usize];
-                let rate = fair.live_rate(b.fair.expect("live bundle"));
+            for &bi in &self.live {
+                let b = &mut self.bundles[bi as usize];
+                let rate = self.fair.live_rate(b.fair.expect("live bundle"));
                 b.service = b.service.saturating_add(((rate * dt) * Q_SCALE) as u128);
             }
         }
-        now = tf;
+        self.now = tf;
 
         match ev {
-            Ev::Arrive { id } => {
-                let spec = flows[id];
-                c_started.inc();
-                h_bytes.observe(spec.bytes as f64);
-                obs.trace(
-                    t.as_nanos(),
-                    "netsim",
-                    "flow_arrive",
-                    Some(id as u64),
-                    || {
-                        format!(
-                            "src={} dst={} bytes={} tag={}",
-                            spec.src.0, spec.dst.0, spec.bytes, spec.tag
-                        )
-                    },
-                );
-                // Fault gate: flows touching a dead host or straddling a
-                // partition never reach the wire; neither do any arrivals
-                // after a divergence drain.
-                let mut doomed = diverged
-                    || (faults_on
-                        && (host_down[spec.src.0 as usize]
-                            || host_down[spec.dst.0 as usize]
-                            || crosses_cut(&partitions, spec.src.0, spec.dst.0)));
-                let mut links: Vec<u32> = Vec::new();
-                if !doomed {
-                    if any_link_down {
-                        // Masked routing; link faults may disconnect the
-                        // pair entirely.
-                        match router.route_avoiding(spec.src, spec.dst, id as u64, &link_down) {
-                            Some(path) => links = path.into_iter().map(|l| l.0).collect(),
-                            None => doomed = true,
-                        }
-                    } else {
-                        links = router
-                            .route(spec.src, spec.dst, id as u64)
-                            .into_iter()
-                            .map(|l| l.0)
-                            .collect();
-                    }
-                }
-                if doomed {
-                    // Lost at injection: nothing was carried.
-                    c_aborted.inc();
-                    obs.trace(
-                        t.as_nanos(),
-                        "netsim",
-                        "flow_abort",
-                        Some(id as u64),
-                        || format!("doomed at injection, lost_bytes={}", spec.bytes),
-                    );
-                    fstats.aborted.push(id);
-                    fstats.lost_bytes += spec.bytes;
-                    let result = FlowResult { spec, finish: t };
-                    results[id] = Some(result);
-                    if !diverged {
-                        for mut child in source.on_flow_aborted(FlowId(id), &result, spec.bytes) {
-                            if child.start < t {
-                                child.start = t;
-                            }
-                            let child_id = flows.len();
-                            flows.push(child);
-                            results.push(None);
-                            member_of.push(None);
-                            queue.push(child.start, Ev::Arrive { id: child_id });
-                        }
-                    }
-                } else {
-                    for &l in &links {
-                        link_bytes[l as usize] += spec.bytes;
-                    }
-                    let prop = options.propagation.as_secs_f64();
-                    if spec.bytes < options.mouse_threshold {
-                        // Mice fast-path: uncontended line-rate completion.
-                        let bottleneck = links
-                            .iter()
-                            .map(|&l| cur_capacities[l as usize])
-                            .fold(options.local_bps, f64::min);
-                        let fct = prop
-                            + slow_start_delay(spec.bytes, &options)
-                            + spec.bytes as f64 * 8.0 / bottleneck;
-                        let finish = SimTime::from_secs_f64(now + fct);
-                        c_mice.inc();
-                        c_completed.inc();
-                        h_fct.observe(fct * 1e6);
-                        obs.trace(
-                            finish.as_nanos(),
-                            "netsim",
-                            "flow_complete",
-                            Some(id as u64),
-                            || format!("mice fast-path, fct_us={:.3}", fct * 1e6),
-                        );
-                        fstats.delivered_bytes += spec.bytes;
-                        results[id] = Some(FlowResult { spec, finish });
-                        queue.push(finish.max(t), Ev::Notify { id });
-                    } else {
-                        // Propagation charged up front as extra "bits" at
-                        // the eventual rate would distort sharing; instead
-                        // it is added to the finish time on completion.
-                        let bi =
-                            bundle_for_path(&mut bundles, &mut by_path, options.aggregate, links);
-                        join_bundle(
-                            &mut bundles,
-                            &mut live,
-                            &mut fair,
-                            &mut member_of,
-                            &mut active_members,
-                            bi,
-                            id,
-                            payload_q(spec.bytes),
-                        );
-                        peak_active = peak_active.max(active_members);
-                        peak_bundles = peak_bundles.max(live.len());
-                    }
-                }
-            }
-            Ev::Complete { .. } => {
-                // Retire every member whose target the service curve has
-                // reached (ties complete together). Each bundle's member
-                // set is target-ordered, so the scan is O(bundles +
-                // retiring); the cross-bundle flow-idx sort fixes one
-                // canonical processing order whatever the bundling — the
-                // aggregation knob must not reorder Notify delivery.
-                let mut finished: Vec<u32> = Vec::new();
-                for &bi in &live {
-                    let b = &bundles[bi as usize];
-                    let cut = b.service.saturating_add(RETIRE_EPS_Q);
-                    for &(target, idx) in &b.members {
-                        if target <= cut {
-                            finished.push(idx);
-                        } else {
-                            break;
-                        }
-                    }
-                }
-                if finished.is_empty() && active_members > 0 {
-                    // Guaranteed progress: float rounding left every
-                    // member just above the epsilon; retire the globally
-                    // closest (smallest remainder, then smallest idx).
-                    let mut best: Option<(u128, u32)> = None;
-                    for &bi in &live {
-                        let b = &bundles[bi as usize];
-                        let &(target, idx) = b.members.first().expect("live bundle has members");
-                        let rem = target.saturating_sub(b.service);
-                        if best.is_none_or(|head| (rem, idx) < head) {
-                            best = Some((rem, idx));
-                        }
-                    }
-                    finished.push(best.expect("active members exist").1);
-                }
-                finished.sort_unstable();
-                for idx in finished {
-                    let id = idx as usize;
-                    leave_bundle(
-                        &mut bundles,
-                        &mut live,
-                        &mut fair,
-                        &mut member_of,
-                        &mut active_members,
-                        id,
-                    );
-                    let spec = flows[id];
-                    let extra =
-                        options.propagation.as_secs_f64() + slow_start_delay(spec.bytes, &options);
-                    let finish = SimTime::from_secs_f64(now + extra);
-                    c_completed.inc();
-                    let fct_us = finish.saturating_since(spec.start).as_secs_f64() * 1e6;
-                    h_fct.observe(fct_us);
-                    obs.trace(
-                        finish.as_nanos(),
-                        "netsim",
-                        "flow_complete",
-                        Some(id as u64),
-                        || format!("fct_us={fct_us:.3}"),
-                    );
-                    fstats.delivered_bytes += spec.bytes;
-                    results[id] = Some(FlowResult { spec, finish });
-                    queue.push(finish.max(t), Ev::Notify { id });
-                }
-            }
-            Ev::Fault { idx } => {
-                fstats.faults_applied += 1;
-                obs.trace(t.as_nanos(), "faults", "fault_fire", None, || {
-                    schedule.events()[idx].describe()
-                });
-                // Members a fault kills or displaces, gathered by scanning
-                // live bundles and sorted by flow idx — one canonical
-                // victim order whatever the bundling, so the aggregation
-                // knob never reorders aborts or reroutes.
-                let mut victims: Vec<u32> = Vec::new();
-                let pull = |live: &[u32],
-                            bundles: &[Bundle],
-                            flows: &[FlowSpec],
-                            victims: &mut Vec<u32>,
-                            pred: &dyn Fn(&Bundle, &FlowSpec) -> bool| {
-                    for &bi in live {
-                        let b = &bundles[bi as usize];
-                        for &(_, idx) in &b.members {
-                            if pred(b, &flows[idx as usize]) {
-                                victims.push(idx);
-                            }
-                        }
-                    }
-                };
-                // Rerouting candidates survive; everything left in
-                // `victims` afterwards aborts.
-                let mut reroute_mask: Option<usize> = None;
-                match &schedule.events()[idx].kind {
-                    FaultKind::NodeCrash { node } => {
-                        let n = *node as usize;
-                        if n < host_down.len() {
-                            host_down[n] = true;
-                            pull(&live, &bundles, &flows, &mut victims, &|_, s| {
-                                s.src.0 as usize == n || s.dst.0 as usize == n
-                            });
-                        }
-                    }
-                    FaultKind::NodeRecover { node } => {
-                        let n = *node as usize;
-                        if n < host_down.len() {
-                            host_down[n] = false;
-                        }
-                    }
-                    FaultKind::LinkDown { link } => {
-                        let l = *link as usize;
-                        if l < link_down.len() && !link_down[l] {
-                            link_down[l] = true;
-                            any_link_down = true;
-                            cur_capacities[l] = 0.0;
-                            // Every cached distance table may now cross
-                            // the dead link.
-                            router.invalidate();
-                            pull(&live, &bundles, &flows, &mut victims, &|b, _| {
-                                b.links.contains(&(l as u32))
-                            });
-                            reroute_mask = Some(l);
-                        }
-                    }
-                    FaultKind::LinkDegraded { link, factor } => {
-                        let l = *link as usize;
-                        if l < cur_capacities.len() && !link_down[l] {
-                            let bps = capacities[l] * factor.clamp(0.0, 1.0);
-                            cur_capacities[l] = bps;
-                            // The link's bundles seed the incremental dirty
-                            // set; only their component re-solves.
-                            fair.set_capacity(l as u32, bps);
-                        }
-                    }
-                    FaultKind::Partition { cut } => {
-                        let mut mask = vec![false; host_down.len()];
-                        for &n in cut {
-                            if (n as usize) < mask.len() {
-                                mask[n as usize] = true;
-                            }
-                        }
-                        pull(&live, &bundles, &flows, &mut victims, &|_, s| {
-                            mask[s.src.0 as usize] != mask[s.dst.0 as usize]
-                        });
-                        partitions.push(mask);
-                    }
-                }
-                victims.sort_unstable();
-                for idx in victims {
-                    let id = idx as usize;
-                    let rem_q = leave_bundle(
-                        &mut bundles,
-                        &mut live,
-                        &mut fair,
-                        &mut member_of,
-                        &mut active_members,
-                        id,
-                    );
-                    let spec = flows[id];
-                    // A flow displaced by LinkDown keeps its undrained
-                    // bits on a surviving path, if one exists.
-                    if reroute_mask.is_some() {
-                        if let Some(path) =
-                            router.route_avoiding(spec.src, spec.dst, id as u64, &link_down)
-                        {
-                            let new_links: Vec<u32> = path.into_iter().map(|l| l.0).collect();
-                            let carried = spec.bytes.min((q_to_bits(rem_q) / 8.0).round() as u64);
-                            for &l in &new_links {
-                                link_bytes[l as usize] += carried;
-                            }
-                            let n_links = new_links.len();
-                            let nbi = bundle_for_path(
-                                &mut bundles,
-                                &mut by_path,
-                                options.aggregate,
-                                new_links,
-                            );
-                            join_bundle(
-                                &mut bundles,
-                                &mut live,
-                                &mut fair,
-                                &mut member_of,
-                                &mut active_members,
-                                nbi,
-                                id,
-                                rem_q,
-                            );
-                            peak_bundles = peak_bundles.max(live.len());
-                            fstats.rerouted_flows += 1;
-                            c_rerouted.inc();
-                            obs.trace(
-                                t.as_nanos(),
-                                "netsim",
-                                "flow_reroute",
-                                Some(id as u64),
-                                || format!("carried={carried} onto {n_links} links"),
-                            );
-                            continue;
-                        }
-                    }
-                    let lost = spec.bytes.min((q_to_bits(rem_q) / 8.0).round() as u64);
-                    c_aborted.inc();
-                    obs.trace(
-                        t.as_nanos(),
-                        "netsim",
-                        "flow_abort",
-                        Some(id as u64),
-                        || format!("killed by fault, lost_bytes={lost}"),
-                    );
-                    fstats.lost_bytes += lost;
-                    fstats.delivered_bytes += spec.bytes - lost;
-                    fstats.aborted.push(id);
-                    let finish = SimTime::from_secs_f64(now).max(t);
-                    let result = FlowResult { spec, finish };
-                    results[id] = Some(result);
-                    for mut child in source.on_flow_aborted(FlowId(id), &result, lost) {
-                        if child.start < t {
-                            child.start = t;
-                        }
-                        let child_id = flows.len();
-                        flows.push(child);
-                        results.push(None);
-                        member_of.push(None);
-                        queue.push(child.start, Ev::Arrive { id: child_id });
-                    }
-                }
-                if let Some(l) = reroute_mask {
-                    // Zero the dead link's share only after its bundles
-                    // have left it (no entry may hold a 0-capacity link).
-                    fair.set_capacity(l as u32, 0.0);
-                }
-            }
+            Ev::Arrive { id } => self.arrive(t, id, queue),
+            Ev::Complete { .. } => self.retire(t, queue),
+            Ev::Fault { idx } => self.fault(t, idx, queue),
             Ev::Notify { .. } => unreachable!("handled above"),
         }
 
@@ -1021,64 +592,421 @@ pub fn simulate_faulted(
         // remainders. Only each bundle's head member (minimum target) can
         // finish first — members share one rate — so the fold is
         // O(bundles), not O(flows).
-        gen += 1;
+        self.gen += 1;
         let mut next_completion = f64::INFINITY;
-        for &bi in &live {
-            let b = &bundles[bi as usize];
+        for &bi in &self.live {
+            let b = &self.bundles[bi as usize];
             let &(target, _) = b.members.first().expect("live bundle has members");
             let rem_bits = q_to_bits(target.saturating_sub(b.service));
-            let pred = now + rem_bits / fair.live_rate(b.fair.expect("live bundle")).max(1e-9);
-            next_completion = next_completion.min(pred);
+            let rate = self.fair.live_rate(b.fair.expect("live bundle"));
+            next_completion = next_completion.min(self.now + rem_bits / rate.max(1e-9));
         }
         if next_completion.is_finite() {
             queue.push(
                 SimTime::from_secs_f64(next_completion).max(t),
                 Ev::Complete {
-                    gen,
+                    gen: self.gen,
                     at: next_completion,
                 },
             );
         }
-    });
-
-    if obs.is_enabled() {
-        obs.add("netsim", "events", events);
-        obs.gauge("netsim", "peak_active")
-            .set_max(peak_active as u64);
-        obs.gauge("netsim", "peak_bundles")
-            .set_max(peak_bundles as u64);
-        obs.gauge("netsim", "fair_solves").set_max(fair.solves());
-        obs.gauge("netsim", "fair_solved_flows")
-            .set_max(fair.solved_flows());
-        obs.gauge("netsim", "fair_dense_solves")
-            .set_max(fair.dense_solves());
-        // The `faults` counters mirror the returned FaultStats exactly —
-        // consumers can cross-check metrics.json against the report.
-        obs.add("faults", "faults_applied", fstats.faults_applied);
-        obs.add("faults", "flows_aborted", fstats.aborted.len() as u64);
-        obs.add("faults", "lost_bytes", fstats.lost_bytes);
-        obs.add("faults", "delivered_bytes", fstats.delivered_bytes);
-        obs.add("faults", "rerouted_flows", fstats.rerouted_flows);
-        obs.add("faults", "diverged_runs", u64::from(fstats.diverged));
     }
 
-    SimReport {
-        results: results
-            .into_iter()
-            .map(|r| r.expect("every flow completes or aborts"))
-            .collect(),
-        link_bytes,
-        peak_active,
-        events,
-        faults: fstats,
+    /// Appends flows the source released at `t` to the arena and
+    /// schedules their arrivals. A released flow cannot start before its
+    /// trigger: earlier starts clamp to `t`.
+    fn inject(&mut self, t: SimTime, specs: Vec<FlowSpec>, queue: &mut EventQueue<Ev>) {
+        for mut spec in specs {
+            spec.start = spec.start.max(t);
+            let id = self.flows.len();
+            self.flows.push(spec);
+            self.results.push(None);
+            self.member_of.push(None);
+            queue.push(spec.start, Ev::Arrive { id });
+        }
     }
-}
 
-/// True when `src` and `dst` sit on opposite sides of any active
-/// partition cut.
-fn crosses_cut(cuts: &[Vec<bool>], src: u32, dst: u32) -> bool {
-    cuts.iter()
-        .any(|mask| mask[src as usize] != mask[dst as usize])
+    /// Flow `id` reaches the network: it is lost at once if a fault cut
+    /// it off, completes on the mice fast path if small, and otherwise
+    /// joins its path's bundle.
+    fn arrive(&mut self, t: SimTime, id: usize, queue: &mut EventQueue<Ev>) {
+        let spec = self.flows[id];
+        self.c_started.inc();
+        self.h_bytes.observe(spec.bytes as f64);
+        self.obs.trace(
+            t.as_nanos(),
+            "netsim",
+            "flow_arrive",
+            Some(id as u64),
+            || {
+                format!(
+                    "src={} dst={} bytes={} tag={}",
+                    spec.src.0, spec.dst.0, spec.bytes, spec.tag
+                )
+            },
+        );
+        // Flows touching a dead host, straddling a partition or with no
+        // surviving path never reach the wire; neither does any arrival
+        // after a divergence drain.
+        let (src, dst) = (spec.src.0 as usize, spec.dst.0 as usize);
+        let cut_off = self.fstats.diverged
+            || self.host_down[src]
+            || self.host_down[dst]
+            || self.partitions.iter().any(|mask| mask[src] != mask[dst]);
+        let path = if cut_off {
+            None
+        } else {
+            self.router.route(spec.src, spec.dst, id as u64)
+        };
+        let Some(path) = path else {
+            self.abort(t, id, spec.bytes, t, "doomed at injection", queue);
+            return;
+        };
+        let links: Vec<u32> = path.into_iter().map(|l| l.0).collect();
+        for &l in &links {
+            self.link_bytes[l as usize] += spec.bytes;
+        }
+        if spec.bytes < self.options.mouse_threshold {
+            // Mice fast-path: uncontended line-rate completion.
+            let bottleneck = links
+                .iter()
+                .map(|&l| self.fair.capacity(l))
+                .fold(self.options.local_bps, f64::min);
+            let fct = self.options.propagation.as_secs_f64()
+                + slow_start_delay(spec.bytes, &self.options)
+                + spec.bytes as f64 * 8.0 / bottleneck;
+            self.c_mice.inc();
+            let finish = SimTime::from_secs_f64(self.now + fct);
+            self.complete(t, id, finish, fct * 1e6, "mice fast-path, ", queue);
+        } else {
+            // Propagation charged up front as extra "bits" at the eventual
+            // rate would distort sharing; instead it is added to the
+            // finish time on completion.
+            self.join(id, links, payload_q(spec.bytes));
+        }
+    }
+
+    /// Attaches flow `id` to the bundle for `links` with `amount_q` of
+    /// service to drain. Under aggregation the bundle is memoized per
+    /// path; without it every join creates a fresh singleton bundle — the
+    /// oracle shape.
+    fn join(&mut self, id: usize, links: Vec<u32>, amount_q: u128) {
+        let aggregate = self.options.aggregate;
+        let found = if aggregate {
+            self.by_path.get(&links).copied()
+        } else {
+            None
+        };
+        let bi = found.unwrap_or_else(|| {
+            let bi = u32::try_from(self.bundles.len()).expect("bundle count fits u32");
+            if aggregate {
+                self.by_path.insert(links.clone(), bi);
+            }
+            self.bundles.push(Bundle {
+                links,
+                fair: None,
+                service: 0,
+                members: BTreeSet::new(),
+                live_pos: 0,
+            });
+            bi
+        });
+        let b = &mut self.bundles[bi as usize];
+        match b.fair {
+            Some(fid) => self.fair.add_weight(fid, 1),
+            None => {
+                b.fair = Some(self.fair.insert_weighted(&b.links, 1));
+                b.live_pos = self.live.len();
+                self.live.push(bi);
+            }
+        }
+        let target = b.service.saturating_add(amount_q);
+        b.members.insert((target, id as u32));
+        self.member_of[id] = Some((bi, target));
+        self.active_members += 1;
+        self.peak_active = self.peak_active.max(self.active_members);
+        self.peak_bundles = self.peak_bundles.max(self.live.len());
+    }
+
+    /// Detaches flow `id` from its bundle, returning its undrained Q64
+    /// remainder and the bundle; the last member out retires the
+    /// bundle's fair entry.
+    fn leave(&mut self, id: usize) -> (u128, u32) {
+        let (bi, target) = self.member_of[id].take().expect("flow is an active member");
+        let b = &mut self.bundles[bi as usize];
+        let removed = b.members.remove(&(target, id as u32));
+        debug_assert!(removed, "member set out of sync");
+        let fid = b.fair.expect("member bundle is live");
+        let rem_q = target.saturating_sub(b.service);
+        if b.members.is_empty() {
+            b.fair = None;
+            let pos = b.live_pos;
+            self.live.swap_remove(pos);
+            if let Some(&moved) = self.live.get(pos) {
+                self.bundles[moved as usize].live_pos = pos;
+            }
+            self.fair.remove_flow(fid);
+        } else {
+            self.fair.sub_weight(fid, 1);
+        }
+        self.active_members -= 1;
+        (rem_q, bi)
+    }
+
+    /// Takes a fluid flow off its path before it finished: returns its
+    /// undrained remainder, in Q64 bits and in whole bytes, and takes
+    /// those bytes back from the path's link tallies.
+    fn evict(&mut self, id: usize) -> (u128, u64) {
+        let (rem_q, bi) = self.leave(id);
+        let undrained = self.flows[id]
+            .bytes
+            .min((q_to_bits(rem_q) / 8.0).round() as u64);
+        for &l in &self.bundles[bi as usize].links {
+            self.link_bytes[l as usize] -= undrained;
+        }
+        (rem_q, undrained)
+    }
+
+    /// Active fluid flows matching `hit`, sorted by flow index — one
+    /// canonical order whatever the bundling, so the aggregation knob
+    /// never reorders aborts or reroutes.
+    fn active(&self, hit: impl Fn(&Bundle, &FlowSpec) -> bool) -> Vec<usize> {
+        let hit = &hit;
+        let mut ids: Vec<usize> = self
+            .live
+            .iter()
+            .flat_map(|&bi| {
+                let b = &self.bundles[bi as usize];
+                b.members
+                    .iter()
+                    .map(|&(_, idx)| idx as usize)
+                    .filter(move |&idx| hit(b, &self.flows[idx]))
+            })
+            .collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    /// Retires every member whose target the service curve has reached
+    /// (ties complete together). Each bundle's member set is
+    /// target-ordered, so the scan is O(bundles + retiring); the
+    /// cross-bundle flow-idx sort fixes one canonical processing order
+    /// whatever the bundling — the aggregation knob must not reorder
+    /// Notify delivery.
+    fn retire(&mut self, t: SimTime, queue: &mut EventQueue<Ev>) {
+        let mut finished: Vec<u32> = Vec::new();
+        for &bi in &self.live {
+            let b = &self.bundles[bi as usize];
+            let cut = b.service.saturating_add(RETIRE_EPS_Q);
+            finished.extend(
+                b.members
+                    .iter()
+                    .take_while(|&&(target, _)| target <= cut)
+                    .map(|&(_, idx)| idx),
+            );
+        }
+        if finished.is_empty() && self.active_members > 0 {
+            // Guaranteed progress: float rounding left every member just
+            // above the epsilon; retire the globally closest (smallest
+            // remainder, then smallest idx).
+            let closest = self.live.iter().map(|&bi| {
+                let b = &self.bundles[bi as usize];
+                let &(target, idx) = b.members.first().expect("live bundle has members");
+                (target.saturating_sub(b.service), idx)
+            });
+            finished.extend(closest.min().map(|(_, idx)| idx));
+        }
+        finished.sort_unstable();
+        for idx in finished {
+            let id = idx as usize;
+            self.leave(id);
+            let spec = self.flows[id];
+            let extra = self.options.propagation.as_secs_f64()
+                + slow_start_delay(spec.bytes, &self.options);
+            let finish = SimTime::from_secs_f64(self.now + extra);
+            let fct_us = finish.saturating_since(spec.start).as_secs_f64() * 1e6;
+            self.complete(t, id, finish, fct_us, "", queue);
+        }
+    }
+
+    /// Records flow `id`'s last byte arriving at `finish` and schedules
+    /// the source's completion callback.
+    fn complete(
+        &mut self,
+        t: SimTime,
+        id: usize,
+        finish: SimTime,
+        fct_us: f64,
+        how: &str,
+        queue: &mut EventQueue<Ev>,
+    ) {
+        let spec = self.flows[id];
+        self.c_completed.inc();
+        self.h_fct.observe(fct_us);
+        self.obs.trace(
+            finish.as_nanos(),
+            "netsim",
+            "flow_complete",
+            Some(id as u64),
+            || format!("{how}fct_us={fct_us:.3}"),
+        );
+        self.fstats.delivered_bytes += spec.bytes;
+        self.results[id] = Some(FlowResult { spec, finish });
+        queue.push(finish.max(t), Ev::Notify { id });
+    }
+
+    /// Records flow `id` as killed at `finish` with `lost` of its bytes
+    /// undelivered, and (unless the run is draining after divergence)
+    /// injects whatever the source releases in response.
+    fn abort(
+        &mut self,
+        t: SimTime,
+        id: usize,
+        lost: u64,
+        finish: SimTime,
+        why: &str,
+        queue: &mut EventQueue<Ev>,
+    ) {
+        let spec = self.flows[id];
+        self.c_aborted.inc();
+        self.obs.trace(
+            t.as_nanos(),
+            "netsim",
+            "flow_abort",
+            Some(id as u64),
+            || format!("{why}, lost_bytes={lost}"),
+        );
+        self.fstats.lost_bytes += lost;
+        self.fstats.delivered_bytes += spec.bytes - lost;
+        self.fstats.aborted.push(id);
+        let result = FlowResult { spec, finish };
+        self.results[id] = Some(result);
+        if !self.fstats.diverged {
+            let released = self.source.on_flow_aborted(FlowId(id), &result, lost);
+            self.inject(t, released, queue);
+        }
+    }
+
+    /// Applies scheduled fault `idx`: updates the fault state, then
+    /// reroutes or aborts the active flows it displaces.
+    fn fault(&mut self, t: SimTime, idx: usize, queue: &mut EventQueue<Ev>) {
+        let fault = &self.schedule.events()[idx];
+        self.fstats.faults_applied += 1;
+        self.obs
+            .trace(t.as_nanos(), "faults", "fault_fire", None, || {
+                fault.describe()
+            });
+        // A downed link's flows may move to a surviving path; every other
+        // victim aborts.
+        let mut downed: Option<u32> = None;
+        let victims = match &fault.kind {
+            FaultKind::NodeCrash { node } if (*node as usize) < self.host_down.len() => {
+                let n = *node;
+                self.host_down[n as usize] = true;
+                self.active(|_, s| s.src.0 == n || s.dst.0 == n)
+            }
+            FaultKind::NodeRecover { node } if (*node as usize) < self.host_down.len() => {
+                self.host_down[*node as usize] = false;
+                Vec::new()
+            }
+            FaultKind::LinkDown { link } if (*link as usize) < self.link_bytes.len() => {
+                let l = *link;
+                if self.router.set_down(LinkId(l)) {
+                    downed = Some(l);
+                    self.active(|b, _| b.links.contains(&l))
+                } else {
+                    Vec::new()
+                }
+            }
+            FaultKind::LinkDegraded { link, factor }
+                if (*link as usize) < self.link_bytes.len()
+                    && !self.router.is_down(LinkId(*link)) =>
+            {
+                // The link's bundles seed the incremental dirty set; only
+                // their component re-solves.
+                let bps = self.topo.link_capacity(LinkId(*link)) * factor.clamp(0.0, 1.0);
+                self.fair.set_capacity(*link, bps);
+                Vec::new()
+            }
+            FaultKind::Partition { cut } => {
+                let hosts = self.host_down.len() as u32;
+                let mask: Vec<bool> = (0..hosts).map(|h| cut.contains(&h)).collect();
+                let victims = self.active(|_, s| mask[s.src.0 as usize] != mask[s.dst.0 as usize]);
+                self.partitions.push(mask);
+                victims
+            }
+            _ => Vec::new(), // out of range
+        };
+        for id in victims {
+            let (rem_q, undrained) = self.evict(id);
+            let spec = self.flows[id];
+            let detour = downed.and_then(|_| self.router.route(spec.src, spec.dst, id as u64));
+            if let Some(path) = detour {
+                // The flow keeps its undrained bits on the surviving path.
+                let links: Vec<u32> = path.into_iter().map(|l| l.0).collect();
+                for &l in &links {
+                    self.link_bytes[l as usize] += undrained;
+                }
+                let n_links = links.len();
+                self.join(id, links, rem_q);
+                self.fstats.rerouted_flows += 1;
+                self.c_rerouted.inc();
+                self.obs.trace(
+                    t.as_nanos(),
+                    "netsim",
+                    "flow_reroute",
+                    Some(id as u64),
+                    || format!("carried={undrained} onto {n_links} links"),
+                );
+            } else {
+                let finish = SimTime::from_secs_f64(self.now).max(t);
+                self.abort(t, id, undrained, finish, "killed by fault", queue);
+            }
+        }
+        if let Some(l) = downed {
+            // Zero the dead link's share only after its bundles have left
+            // it (no entry may hold a 0-capacity link).
+            self.fair.set_capacity(l, 0.0);
+        }
+    }
+
+    /// The report, plus the end-of-run metrics when `obs` records.
+    fn report(self) -> SimReport {
+        let obs = self.obs;
+        if obs.is_enabled() {
+            obs.add("netsim", "events", self.events);
+            obs.gauge("netsim", "peak_active")
+                .set_max(self.peak_active as u64);
+            obs.gauge("netsim", "peak_bundles")
+                .set_max(self.peak_bundles as u64);
+            obs.gauge("netsim", "fair_solves")
+                .set_max(self.fair.solves());
+            obs.gauge("netsim", "fair_solved_flows")
+                .set_max(self.fair.solved_flows());
+            obs.gauge("netsim", "fair_dense_solves")
+                .set_max(self.fair.dense_solves());
+            // The `faults` counters mirror the returned FaultStats exactly —
+            // consumers can cross-check metrics.json against the report.
+            let f = &self.fstats;
+            obs.add("faults", "faults_applied", f.faults_applied);
+            obs.add("faults", "flows_aborted", f.aborted.len() as u64);
+            obs.add("faults", "lost_bytes", f.lost_bytes);
+            obs.add("faults", "delivered_bytes", f.delivered_bytes);
+            obs.add("faults", "rerouted_flows", f.rerouted_flows);
+            obs.add("faults", "diverged_runs", u64::from(f.diverged));
+        }
+        SimReport {
+            results: self
+                .results
+                .into_iter()
+                .map(|r| r.expect("every flow completes or aborts"))
+                .collect(),
+            link_bytes: self.link_bytes,
+            peak_active: self.peak_active,
+            events: self.events,
+            faults: self.fstats,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1426,6 +1354,14 @@ mod tests {
         // Flow 1 never reaches the wire: lost in full, fct 0.
         assert_eq!(report.results[1].finish, report.results[1].spec.start);
         conserved(&report);
+        // Flow 0's path (host 0 up, host 2 down) carried only what it
+        // delivered; nothing else crossed any link.
+        let delivered = 125_000_000 - (report.faults.lost_bytes - 1_000_000);
+        assert_eq!(report.faults.delivered_bytes, delivered);
+        for (l, &bytes) in report.link_bytes.iter().enumerate() {
+            let want = if l == 0 || l == 5 { delivered } else { 0 };
+            assert_eq!(bytes, want, "link {l}");
+        }
     }
 
     #[test]
@@ -1478,6 +1414,23 @@ mod tests {
         let fct = report.results[0].fct().as_secs_f64();
         assert!((0.9..2.0).contains(&fct), "fct = {fct}");
         conserved(&report);
+        // The host links carried the whole payload. The fabric hops of
+        // the old path carried the 0.4 s at 1 Gb/s before the failure,
+        // those of the detour the rest, and no byte counts twice.
+        let detour: Vec<usize> = (0..report.link_bytes.len())
+            .filter(|&l| report.link_bytes[l] > 0 && clean.link_bytes[l] == 0)
+            .collect();
+        assert_eq!(detour.len(), 2, "leaf -> other spine -> leaf");
+        for l in 0..report.link_bytes.len() {
+            let (before, after) = (clean.link_bytes[l], report.link_bytes[l]);
+            if l < 8 {
+                assert_eq!(after, before, "host link {l}");
+            } else if before > 0 {
+                assert_eq!(after, 50_000_000, "old fabric hop {l}");
+            } else if detour.contains(&l) {
+                assert_eq!(after, 75_000_000, "detour hop {l}");
+            }
+        }
     }
 
     #[test]

@@ -127,6 +127,7 @@ pub fn simulate_tcp(topo: &Topology, flows: &[FlowSpec], options: TcpOptions) ->
             let spec = flows[idx];
             let links: Vec<u32> = router
                 .route(spec.src, spec.dst, idx as u64)
+                .expect("no link is down")
                 .into_iter()
                 .map(|l| l.0)
                 .collect();

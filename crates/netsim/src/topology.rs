@@ -253,7 +253,8 @@ impl Topology {
     /// Computes the directed links on a shortest path from `src` to
     /// `dst`, breaking ECMP ties with `flow_hash` (the same hash always
     /// takes the same path, distinct hashes spread across equal-cost
-    /// paths).
+    /// paths). Runs a BFS per call; [`crate::RouteCache`] is the
+    /// memoized, fault-aware router.
     ///
     /// # Panics
     ///
@@ -262,100 +263,15 @@ impl Topology {
     pub fn route(&self, src: HostId, dst: HostId, flow_hash: u64) -> Vec<LinkId> {
         assert!(src.0 < self.host_count, "{src} is not a host");
         assert!(dst.0 < self.host_count, "{dst} is not a host");
-        if src == dst {
-            return Vec::new();
-        }
-        let dist = self.distances_to(dst.0);
-        self.walk_route(src.0, dst.0, &dist, flow_hash)
+        let dist = self.distances_to(dst.0, &[]);
+        self.walk_route(src.0, dst.0, &dist, flow_hash, &[])
+            .expect("topology is connected")
     }
 
-    /// Walks the ECMP shortest path given a precomputed distance table
-    /// for `dst` (see [`crate::RouteCache`] for the memoized user).
+    /// Walks the ECMP shortest path given the distance table
+    /// [`Self::distances_to`] computed for `dst` under the same `down`
+    /// set. Returns `None` when `dst` is unreachable from `src`.
     pub(crate) fn walk_route(
-        &self,
-        src: u32,
-        dst: u32,
-        dist: &[u32],
-        flow_hash: u64,
-    ) -> Vec<LinkId> {
-        let mut path = Vec::new();
-        let mut at = src;
-        let mut hop = 0u64;
-        while at != dst {
-            let d_here = dist[at as usize];
-            let candidates: Vec<u32> = self.out_links[at as usize]
-                .iter()
-                .copied()
-                .filter(|&l| {
-                    let to = self.links[l as usize].to;
-                    dist[to as usize] + 1 == d_here
-                })
-                .collect();
-            assert!(!candidates.is_empty(), "topology is connected");
-            let pick = candidates[(mix(flow_hash, hop) as usize) % candidates.len()];
-            path.push(LinkId(pick));
-            at = self.links[pick as usize].to;
-            hop += 1;
-        }
-        path
-    }
-
-    /// BFS hop distances from every node to `dst` (following links
-    /// forward, computed over the reverse graph).
-    pub(crate) fn distances_to(&self, dst: u32) -> Vec<u32> {
-        let mut dist = vec![u32::MAX; self.node_count as usize];
-        dist[dst as usize] = 0;
-        let mut frontier = std::collections::VecDeque::new();
-        frontier.push_back(dst);
-        // Reverse adjacency: for each link, from -> to; we need nodes u
-        // with a link u -> v for visited v. Build on the fly from links.
-        let mut incoming: Vec<Vec<u32>> = vec![Vec::new(); self.node_count as usize];
-        for l in &self.links {
-            incoming[l.to as usize].push(l.from);
-        }
-        while let Some(v) = frontier.pop_front() {
-            let d = dist[v as usize];
-            for &u in &incoming[v as usize] {
-                if dist[u as usize] == u32::MAX {
-                    dist[u as usize] = d + 1;
-                    frontier.push_back(u);
-                }
-            }
-        }
-        dist
-    }
-
-    /// [`Self::distances_to`] over the surviving graph: links with
-    /// `down[link] == true` do not exist. Unreachable nodes keep
-    /// `u32::MAX`.
-    pub(crate) fn distances_to_avoiding(&self, dst: u32, down: &[bool]) -> Vec<u32> {
-        let mut dist = vec![u32::MAX; self.node_count as usize];
-        dist[dst as usize] = 0;
-        let mut frontier = std::collections::VecDeque::new();
-        frontier.push_back(dst);
-        let mut incoming: Vec<Vec<u32>> = vec![Vec::new(); self.node_count as usize];
-        for (i, l) in self.links.iter().enumerate() {
-            if !down[i] {
-                incoming[l.to as usize].push(l.from);
-            }
-        }
-        while let Some(v) = frontier.pop_front() {
-            let d = dist[v as usize];
-            for &u in &incoming[v as usize] {
-                if dist[u as usize] == u32::MAX {
-                    dist[u as usize] = d + 1;
-                    frontier.push_back(u);
-                }
-            }
-        }
-        dist
-    }
-
-    /// [`Self::walk_route`] over the surviving graph. Returns `None`
-    /// when `dst` is unreachable from `src` with the downed links
-    /// removed — a fault outcome, not an invariant violation, so no
-    /// connectivity assert.
-    pub(crate) fn walk_route_avoiding(
         &self,
         src: u32,
         dst: u32,
@@ -375,15 +291,11 @@ impl Topology {
                 .iter()
                 .copied()
                 .filter(|&l| {
-                    if down[l as usize] {
-                        return false;
-                    }
                     let to = self.links[l as usize].to;
-                    dist[to as usize] != u32::MAX && dist[to as usize] + 1 == d_here
+                    !is_down(down, l) && dist[to as usize].checked_add(1) == Some(d_here)
                 })
                 .collect();
-            // `dist` was computed on the same masked graph, so every node
-            // at finite distance has a surviving next hop.
+            // Every node at finite distance has a next hop one closer.
             let pick = candidates[(mix(flow_hash, hop) as usize) % candidates.len()];
             path.push(LinkId(pick));
             at = self.links[pick as usize].to;
@@ -391,6 +303,38 @@ impl Topology {
         }
         Some(path)
     }
+
+    /// BFS hop distances from every node to `dst` (following links
+    /// forward, computed over the reverse graph), with the links marked
+    /// in `down` removed; an empty slice means every link is up.
+    /// Unreachable nodes keep `u32::MAX`.
+    pub(crate) fn distances_to(&self, dst: u32, down: &[bool]) -> Vec<u32> {
+        let mut dist = vec![u32::MAX; self.node_count as usize];
+        dist[dst as usize] = 0;
+        let mut frontier = std::collections::VecDeque::new();
+        frontier.push_back(dst);
+        let mut incoming: Vec<Vec<u32>> = vec![Vec::new(); self.node_count as usize];
+        for (i, l) in self.links.iter().enumerate() {
+            if !is_down(down, i as u32) {
+                incoming[l.to as usize].push(l.from);
+            }
+        }
+        while let Some(v) = frontier.pop_front() {
+            let d = dist[v as usize];
+            for &u in &incoming[v as usize] {
+                if dist[u as usize] == u32::MAX {
+                    dist[u as usize] = d + 1;
+                    frontier.push_back(u);
+                }
+            }
+        }
+        dist
+    }
+}
+
+/// True when `down` marks `link`; links past its end are up.
+fn is_down(down: &[bool], link: u32) -> bool {
+    down.get(link as usize).copied().unwrap_or(false)
 }
 
 /// Cheap deterministic 64-bit mix for ECMP tie-breaking.

@@ -9,13 +9,14 @@
 //! aggregation on and off must produce the same pins. Regenerate the
 //! fixtures with `keddah capture` (workload/seed in each fixture's
 //! name) and re-pin only when the engine's semantics intentionally
-//! change.
+//! change. One faulted replay is pinned the same way, and faulted
+//! closed-loop replays must still inject every flow.
 
 use keddah::core::replay::{replay, replay_faulted, trace_to_flows, ReplayReport};
-use keddah::core::TraceSource;
-use keddah::faults::FaultSpec;
+use keddah::core::{Keddah, ModelSource, TraceSource};
+use keddah::faults::{FaultKind, FaultSpec, TimedFault};
 use keddah::flowcap::Trace;
-use keddah::netsim::{SimOptions, Topology};
+use keddah::netsim::{FaultStats, SimOptions, StaticSource, Topology};
 use keddah::obs::Obs;
 
 fn fixture(name: &str) -> Trace {
@@ -235,6 +236,172 @@ fn nodefail_fixture_embeds_fault_counters() {
     assert_eq!(meta_counters["rereplicated_bytes"], 4 * (128 << 20));
     // The fault-free fixture of the same configuration embeds none.
     assert!(fixture("terasort").meta().counters.is_none());
+}
+
+/// A hand-written schedule covering all five fault kinds on the corpus
+/// fabric. Host `h` owns links `2h` (uplink) and `2h + 1` (downlink);
+/// leaf `l`'s uplink to spine `s` is link `18 + 4l + 2s`.
+fn every_fault_kind() -> FaultSpec {
+    let at = |millis: u64, kind| TimedFault {
+        at_nanos: millis * 1_000_000,
+        kind,
+    };
+    FaultSpec {
+        faults: vec![
+            // Leaf 1's uplink to spine 1 runs at half speed.
+            at(
+                1_000,
+                FaultKind::LinkDegraded {
+                    link: 24,
+                    factor: 0.5,
+                },
+            ),
+            // Leaf 1 loses spine 0 mid-shuffle: its cross-rack flows
+            // reroute over spine 1.
+            at(4_500, FaultKind::LinkDown { link: 22 }),
+            // Host 2 serves several shuffle fetches at once, some of
+            // them sharing a path.
+            at(5_000, FaultKind::NodeCrash { node: 2 }),
+            at(9_000, FaultKind::NodeRecover { node: 2 }),
+            // Host 4's only uplink: nothing leaves host 4 any more.
+            at(19_000, FaultKind::LinkDown { link: 8 }),
+            at(21_000, FaultKind::Partition { cut: vec![6, 7, 8] }),
+        ],
+    }
+}
+
+/// 64-bit FNV-1a.
+fn fnv(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+// Pins for terasort, open loop, under `every_fault_kind`. Aborted flows
+// count in the summary rows with their abort time as finish.
+
+const TERASORT_FAULTED: &[(u32, u64, u64, u64)] = &[
+    (1, 18, 33_888_576_572, 5_371_181_255),
+    (2, 17, 17_960_961_258, 3_056_431_467),
+    (3, 221, 22_514_596, 126_091),
+];
+
+/// Flow ids in abort order.
+const TERASORT_FAULTED_ABORTED: &[usize] = &[
+    47, 51, 52, 55, 56, 61, 62, 63, 66, 67, 70, 71, 73, 80, 87, 89, 90, 97, 104, 164, 201, 205,
+    214, 217, 167, 178, 223, 224, 227, 228, 231, 232, 235, 236, 238, 240, 244, 247, 248, 249, 254,
+    255,
+];
+
+/// (aggregate, FNV of the metrics JSON, FNV of the trace JSONL). The
+/// metrics differ across the knob only in its bundle and solver gauges.
+const TERASORT_FAULTED_DIGESTS: &[(bool, u64, u64)] = &[
+    (true, 0xcb95_c774_6514_27e3, 0xb919_8e08_4d7e_5b44),
+    (false, 0x3fee_f002_ab25_479e, 0xb919_8e08_4d7e_5b44),
+];
+
+/// Open-loop terasort under [`every_fault_kind`], observed, with
+/// aggregation on and off: the summary rows, the fault stats and
+/// digests of the metrics JSON and the trace JSONL. Per-link byte
+/// tallies are not pinned.
+#[test]
+fn terasort_faulted_replay_matches_golden() {
+    let trace = fixture("terasort");
+    let topo = fabric();
+    let flows = trace_to_flows(&trace, &topo).expect("trace fits the fabric");
+    let expected = FaultStats {
+        faults_applied: 6,
+        aborted: TERASORT_FAULTED_ABORTED.to_vec(),
+        lost_bytes: 1_093_958_525,
+        delivered_bytes: 1_907_149_748,
+        rerouted_flows: 2,
+        diverged: false,
+    };
+    for &(aggregate, metrics_fnv, trace_fnv) in TERASORT_FAULTED_DIGESTS {
+        let opts = SimOptions {
+            aggregate,
+            ..options()
+        };
+        let obs = Obs::enabled();
+        let mut source = StaticSource::new(flows.clone());
+        let report = replay_faulted(&topo, &mut source, &every_fault_kind(), opts, &obs)
+            .expect("schedule fits the fabric");
+        let knobs = format!("aggregate={aggregate}");
+        assert_eq!(summarize(&report), TERASORT_FAULTED, "rows ({knobs})");
+        assert_eq!(report.sim.faults, expected, "fault stats ({knobs})");
+        let mut jsonl = Vec::new();
+        obs.write_trace_jsonl(&mut jsonl).expect("in-memory write");
+        assert_eq!(
+            fnv(obs.metrics().to_json().as_bytes()),
+            metrics_fnv,
+            "metrics ({knobs})"
+        );
+        assert_eq!(fnv(&jsonl), trace_fnv, "trace ({knobs})");
+    }
+}
+
+/// Flows per component tag.
+fn flows_by_tag(report: &ReplayReport) -> Vec<(u32, u64)> {
+    summarize(report)
+        .into_iter()
+        .map(|(tag, count, _, _)| (tag, count))
+        .collect()
+}
+
+#[test]
+fn faulted_trace_source_injects_every_captured_flow() {
+    // An abort releases a flow's dependents as a completion does, so a
+    // faulted closed-loop replay still injects every captured flow once
+    // and accounts for every captured byte as delivered or lost.
+    for name in ["terasort", "pagerank"] {
+        let trace = fixture(name);
+        let topo = fabric();
+        let mut source = TraceSource::new(&trace, &topo).expect("trace fits the fabric");
+        let report = replay_faulted(
+            &topo,
+            &mut source,
+            &every_fault_kind(),
+            options(),
+            &Obs::disabled(),
+        )
+        .expect("schedule fits the fabric");
+        let faults = &report.sim.faults;
+        assert!(!faults.aborted.is_empty(), "{name}: the faults bite");
+        assert_eq!(report.sim.results.len(), trace.flows().len(), "{name}");
+        let captured: u64 = trace.flows().iter().map(|f| f.total_bytes()).sum();
+        assert_eq!(
+            faults.delivered_bytes + faults.lost_bytes,
+            captured,
+            "{name}: delivered + lost"
+        );
+    }
+}
+
+#[test]
+fn faulted_model_source_injects_every_stage() {
+    // Stage barriers count aborts: a job whose read or shuffle dies
+    // still releases its later stages, so the faulted replay samples
+    // the same flows per component as the fault-free one.
+    let model = Keddah::fit(&[fixture("terasort")]).expect("terasort fits");
+    let topo = fabric();
+    let crashes = FaultSpec {
+        faults: [(2, 3), (5, 8)]
+            .into_iter()
+            .map(|(node, secs)| TimedFault {
+                at_nanos: secs * 1_000_000_000,
+                kind: FaultKind::NodeCrash { node },
+            })
+            .collect(),
+    };
+    let replay_under = |spec: &FaultSpec| {
+        let mut source = ModelSource::new(&model, 2, 42, 5.0, &topo).expect("model fits");
+        replay_faulted(&topo, &mut source, spec, options(), &Obs::disabled())
+            .expect("schedule fits the fabric")
+    };
+    let clean = replay_under(&FaultSpec::empty());
+    let faulted = replay_under(&crashes);
+    assert!(!faulted.sim.faults.aborted.is_empty(), "the crashes bite");
+    assert_eq!(flows_by_tag(&faulted), flows_by_tag(&clean));
 }
 
 #[test]
