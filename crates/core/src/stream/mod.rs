@@ -265,15 +265,7 @@ impl StreamEngine {
             Some(_) => {}
         }
 
-        flows.sort_by_key(|f| {
-            (
-                f.start,
-                f.tuple.src.0,
-                f.tuple.src_port,
-                f.tuple.dst.0,
-                f.tuple.dst_port,
-            )
-        });
+        flows.sort_by_key(FlowRecord::capture_order);
         for f in &mut flows {
             if f.component.is_none() {
                 f.component = Some(classify::classify(f));

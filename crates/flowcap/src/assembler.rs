@@ -1,5 +1,6 @@
 //! Packet-to-flow reassembly.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use keddah_des::{Duration, SimTime};
@@ -56,6 +57,29 @@ struct PendingFlow {
 }
 
 impl PendingFlow {
+    /// A flow whose first packet, at `ts`, went the `tuple` way.
+    fn open(tuple: FiveTuple, ts: SimTime) -> Self {
+        PendingFlow {
+            tuple,
+            start: ts,
+            end: ts,
+            fwd_bytes: 0,
+            rev_bytes: 0,
+            packets: 0,
+        }
+    }
+
+    /// Counts `packet`, which went the `oriented` way.
+    fn add(&mut self, packet: &PacketRecord, oriented: FiveTuple) {
+        self.end = packet.ts;
+        self.packets += 1;
+        if oriented == self.tuple {
+            self.fwd_bytes += packet.bytes;
+        } else {
+            self.rev_bytes += packet.bytes;
+        }
+    }
+
     fn into_record(self) -> FlowRecord {
         FlowRecord {
             tuple: self.tuple,
@@ -110,34 +134,31 @@ impl FlowAssembler {
             dst: packet.dst,
             dst_port: packet.dst_port,
         };
-        let key = oriented.canonical();
-
-        // Expire an idle predecessor on the same tuple.
-        if let Some(pending) = self.active.get(&key) {
-            if packet.ts.saturating_since(pending.end) > self.idle_timeout {
-                let done = self.active.remove(&key).expect("checked above");
-                self.finished.push(done.into_record());
+        // One table lookup per packet: the entry handle serves the idle
+        // check, the update and the FIN removal.
+        match self.active.entry(oriented.canonical()) {
+            Entry::Occupied(mut slot) => {
+                let pending = slot.get_mut();
+                // An idle predecessor on the same tuple ends; this packet
+                // opens the next flow.
+                if packet.ts.saturating_since(pending.end) > self.idle_timeout {
+                    let done = std::mem::replace(pending, PendingFlow::open(oriented, packet.ts));
+                    self.finished.push(done.into_record());
+                }
+                pending.add(&packet, oriented);
+                if packet.fin {
+                    self.finished.push(slot.remove().into_record());
+                }
             }
-        }
-
-        let entry = self.active.entry(key).or_insert_with(|| PendingFlow {
-            tuple: oriented,
-            start: packet.ts,
-            end: packet.ts,
-            fwd_bytes: 0,
-            rev_bytes: 0,
-            packets: 0,
-        });
-        entry.end = packet.ts;
-        entry.packets += 1;
-        if oriented == entry.tuple {
-            entry.fwd_bytes += packet.bytes;
-        } else {
-            entry.rev_bytes += packet.bytes;
-        }
-        if packet.fin {
-            let done = self.active.remove(&key).expect("just inserted");
-            self.finished.push(done.into_record());
+            Entry::Vacant(slot) => {
+                let mut pending = PendingFlow::open(oriented, packet.ts);
+                pending.add(&packet, oriented);
+                if packet.fin {
+                    self.finished.push(pending.into_record());
+                } else {
+                    slot.insert(pending);
+                }
+            }
         }
     }
 
@@ -159,15 +180,7 @@ impl FlowAssembler {
     pub fn finish(mut self) -> Vec<FlowRecord> {
         let mut rest: Vec<FlowRecord> = self.active.drain().map(|(_, p)| p.into_record()).collect();
         self.finished.append(&mut rest);
-        self.finished.sort_by_key(|f| {
-            (
-                f.start,
-                f.tuple.src.0,
-                f.tuple.src_port,
-                f.tuple.dst.0,
-                f.tuple.dst_port,
-            )
-        });
+        self.finished.sort_by_key(FlowRecord::capture_order);
         self.finished
     }
 }

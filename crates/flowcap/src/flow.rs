@@ -106,6 +106,20 @@ impl FlowRecord {
         self.fwd_bytes >= self.rev_bytes
     }
 
+    /// The key a capture lists its flows by: start time, ties broken by
+    /// tuple. [`FlowAssembler::finish`](crate::FlowAssembler::finish)
+    /// sorts by it.
+    #[must_use]
+    pub fn capture_order(&self) -> (SimTime, NodeId, u16, NodeId, u16) {
+        (
+            self.start,
+            self.tuple.src,
+            self.tuple.src_port,
+            self.tuple.dst,
+            self.tuple.dst_port,
+        )
+    }
+
     /// Returns a copy labelled with `component`.
     #[must_use]
     pub fn with_component(mut self, component: Component) -> FlowRecord {

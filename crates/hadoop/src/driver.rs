@@ -1,22 +1,24 @@
 //! Top-level driver: run jobs and produce capture traces.
 //!
 //! This is the crate's main entry point: it wires the job simulator to
-//! the capture pipeline (packet tap → flow assembly → classification) and
+//! the capture pipeline (connection log → flows → classification) and
 //! returns a [`JobRun`] holding the labelled [`Trace`] — the artefact the
-//! Keddah modelling step consumes.
+//! Keddah modelling step consumes. Packets are rendered from the log only
+//! for callers that ask for them ([`run_job_with_packets`], or
+//! [`ConnectionLog::packets`] on what [`run_dag`] returns).
 
 use std::collections::BTreeMap;
 
 use keddah_des::{Duration, SimTime};
 use keddah_faults::FaultSpec;
-use keddah_flowcap::{FlowAssembler, PacketRecord, Trace, TraceMeta};
+use keddah_flowcap::{PacketRecord, Trace, TraceMeta};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::cluster::ClusterSpec;
 use crate::config::HadoopConfig;
 use crate::dag::JobDag;
-use crate::net::NetModel;
+use crate::net::{ConnectionLog, NetModel};
 pub use crate::sim::StageStats;
 use crate::sim::{node_faults, simulate_dag_at_faulted, JobCounters};
 use crate::workload::JobSpec;
@@ -61,12 +63,21 @@ pub struct JobRun {
 /// ```
 #[must_use]
 pub fn run_job(cluster: &ClusterSpec, config: &HadoopConfig, job: &JobSpec, seed: u64) -> JobRun {
-    run_job_with_packets(cluster, config, job, seed).0
+    let dag = job.workload.dag();
+    run_dag(
+        cluster,
+        config,
+        &dag,
+        job.input_bytes,
+        seed,
+        &FaultSpec::empty(),
+    )
+    .0
 }
 
-/// Like [`run_job`], but also returns the raw packet capture (time
-/// ordered) alongside the assembled trace — for exporting tcpdump-style
-/// text or driving custom assemblers.
+/// Like [`run_job`], but also renders the raw packet capture (time
+/// ordered) the trace's flows assemble from — for exporting
+/// tcpdump-style text or driving custom assemblers.
 ///
 /// # Panics
 ///
@@ -78,19 +89,22 @@ pub fn run_job_with_packets(
     job: &JobSpec,
     seed: u64,
 ) -> (JobRun, Vec<PacketRecord>) {
-    run_dag(
+    let dag = job.workload.dag();
+    let (run, log) = run_dag(
         cluster,
         config,
-        &job.workload.dag(),
+        &dag,
         job.input_bytes,
         seed,
         &FaultSpec::empty(),
-    )
+    );
+    (run, log.packets())
 }
 
 /// Runs an arbitrary [`JobDag`] on the cluster under a fault schedule
 /// and captures its traffic — the one capture kernel. Returns the run
-/// and the raw, time-ordered packet capture it was assembled from.
+/// and the connection log its trace was built from, which renders the
+/// packet capture on demand ([`ConnectionLog::packets`]).
 ///
 /// Worker crashes and recoveries in `faults` degrade the job (killed
 /// attempts, shuffle re-fetch, reducer restarts) and trigger HDFS
@@ -114,7 +128,7 @@ pub fn run_dag(
     input_bytes: u64,
     seed: u64,
     faults: &FaultSpec,
-) -> (JobRun, Vec<PacketRecord>) {
+) -> (JobRun, ConnectionLog) {
     cluster.validate().expect("invalid cluster spec");
     config.validate().expect("invalid hadoop config");
     dag.validate().expect("invalid job dag");
@@ -134,40 +148,38 @@ pub fn run_dag(
         None,
         &timeline,
     );
-    let packets = net.take_packets();
+    let log = net.take_log();
     // Faulted captures embed their ground-truth counters; clean captures
     // keep the historical (counter-free) byte layout.
     let meta_counters = (!faults.is_empty()).then(|| counters.to_map());
     let run = JobRun {
-        trace: assemble_trace(
+        trace: capture_trace(
             cluster,
             config,
             seed,
             dag.name.clone(),
             input_bytes,
             meta_counters,
-            &packets,
+            &log,
         ),
         duration: outcome.end.saturating_since(SimTime::ZERO),
         counters,
         stages: outcome.stages,
     };
-    (run, packets)
+    (run, log)
 }
 
-/// Assembles a capture's time-ordered packets into flows and labels
-/// them, under metadata describing the run.
-fn assemble_trace(
+/// Builds a capture's flows from its connection log and labels them,
+/// under metadata describing the run.
+fn capture_trace(
     cluster: &ClusterSpec,
     config: &HadoopConfig,
     seed: u64,
     workload: String,
     input_bytes: u64,
     counters: Option<BTreeMap<String, u64>>,
-    packets: &[PacketRecord],
+    log: &ConnectionLog,
 ) -> Trace {
-    let mut assembler = FlowAssembler::new();
-    assembler.extend(packets.iter().copied());
     let meta = TraceMeta {
         workload,
         input_bytes,
@@ -178,7 +190,7 @@ fn assemble_trace(
         seed,
         counters,
     };
-    let mut trace = Trace::new(meta, assembler.finish());
+    let mut trace = Trace::new(meta, log.flows());
     trace.classify();
     trace
 }
@@ -201,7 +213,8 @@ pub struct SessionRun {
 /// its own `input_bytes`.
 ///
 /// The whole session is captured as one trace: heartbeats and control
-/// traffic span it contiguously.
+/// traffic span it contiguously. Returns the session and the connection
+/// log its trace was built from, as [`run_dag`] does.
 ///
 /// # Panics
 ///
@@ -213,7 +226,7 @@ pub struct SessionRun {
 /// use keddah_hadoop::driver::run_session;
 /// use keddah_hadoop::{ClusterSpec, HadoopConfig, JobSpec, Workload};
 ///
-/// let session = run_session(
+/// let (session, _) = run_session(
 ///     &ClusterSpec::racks(2, 3),
 ///     &HadoopConfig::default().with_reducers(4),
 ///     &[
@@ -230,7 +243,7 @@ pub fn run_session(
     config: &HadoopConfig,
     jobs: &[JobSpec],
     seed: u64,
-) -> SessionRun {
+) -> (SessionRun, ConnectionLog) {
     assert!(!jobs.is_empty(), "session needs at least one job");
     cluster.validate().expect("invalid cluster spec");
     config.validate().expect("invalid hadoop config");
@@ -265,20 +278,21 @@ pub fn run_session(
         .map(|j| j.workload.name())
         .collect::<Vec<_>>()
         .join("+");
-    let packets = net.take_packets();
-    SessionRun {
-        trace: assemble_trace(
+    let log = net.take_log();
+    let session = SessionRun {
+        trace: capture_trace(
             cluster,
             config,
             seed,
             workload,
             jobs[0].input_bytes,
             None,
-            &packets,
+            &log,
         ),
         job_ends,
         counters: all_counters,
-    }
+    };
+    (session, log)
 }
 
 /// Runs the same job `repeats` times with seeds `seed_base..seed_base +
@@ -424,7 +438,7 @@ mod tests {
 
     #[test]
     fn session_chains_teragen_into_terasort() {
-        let session = run_session(
+        let (session, _) = run_session(
             &ClusterSpec::racks(2, 4),
             &HadoopConfig::default().with_reducers(4),
             &[
@@ -470,8 +484,9 @@ mod tests {
         ];
         let cluster = ClusterSpec::racks(2, 2);
         let config = HadoopConfig::default().with_reducers(2);
-        let a = run_session(&cluster, &config, &jobs, 6);
-        let b = run_session(&cluster, &config, &jobs, 6);
+        let (a, a_log) = run_session(&cluster, &config, &jobs, 6);
+        let (b, b_log) = run_session(&cluster, &config, &jobs, 6);
+        assert_eq!(a_log, b_log);
         assert_eq!(a.trace, b.trace);
         assert_eq!(a.job_ends, b.job_ends);
     }

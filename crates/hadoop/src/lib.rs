@@ -7,8 +7,10 @@
 //! stage a map wave with optional shuffle into reducers) with
 //! slow-start, straggler noise, iterative and multi-stage jobs, and
 //! the control plane (heartbeats, NameNode RPCs, AM umbilicals). Every
-//! network transfer is tapped as packets and assembled into the labelled
-//! flow traces (`keddah-flowcap`) that the modelling pipeline consumes.
+//! network transfer is logged as one connection, and the log becomes the
+//! labelled flow traces (`keddah-flowcap`) that the modelling pipeline
+//! consumes. The packets a tcpdump would have seen are rendered from the
+//! log only on request, and assemble into exactly the same flows.
 //!
 //! See `DESIGN.md` ("Substitutions") for why this preserves the
 //! behaviours the Keddah models capture.
@@ -47,6 +49,7 @@ pub use driver::{
     run_dag, run_job, run_job_with_packets, run_repeats, run_repeats_seeded, run_session, JobRun,
     SessionRun,
 };
+pub use net::ConnectionLog;
 pub use sim::{JobCounters, StageStats};
 pub use workload::{JobSpec, Workload, WorkloadProfile};
 

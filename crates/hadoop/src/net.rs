@@ -1,7 +1,8 @@
-//! The testbed's transfer-time model and packet capture tap.
+//! The testbed's transfer-time model and capture tap.
 //!
 //! Every network transfer the simulated cluster performs goes through
-//! [`NetModel::transfer`], which plays two roles:
+//! [`NetModel::transfer`] (or [`NetModel::exchange`] for a small
+//! request/response), which plays two roles:
 //!
 //! 1. **Timing** — computes when the transfer finishes under a simple
 //!    NIC-sharing contention model: a flow's rate is the line rate divided
@@ -9,16 +10,37 @@
 //!    fixed at flow start. This is the coarse-grained stand-in for TCP
 //!    sharing that shapes task timings (and hence flow start-time
 //!    distributions) without simulating packets.
-//! 2. **Capture** — emits [`PacketRecord`]s (SYN, chunked data, FIN) into
-//!    an in-memory tap, exactly what the paper's per-node tcpdump saw.
-//!    Data packets are aggregates of up to [`CHUNK_BYTES`]; the flow
-//!    assembler only needs timestamps, directions and byte counts, so
-//!    MTU-level framing is not modelled.
+//! 2. **Capture** — logs one compact entry per connection: endpoints,
+//!    ports, start, finish, and either the bulk bytes and their direction
+//!    or an exchange's request and response sizes. The
+//!    [`ConnectionLog`] is what the paper's per-node tcpdump saw, kept at
+//!    connection granularity.
+//!
+//! The driver builds the capture's flow records straight from the log.
+//! [`ConnectionLog::packets`] renders the packet trail (SYN, chunked
+//! data, FIN) only for callers that ask for it, such as tcpdump export.
+//! Data packets are aggregates of up to [`CHUNK_BYTES`]; the flow
+//! assembler only needs timestamps, directions and byte counts, so
+//! MTU-level framing is not modelled.
+//!
+//! The flows are exactly what [`FlowAssembler`] makes of the rendered
+//! packets. Each connection is one flow, unless the assembler would split
+//! it or merge it with another:
+//!
+//! * **split** — a gap between two of its packets exceeds the assembler's
+//!   idle timeout;
+//! * **merge** — two connections share a canonical tuple. Ephemeral ports
+//!   are unique per node until a counter wraps, so this needs a port that
+//!   wrapped, or that reached a port some server listens on (the first in
+//!   the ephemeral range is `NM_CONTAINER`, 45454).
+//!
+//! A log where either can happen is assembled from its rendered packets
+//! instead, so traces never depend on which path built them.
 
 use std::collections::HashMap;
 
 use keddah_des::{Duration, EventQueue, SimTime};
-use keddah_flowcap::{NodeId, PacketRecord};
+use keddah_flowcap::{ports, FiveTuple, FlowAssembler, FlowRecord, NodeId, PacketRecord};
 
 use crate::ports_alloc::PortAllocator;
 
@@ -32,6 +54,9 @@ pub const MAX_CHUNKS: u64 = 16;
 /// Connection setup latency charged to every transfer.
 pub const SETUP_LATENCY: Duration = Duration::from_millis(1);
 
+/// Request bytes a transfer's SYN carries.
+const SYN_BYTES: u64 = 128;
+
 /// Which way the bulk payload moves relative to the connection
 /// originator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,7 +68,209 @@ pub enum Payload {
     ToClient,
 }
 
-/// The cluster network: transfer timing plus packet tap.
+/// What a connection carried.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Carried {
+    /// Bulk bytes moving the [`Payload`] way, after a SYN carrying a
+    /// [`SYN_BYTES`] request.
+    Transfer(u64, Payload),
+    /// A request riding the SYN, and one response packet at the finish.
+    Exchange { request: u64, response: u64 },
+}
+
+/// One logged connection.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Connection {
+    start: SimTime,
+    finish: SimTime,
+    client: NodeId,
+    server: NodeId,
+    client_port: u16,
+    server_port: u16,
+    carried: Carried,
+}
+
+/// Data packets a transfer of `bytes > 0` is chunked into.
+fn chunks(bytes: u64) -> u64 {
+    bytes.div_ceil(CHUNK_BYTES).clamp(1, MAX_CHUNKS)
+}
+
+impl Connection {
+    /// Packets [`Connection::render`] emits, counted without emitting them.
+    fn packet_count(&self) -> u64 {
+        match self.carried {
+            Carried::Transfer(0, _) => 2,
+            Carried::Transfer(bytes, _) => 2 + chunks(bytes),
+            Carried::Exchange { .. } => 3,
+        }
+    }
+
+    /// Appends the connection's packets in emission order: the SYN, the
+    /// data, then the FIN. This is the only place packets are built.
+    fn render(&self, out: &mut Vec<PacketRecord>) {
+        let (client, cport) = (self.client, self.client_port);
+        let (server, sport) = (self.server, self.server_port);
+        let packet = |ts, to_server: bool, bytes| {
+            if to_server {
+                PacketRecord::data(ts, client, cport, server, sport, bytes)
+            } else {
+                PacketRecord::data(ts, server, sport, client, cport, bytes)
+            }
+        };
+        let request = match self.carried {
+            Carried::Transfer(..) => SYN_BYTES,
+            Carried::Exchange { request, .. } => request,
+        };
+        out.push(PacketRecord {
+            syn: true,
+            ..packet(self.start, true, request)
+        });
+        match self.carried {
+            Carried::Transfer(0, _) => {}
+            Carried::Transfer(bytes, payload) => {
+                let chunks = chunks(bytes);
+                let span = self.finish.saturating_since(self.start);
+                for i in 0..chunks {
+                    // Chunk i completes at the proportional point of the
+                    // transfer window; the first `bytes % chunks` chunks
+                    // carry one byte more.
+                    let ts = self.start + span.mul_f64((i + 1) as f64 / chunks as f64);
+                    let chunk_bytes = bytes / chunks + u64::from(i < bytes % chunks);
+                    out.push(packet(ts, payload == Payload::ToServer, chunk_bytes));
+                }
+            }
+            Carried::Exchange { response, .. } => out.push(packet(self.finish, false, response)),
+        }
+        out.push(PacketRecord {
+            fin: true,
+            ..packet(self.finish, true, 0)
+        });
+    }
+
+    /// The flow [`FlowAssembler`] makes of this connection's packets when
+    /// no other connection shares its tuple and no gap splits it: the
+    /// SYN orients it, and the FIN, the last packet, ends it.
+    fn flow(&self) -> FlowRecord {
+        let (fwd_bytes, rev_bytes) = match self.carried {
+            Carried::Transfer(bytes, Payload::ToServer) => (SYN_BYTES + bytes, 0),
+            Carried::Transfer(bytes, Payload::ToClient) => (SYN_BYTES, bytes),
+            Carried::Exchange { request, response } => (request, response),
+        };
+        FlowRecord {
+            tuple: FiveTuple {
+                src: self.client,
+                src_port: self.client_port,
+                dst: self.server,
+                dst_port: self.server_port,
+            },
+            start: self.start,
+            end: self.finish,
+            fwd_bytes,
+            rev_bytes,
+            packets: self.packet_count(),
+            component: None,
+        }
+    }
+
+    /// Whether a gap between two consecutive packets of the connection
+    /// exceeds `idle`, so that the assembler would split it.
+    fn splits(&self, idle: Duration) -> bool {
+        if self.finish.saturating_since(self.start) <= idle {
+            return false;
+        }
+        let mut packets = Vec::new();
+        self.render(&mut packets);
+        packets
+            .windows(2)
+            .any(|w| w[1].ts.saturating_since(w[0].ts) > idle)
+    }
+}
+
+/// A capture's connections, in the order the simulator opened them.
+///
+/// Holds one entry per connection rather than its packets; the packets
+/// are rendered from it on demand, in the order a packet tap would have
+/// recorded them.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ConnectionLog {
+    connections: Vec<Connection>,
+}
+
+impl ConnectionLog {
+    /// Number of connections logged.
+    pub(crate) fn len(&self) -> usize {
+        self.connections.len()
+    }
+
+    /// Number of packets [`ConnectionLog::packets`] renders, counted
+    /// without rendering them.
+    #[must_use]
+    pub fn packet_count(&self) -> usize {
+        self.connections
+            .iter()
+            .map(|c| c.packet_count() as usize)
+            .sum()
+    }
+
+    /// Renders the packet capture: every connection's packets, sorted by
+    /// timestamp. The sort is stable, so same-instant packets keep the
+    /// order the connections were opened in.
+    #[must_use]
+    pub fn packets(&self) -> Vec<PacketRecord> {
+        let mut packets = Vec::with_capacity(self.packet_count());
+        for c in &self.connections {
+            c.render(&mut packets);
+        }
+        packets.sort_by_key(|p| p.ts);
+        packets
+    }
+
+    /// The capture's flows, unlabelled and sorted by
+    /// [`FlowRecord::capture_order`]: exactly what [`FlowAssembler::new`]
+    /// makes of [`ConnectionLog::packets`].
+    ///
+    /// Each connection maps to its flow directly unless the assembler
+    /// would split or merge one (see the module docs); then the rendered
+    /// packets go through the assembler instead.
+    pub(crate) fn flows(&self) -> Vec<FlowRecord> {
+        let mut assembler = FlowAssembler::new();
+        if let Some(flows) = self.direct_flows(assembler.idle_timeout()) {
+            return flows;
+        }
+        assembler.extend(self.packets());
+        assembler.finish()
+    }
+
+    /// Each connection's own flow, in capture order, or `None` when the
+    /// assembler, with idle timeout `idle`, would split or merge one.
+    fn direct_flows(&self, idle: Duration) -> Option<Vec<FlowRecord>> {
+        // A tuple can repeat only once some client port reaches a port a
+        // server listens on, or wraps. Client ports start at the base of
+        // the ephemeral range, so only listeners in that range count, and
+        // a counter at `u16::MAX` wraps next, so that counts too.
+        let mut highest_client_port = 0;
+        let mut lowest_listener = u16::MAX;
+        let mut flows = Vec::with_capacity(self.connections.len());
+        for c in &self.connections {
+            if c.splits(idle) {
+                return None;
+            }
+            highest_client_port = highest_client_port.max(c.client_port);
+            if c.server_port >= ports::EPHEMERAL_BASE {
+                lowest_listener = lowest_listener.min(c.server_port);
+            }
+            flows.push(c.flow());
+        }
+        if highest_client_port >= lowest_listener {
+            return None;
+        }
+        // Tuples are unique here, so no two keys tie.
+        flows.sort_unstable_by_key(FlowRecord::capture_order);
+        Some(flows)
+    }
+}
+
+/// The cluster network: transfer timing plus capture tap.
 #[derive(Debug)]
 pub struct NetModel {
     nic_bps: f64,
@@ -51,7 +278,7 @@ pub struct NetModel {
     /// Pending contention releases, on the shared DES queue: each entry
     /// fires when a transfer's endpoints stop counting as active.
     releases: EventQueue<(NodeId, NodeId)>,
-    packets: Vec<PacketRecord>,
+    log: ConnectionLog,
     ports: PortAllocator,
 }
 
@@ -68,7 +295,7 @@ impl NetModel {
             nic_bps,
             active: HashMap::new(),
             releases: EventQueue::new(),
-            packets: Vec::new(),
+            log: ConnectionLog::default(),
             ports: PortAllocator::new(),
         }
     }
@@ -89,11 +316,33 @@ impl NetModel {
         }
     }
 
+    /// Logs a connection from `client`, on its next ephemeral port.
+    fn open(
+        &mut self,
+        start: SimTime,
+        finish: SimTime,
+        client: NodeId,
+        server: NodeId,
+        server_port: u16,
+        carried: Carried,
+    ) {
+        let client_port = self.ports.next(client);
+        self.log.connections.push(Connection {
+            start,
+            finish,
+            client,
+            server,
+            client_port,
+            server_port,
+            carried,
+        });
+    }
+
     /// Runs one transfer of `bytes` between `client` and the service at
     /// `server:server_port`, starting at `now`. Returns the completion
-    /// time and records the packet trail in the capture tap.
+    /// time and logs the connection in the capture tap.
     ///
-    /// Zero-byte transfers still cost the setup latency and emit a
+    /// Zero-byte transfers still cost the setup latency and render as a
     /// SYN/FIN pair (RPC null calls look like this on the wire).
     pub fn transfer(
         &mut self,
@@ -115,21 +364,12 @@ impl NetModel {
         *self.active.entry(server).or_insert(0) += 1;
         self.releases.push(finish, (client, server));
 
-        let client_port = self.ports.next(client);
-        self.emit_packets(
-            now,
-            finish,
-            client,
-            client_port,
-            server,
-            server_port,
-            bytes,
-            payload,
-        );
+        let carried = Carried::Transfer(bytes, payload);
+        self.open(now, finish, client, server, server_port, carried);
         finish
     }
 
-    /// Emits a small request/response exchange (RPC call, heartbeat) and
+    /// Logs a small request/response exchange (RPC call, heartbeat) and
     /// returns its completion time. Both directions carry bytes; the flow
     /// classifies as control via the service port.
     pub fn exchange(
@@ -143,120 +383,31 @@ impl NetModel {
     ) -> SimTime {
         self.expire(now);
         let finish = now + SETUP_LATENCY;
-        let client_port = self.ports.next(client);
-        self.packets.push(PacketRecord::syn(
-            now,
-            client,
-            client_port,
-            server,
-            server_port,
-            request_bytes,
-        ));
-        self.packets.push(PacketRecord::data(
-            finish,
-            server,
-            server_port,
-            client,
-            client_port,
-            response_bytes,
-        ));
-        self.packets.push(PacketRecord::fin(
-            finish,
-            client,
-            client_port,
-            server,
-            server_port,
-            0,
-        ));
+        let carried = Carried::Exchange {
+            request: request_bytes,
+            response: response_bytes,
+        };
+        self.open(now, finish, client, server, server_port, carried);
         finish
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn emit_packets(
-        &mut self,
-        start: SimTime,
-        finish: SimTime,
-        client: NodeId,
-        client_port: u16,
-        server: NodeId,
-        server_port: u16,
-        bytes: u64,
-        payload: Payload,
-    ) {
-        // SYN + request from the client.
-        self.packets.push(PacketRecord::syn(
-            start,
-            client,
-            client_port,
-            server,
-            server_port,
-            128,
-        ));
-        if bytes > 0 {
-            let chunks = bytes.div_ceil(CHUNK_BYTES).clamp(1, MAX_CHUNKS);
-            let per_chunk = bytes / chunks;
-            let remainder = bytes % chunks;
-            let span = finish.saturating_since(start);
-            for i in 0..chunks {
-                let mut chunk_bytes = per_chunk;
-                if i < remainder {
-                    chunk_bytes += 1;
-                }
-                // Chunk i completes at the proportional point of the
-                // transfer window.
-                let frac = (i + 1) as f64 / chunks as f64;
-                let ts = start + span.mul_f64(frac);
-                let p = match payload {
-                    Payload::ToServer => PacketRecord::data(
-                        ts,
-                        client,
-                        client_port,
-                        server,
-                        server_port,
-                        chunk_bytes,
-                    ),
-                    Payload::ToClient => PacketRecord::data(
-                        ts,
-                        server,
-                        server_port,
-                        client,
-                        client_port,
-                        chunk_bytes,
-                    ),
-                };
-                self.packets.push(p);
-            }
-        }
-        self.packets.push(PacketRecord::fin(
-            finish,
-            client,
-            client_port,
-            server,
-            server_port,
-            0,
-        ));
-    }
-
-    /// Number of packets captured so far.
+    /// Number of connections logged so far.
     #[must_use]
     pub fn captured(&self) -> usize {
-        self.packets.len()
+        self.log.len()
     }
 
-    /// Drains the capture tap, returning all packets sorted by timestamp
-    /// (stable, so same-instant packets keep emission order).
+    /// Drains the capture tap, returning its connection log.
     #[must_use]
-    pub fn take_packets(&mut self) -> Vec<PacketRecord> {
-        let mut packets = std::mem::take(&mut self.packets);
-        packets.sort_by_key(|p| p.ts);
-        packets
+    pub fn take_log(&mut self) -> ConnectionLog {
+        std::mem::take(&mut self.log)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use keddah_flowcap::{classify, ports, Component, FlowAssembler};
+    use keddah_flowcap::{classify, Component};
 
     #[test]
     fn uncontended_transfer_time() {
@@ -359,9 +510,9 @@ mod tests {
             700,
             300,
         );
-        let mut asm = FlowAssembler::new();
-        asm.extend(net.take_packets());
-        let mut flows = asm.finish();
+        let log = net.take_log();
+        let mut flows = log.flows();
+        assert_eq!(flows, assembled(&log));
         classify::classify_all(&mut flows);
         // Unknown-component flows fold into `Other` rather than panicking:
         // new stage kinds may emit traffic the classifier hasn't met yet.
@@ -397,13 +548,13 @@ mod tests {
             0,
             Payload::ToServer,
         );
-        let packets = net.take_packets();
+        let packets = net.take_log().packets();
         assert_eq!(packets.len(), 2); // SYN + FIN
         assert!(packets[0].syn && packets[1].fin);
     }
 
     #[test]
-    fn take_packets_sorted() {
+    fn rendered_packets_sorted() {
         let mut net = NetModel::new(1e9);
         net.transfer(
             SimTime::from_secs(5),
@@ -421,10 +572,194 @@ mod tests {
             1000,
             Payload::ToServer,
         );
-        let packets = net.take_packets();
+        let log = net.take_log();
+        let packets = log.packets();
+        assert_eq!(packets.len(), log.packet_count());
         for w in packets.windows(2) {
             assert!(w[0].ts <= w[1].ts);
         }
         assert_eq!(net.captured(), 0, "tap drained");
+    }
+
+    /// What the assembler makes of the log's rendered packets: the
+    /// oracle every path to a capture's flows must match.
+    fn assembled(log: &ConnectionLog) -> Vec<FlowRecord> {
+        let mut asm = FlowAssembler::new();
+        asm.extend(log.packets());
+        asm.finish()
+    }
+
+    /// One flow per connection, as the direct path would build them.
+    fn one_per_connection(log: &ConnectionLog) -> Vec<FlowRecord> {
+        let mut flows: Vec<FlowRecord> = log.connections.iter().map(Connection::flow).collect();
+        flows.sort_by_key(FlowRecord::capture_order);
+        flows
+    }
+
+    fn idle() -> Duration {
+        FlowAssembler::new().idle_timeout()
+    }
+
+    #[test]
+    fn direct_flows_match_the_assembler() {
+        let mut net = NetModel::new(1e9);
+        let t = SimTime::from_secs;
+        // Reads, writes, a zero-byte call, a chunked transfer sharing
+        // its start with an exchange, and a self-connection.
+        net.transfer(
+            t(0),
+            NodeId(1),
+            NodeId(2),
+            ports::DATANODE_XFER,
+            200 << 20,
+            Payload::ToClient,
+        );
+        net.transfer(
+            t(0),
+            NodeId(3),
+            NodeId(2),
+            ports::DATANODE_XFER,
+            5,
+            Payload::ToServer,
+        );
+        net.transfer(
+            t(1),
+            NodeId(1),
+            NodeId(0),
+            ports::NAMENODE_RPC,
+            0,
+            Payload::ToServer,
+        );
+        net.exchange(t(1), NodeId(4), NodeId(0), ports::RM_TRACKER, 700, 300);
+        net.transfer(
+            t(1),
+            NodeId(4),
+            NodeId(1),
+            ports::SHUFFLE,
+            3 << 20,
+            Payload::ToClient,
+        );
+        net.exchange(t(2), NodeId(0), NodeId(0), ports::RM_CLIENT, 2_000, 500);
+        let log = net.take_log();
+        let direct = log.direct_flows(idle()).expect("no split or merge");
+        assert_eq!(direct.len(), log.len());
+        assert_eq!(direct, assembled(&log));
+        assert_eq!(log.flows(), direct);
+        assert_eq!(log.packets().len(), log.packet_count());
+    }
+
+    #[test]
+    fn paper_captures_take_the_direct_path() {
+        use crate::{run_dag, ClusterSpec, HadoopConfig, Workload};
+        for &workload in Workload::PAPER {
+            let (run, log) = run_dag(
+                &ClusterSpec::racks(4, 5),
+                &HadoopConfig::default(),
+                &workload.dag(),
+                4 << 30,
+                3,
+                &keddah_faults::FaultSpec::empty(),
+            );
+            let direct = log.direct_flows(idle());
+            assert!(direct.is_some(), "{} fell back", workload.name());
+            assert_eq!(run.trace.len(), log.len(), "{}", workload.name());
+        }
+    }
+
+    #[test]
+    fn chunk_gap_above_the_idle_timeout_falls_back() {
+        // At 500 kb/s one 4 MiB chunk takes 67 s, so the data packet
+        // lands more than a minute after the SYN.
+        let mut net = NetModel::new(5e5);
+        net.transfer(
+            SimTime::ZERO,
+            NodeId(1),
+            NodeId(2),
+            ports::DATANODE_XFER,
+            CHUNK_BYTES,
+            Payload::ToServer,
+        );
+        net.exchange(
+            SimTime::ZERO,
+            NodeId(3),
+            NodeId(0),
+            ports::RM_TRACKER,
+            10,
+            10,
+        );
+        let log = net.take_log();
+        assert!(log.direct_flows(idle()).is_none());
+        let flows = log.flows();
+        assert_eq!(flows.len(), 3, "the assembler splits the transfer in two");
+        assert_eq!(flows, assembled(&log));
+    }
+
+    #[test]
+    fn port_reaching_a_service_port_falls_back() {
+        let mut net = NetModel::new(1e9);
+        // Heartbeats drive nodes 1 and 2 up to port NM_CONTAINER...
+        for node in [NodeId(1), NodeId(2)] {
+            for _ in ports::EPHEMERAL_BASE..ports::NM_CONTAINER {
+                net.exchange(SimTime::ZERO, node, NodeId(0), ports::RM_TRACKER, 10, 10);
+            }
+        }
+        // ...so node 1 contacts node 2's container manager from that
+        // port while node 2 contacts node 1's from it: one connection's
+        // tuple is the other's reversed.
+        let at = SimTime::from_secs(1);
+        net.transfer(
+            at,
+            NodeId(1),
+            NodeId(2),
+            ports::NM_CONTAINER,
+            1 << 20,
+            Payload::ToServer,
+        );
+        net.transfer(
+            at,
+            NodeId(2),
+            NodeId(1),
+            ports::NM_CONTAINER,
+            1 << 20,
+            Payload::ToClient,
+        );
+        let log = net.take_log();
+        assert!(log.direct_flows(idle()).is_none());
+        let flows = log.flows();
+        assert_ne!(flows, one_per_connection(&log), "the assembler merges them");
+        assert_eq!(flows, assembled(&log));
+    }
+
+    #[test]
+    fn wrapped_port_falls_back() {
+        let mut net = NetModel::new(1e9);
+        // A long write from node 1's first port...
+        net.transfer(
+            SimTime::ZERO,
+            NodeId(1),
+            NodeId(2),
+            ports::DATANODE_XFER,
+            1 << 30,
+            Payload::ToServer,
+        );
+        // ...then heartbeats until node 1's counter wraps back to it...
+        for i in ports::EPHEMERAL_BASE..u16::MAX {
+            let at = SimTime::from_micros(u64::from(i - ports::EPHEMERAL_BASE));
+            net.exchange(at, NodeId(1), NodeId(0), ports::RM_TRACKER, 10, 10);
+        }
+        // ...and a second write on the same tuple while the first is open.
+        net.transfer(
+            SimTime::from_secs(1),
+            NodeId(1),
+            NodeId(2),
+            ports::DATANODE_XFER,
+            1 << 20,
+            Payload::ToServer,
+        );
+        let log = net.take_log();
+        assert!(log.direct_flows(idle()).is_none());
+        let flows = log.flows();
+        assert_ne!(flows, one_per_connection(&log), "the assembler merges them");
+        assert_eq!(flows, assembled(&log));
     }
 }

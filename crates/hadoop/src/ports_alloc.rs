@@ -7,6 +7,11 @@ use keddah_flowcap::{ports, NodeId};
 /// Hands out ephemeral (client-side) ports per node, wrapping within the
 /// OS ephemeral range. Each node has its own counter, as each real host
 /// does, so concurrent connections from one node never collide.
+///
+/// Counters only count up, so a node's ports repeat only after its
+/// counter passes `u16::MAX` and wraps. The capture relies on this: until
+/// some counter wraps or reaches a port a server listens on, no two
+/// connections share a tuple, and each is one flow (`net` module docs).
 #[derive(Debug, Default)]
 pub struct PortAllocator {
     next: HashMap<NodeId, u16>,

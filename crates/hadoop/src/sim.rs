@@ -1386,8 +1386,8 @@ fn scale_block(block: &Block, selectivity: f64) -> Block {
 /// heartbeat-expiry delay. An empty `faults` slice takes exactly the
 /// clean path — same RNG draws, same events, byte-identical capture.
 ///
-/// The caller provides the shared [`NetModel`] tap; the packets it
-/// accumulates are the capture.
+/// The caller provides the shared [`NetModel`] tap; the connections it
+/// logs are the capture.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn simulate_dag_at_faulted(
     cluster: &ClusterSpec,
@@ -1823,10 +1823,8 @@ mod tests {
         );
         assert!(end > SimTime::from_secs(5));
         // The capture classifies everything as write or control.
-        use keddah_flowcap::{classify, Component, FlowAssembler};
-        let mut asm = FlowAssembler::new();
-        asm.extend(net.take_packets());
-        let mut flows = asm.finish();
+        use keddah_flowcap::{classify, Component};
+        let mut flows = net.take_log().flows();
         classify::classify_all(&mut flows);
         assert!(flows
             .iter()
@@ -1938,7 +1936,7 @@ mod tests {
                 &mut counters,
                 &[],
             );
-            (end, counters, net.take_packets())
+            (end, counters, net.take_log())
         };
         let (e1, c1, p1) = go();
         let (e2, c2, p2) = go();
@@ -2033,7 +2031,7 @@ mod tests {
         let (e2, c2, mut n2) = run_faulted(job, 9, &FaultSpec::empty());
         assert_eq!(e1, e2);
         assert_eq!(c1, c2);
-        assert_eq!(n1.take_packets(), n2.take_packets());
+        assert_eq!(n1.take_log(), n2.take_log());
     }
 
     #[test]
@@ -2047,7 +2045,7 @@ mod tests {
         let (e2, c2, mut n2) = run_faulted(job, 11, &spec);
         assert_eq!(e1, e2);
         assert_eq!(c1, c2);
-        assert_eq!(n1.take_packets(), n2.take_packets());
+        assert_eq!(n1.take_log(), n2.take_log());
     }
 
     #[test]
@@ -2056,7 +2054,7 @@ mod tests {
         let (e2, c2, mut n2) = run(JobSpec::new(Workload::PageRank, 256 << 20), 7);
         assert_eq!(e1, e2);
         assert_eq!(c1, c2);
-        assert_eq!(n1.take_packets(), n2.take_packets());
+        assert_eq!(n1.take_log(), n2.take_log());
     }
 
     #[test]

@@ -20,7 +20,7 @@ use keddah::hadoop::{run_session, ClusterSpec, HadoopConfig, JobSpec, Workload};
 fn main() {
     let cluster = ClusterSpec::racks(4, 4);
     let config = HadoopConfig::default();
-    let session = run_session(
+    let (session, _) = run_session(
         &cluster,
         &config,
         &[

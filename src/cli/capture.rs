@@ -34,7 +34,8 @@ FLAGS:
     --packets-out <DIR>    also write tcpdump-style packet text here
     --packets-in <FILE>    ingest tcpdump-style packet text instead of
                            simulating: assemble and classify flows,
-                           counting (not dying on) malformed lines
+                           counting (not dying on) malformed lines and
+                           sorting packets listed out of time order
     --faults <FILE>        inject this fault schedule into every run
                            (node crashes/recoveries; see `keddah faults`);
                            failure counters land in the trace metadata
@@ -69,7 +70,7 @@ const FLAGS: &[&str] = &[
 fn ingest(args: &Args, path: &str) -> Result<()> {
     let obs = obs_out::obs_from_args(args);
     let file = fs::File::open(path).map_err(|e| err(format!("cannot open {path}: {e}")))?;
-    let parsed = read_text_lenient(std::io::BufReader::new(file))
+    let mut parsed = read_text_lenient(std::io::BufReader::new(file))
         .map_err(|e| err(format!("reading {path}: {e}")))?;
     obs.add("flowcap", "packets_parsed", parsed.packets.len() as u64);
     obs.add("flowcap", "parse_errors", parsed.parse_errors());
@@ -86,8 +87,28 @@ fn ingest(args: &Args, path: &str) -> Result<()> {
         );
     }
 
+    // The assembler wants packets in time order; a file can list them
+    // otherwise (per-node captures concatenated, say). Count the packets
+    // stamped before one listed earlier, then sort, stably, so
+    // same-instant packets keep their file order.
+    let mut packets = std::mem::take(&mut parsed.packets);
+    let mut latest = None;
+    let reordered = packets
+        .iter()
+        .filter(|p| {
+            let late = latest.is_some_and(|t| p.ts < t);
+            latest = latest.max(Some(p.ts));
+            late
+        })
+        .count();
+    obs.add("flowcap", "packets_reordered", reordered as u64);
+    if reordered > 0 {
+        eprintln!("  {reordered} packet(s) out of time order; sorted before assembly");
+        packets.sort_by_key(|p| p.ts);
+    }
+
     let mut assembler = FlowAssembler::new();
-    assembler.extend(parsed.packets.iter().cloned());
+    assembler.extend(packets.iter().copied());
     let mut flows = assembler.finish();
     classify_all(&mut flows);
     obs.add("flowcap", "flows_assembled", flows.len() as u64);
@@ -99,7 +120,7 @@ fn ingest(args: &Args, path: &str) -> Result<()> {
 
     println!(
         "ingested {} packet(s) from {path}: {} flow(s), {:.2} MB, {} malformed line(s)",
-        parsed.packets.len(),
+        packets.len(),
         flows.len(),
         total_bytes as f64 / 1e6,
         parsed.parse_errors()
@@ -207,14 +228,15 @@ pub fn run(args: &Args) -> Result<()> {
     let dag = job.workload.dag();
     // Simulate in parallel (workers pull seeds from a shared queue),
     // then write results in seed order so output is independent of
-    // scheduling.
+    // scheduling. A run keeps its connection log only when its packets
+    // are to be written, and renders them then.
     let runs = {
         let next = std::sync::atomic::AtomicUsize::new(0);
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::scope(|scope| {
             for _ in 0..jobs.min(seeds.len()) {
                 let tx = tx.clone();
-                let (next, seeds, cluster, config, dag, input_bytes, faults) = (
+                let (next, seeds, cluster, config, dag, input_bytes, faults, keep_log) = (
                     &next,
                     &seeds,
                     &cluster,
@@ -222,13 +244,16 @@ pub fn run(args: &Args) -> Result<()> {
                     &dag,
                     job.input_bytes,
                     &faults,
+                    packets_dir.is_some(),
                 );
                 scope.spawn(move || loop {
                     let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                     if i >= seeds.len() {
                         break;
                     }
-                    let result = run_dag(cluster, config, dag, input_bytes, seeds[i], faults);
+                    let (run, log) = run_dag(cluster, config, dag, input_bytes, seeds[i], faults);
+                    let packets = log.packet_count();
+                    let result = (run, packets, keep_log.then_some(log));
                     if tx.send((i, result)).is_err() {
                         break;
                     }
@@ -246,7 +271,7 @@ pub fn run(args: &Args) -> Result<()> {
     // so artefacts are identical for any --jobs value.
     let obs = obs_out::obs_from_args(args);
     for (&run_seed, slot) in seeds.iter().zip(runs) {
-        let (run, packets) = slot.expect("every repeat completed");
+        let (run, packets, log) = slot.expect("every repeat completed");
         run.counters.record_obs(&obs);
         obs.add("capture", "runs", 1);
         obs.add("capture", "flows", run.trace.len() as u64);
@@ -291,17 +316,17 @@ pub fn run(args: &Args) -> Result<()> {
         run.trace
             .write_jsonl(std::io::BufWriter::new(file))
             .map_err(|e| err(format!("writing {}: {e}", path.display())))?;
-        if let Some(dir) = &packets_dir {
+        if let (Some(dir), Some(log)) = (&packets_dir, log) {
             let ppath = dir.join(format!("{stem}.txt"));
             let pfile = fs::File::create(&ppath)?;
-            keddah_flowcap::tcpdump::write_text(&packets, std::io::BufWriter::new(pfile))
+            keddah_flowcap::tcpdump::write_text(&log.packets(), std::io::BufWriter::new(pfile))
                 .map_err(|e| err(format!("writing {}: {e}", ppath.display())))?;
         }
         eprintln!(
             "  {} ({} flows, {} packets, {:.2} GB, makespan {:.1} s)",
             path.display(),
             run.trace.len(),
-            packets.len(),
+            packets,
             run.trace.total_bytes() as f64 / 1e9,
             run.duration.as_secs_f64()
         );

@@ -751,6 +751,38 @@ fn capture_ingests_corrupt_packet_text_without_dying() {
 }
 
 #[test]
+fn capture_sorts_packet_text_listed_out_of_time_order() {
+    // One connection listed FIN first, as concatenating per-node captures
+    // can leave it.
+    let dir = tmp_dir("reordered");
+    let packets = dir.join("reordered.txt");
+    std::fs::write(
+        &packets,
+        "1.000900 IP node0.40000 > node1.50010: Flags [F], length 0\n\
+         1.000000 IP node0.40000 > node1.50010: Flags [S], length 128\n\
+         1.000500 IP node1.50010 > node0.40000: Flags [.], length 65536\n",
+    )
+    .expect("write packets");
+    let metrics = dir.join("metrics.json");
+    run(&[
+        "capture",
+        "--packets-in",
+        packets.to_str().unwrap(),
+        "--metrics-out",
+        metrics.to_str().unwrap(),
+    ])
+    .expect("out-of-order input ingests");
+    let snap = keddah::obs::MetricsSnapshot::from_json(
+        &std::fs::read_to_string(&metrics).expect("metrics written"),
+    )
+    .expect("metrics parse");
+    assert_eq!(snap.counter("flowcap", "packets_parsed"), 3);
+    assert_eq!(snap.counter("flowcap", "packets_reordered"), 2);
+    assert_eq!(snap.counter("flowcap", "flows_assembled"), 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn capture_and_matrix_write_metrics() {
     let dir = tmp_dir("obs-capture");
     let metrics = dir.join("capture-metrics.json");
