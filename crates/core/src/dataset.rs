@@ -7,7 +7,8 @@
 
 use std::collections::BTreeMap;
 
-use keddah_flowcap::{Component, Trace};
+use keddah_des::SimTime;
+use keddah_flowcap::{Component, FlowRecord, Trace};
 
 /// Samples for one traffic component, pooled over runs.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -35,6 +36,43 @@ impl ComponentSample {
         } else {
             self.counts.iter().sum::<f64>() / self.counts.len() as f64
         }
+    }
+}
+
+/// Per-component samples pooled over runs, one [`ComponentSample`] per
+/// [`Component::ALL`] entry, in that order.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RunPool(pub(crate) [ComponentSample; Component::ALL.len()]);
+
+impl RunPool {
+    /// Folds one run into the pool and returns its makespan in seconds.
+    ///
+    /// The run's flows go in capture order, and one pass appends each
+    /// flow's size and start, relative to the run's earliest start, to its
+    /// component's sample, in flow order; every component then gets the
+    /// run's count, zeros included. Unlabelled flows count as
+    /// [`Component::Other`]. In capture order the earliest start is the
+    /// first flow's; taking the minimum keeps a trace listed in another
+    /// order exact too. [`Dataset::from_traces`] and the streaming engine
+    /// both fold runs through here, which is what keeps an exact stream's
+    /// refit byte-identical to the offline fit.
+    pub(crate) fn fold(&mut self, flows: &[FlowRecord]) -> f64 {
+        let before = self.0.each_ref().map(|s| s.sizes.len());
+        let t0 = flows.iter().map(|f| f.start).min().unwrap_or(SimTime::ZERO);
+        let mut end = t0;
+        for f in flows {
+            // `Component::ALL` lists the variants in declaration order.
+            let sample = &mut self.0[f.component.unwrap_or(Component::Other) as usize];
+            sample.sizes.push(f.total_bytes() as f64);
+            sample
+                .starts
+                .push(f.start.saturating_since(t0).as_secs_f64());
+            end = end.max(f.end);
+        }
+        for (sample, before) in self.0.iter_mut().zip(before) {
+            sample.counts.push((sample.sizes.len() - before) as f64);
+        }
+        end.saturating_since(t0).as_secs_f64()
     }
 }
 
@@ -80,21 +118,13 @@ impl Dataset {
                 "cannot pool traces of different workloads"
             );
         }
-        let mut components: BTreeMap<Component, ComponentSample> = BTreeMap::new();
-        let mut makespans = Vec::with_capacity(traces.len());
-        for trace in traces {
-            makespans.push(trace.makespan().as_secs_f64());
-            for &component in Component::ALL {
-                let sizes = trace.component_sizes(component);
-                let starts = trace.component_starts(component);
-                let entry = components.entry(component).or_default();
-                entry.counts.push(sizes.len() as f64);
-                entry.sizes.extend(sizes);
-                entry.starts.extend(starts);
-            }
-        }
+        let mut pool = RunPool::default();
+        let makespans = traces.iter().map(|t| pool.fold(t.flows())).collect();
         // Drop components that never appeared.
-        components.retain(|_, s| !s.sizes.is_empty());
+        let components = (Component::ALL.iter().copied())
+            .zip(pool.0)
+            .filter(|(_, s)| !s.sizes.is_empty())
+            .collect();
         Dataset {
             workload: meta.workload,
             input_bytes: meta.input_bytes,
@@ -184,6 +214,36 @@ mod tests {
         assert_eq!(ds.workload, "wordcount");
         assert_eq!(ds.reducers, 4);
         assert_eq!(ds.nodes, 8);
+    }
+
+    /// The fold gives what a filtered pass per component gave: sizes and
+    /// run-relative starts in flow order, a count per component, and the
+    /// trace's makespan, for mixed, unlabelled and out-of-order flows.
+    #[test]
+    fn fold_matches_per_component_passes() {
+        let mut flows = trace("terasort", 7).into_flows();
+        let labels = [
+            Some(Component::HdfsRead),
+            None,
+            Some(Component::Broadcast),
+            Some(Component::Shuffle),
+            Some(Component::Other),
+            Some(Component::HdfsRead),
+            Some(Component::Control),
+        ];
+        for (f, label) in flows.iter_mut().zip(labels) {
+            f.component = label;
+        }
+        flows.swap(0, 4);
+        flows[2].end = SimTime::from_secs(30);
+        let t = Trace::new(trace("terasort", 0).meta().clone(), flows);
+        let mut pool = RunPool::default();
+        assert_eq!(pool.fold(t.flows()), t.makespan().as_secs_f64());
+        for (&c, sample) in Component::ALL.iter().zip(&pool.0) {
+            assert_eq!(sample.sizes, t.component_sizes(c), "{c}");
+            assert_eq!(sample.starts, t.component_starts(c), "{c}");
+            assert_eq!(sample.counts, vec![t.component_sizes(c).len() as f64]);
+        }
     }
 
     #[test]

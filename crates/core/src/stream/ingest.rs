@@ -34,7 +34,9 @@ pub struct IngestReport {
 }
 
 /// Ingests one rotated capture file (`.jsonl` flow trace or `.txt`
-/// packet text) as one run, ending the run at EOF.
+/// packet text) as one run, ending the run at EOF. Packet text is put
+/// into time order first, as `keddah capture --packets-in` does; late
+/// packets count under `stream/packets_reordered`.
 ///
 /// `workload` labels packet-text runs, which carry no header. All
 /// failure modes return [`CoreError::Stream`] after bumping the matching
@@ -99,7 +101,7 @@ pub fn ingest_path(
             })
         }
         "txt" => {
-            let parsed = match tcpdump::read_text_lenient(reader) {
+            let mut parsed = match tcpdump::read_text_lenient(reader) {
                 Ok(parsed) => parsed,
                 Err(e) => {
                     obs.add("stream", "io_errors", 1);
@@ -107,6 +109,8 @@ pub fn ingest_path(
                 }
             };
             obs.add("stream", "parse_errors", parsed.errors.len() as u64);
+            let reordered = tcpdump::sort_by_time(&mut parsed.packets);
+            obs.add("stream", "packets_reordered", reordered);
             for packet in parsed.packets {
                 engine.ingest_packet(packet);
             }
@@ -241,6 +245,29 @@ mod tests {
         let mut engine = engine(&obs);
         let err = ingest_path(&mut engine, &obs, "stream", &path).unwrap_err();
         assert!(err.to_string().contains("unsupported"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Packet text listed out of time order, here a connection's FIN
+    /// first, assembles as the sorted text would: one flow, not two.
+    #[test]
+    fn packet_text_is_put_in_time_order_before_assembly() {
+        let dir = tmp_dir("reordered");
+        let path = dir.join("cap.0.txt");
+        std::fs::write(
+            &path,
+            "1.000900 IP node0.40000 > node1.50010: Flags [F], length 0\n\
+             1.000000 IP node0.40000 > node1.50010: Flags [S], length 128\n\
+             1.000500 IP node1.50010 > node0.40000: Flags [.], length 65536\n",
+        )
+        .unwrap();
+        let obs = Obs::enabled();
+        let mut engine = engine(&obs);
+        ingest_path(&mut engine, &obs, "grep", &path).unwrap();
+        assert_eq!(engine.flows_total(), 1);
+        let snap = obs.metrics();
+        assert_eq!(snap.counter("stream", "packets_reordered"), 2);
+        assert_eq!(snap.counter("stream", "flows_completed"), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -25,9 +25,10 @@
 //!
 //! With [`SketchMode::Exact`], ingesting rotated files `A, B, …` and
 //! refitting produces **byte-identical** model JSON to `keddah fit A B …`:
-//! each run boundary replays exactly what [`Dataset::from_traces`] does
-//! per trace (same flow order, same per-run `t0`, same zero-count
-//! entries, same float summation order). With [`SketchMode::Gk`], fitted
+//! each run boundary folds the run's flows, in capture order, through the
+//! same per-run fold [`Dataset::from_traces`] uses per trace (same flow
+//! order, same per-run `t0`, same zero-count entries, same float
+//! summation order). With [`SketchMode::Gk`], fitted
 //! percentiles differ from offline by at most the sketch's rank error ε
 //! (see `keddah_stat::sketch` for the bound and `tests/stream_model.rs`
 //! for the proptests that pin it).
@@ -54,7 +55,7 @@ use keddah_flowcap::{classify, Component, FlowRecord, PacketRecord, StreamAssemb
 use keddah_obs::{Counter, Gauge, Obs};
 use keddah_stat::sketch::SampleStore;
 
-use crate::dataset::{ComponentSample, Dataset};
+use crate::dataset::{ComponentSample, Dataset, RunPool};
 use crate::fitting::fit_model;
 use crate::model::KeddahModel;
 use crate::{CoreError, Result};
@@ -197,10 +198,6 @@ impl StreamEngine {
         })
     }
 
-    fn new_store(&self) -> SampleStore {
-        self.store_proto.clone()
-    }
-
     /// Ingests one already-assembled flow (rotated `.jsonl` trace input).
     pub fn ingest_flow(&mut self, flow: FlowRecord) {
         self.c_records.inc();
@@ -235,11 +232,10 @@ impl StreamEngine {
     /// Ends the current run (one rotated capture file) and refits on the
     /// configured cadence.
     ///
-    /// Mirrors [`Dataset::from_traces`] for this run exactly: flows are
-    /// sorted by the batch assembler's key, unlabelled flows classified,
-    /// the run's makespan and per-component counts recorded (zeros
-    /// included), and sizes/starts appended to the sample stores in the
-    /// same order the offline pool would see.
+    /// Flows are sorted by the batch assembler's key and unlabelled ones
+    /// classified; then the run goes through the same fold as a trace in
+    /// [`Dataset::from_traces`], and each component's sizes and starts
+    /// reach its sample stores as one slice each.
     ///
     /// Returns `Ok(true)` when a refit happened and produced a model.
     ///
@@ -274,37 +270,21 @@ impl StreamEngine {
         self.c_flows.add(flows.len() as u64);
         self.flows_total += flows.len() as u64;
 
-        let start = flows.iter().map(|f| f.start).min();
-        let end = flows.iter().map(|f| f.end).max();
-        let makespan = match (start, end) {
-            (Some(s), Some(e)) => e.saturating_since(s).as_secs_f64(),
-            _ => 0.0,
-        };
-        self.makespans.push(makespan);
-        let t0 = start.unwrap_or(keddah_des::SimTime::ZERO);
-
-        for &component in Component::ALL {
-            let mode = self.new_store();
-            let entry = self
+        let mut run = RunPool::default();
+        self.makespans.push(run.fold(&flows));
+        for (&component, run) in Component::ALL.iter().zip(&run.0) {
+            let proto = &self.store_proto;
+            let stores = self
                 .components
                 .entry(component)
                 .or_insert_with(|| ComponentStores {
-                    sizes: mode.clone(),
-                    starts: mode,
+                    sizes: proto.clone(),
+                    starts: proto.clone(),
                     counts: Vec::new(),
                 });
-            let mut n = 0u64;
-            for f in flows
-                .iter()
-                .filter(|f| f.component.unwrap_or(Component::Other) == component)
-            {
-                entry.sizes.push(f.total_bytes() as f64);
-                entry
-                    .starts
-                    .push(f.start.saturating_since(t0).as_secs_f64());
-                n += 1;
-            }
-            entry.counts.push(n as f64);
+            stores.sizes.extend_from_slice(&run.sizes);
+            stores.starts.extend_from_slice(&run.starts);
+            stores.counts.extend_from_slice(&run.counts);
         }
 
         self.runs += 1;

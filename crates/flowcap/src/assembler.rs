@@ -5,7 +5,7 @@ use std::collections::HashMap;
 
 use keddah_des::{Duration, SimTime};
 
-use crate::flow::{FiveTuple, FlowRecord};
+use crate::flow::{FiveTuple, FlowRecord, TupleKeys};
 use crate::packet::PacketRecord;
 
 /// Default idle gap after which a connection with no FIN is considered
@@ -41,7 +41,7 @@ pub const DEFAULT_IDLE_TIMEOUT: Duration = Duration::from_secs(60);
 #[derive(Debug, Clone)]
 pub struct FlowAssembler {
     idle_timeout: Duration,
-    active: HashMap<FiveTuple, PendingFlow>,
+    active: HashMap<FiveTuple, PendingFlow, TupleKeys>,
     finished: Vec<FlowRecord>,
     last_ts: SimTime,
 }
@@ -105,7 +105,7 @@ impl FlowAssembler {
     pub fn with_idle_timeout(idle_timeout: Duration) -> Self {
         FlowAssembler {
             idle_timeout,
-            active: HashMap::new(),
+            active: HashMap::with_hasher(TupleKeys::new()),
             finished: Vec::new(),
             last_ts: SimTime::ZERO,
         }

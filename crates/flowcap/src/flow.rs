@@ -1,5 +1,8 @@
 //! Flow-level capture records.
 
+use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasher, Hasher};
+
 use keddah_des::{Duration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -48,6 +51,81 @@ impl FiveTuple {
         } else {
             rev
         }
+    }
+}
+
+/// Builds the hasher both assemblers key their connection tables with.
+///
+/// A [`FiveTuple`] is 12 bytes. [`TupleHasher`] packs them into one
+/// 96-bit word, XORs its two halves with two secret keys and folds one
+/// 64×64→128-bit product of them into 64 bits. The keys are drawn once
+/// per table from the standard library's randomly seeded SipHash
+/// ([`RandomState`]), so which tuples collide differs from table to table
+/// and from run to run, and cannot be chosen without the keys. Hashing
+/// costs one multiply instead of SipHash's rounds. See DESIGN.md,
+/// "Streaming ingestion", for the trade-off.
+#[derive(Clone, Copy)]
+pub(crate) struct TupleKeys {
+    k0: u64,
+    k1: u64,
+}
+
+impl TupleKeys {
+    /// Draws fresh keys.
+    pub(crate) fn new() -> Self {
+        let seed = RandomState::new();
+        TupleKeys {
+            k0: seed.hash_one(0u8),
+            k1: seed.hash_one(1u8),
+        }
+    }
+}
+
+impl std::fmt::Debug for TupleKeys {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // The keys are secret; keep them out of debug dumps.
+        f.debug_struct("TupleKeys").finish_non_exhaustive()
+    }
+}
+
+impl BuildHasher for TupleKeys {
+    type Hasher = TupleHasher;
+
+    fn build_hasher(&self) -> TupleHasher {
+        TupleHasher {
+            keys: *self,
+            packed: 0,
+        }
+    }
+}
+
+/// The hasher [`TupleKeys`] builds: a `FiveTuple` writes its four fields,
+/// which shift into `packed` whole, so distinct tuples pack distinctly.
+pub(crate) struct TupleHasher {
+    keys: TupleKeys,
+    packed: u128,
+}
+
+impl Hasher for TupleHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.packed = self.packed << 8 | u128::from(b);
+        }
+    }
+
+    fn write_u16(&mut self, n: u16) {
+        self.packed = self.packed << 16 | u128::from(n);
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.packed = self.packed << 32 | u128::from(n);
+    }
+
+    fn finish(&self) -> u64 {
+        let lo = self.packed as u64 ^ self.keys.k0;
+        let hi = (self.packed >> 64) as u64 ^ self.keys.k1;
+        let product = u128::from(lo) * u128::from(hi);
+        product as u64 ^ (product >> 64) as u64
     }
 }
 
@@ -147,6 +225,7 @@ impl std::fmt::Display for FlowRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::hash::Hash;
 
     fn tuple() -> FiveTuple {
         FiveTuple {
@@ -164,6 +243,45 @@ mod tests {
         assert_eq!(r.src, NodeId(2));
         assert_eq!(r.dst_port, 40_000);
         assert_eq!(r.reversed(), t);
+    }
+
+    #[test]
+    fn tuple_hash_packs_every_field_and_is_keyed() {
+        let keys = TupleKeys {
+            k0: 0x1234_5678_9abc_def0,
+            k1: 0x0fed_cba9_8765_4321,
+        };
+        let t = tuple();
+        let mut hasher = keys.build_hasher();
+        t.hash(&mut hasher);
+        let packed = (1u128 << 64) | (40_000u128 << 48) | (2u128 << 16) | 50_010;
+        assert_eq!(hasher.packed, packed);
+        assert_eq!(keys.hash_one(t), keys.hash_one(t));
+        for other in [
+            FiveTuple {
+                src: NodeId(3),
+                ..t
+            },
+            FiveTuple {
+                src_port: 40_001,
+                ..t
+            },
+            FiveTuple {
+                dst: NodeId(3),
+                ..t
+            },
+            FiveTuple {
+                dst_port: 50_011,
+                ..t
+            },
+            t.reversed(),
+        ] {
+            assert_ne!(keys.hash_one(other), keys.hash_one(t), "{other}");
+        }
+        // Every table draws its own keys.
+        let (a, b) = (TupleKeys::new(), TupleKeys::new());
+        assert_ne!((a.k0, a.k1), (b.k0, b.k1));
+        assert_eq!(format!("{a:?}"), "TupleKeys { .. }");
     }
 
     #[test]

@@ -39,12 +39,13 @@
 //!
 //! [`finish`]: crate::FlowAssembler::finish
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use keddah_des::{Duration, SimTime};
 
 use crate::assembler::DEFAULT_IDLE_TIMEOUT;
-use crate::flow::{FiveTuple, FlowRecord};
+use crate::flow::{FiveTuple, FlowRecord, TupleKeys};
 use crate::packet::PacketRecord;
 
 /// Sentinel index terminating the intrusive LRU ring.
@@ -116,6 +117,33 @@ struct PendingFlow {
 }
 
 impl PendingFlow {
+    /// A flow opened by `packet`, which went the `oriented` way, at
+    /// stream-clock instant `clock`.
+    fn open(packet: &PacketRecord, oriented: FiveTuple, clock: SimTime) -> Self {
+        PendingFlow {
+            tuple: oriented,
+            start: packet.ts,
+            end: packet.ts,
+            touched: clock,
+            fwd_bytes: packet.bytes,
+            rev_bytes: 0,
+            packets: 1,
+        }
+    }
+
+    /// Counts `packet`, which went the `oriented` way, at `clock`.
+    fn add(&mut self, packet: &PacketRecord, oriented: FiveTuple, clock: SimTime) {
+        self.start = self.start.min(packet.ts);
+        self.end = self.end.max(packet.ts);
+        self.packets += 1;
+        if oriented == self.tuple {
+            self.fwd_bytes += packet.bytes;
+        } else {
+            self.rev_bytes += packet.bytes;
+        }
+        self.touched = clock;
+    }
+
     fn into_record(self) -> FlowRecord {
         FlowRecord {
             tuple: self.tuple,
@@ -129,13 +157,121 @@ impl PendingFlow {
     }
 }
 
-/// Why a slot is being emitted; selects the stats counter.
+/// Why a flow is being emitted; selects the stats counter.
 #[derive(Clone, Copy)]
 enum Emit {
     Fin,
     Idle,
     Capacity,
     Flush,
+}
+
+/// The open flows: a slot slab threaded onto an intrusive
+/// least-recently-touched ring. Kept apart from the tuple table so a
+/// table entry can stay live while its slot changes.
+#[derive(Debug, Clone)]
+struct Ring {
+    /// `None` entries are free and listed in `free`.
+    slots: Vec<Option<PendingFlow>>,
+    /// Intrusive LRU links (`NIL`-terminated, parallel to `slots`).
+    prev: Vec<usize>,
+    next: Vec<usize>,
+    free: Vec<usize>,
+    /// Cold end of the ring (least recently touched).
+    head: usize,
+    /// Hot end of the ring (most recently touched).
+    tail: usize,
+}
+
+impl Ring {
+    fn new() -> Self {
+        Ring {
+            slots: Vec::new(),
+            prev: Vec::new(),
+            next: Vec::new(),
+            free: Vec::new(),
+            head: NIL,
+            tail: NIL,
+        }
+    }
+
+    /// Number of open flows.
+    fn len(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+
+    /// The least recently touched flow's slot, if any flow is open.
+    fn coldest(&self) -> Option<usize> {
+        (self.head != NIL).then_some(self.head)
+    }
+
+    fn get(&self, slot: usize) -> &PendingFlow {
+        self.slots[slot].as_ref().expect("ring slot occupied")
+    }
+
+    fn get_mut(&mut self, slot: usize) -> &mut PendingFlow {
+        self.slots[slot].as_mut().expect("ring slot occupied")
+    }
+
+    /// Stores `flow` at the hot end; returns its slot.
+    fn insert(&mut self, flow: PendingFlow) -> usize {
+        let slot = match self.free.pop() {
+            Some(i) => {
+                self.slots[i] = Some(flow);
+                i
+            }
+            None => {
+                self.slots.push(Some(flow));
+                self.prev.push(NIL);
+                self.next.push(NIL);
+                self.slots.len() - 1
+            }
+        };
+        self.attach_tail(slot);
+        slot
+    }
+
+    /// Takes the flow out of `slot`, freeing it.
+    fn remove(&mut self, slot: usize) -> PendingFlow {
+        self.detach(slot);
+        self.free.push(slot);
+        self.slots[slot].take().expect("ring slot occupied")
+    }
+
+    /// Moves a slot to the hot end.
+    fn touch(&mut self, slot: usize) {
+        if self.tail != slot {
+            self.detach(slot);
+            self.attach_tail(slot);
+        }
+    }
+
+    fn detach(&mut self, slot: usize) {
+        let (p, n) = (self.prev[slot], self.next[slot]);
+        if p == NIL {
+            self.head = n;
+        } else {
+            self.next[p] = n;
+        }
+        if n == NIL {
+            self.tail = p;
+        } else {
+            self.prev[n] = p;
+        }
+        self.prev[slot] = NIL;
+        self.next[slot] = NIL;
+    }
+
+    fn attach_tail(&mut self, slot: usize) {
+        self.prev[slot] = self.tail;
+        self.next[slot] = NIL;
+        if self.tail == NIL {
+            self.head = slot;
+        } else {
+            self.next[self.tail] = slot;
+        }
+        self.tail = slot;
+    }
 }
 
 /// Incremental 5-tuple flow reassembly with bounded memory.
@@ -161,17 +297,9 @@ pub struct StreamAssembler {
     config: StreamConfig,
     /// Maximum timestamp observed so far; drives idle eviction.
     clock: SimTime,
-    /// Slot slab: `None` entries are free and listed in `free`.
-    slots: Vec<Option<PendingFlow>>,
-    /// Intrusive LRU links (`NIL`-terminated, parallel to `slots`).
-    prev: Vec<usize>,
-    next: Vec<usize>,
-    free: Vec<usize>,
-    /// Cold end of the ring (least recently touched).
-    head: usize,
-    /// Hot end of the ring (most recently touched).
-    tail: usize,
-    index: HashMap<FiveTuple, usize>,
+    ring: Ring,
+    /// Canonical tuple → slot of every open flow.
+    index: HashMap<FiveTuple, usize, TupleKeys>,
     done: Vec<FlowRecord>,
     stats: StreamStats,
 }
@@ -194,13 +322,8 @@ impl StreamAssembler {
         StreamAssembler {
             config,
             clock: SimTime::ZERO,
-            slots: Vec::new(),
-            prev: Vec::new(),
-            next: Vec::new(),
-            free: Vec::new(),
-            head: NIL,
-            tail: NIL,
-            index: HashMap::new(),
+            ring: Ring::new(),
+            index: HashMap::with_hasher(TupleKeys::new()),
             done: Vec::new(),
             stats: StreamStats::default(),
         }
@@ -250,65 +373,60 @@ impl StreamAssembler {
             dst: packet.dst,
             dst_port: packet.dst_port,
         };
-        let key = oriented.canonical();
-
-        if let Some(&slot) = self.index.get(&key) {
-            let pending = self.slots[slot].as_ref().expect("indexed slot occupied");
-            // Expire an idle predecessor on the same tuple, exactly as the
-            // batch assembler does; fall through to open a fresh flow.
-            if packet.ts.saturating_since(pending.end) > self.config.idle_timeout {
-                self.emit(slot, Emit::Idle);
-            } else {
-                let pending = self.slots[slot].as_mut().expect("indexed slot occupied");
-                pending.start = pending.start.min(packet.ts);
-                pending.end = pending.end.max(packet.ts);
-                pending.packets += 1;
-                if oriented == pending.tuple {
-                    pending.fwd_bytes += packet.bytes;
-                } else {
-                    pending.rev_bytes += packet.bytes;
-                }
-                pending.touched = self.clock;
+        // One table lookup per packet: the entry serves the idle check,
+        // the update and the FIN removal. Only a full table looks up
+        // again, to evict its coldest flow.
+        let vacant = match self.index.entry(oriented.canonical()) {
+            Entry::Occupied(entry) => {
+                let slot = *entry.get();
                 if packet.fin {
-                    self.emit(slot, Emit::Fin);
+                    entry.remove();
+                }
+                let pending = self.ring.get_mut(slot);
+                // An idle predecessor on the same tuple ends, exactly as
+                // in the batch assembler; this packet opens the next flow
+                // in its slot.
+                if packet.ts.saturating_since(pending.end) > self.config.idle_timeout {
+                    let idle = std::mem::replace(
+                        pending,
+                        PendingFlow::open(&packet, oriented, self.clock),
+                    );
+                    self.record(idle, Emit::Idle);
                 } else {
-                    self.touch(slot);
+                    pending.add(&packet, oriented, self.clock);
+                }
+                if packet.fin {
+                    let flow = self.ring.remove(slot);
+                    self.record(flow, Emit::Fin);
+                } else {
+                    self.ring.touch(slot);
                 }
                 return;
             }
-        }
+            Entry::Vacant(entry) => entry,
+        };
 
         // New flow: make room first so the table never exceeds capacity.
-        if self.index.len() >= self.config.max_active {
-            let coldest = self.head;
-            debug_assert_ne!(coldest, NIL, "full table implies non-empty ring");
+        let flow = PendingFlow::open(&packet, oriented, self.clock);
+        if self.ring.len() >= self.config.max_active {
+            let key = *vacant.key();
+            let coldest = self
+                .ring
+                .coldest()
+                .expect("full table implies non-empty ring");
             self.emit(coldest, Emit::Capacity);
-        }
-        let flow = PendingFlow {
-            tuple: oriented,
-            start: packet.ts,
-            end: packet.ts,
-            touched: self.clock,
-            fwd_bytes: packet.bytes,
-            rev_bytes: 0,
-            packets: 1,
-        };
-        let slot = match self.free.pop() {
-            Some(i) => {
-                self.slots[i] = Some(flow);
-                i
+            if packet.fin {
+                self.record(flow, Emit::Fin);
+            } else {
+                let slot = self.ring.insert(flow);
+                self.index.insert(key, slot);
             }
-            None => {
-                self.slots.push(Some(flow));
-                self.prev.push(NIL);
-                self.next.push(NIL);
-                self.slots.len() - 1
-            }
-        };
-        self.index.insert(key, slot);
-        self.attach_tail(slot);
-        if packet.fin {
-            self.emit(slot, Emit::Fin);
+        } else if packet.fin {
+            // A connection that ends on its first packet never enters
+            // the table.
+            self.record(flow, Emit::Fin);
+        } else {
+            vacant.insert(self.ring.insert(flow));
         }
     }
 
@@ -323,8 +441,8 @@ impl StreamAssembler {
     /// all pending records. The assembler stays usable afterwards.
     #[must_use]
     pub fn flush(&mut self) -> Vec<FlowRecord> {
-        while self.head != NIL {
-            self.emit(self.head, Emit::Flush);
+        while let Some(coldest) = self.ring.coldest() {
+            self.emit(coldest, Emit::Flush);
         }
         self.drain()
     }
@@ -343,65 +461,31 @@ impl StreamAssembler {
     /// timeout. The ring is ordered by `touched`, so stopping at the first
     /// warm entry is exact.
     fn sweep_idle(&mut self) {
-        while self.head != NIL {
-            let touched = self.slots[self.head]
-                .as_ref()
-                .expect("ring slot occupied")
-                .touched;
+        while let Some(coldest) = self.ring.coldest() {
+            let touched = self.ring.get(coldest).touched;
             if self.clock.saturating_since(touched) > self.config.idle_timeout {
-                self.emit(self.head, Emit::Idle);
+                self.emit(coldest, Emit::Idle);
             } else {
                 break;
             }
         }
     }
 
+    /// Emits the open flow in `slot` and drops its table entry.
     fn emit(&mut self, slot: usize, why: Emit) {
-        self.detach(slot);
-        let pending = self.slots[slot].take().expect("emitting occupied slot");
-        self.index.remove(&pending.tuple.canonical());
-        self.free.push(slot);
-        self.done.push(pending.into_record());
+        let flow = self.ring.remove(slot);
+        self.index.remove(&flow.tuple.canonical());
+        self.record(flow, why);
+    }
+
+    /// Queues a finished flow for [`drain`](Self::drain) and counts it.
+    fn record(&mut self, flow: PendingFlow, why: Emit) {
+        self.done.push(flow.into_record());
         match why {
             Emit::Fin => self.stats.completed_fin += 1,
             Emit::Idle => self.stats.evicted_idle += 1,
             Emit::Capacity => self.stats.evicted_capacity += 1,
             Emit::Flush => self.stats.flushed += 1,
-        }
-    }
-
-    fn detach(&mut self, slot: usize) {
-        let (p, n) = (self.prev[slot], self.next[slot]);
-        if p == NIL {
-            self.head = n;
-        } else {
-            self.next[p] = n;
-        }
-        if n == NIL {
-            self.tail = p;
-        } else {
-            self.prev[n] = p;
-        }
-        self.prev[slot] = NIL;
-        self.next[slot] = NIL;
-    }
-
-    fn attach_tail(&mut self, slot: usize) {
-        self.prev[slot] = self.tail;
-        self.next[slot] = NIL;
-        if self.tail == NIL {
-            self.head = slot;
-        } else {
-            self.next[self.tail] = slot;
-        }
-        self.tail = slot;
-    }
-
-    /// Moves a slot to the hot end of the ring.
-    fn touch(&mut self, slot: usize) {
-        if self.tail != slot {
-            self.detach(slot);
-            self.attach_tail(slot);
         }
     }
 }

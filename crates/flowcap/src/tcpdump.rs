@@ -121,6 +121,28 @@ pub fn read_text_lenient<R: Read>(reader: R) -> Result<LenientParse, TraceError>
     Ok(out)
 }
 
+/// Puts parsed packets into time order for assembly and returns how many
+/// were stamped before a packet listed earlier.
+///
+/// A file can list packets out of time order (per-node captures
+/// concatenated, say). The sort is stable, so same-instant packets keep
+/// their listed order, and it is skipped when nothing is late.
+pub fn sort_by_time(packets: &mut [PacketRecord]) -> u64 {
+    let mut latest = SimTime::ZERO;
+    let late = packets
+        .iter()
+        .filter(|p| {
+            let late = p.ts < latest;
+            latest = latest.max(p.ts);
+            late
+        })
+        .count();
+    if late > 0 {
+        packets.sort_by_key(|p| p.ts);
+    }
+    late as u64
+}
+
 /// Parses one `ts IP a.p > b.q: Flags [X], length N` line.
 fn parse_line(line: &str) -> Result<PacketRecord, String> {
     let mut parts = line.split_whitespace();
@@ -325,6 +347,25 @@ mod tests {
         assert_eq!(parsed.errors[0].0, 2);
         // The strict reader refuses the same input outright.
         assert!(read_text(text.as_bytes()).is_err());
+    }
+
+    #[test]
+    fn sort_by_time_counts_late_packets_and_keeps_ties_in_order() {
+        let at = |micros, port| {
+            PacketRecord::data(
+                SimTime::from_micros(micros),
+                NodeId(0),
+                port,
+                NodeId(1),
+                2,
+                1,
+            )
+        };
+        let mut packets = vec![at(9, 1), at(3, 2), at(9, 3), at(5, 4), at(3, 5)];
+        assert_eq!(sort_by_time(&mut packets), 3);
+        let ports: Vec<u16> = packets.iter().map(|p| p.src_port).collect();
+        assert_eq!(ports, [2, 5, 4, 1, 3]);
+        assert_eq!(sort_by_time(&mut packets), 0);
     }
 
     #[test]

@@ -82,11 +82,18 @@ impl LogLogistic {
         for _ in 0..60 {
             let mut sum_tanh = 0.0; // d/dmu terms: sum tanh(z/2)
             let mut sum_zt = 0.0; // d/ds terms: sum z*tanh(z/2)
+                                  // A run of bit-equal logs shares one pair of terms; the sums
+                                  // still add every term in sample order.
+            let (mut last, mut t, mut zt) = (f64::NAN.to_bits(), 0.0, 0.0);
             for &l in &logs {
-                let z = (l - mu) / s;
-                let t = (z / 2.0).tanh();
+                if l.to_bits() != last {
+                    last = l.to_bits();
+                    let z = (l - mu) / s;
+                    t = (z / 2.0).tanh();
+                    zt = z * t;
+                }
                 sum_tanh += t;
-                sum_zt += z * t;
+                sum_zt += zt;
             }
             // Score equations: sum tanh(z/2) = 0; sum z tanh(z/2) = n.
             let g1 = sum_tanh / n;
@@ -241,6 +248,32 @@ mod tests {
                 "beta {} vs {b}",
                 fit.beta()
             );
+        }
+    }
+
+    #[test]
+    fn mle_is_pinned_bit_for_bit() {
+        // Tie-heavy: five values repeat 12 times each, plus 20 spread ones.
+        let mut ties: Vec<f64> = (0..60)
+            .map(|i| [512.0, 1024.0, 1024.0, 4096.0, 65536.0][i % 5])
+            .collect();
+        ties.extend((1..=20).map(|i| 300.0 * f64::from(i)));
+        // Block-size-heavy: 95% at 128 MiB.
+        const BLOCK: f64 = 134_217_728.0;
+        let mut blocks = vec![BLOCK; 190];
+        blocks.extend((1..=10).map(|i| BLOCK * f64::from(i) / 11.0));
+        // Continuous: no two values equal.
+        let continuous: Vec<f64> = (1..=300)
+            .map(|i| 1.0 + 1e5 * (f64::from(i) * 0.754_877_666_246_692_8).fract().powi(3))
+            .collect();
+        for (xs, alpha, beta) in [
+            (&ties, 0x40a0_a8c6_9fef_1854, 0x3ff2_d448_33b5_4ccd),
+            (&blocks, 0x419f_dade_a443_6e59, 0x4036_9ae8_0bed_62ef),
+            (&continuous, 0x40bf_2e15_6e18_5f9c, 0x3fe6_27c1_05c8_7765),
+        ] {
+            let fit = LogLogistic::fit_mle(xs).unwrap();
+            assert_eq!(fit.alpha().to_bits(), alpha, "alpha {}", fit.alpha());
+            assert_eq!(fit.beta().to_bits(), beta, "beta {}", fit.beta());
         }
     }
 

@@ -91,11 +91,19 @@ impl Weibull {
             let mut s0 = 0.0; // sum x^k
             let mut s1 = 0.0; // sum x^k ln x
             let mut s2 = 0.0; // sum x^k (ln x)^2
+                              // A run of bit-equal logs shares one set of terms; the sums
+                              // still add every term in sample order.
+            let (mut last, mut xk, mut xk_l, mut xk_ll) = (f64::NAN.to_bits(), 0.0, 0.0, 0.0);
             for &lx in &logs {
-                let xk = (k * lx).exp();
+                if lx.to_bits() != last {
+                    last = lx.to_bits();
+                    xk = (k * lx).exp();
+                    xk_l = xk * lx;
+                    xk_ll = xk_l * lx;
+                }
                 s0 += xk;
-                s1 += xk * lx;
-                s2 += xk * lx * lx;
+                s1 += xk_l;
+                s2 += xk_ll;
             }
             if !s0.is_finite() || s0 <= 0.0 {
                 return Err(StatError::NoConvergence("weibull shape overflow"));

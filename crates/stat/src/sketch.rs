@@ -25,6 +25,8 @@
 //! Both bounds are asserted exactly (plus float-rounding slack) by the
 //! sketch-equivalence proptests in `tests/stream_model.rs`.
 
+use std::cmp::Ordering;
+
 use crate::ks::{kolmogorov_sf, KsResult};
 use crate::{Result, StatError};
 
@@ -84,6 +86,9 @@ pub struct GkSketch {
     n: u64,
     tuples: Vec<GkTuple>,
     inserts_since_compress: u64,
+    /// [`GkSketch::extend_from_slice`]'s working buffer: the new tuples of one
+    /// compress period. Kept so inserting one value allocates nothing.
+    batch: Vec<GkTuple>,
 }
 
 impl GkSketch {
@@ -104,6 +109,7 @@ impl GkSketch {
             n: 0,
             tuples: Vec::new(),
             inserts_since_compress: 0,
+            batch: Vec::new(),
         })
     }
 
@@ -131,28 +137,135 @@ impl GkSketch {
         self.tuples.last().map(|t| t.v)
     }
 
-    /// The maximum tuple uncertainty `g + Δ` may reach.
-    fn band(&self) -> u64 {
-        (2.0 * self.eps * self.n as f64).floor() as u64
+    /// The maximum tuple uncertainty `g + Δ` may reach after `n`
+    /// observations.
+    fn band(&self, n: u64) -> u64 {
+        (2.0 * self.eps * n as f64).floor() as u64
     }
 
-    /// Inserts every `⌊1/(2ε)⌋` observations, merge adjacent tuples
-    /// whose combined uncertainty stays within the band. The first and
-    /// last tuples are never merged away, keeping the extremes exact.
+    /// Observations between compressions: `⌊1/(2ε)⌋`, at least one.
+    fn period(&self) -> u64 {
+        (1.0 / (2.0 * self.eps)).floor().max(1.0) as u64
+    }
+
+    /// Inserts every finite value of `xs` (non-finite values are
+    /// ignored).
+    ///
+    /// The tuples come out exactly as if each value were inserted on its
+    /// own, in order, compressing every `⌊1/(2ε)⌋` values; see DESIGN.md,
+    /// "Streaming ingestion". One insert shifts every larger tuple, so this
+    /// takes the values one compress period at a time instead: each value
+    /// gets the `Δ` it would get on its own, then the period, sorted
+    /// stably, merges into the tuples in one pass.
+    pub fn extend_from_slice(&mut self, xs: &[f64]) {
+        let period = self.period();
+        let mut values = xs.iter().copied().filter(|x| x.is_finite());
+        let mut batch = std::mem::take(&mut self.batch);
+        loop {
+            let room = period - self.inserts_since_compress;
+            let (mut lo, mut hi) = (self.min(), self.max());
+            batch.clear();
+            for v in values.by_ref().take(room as usize) {
+                // A value below everything stored, or at or above
+                // everything stored, lands at an end of the tuple list and
+                // is exact; anything else takes the band's uncertainty at
+                // its own arrival.
+                let (below, above) = (lo.is_none_or(|lo| v < lo), hi.is_none_or(|hi| v >= hi));
+                let delta = if below || above {
+                    0
+                } else {
+                    self.band(self.n + batch.len() as u64).saturating_sub(1)
+                };
+                batch.push(GkTuple { v, g: 1, delta });
+                if below {
+                    lo = Some(v);
+                }
+                if above {
+                    hi = Some(v);
+                }
+            }
+            if batch.is_empty() {
+                self.batch = batch;
+                return;
+            }
+            // Equal values keep their arrival order, after the stored ones.
+            batch.sort_by(|a, b| a.v.partial_cmp(&b.v).unwrap_or(Ordering::Equal));
+            self.merge(&batch);
+            self.n += batch.len() as u64;
+            self.inserts_since_compress += batch.len() as u64;
+            if self.inserts_since_compress < period {
+                // The values ran out before the period did.
+                self.batch = batch;
+                return;
+            }
+            self.compress();
+            self.inserts_since_compress = 0;
+        }
+    }
+
+    /// Merges a sorted batch into the tuples from the right, in place;
+    /// a batch tuple goes after every stored tuple of equal value. Each
+    /// stored tuple moves once, in a block with its neighbours.
+    ///
+    /// A value's place is found by galloping left from the previous
+    /// value's: a period's values land a few tuples apart, so that takes
+    /// a few comparisons where a binary search over all the tuples takes
+    /// `log₂ n` hard-to-predict ones. A single value costs about two
+    /// binary searches.
+    fn merge(&mut self, batch: &[GkTuple]) {
+        let mut stored = self.tuples.len();
+        self.tuples.extend_from_slice(batch);
+        let mut write = self.tuples.len();
+        for new in batch.iter().rev() {
+            // Every tuple in `above..stored` is greater than the new value;
+            // none before `lo` is.
+            let (mut above, mut step) = (stored, 1);
+            let lo = loop {
+                let Some(probe) = above.checked_sub(step) else {
+                    break 0;
+                };
+                if self.tuples[probe].v <= new.v {
+                    break probe + 1;
+                }
+                above = probe;
+                step *= 2;
+            };
+            let stay = lo + self.tuples[lo..above].partition_point(|t| t.v <= new.v);
+            self.tuples
+                .copy_within(stay..stored, write - (stored - stay));
+            write -= stored - stay + 1;
+            stored = stay;
+            self.tuples[write] = *new;
+        }
+    }
+
+    /// Merges each tuple into its right neighbour while their combined
+    /// uncertainty stays within the band, scanning right to left. The
+    /// first and last tuples are never merged away, keeping the extremes
+    /// exact. One pass compacts the survivors against the right end, then
+    /// one move shifts them to the front.
     fn compress(&mut self) {
-        let band = self.band();
-        if self.tuples.len() < 3 {
+        let band = self.band(self.n);
+        let len = self.tuples.len();
+        if len < 3 {
             return;
         }
-        let mut i = self.tuples.len() - 2;
-        while i >= 1 {
-            let merged = self.tuples[i].g + self.tuples[i + 1].g + self.tuples[i + 1].delta;
-            if merged <= band {
-                self.tuples[i + 1].g += self.tuples[i].g;
-                self.tuples.remove(i);
+        // `self.tuples[keep]` is the leftmost survivor so far: the right
+        // neighbour of the tuple being scanned.
+        let mut keep = len - 1;
+        for i in (1..len - 1).rev() {
+            let t = self.tuples[i];
+            let right = &mut self.tuples[keep];
+            if t.g + right.g + right.delta <= band {
+                right.g += t.g;
+            } else {
+                keep -= 1;
+                self.tuples[keep] = t;
             }
-            i -= 1;
         }
+        keep -= 1;
+        self.tuples[keep] = self.tuples[0];
+        self.tuples.drain(..keep);
     }
 
     /// The sketch's lower empirical CDF `F̃(x) = rmin(x)/n`: the jump
@@ -188,44 +301,48 @@ impl GkSketch {
     /// grid: `m` mid-rank quantiles, `m = min(n, cap)`. Feeding these
     /// to the offline fitters approximates the full-sample fit to
     /// within the sketch's rank error.
+    ///
+    /// Entry `j` is [`quantile`](StreamingQuantiles::quantile) at
+    /// `(j + 0.5)/m`, bit for bit. The targets ascend, so each one's walk
+    /// resumes where the previous one stopped: one walk answers them all.
     #[must_use]
     pub fn pseudo_sample(&self, cap: usize) -> Vec<f64> {
-        let m = (self.n as usize).min(cap.max(1));
         if self.n == 0 {
             return Vec::new();
         }
-        (0..m)
-            .map(|j| {
-                let q = (j as f64 + 0.5) / m as f64;
-                self.quantile(q).expect("non-empty sketch")
-            })
-            .collect()
+        let m = (self.n as usize).min(cap.max(1));
+        let n = self.n as f64;
+        let t = self.eps * n;
+        // The walk so far: tuples before `next`, their `g` summed in
+        // `rmin`, and the last value passed (the first tuple's before
+        // any). `q` stays inside (0, 1) for any `m` below 2⁵³, so the
+        // extremes' shortcuts in `quantile` never apply.
+        let (mut next, mut rmin, mut prev) = (0, 0u64, self.tuples[0].v);
+        let mut out = Vec::with_capacity(m);
+        for j in 0..m {
+            let q = (j as f64 + 0.5) / m as f64;
+            let r = (q * n).ceil().max(1.0);
+            while let Some(tu) = self.tuples.get(next) {
+                if (rmin + tu.g + tu.delta) as f64 > r + t {
+                    break;
+                }
+                rmin += tu.g;
+                prev = tu.v;
+                next += 1;
+            }
+            out.push(prev);
+        }
+        out
     }
 }
 
 impl StreamingQuantiles for GkSketch {
+    /// Interior inserts take the maximal allowed uncertainty; new
+    /// extremes are exact (Δ = 0), which keeps min/max queries
+    /// error-free and anchors the query-walk proof. The one-value case of
+    /// [`GkSketch::extend_from_slice`].
     fn observe(&mut self, x: f64) {
-        if !x.is_finite() {
-            return;
-        }
-        let band = self.band();
-        let pos = self.tuples.partition_point(|t| t.v <= x);
-        // Interior inserts take the maximal allowed uncertainty; new
-        // extremes are exact (Δ = 0), which keeps min/max queries
-        // error-free and anchors the query-walk proof.
-        let delta = if pos == 0 || pos == self.tuples.len() {
-            0
-        } else {
-            band.saturating_sub(1)
-        };
-        self.tuples.insert(pos, GkTuple { v: x, g: 1, delta });
-        self.n += 1;
-        self.inserts_since_compress += 1;
-        let period = (1.0 / (2.0 * self.eps)).floor().max(1.0) as u64;
-        if self.inserts_since_compress >= period {
-            self.compress();
-            self.inserts_since_compress = 0;
-        }
+        self.extend_from_slice(std::slice::from_ref(&x));
     }
 
     fn count(&self) -> u64 {
@@ -402,15 +519,19 @@ impl SampleStore {
         Ok(SampleStore::Sketch(GkSketch::new(eps)?))
     }
 
-    /// Ingests one observation (non-finite values are ignored).
+    /// Ingests one observation (non-finite values are ignored): the
+    /// one-value case of [`SampleStore::extend_from_slice`].
     pub fn push(&mut self, x: f64) {
+        self.extend_from_slice(std::slice::from_ref(&x));
+    }
+
+    /// Ingests every finite value of `xs`, in order (non-finite values
+    /// are ignored). A sketch ends up exactly as if each value were
+    /// pushed on its own.
+    pub fn extend_from_slice(&mut self, xs: &[f64]) {
         match self {
-            SampleStore::Exact(v) => {
-                if x.is_finite() {
-                    v.push(x);
-                }
-            }
-            SampleStore::Sketch(s) => s.observe(x),
+            SampleStore::Exact(v) => v.extend(xs.iter().copied().filter(|x| x.is_finite())),
+            SampleStore::Sketch(s) => s.extend_from_slice(xs),
         }
     }
 
@@ -454,6 +575,7 @@ impl SampleStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -636,5 +758,131 @@ mod tests {
             store.push(f64::from(i));
         }
         assert_eq!(store.fit_samples().len(), 5);
+    }
+
+    /// The sketch built one value at a time, as it was before the batch
+    /// path: a shifting insert per value, and a compress that removes
+    /// merged tuples one by one.
+    struct Sequential {
+        eps: f64,
+        n: u64,
+        tuples: Vec<GkTuple>,
+        since_compress: u64,
+    }
+
+    impl Sequential {
+        fn band(&self) -> u64 {
+            (2.0 * self.eps * self.n as f64).floor() as u64
+        }
+
+        fn observe(&mut self, x: f64) {
+            if !x.is_finite() {
+                return;
+            }
+            let band = self.band();
+            let pos = self.tuples.partition_point(|t| t.v <= x);
+            let delta = if pos == 0 || pos == self.tuples.len() {
+                0
+            } else {
+                band.saturating_sub(1)
+            };
+            self.tuples.insert(pos, GkTuple { v: x, g: 1, delta });
+            self.n += 1;
+            self.since_compress += 1;
+            let period = (1.0 / (2.0 * self.eps)).floor().max(1.0) as u64;
+            if self.since_compress >= period {
+                self.compress();
+                self.since_compress = 0;
+            }
+        }
+
+        fn compress(&mut self) {
+            let band = self.band();
+            if self.tuples.len() < 3 {
+                return;
+            }
+            let mut i = self.tuples.len() - 2;
+            while i >= 1 {
+                let merged = self.tuples[i].g + self.tuples[i + 1].g + self.tuples[i + 1].delta;
+                if merged <= band {
+                    self.tuples[i + 1].g += self.tuples[i].g;
+                    self.tuples.remove(i);
+                }
+                i -= 1;
+            }
+        }
+    }
+
+    fn bits(tuples: &[GkTuple]) -> Vec<(u64, u64, u64)> {
+        tuples
+            .iter()
+            .map(|t| (t.v.to_bits(), t.g, t.delta))
+            .collect()
+    }
+
+    /// Turns a `(kind, x)` draw into a value that stresses the insert:
+    /// ties, both zeros, non-finite values, new extremes on either side,
+    /// and spread values. `lo` and `hi` track the extremes so far.
+    fn realise((kind, x): (u32, f64), lo: &mut f64, hi: &mut f64) -> f64 {
+        let v = match kind {
+            0 | 1 => x.abs().floor() % 4.0,
+            2 => [0.0, -0.0][usize::from(x < 0.0)],
+            3 => [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][(x.abs() as usize) % 3],
+            4 => *hi + x.abs().floor(),
+            5 => *lo - x.abs().floor(),
+            _ => x,
+        };
+        if v.is_finite() {
+            *lo = lo.min(v);
+            *hi = hi.max(v);
+        }
+        v
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Batches of any size, mixed with single observations, leave
+        /// the tuples exactly where one-at-a-time inserts leave them, and
+        /// the one-walk pseudo-sample answers each target as `quantile`
+        /// does, bit for bit.
+        #[test]
+        fn batched_inserts_match_sequential_inserts(
+            draws in prop::collection::vec((0u32..8, -100.0f64..100.0), 0..1_500),
+            chunks in prop::collection::vec((1usize..700, any::<bool>()), 1..12),
+            eps in (0u32..4, 0.001f64..0.49),
+            cap in 1usize..700,
+        ) {
+            // ε spans (0.001, 0.49); its ends give periods of 500 and 1.
+            let eps = [eps.1, 0.001, 0.25, 0.49][eps.0 as usize];
+            let (mut lo, mut hi) = (0.0, 0.0);
+            let xs: Vec<f64> = draws.into_iter().map(|d| realise(d, &mut lo, &mut hi)).collect();
+            let mut batched = GkSketch::new(eps).unwrap();
+            let mut sequential = Sequential { eps, n: 0, tuples: Vec::new(), since_compress: 0 };
+            let mut rest = &xs[..];
+            for &(len, one_by_one) in chunks.iter().cycle() {
+                if rest.is_empty() {
+                    break;
+                }
+                let (chunk, tail) = rest.split_at(len.min(rest.len()));
+                rest = tail;
+                if one_by_one {
+                    chunk.iter().for_each(|&x| batched.observe(x));
+                } else {
+                    batched.extend_from_slice(chunk);
+                }
+                chunk.iter().for_each(|&x| sequential.observe(x));
+                prop_assert_eq!(bits(&batched.tuples), bits(&sequential.tuples));
+                prop_assert_eq!(batched.count(), sequential.n);
+            }
+            if batched.count() > 0 {
+                let m = (batched.count() as usize).min(cap);
+                let walked: Vec<u64> = batched.pseudo_sample(cap).iter().map(|v| v.to_bits()).collect();
+                let queried: Vec<u64> = (0..m)
+                    .map(|j| batched.quantile((j as f64 + 0.5) / m as f64).unwrap().to_bits())
+                    .collect();
+                prop_assert_eq!(walked, queried);
+            }
+        }
     }
 }

@@ -5,7 +5,7 @@ use std::path::PathBuf;
 
 use keddah_faults::FaultSpec;
 use keddah_flowcap::classify::classify_all;
-use keddah_flowcap::tcpdump::read_text_lenient;
+use keddah_flowcap::tcpdump::{self, read_text_lenient};
 use keddah_flowcap::FlowAssembler;
 use keddah_hadoop::{run_dag, ClusterSpec, HadoopConfig, JobSpec, Workload};
 
@@ -87,24 +87,11 @@ fn ingest(args: &Args, path: &str) -> Result<()> {
         );
     }
 
-    // The assembler wants packets in time order; a file can list them
-    // otherwise (per-node captures concatenated, say). Count the packets
-    // stamped before one listed earlier, then sort, stably, so
-    // same-instant packets keep their file order.
     let mut packets = std::mem::take(&mut parsed.packets);
-    let mut latest = None;
-    let reordered = packets
-        .iter()
-        .filter(|p| {
-            let late = latest.is_some_and(|t| p.ts < t);
-            latest = latest.max(Some(p.ts));
-            late
-        })
-        .count();
-    obs.add("flowcap", "packets_reordered", reordered as u64);
+    let reordered = tcpdump::sort_by_time(&mut packets);
+    obs.add("flowcap", "packets_reordered", reordered);
     if reordered > 0 {
         eprintln!("  {reordered} packet(s) out of time order; sorted before assembly");
-        packets.sort_by_key(|p| p.ts);
     }
 
     let mut assembler = FlowAssembler::new();
@@ -319,7 +306,7 @@ pub fn run(args: &Args) -> Result<()> {
         if let (Some(dir), Some(log)) = (&packets_dir, log) {
             let ppath = dir.join(format!("{stem}.txt"));
             let pfile = fs::File::create(&ppath)?;
-            keddah_flowcap::tcpdump::write_text(&log.packets(), std::io::BufWriter::new(pfile))
+            tcpdump::write_text(&log.packets(), std::io::BufWriter::new(pfile))
                 .map_err(|e| err(format!("writing {}: {e}", ppath.display())))?;
         }
         eprintln!(

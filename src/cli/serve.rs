@@ -148,10 +148,12 @@ pub fn run(args: &Args) -> Result<()> {
 
 /// One-shot mode: stdin packet text → one run → model on stdout.
 fn run_stdin(engine: &mut StreamEngine, obs: &Obs, workload: &str, args: &Args) -> Result<()> {
-    let parsed = tcpdump::read_text_lenient(std::io::stdin().lock())
+    let mut parsed = tcpdump::read_text_lenient(std::io::stdin().lock())
         .map_err(|e| err(format!("reading stdin: {e}")))?;
     obs.add("stream", "parse_errors", parsed.errors.len() as u64);
     print_parse_errors("stdin", &parsed.errors);
+    let reordered = tcpdump::sort_by_time(&mut parsed.packets);
+    obs.add("stream", "packets_reordered", reordered);
     for packet in parsed.packets {
         engine.ingest_packet(packet);
     }

@@ -21,7 +21,7 @@ use keddah::core::{Dataset, SketchMode};
 use keddah::des::{Duration, SimTime};
 use keddah::flowcap::{
     ports, FiveTuple, FlowAssembler, FlowRecord, NodeId, PacketRecord, StreamAssembler,
-    StreamConfig, Trace, TraceMeta,
+    StreamConfig, StreamStats, Trace, TraceMeta,
 };
 use keddah::obs::Obs;
 use keddah::stat::ks::ks_one_sample;
@@ -186,6 +186,144 @@ proptest! {
             )
         });
         prop_assert_eq!(got, expect);
+    }
+}
+
+/// `StreamAssembler`'s contract spelled out naively: the open flows in a
+/// Vec, coldest (least recently touched) first, found by linear search.
+struct NaiveAssembler {
+    idle: Duration,
+    capacity: usize,
+    clock: SimTime,
+    /// `(canonical tuple, flow so far, stream clock at its last packet)`.
+    open: Vec<(FiveTuple, FlowRecord, SimTime)>,
+    done: Vec<FlowRecord>,
+    stats: StreamStats,
+}
+
+impl NaiveAssembler {
+    fn new(idle: Duration, capacity: usize) -> Self {
+        NaiveAssembler {
+            idle,
+            capacity,
+            clock: SimTime::ZERO,
+            open: Vec::new(),
+            done: Vec::new(),
+            stats: StreamStats::default(),
+        }
+    }
+
+    fn push(&mut self, p: PacketRecord) {
+        self.stats.packets += 1;
+        self.clock = self.clock.max(p.ts);
+        // Every flow idle at the new clock ends, coldest first.
+        let (idle, warm): (Vec<_>, Vec<_>) = std::mem::take(&mut self.open)
+            .into_iter()
+            .partition(|(_, _, touched)| self.clock.saturating_since(*touched) > self.idle);
+        self.open = warm;
+        for (_, flow, _) in idle {
+            self.done.push(flow);
+            self.stats.evicted_idle += 1;
+        }
+        let oriented = FiveTuple {
+            src: p.src,
+            src_port: p.src_port,
+            dst: p.dst,
+            dst_port: p.dst_port,
+        };
+        let key = oriented.canonical();
+        if let Some(i) = self.open.iter().position(|(k, _, _)| *k == key) {
+            let (_, mut flow, _) = self.open.remove(i);
+            if p.ts.saturating_since(flow.end) > self.idle {
+                // Idle on its own tuple: it ends, and this packet opens
+                // the next flow below.
+                self.done.push(flow);
+                self.stats.evicted_idle += 1;
+            } else {
+                flow.start = flow.start.min(p.ts);
+                flow.end = flow.end.max(p.ts);
+                flow.packets += 1;
+                if oriented == flow.tuple {
+                    flow.fwd_bytes += p.bytes;
+                } else {
+                    flow.rev_bytes += p.bytes;
+                }
+                if p.fin {
+                    self.done.push(flow);
+                    self.stats.completed_fin += 1;
+                } else {
+                    self.open.push((key, flow, self.clock));
+                }
+                return;
+            }
+        }
+        if self.open.len() >= self.capacity {
+            let (_, coldest, _) = self.open.remove(0);
+            self.done.push(coldest);
+            self.stats.evicted_capacity += 1;
+        }
+        let flow = FlowRecord {
+            tuple: oriented,
+            start: p.ts,
+            end: p.ts,
+            fwd_bytes: p.bytes,
+            rev_bytes: 0,
+            packets: 1,
+            component: None,
+        };
+        if p.fin {
+            self.done.push(flow);
+            self.stats.completed_fin += 1;
+        } else {
+            self.open.push((key, flow, self.clock));
+        }
+    }
+
+    fn flush(&mut self) -> Vec<FlowRecord> {
+        for (_, flow, _) in std::mem::take(&mut self.open) {
+            self.done.push(flow);
+            self.stats.flushed += 1;
+        }
+        std::mem::take(&mut self.done)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The assembler emits the naive reference's records, in the same
+    /// order at every drain, with the same counters. Few tuples, tables
+    /// of 1–8 slots, idle timeouts of 0.2–2 s, FINs on a quarter of the
+    /// packets (so on first packets too), and late packets up to 4 s
+    /// behind the clock: a late packet can open a flow whose next packet
+    /// then splits it on its own tuple before the sweep sees it idle.
+    #[test]
+    fn stream_assembler_matches_naive_reference(
+        draws in prop::collection::vec(
+            (0u32..3, 0u32..2, 1_000u16..1_003, (0u64..1_500, 0u64..4, 0u64..4_000), 1u64..5_000, 0u32..4),
+            1..300,
+        ),
+        capacity in 1usize..9,
+        idle_ms in 200u64..2_000,
+        drain_every in 1usize..40,
+    ) {
+        let idle = Duration::from_millis(idle_ms);
+        let mut asm = StreamAssembler::with_config(StreamConfig { idle_timeout: idle, max_active: capacity });
+        let mut naive = NaiveAssembler::new(idle, capacity);
+        let mut now = 0u64;
+        for (i, &(a, b, port, (step, late, lag), bytes, fin)) in draws.iter().enumerate() {
+            now += step;
+            let ts = if late == 0 { now.saturating_sub(lag) } else { now };
+            let p = build_packet(&(a, b, port, ts, bytes, fin == 0));
+            asm.push(p);
+            naive.push(p);
+            prop_assert_eq!(asm.open(), naive.open.len());
+            if i % drain_every == 0 {
+                prop_assert_eq!(asm.drain(), std::mem::take(&mut naive.done));
+            }
+        }
+        prop_assert_eq!(asm.flush(), naive.flush());
+        prop_assert_eq!(asm.stats(), naive.stats);
     }
 }
 
