@@ -112,10 +112,17 @@ impl<E> EventQueue<E> {
         self.heap.pop()
     }
 
+    /// Returns the next event to be delivered and its time, without
+    /// removing it: the earliest, and of those the first scheduled.
+    #[must_use]
+    pub fn peek(&self) -> Option<(SimTime, &E)> {
+        self.heap.peek().map(|e| (e.at, &e.event))
+    }
+
     /// Returns the time of the earliest pending event without removing it.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
+        self.peek().map(|(t, _)| t)
     }
 
     /// Returns the number of pending events.
@@ -192,6 +199,33 @@ mod tests {
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(4)));
         q.pop();
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(7)));
+    }
+
+    #[test]
+    fn peek_returns_the_next_pop() {
+        let mut q = EventQueue::new();
+        assert!(q.peek().is_none());
+        let t = SimTime::from_secs(3);
+        q.push(t, 'a');
+        q.push(t, 'b');
+        q.push(SimTime::from_secs(5), 'c');
+        // Two events at one time: the first pushed is next.
+        assert_eq!(q.peek(), Some((t, &'a')));
+        assert_eq!(q.pop().map(|e| e.event), Some('a'));
+        assert_eq!(q.peek(), Some((t, &'b')));
+        // After a batch, peek follows delivery order: time, then FIFO.
+        q.push_batch([
+            (SimTime::from_secs(5), 'd'),
+            (SimTime::from_secs(1), 'e'),
+            (t, 'f'),
+        ]);
+        let mut order = Vec::new();
+        while let Some((at, &ev)) = q.peek() {
+            let popped = q.pop().expect("peeked an event");
+            assert_eq!((popped.at, popped.event), (at, ev));
+            order.push(ev);
+        }
+        assert_eq!(order, ['e', 'b', 'f', 'c', 'd']);
     }
 
     #[test]

@@ -9,11 +9,14 @@
 //!
 //! * [`max_min_rates`] — the pure from-scratch solver over one flow set;
 //! * [`FairShareState`] — an incremental allocator that keeps per-link
-//!   flow adjacency between events and, on each [`insert_flow`] /
-//!   [`remove_flow`], re-solves only the *affected component*: the flows
-//!   transitively connected to the mutated flow through shared links.
-//!   Its rates are **bit-for-bit identical** to [`max_min_rates`] over
-//!   the full active set after every mutation (see the module's
+//!   flow adjacency between events and re-solves only the *affected
+//!   components*: the flows transitively connected to a mutated flow
+//!   through shared links. Each public mutator ([`insert_flow`],
+//!   [`remove_flow`], …) re-solves at once. The simulator instead
+//!   records every mutation of one simulated instant and settles them
+//!   in a single fill (see "Recorded mutations" below). Either way the
+//!   rates are **bit-for-bit identical** to [`max_min_rates`] over the
+//!   full active set whenever they are read (see the module's
 //!   equivalence argument below), which is what keeps same-seed replays
 //!   byte-identical whichever path runs.
 //!
@@ -37,6 +40,21 @@
 //! solve would produce. The property test
 //! `incremental_fair_share_matches_full` pins this with exact
 //! (bitwise) equality, well inside the 1e-9 budget.
+//!
+//! # Recorded mutations
+//!
+//! A mutation only updates the adjacency and appends its entry's links
+//! to a pending list; `settle` re-solves. Rates are read only after a
+//! settle, so the mutations between two settles may merge, split,
+//! empty or re-create components in any order. `settle` fills every
+//! component that holds a recorded link, once: one BFS seeded from all
+//! recorded links, or the whole busy set when one of them lies in the
+//! giant. That is exact by the same argument: the union of the touched
+//! components is link-disjoint from every other component, so filling
+//! it performs each touched component's own operations, and a component
+//! no recorded link reaches had no entry, weight or capacity change
+//! since its rates were last solved. The public mutators record and
+//! settle at once; `netsim::sim` settles once per simulated instant.
 //!
 //! # Weighted entries (flow bundles)
 //!
@@ -201,20 +219,25 @@ const REMEASURE_EVERY: u32 = 32;
 /// Incremental max-min fair allocator.
 ///
 /// Maintains the active flow set, per-link flow adjacency and per-flow
-/// rates across mutations. Each mutation re-solves over one of two link
-/// lists, chosen from what the allocator has observed:
+/// rates across mutations. Each public mutation re-solves at once, over
+/// one of two link lists chosen from what the allocator has observed:
 ///
-/// * the *component* holding the mutated entry's links (for
-///   [`set_capacity`](Self::set_capacity), the changed link's), found by
-///   a BFS over the flow/link sharing graph;
+/// * the *components* holding the mutated entry's links (for
+///   [`set_capacity`](Self::set_capacity), those of an entry on the
+///   changed link), found by a BFS over the flow/link sharing graph;
 /// * every busy link (one with at least one entry), with no BFS, when
-///   those links lie in the *giant*: the component the latest BFS to
-///   reach it found to hold at least 64 entries and more than 75% of the
-///   entries on links. The whole set then costs little more to fill than
-///   the component, and the BFS is skipped. After 32 whole-set solves
-///   the next such mutation takes the BFS instead, which measures the
-///   giant again, so a network that has since fragmented returns to
-///   component solves.
+///   one of those links lies in the *giant*: the component the latest
+///   BFS to reach it found to hold at least 64 entries and more than 75%
+///   of the entries on links. The whole set then costs little more to
+///   fill than the component, and the BFS is skipped. After 32
+///   whole-set solves the next such re-solve takes the BFS instead,
+///   which measures the giant again, so a network that has since
+///   fragmented returns to component solves.
+///
+/// Inside the crate, the simulator uses the recording forms of the
+/// mutators and one `settle` per simulated instant, which makes the same
+/// choice over the links of every mutation it recorded (see the module's
+/// "Recorded mutations").
 ///
 /// # Examples
 ///
@@ -259,6 +282,9 @@ pub struct FairShareState {
     giant: Option<u64>,
     /// Whole-set solves since the giant was last measured.
     unmeasured: u32,
+    /// Links of the entries mutated since the last settle, repeats
+    /// included: the seeds of the next re-solve.
+    pending: Vec<u32>,
 
     // Stamped marks: each BFS and each fill takes a fresh `stamp`, so
     // clearing is O(1). A BFS marks the entries and links it visits (the
@@ -301,6 +327,7 @@ impl FairShareState {
             active_on_links: 0,
             giant: None,
             unmeasured: 0,
+            pending: Vec::new(),
             stamp: 0,
             flow_mark: Vec::new(),
             link_mark: vec![0; n_links],
@@ -334,6 +361,14 @@ impl FairShareState {
     ///
     /// Panics if a link index is out of range or `weight` is zero.
     pub fn insert_weighted(&mut self, links: &[u32], weight: u32) -> FairFlowId {
+        let id = self.record_insert(links, weight);
+        self.settle();
+        id
+    }
+
+    /// [`insert_weighted`](Self::insert_weighted) without the re-solve:
+    /// the entry's links wait for the next [`settle`](Self::settle).
+    pub(crate) fn record_insert(&mut self, links: &[u32], weight: u32) -> FairFlowId {
         assert!(weight > 0, "a fair-share entry needs at least one member");
         for &l in links {
             assert!(
@@ -373,7 +408,7 @@ impl FairShareState {
             self.link_flows[l].push(id);
             self.load[l] += weight;
         }
-        self.resolve(id);
+        self.pending.extend_from_slice(links);
         FairFlowId(id)
     }
 
@@ -385,6 +420,12 @@ impl FairShareState {
     ///
     /// Panics if the handle is stale or `dw` is zero.
     pub fn add_weight(&mut self, id: FairFlowId, dw: u32) {
+        self.record_add_weight(id, dw);
+        self.settle();
+    }
+
+    /// [`add_weight`](Self::add_weight) without the re-solve.
+    pub(crate) fn record_add_weight(&mut self, id: FairFlowId, dw: u32) {
         let slot = id.0 as usize;
         assert!(
             self.slots.get(slot).is_some_and(|s| s.alive),
@@ -396,9 +437,7 @@ impl FairShareState {
         for &l in &self.slots[slot].links {
             self.load[l as usize] += dw;
         }
-        if !self.slots[slot].links.is_empty() {
-            self.resolve(id.0);
-        }
+        self.pending.extend_from_slice(&self.slots[slot].links);
     }
 
     /// Removes `dw` members from a bundle and re-solves its component.
@@ -410,6 +449,12 @@ impl FairShareState {
     /// Panics if the handle is stale, `dw` is zero, or `dw` is not
     /// strictly less than the current weight.
     pub fn sub_weight(&mut self, id: FairFlowId, dw: u32) {
+        self.record_sub_weight(id, dw);
+        self.settle();
+    }
+
+    /// [`sub_weight`](Self::sub_weight) without the re-solve.
+    pub(crate) fn record_sub_weight(&mut self, id: FairFlowId, dw: u32) {
         let slot = id.0 as usize;
         assert!(
             self.slots.get(slot).is_some_and(|s| s.alive),
@@ -425,9 +470,7 @@ impl FairShareState {
         for &l in &self.slots[slot].links {
             self.load[l as usize] -= dw;
         }
-        if !self.slots[slot].links.is_empty() {
-            self.resolve(id.0);
-        }
+        self.pending.extend_from_slice(&self.slots[slot].links);
     }
 
     /// Member count of an active entry (1 for plain flows).
@@ -453,6 +496,13 @@ impl FairShareState {
     ///
     /// Panics if the handle is stale (already removed).
     pub fn remove_flow(&mut self, id: FairFlowId) {
+        self.record_remove(id);
+        self.settle();
+    }
+
+    /// [`remove_flow`](Self::remove_flow) without the re-solve. The slot
+    /// is free at once: a later insert may reuse it before the settle.
+    pub(crate) fn record_remove(&mut self, id: FairFlowId) {
         let slot = id.0 as usize;
         assert!(
             self.slots.get(slot).is_some_and(|s| s.alive),
@@ -484,12 +534,11 @@ impl FairShareState {
             }
         }
         // The dead entry's links seed the re-solve; it is on no link's
-        // list, so no fill reaches it.
-        self.resolve(id.0);
-        // Freed rather than cleared for the slot's next tenant: kept
-        // capacity fragmented the heap, and peak RSS grew pass after pass
-        // over repeated replays.
-        self.slots[slot].links = Vec::new();
+        // list, so no fill reaches it. Freed rather than cleared for the
+        // slot's next tenant: kept capacity fragmented the heap, and peak
+        // RSS grew pass after pass over repeated replays.
+        let links = std::mem::take(&mut self.slots[slot].links);
+        self.pending.extend_from_slice(&links);
     }
 
     /// Changes one link's capacity (a degraded or repaired optic, a
@@ -504,6 +553,13 @@ impl FairShareState {
     /// Panics if the link id is out of range or the capacity is not a
     /// finite non-negative number.
     pub fn set_capacity(&mut self, link: u32, bps: f64) {
+        self.record_capacity(link, bps);
+        self.settle();
+    }
+
+    /// [`set_capacity`](Self::set_capacity) without the re-solve. The new
+    /// capacity is [`capacity`](Self::capacity) at once.
+    pub(crate) fn record_capacity(&mut self, link: u32, bps: f64) {
         assert!(
             (link as usize) < self.capacities.len(),
             "link {link} out of range"
@@ -514,7 +570,8 @@ impl FairShareState {
         );
         self.capacities[link as usize] = bps;
         if let Some(&f) = self.link_flows[link as usize].first() {
-            self.resolve(f);
+            self.pending
+                .extend_from_slice(&self.slots[f as usize].links);
         }
     }
 
@@ -544,6 +601,7 @@ impl FairShareState {
     /// live bundle's rate twice per event.
     pub(crate) fn live_rate(&self, id: FairFlowId) -> f64 {
         debug_assert!(self.slots[id.0 as usize].alive, "stale handle {id:?}");
+        debug_assert!(self.pending.is_empty(), "rate read before a settle");
         self.rates[id.0 as usize]
     }
 
@@ -585,18 +643,23 @@ impl FairShareState {
         self.dense_solves
     }
 
-    /// Re-solves after a mutation of slot `seed` (live, or just
-    /// removed): over every busy link when the seed's links lie in the
-    /// giant, else over the component holding them, found by a BFS that
-    /// also measures whether that component is the giant.
-    fn resolve(&mut self, seed: u32) {
+    /// Re-solves every component holding a link recorded since the last
+    /// settle, in one fill: over every busy link when a recorded link
+    /// lies in the giant, else over those components, found by one BFS
+    /// seeded from all recorded links that also measures whether they
+    /// form the giant. Nothing recorded, or only links that went idle,
+    /// costs no fill.
+    pub(crate) fn settle(&mut self) {
+        if self.pending.is_empty() {
+            return;
+        }
         let in_giant = self.giant.is_some_and(|g| {
-            self.slots[seed as usize]
-                .links
+            self.pending
                 .iter()
                 .any(|&l| self.link_mark[l as usize] == g)
         });
         if in_giant && self.unmeasured < REMEASURE_EVERY {
+            self.pending.clear();
             self.unmeasured += 1;
             self.dense_solves += 1;
             self.scan.clear();
@@ -605,28 +668,41 @@ impl FairShareState {
             return;
         }
         // BFS over the flow/link sharing graph, with `scan` as its queue:
-        // it ends holding the component's links, plus any seed link that
-        // went idle, which the fill drops unread.
+        // it ends holding the components' links, plus any recorded link
+        // that went idle, which the fill drops unread.
         self.stamp += 1;
         let stamp = self.stamp;
         self.scan.clear();
-        let mut reached_giant = self.queue_links(seed as usize, stamp);
+        let mut reached_giant = queue_links(
+            &self.pending,
+            &mut self.link_mark,
+            &mut self.scan,
+            self.giant,
+            stamp,
+        );
+        self.pending.clear();
         let mut entries = 0usize;
         let mut head = 0;
         while head < self.scan.len() {
             let l = self.scan[head] as usize;
             head += 1;
-            for gi in 0..self.link_flows[l].len() {
-                let g = self.link_flows[l][gi] as usize;
+            for &g in &self.link_flows[l] {
+                let g = g as usize;
                 if self.flow_mark[g] != stamp {
                     self.flow_mark[g] = stamp;
                     entries += 1;
-                    reached_giant |= self.queue_links(g, stamp);
+                    reached_giant |= queue_links(
+                        &self.slots[g].links,
+                        &mut self.link_mark,
+                        &mut self.scan,
+                        self.giant,
+                        stamp,
+                    );
                 }
             }
         }
         if entries == 0 {
-            return; // a removal left its links idle: nothing to re-solve
+            return; // removals left the recorded links idle
         }
         if entries >= GIANT_MIN_ENTRIES
             && entries as f64 / self.active_on_links as f64 > GIANT_FRACTION
@@ -637,21 +713,6 @@ impl FairShareState {
             self.giant = None;
         }
         self.fill();
-    }
-
-    /// Queues the links of slot `f` that BFS `stamp` has not visited;
-    /// returns whether one of them carried the giant's mark.
-    fn queue_links(&mut self, f: usize, stamp: u64) -> bool {
-        let mut reached_giant = false;
-        for &l in &self.slots[f].links {
-            let mark = &mut self.link_mark[l as usize];
-            if *mark != stamp {
-                reached_giant |= self.giant == Some(*mark);
-                *mark = stamp;
-                self.scan.push(l);
-            }
-        }
-        reached_giant
     }
 
     /// Weighted progressive filling over the links in `scan`, which holds
@@ -740,9 +801,34 @@ impl FairShareState {
     }
 }
 
+/// Queues the `links` that BFS `stamp` has not visited, marking them;
+/// returns whether one of them carried the mark of the `giant`.
+fn queue_links(
+    links: &[u32],
+    link_mark: &mut [u64],
+    scan: &mut Vec<u32>,
+    giant: Option<u64>,
+    stamp: u64,
+) -> bool {
+    let mut reached_giant = false;
+    for &l in links {
+        let mark = &mut link_mark[l as usize];
+        if *mark != stamp {
+            reached_giant |= giant == Some(*mark);
+            *mark = stamp;
+            scan.push(l);
+        }
+    }
+    reached_giant
+}
+
+#[cfg(test)]
+mod ops;
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn close(a: f64, b: f64) -> bool {
         (a - b).abs() < 1e-9 * (1.0 + b.abs())
@@ -1275,5 +1361,146 @@ mod tests {
             "the drained link left the giant"
         );
         assert_bitwise(&state, &ids, &reference_rates(&caps, &entries), "drained");
+    }
+
+    /// Settles `state`, asserting it ran one fill if one of the live
+    /// `entries` crosses a link in `touched` and none otherwise.
+    fn settle_counted(state: &mut FairShareState, touched: &[u32], entries: &[(Vec<u32>, u32)]) {
+        let busy = entries
+            .iter()
+            .any(|(links, _)| links.iter().any(|l| touched.contains(l)));
+        let before = state.solves();
+        state.settle();
+        assert_eq!(state.solves() - before, u64::from(busy), "fills per settle");
+    }
+
+    #[test]
+    fn one_settle_covers_an_instant_of_mixed_mutations() {
+        // Six recorded inserts per instant: the hub grows into the giant,
+        // whose instants then fill the whole set.
+        let (mut caps, mut entries) = hub_and_spokes(70, 6, 3);
+        let mut state = FairShareState::new(caps.clone(), 1e10);
+        let mut ids = Vec::new();
+        for chunk in entries.chunks(6) {
+            for (links, w) in chunk {
+                ids.push(state.record_insert(links, *w));
+            }
+            settle_counted(&mut state, &chunk[0].0, &entries[..ids.len()]);
+            let want = reference_rates(&caps, &entries[..ids.len()]);
+            assert_bitwise(&state, &ids, &want, "grown");
+        }
+        assert!(state.dense_solves() > 0, "the giant filled the whole set");
+
+        // One instant: spoke 1's entry leaves and a hub entry takes its
+        // slot; idle link 1 and busy spoke link 2 go down to 0; spokes 3
+        // and 4 merge under a bridging entry; a hub entry gains members.
+        state.record_remove(ids[0]);
+        let reused = state.record_insert(&[0, 8], 2);
+        assert_eq!(reused, ids[0], "the freed slot is reused");
+        (ids[0], entries[0]) = (reused, (vec![0, 8], 2));
+        for link in [1, 2] {
+            caps[link as usize] = 0.0;
+            state.record_capacity(link, 0.0);
+        }
+        ids.push(state.record_insert(&[3, 4], 1));
+        entries.push((vec![3, 4], 1));
+        state.record_add_weight(ids[10], 4);
+        entries[10].1 += 4;
+        settle_counted(&mut state, &[0, 1, 2, 3, 4], &entries);
+        assert_bitwise(&state, &ids, &reference_rates(&caps, &entries), "mixed");
+        assert_eq!(state.rate(ids[1]), 0.0, "spoke 2 sits on a dead link");
+
+        // The bridge leaves (a split) and link 2 comes back.
+        state.record_remove(ids.pop().expect("the bridge"));
+        entries.pop();
+        caps[2] = 1e9;
+        state.record_capacity(2, 1e9);
+        settle_counted(&mut state, &[2, 3, 4], &entries);
+        assert_bitwise(&state, &ids, &reference_rates(&caps, &entries), "split");
+
+        // An instant that only empties a spoke costs no fill.
+        state.record_remove(ids.remove(5));
+        entries.remove(5);
+        settle_counted(&mut state, &[6], &entries);
+        assert_bitwise(&state, &ids, &reference_rates(&caps, &entries), "emptied");
+    }
+
+    proptest! {
+        /// Recorded mutations in instants of one to six, one settle per
+        /// instant: after every settle each live entry has its reference
+        /// rate, by bits, and the settle ran one fill if a link it had
+        /// recorded is busy, else none. Ops: `(0, _, pick)` removes a
+        /// live entry (merges and splits come from removals and inserts
+        /// of bridging entries), `(1, links, pick)` inserts a bundle of
+        /// up to three members, `(2, _, pick)` adds or takes members (a
+        /// plain insert when it cannot), `(3, links, pick)` sets a
+        /// link's capacity (0, another link's, or half) for `pick` below
+        /// 3 and inserts a flow crossing its first link twice otherwise.
+        #[test]
+        fn recorded_mutations_settle_exactly(
+            caps in ops::caps(),
+            ops in ops::ops(),
+            instants in prop::collection::vec(1usize..7, 1..400),
+        ) {
+            let mut caps = caps;
+            let n = caps.len() as u32;
+            let mut state = FairShareState::new(caps.clone(), 1e10);
+            // Live entries in insertion order: (handle, links, weight).
+            let mut live: Vec<(FairFlowId, Vec<u32>, u32)> = Vec::new();
+            let mut ops = ops.into_iter().peekable();
+            for &size in instants.iter().cycle() {
+                if ops.peek().is_none() {
+                    break;
+                }
+                let mut touched: Vec<u32> = Vec::new();
+                for (action, raw, pick) in ops.by_ref().take(size) {
+                    let mut links: Vec<u32> = raw.iter().map(|&l| l % n).collect();
+                    let target = (!live.is_empty()).then(|| pick % live.len());
+                    match (action, target) {
+                        (0, Some(k)) => {
+                            let (id, links, _) = live.remove(k);
+                            state.record_remove(id);
+                            touched.extend(links);
+                            continue;
+                        }
+                        (2, Some(k)) if pick < 2 => {
+                            state.record_add_weight(live[k].0, 1 + pick as u32);
+                            live[k].2 += 1 + pick as u32;
+                            touched.extend_from_slice(&live[k].1);
+                            continue;
+                        }
+                        (2, Some(k)) if pick < 4 && live[k].2 > 1 => {
+                            let dw = pick as u32 % (live[k].2 - 1) + 1;
+                            state.record_sub_weight(live[k].0, dw);
+                            live[k].2 -= dw;
+                            touched.extend_from_slice(&live[k].1);
+                            continue;
+                        }
+                        (3, _) if pick < 3 => {
+                            let l = links.first().copied().unwrap_or(pick as u32 % n);
+                            let i = l as usize;
+                            caps[i] = [0.0, caps[(i + 1) % caps.len()], caps[i] * 0.5][pick];
+                            state.record_capacity(l, caps[i]);
+                            touched.push(l);
+                            continue;
+                        }
+                        (3, _) => {
+                            if let Some(&first) = links.first() {
+                                links = vec![first, first];
+                            }
+                        }
+                        _ => {}
+                    }
+                    let weight = if action == 1 { 1 + pick as u32 % 3 } else { 1 };
+                    let id = state.record_insert(&links, weight);
+                    touched.extend_from_slice(&links);
+                    live.push((id, links, weight));
+                }
+                let (ids, entries): (Vec<FairFlowId>, Vec<(Vec<u32>, u32)>) =
+                    live.iter().map(|(id, l, w)| (*id, (l.clone(), *w))).unzip();
+                settle_counted(&mut state, &touched, &entries);
+                assert_bitwise(&state, &ids, &reference_rates(&caps, &entries), "settled");
+            }
+        }
     }
 }

@@ -1,12 +1,14 @@
 //! Fluid flow-level simulation loop, driven by the shared
 //! [`keddah_des::Engine`].
 //!
-//! Flow arrivals, rate re-solves and flow completions are engine events;
+//! Flow arrivals, predicted completions and faults are engine events;
 //! a [`TrafficSource`] decides which flows exist and may inject dependent
 //! flows reactively on every completion (closed-loop replay). Event
 //! timestamps quantize to nanoseconds for ordering, but every event
 //! carries its precise `f64` time, so the fluid arithmetic never
-//! quantizes.
+//! quantizes. Fair-share rates are solved, and the next completion
+//! predicted, once per simulated instant (nanosecond), after the
+//! instant's last arrival or fault (see "One solve per instant").
 //!
 //! # Flow bundles
 //!
@@ -24,6 +26,19 @@
 //! [`SimOptions::aggregate`] — never changes any flow's completion time:
 //! the golden-replay corpus and the determinism suite pin byte-identical
 //! reports across the aggregation knob.
+//!
+//! # One solve per instant
+//!
+//! Each fluid event records its fair-share mutations and bumps the
+//! prediction generation. Rates are settled only where they are read:
+//! before the service curves advance (when time moves) and before a
+//! prediction. A prediction is skipped when the next queued event is an
+//! `Arrive` or `Fault` at the same nanosecond: that event pops before
+//! any completion predicted now, and its own generation would make the
+//! prediction stale. A queued `Notify` or stale `Complete` does not
+//! predict, so it never lets an event skip. Rates, service curves and
+//! predictions are the ones a per-event solve gives, bit for bit; only
+//! the solve count and the stale completions in the queue drop.
 //!
 //! # A flow's life
 //!
@@ -280,8 +295,8 @@ enum Ev {
     /// Flow `id` (arena index) enters the network at its spec's start.
     Arrive { id: usize },
     /// Predicted earliest completion among the active flows, computed at
-    /// the previous event. `gen` invalidates predictions made before the
-    /// last rate re-solve; `at` is the precise predicted time.
+    /// the previous instant. `gen` invalidates predictions made before
+    /// the last fluid event; `at` is the precise predicted time.
     Complete { gen: u64, at: f64 },
     /// Flow `id`'s last byte has arrived: tell the source, which may
     /// inject dependent flows. Never touches fluid state.
@@ -294,8 +309,8 @@ enum Ev {
 /// fault-free, unobserved convenience over [`simulate_faulted`].
 ///
 /// Flows are processed in start order; active flows share links by
-/// max-min fairness, recomputed at every arrival and departure. The
-/// result vector preserves input order.
+/// max-min fairness, recomputed once per instant with arrivals or
+/// departures. The result vector preserves input order.
 ///
 /// # Panics
 ///
@@ -438,9 +453,10 @@ struct Run<'a> {
     obs: &'a Obs,
     router: RouteCache<'a>,
     /// Incremental max-min state, one weighted entry per bundle:
-    /// arrivals/retirements re-solve only the affected component; rates
-    /// stay bit-identical to full per-flow progressive filling on every
-    /// event (see `fair`). Its capacities are the faulted ones.
+    /// arrivals, retirements and faults record their mutations, and a
+    /// settle re-solves only the affected components, so settled rates
+    /// are bit-identical to full per-flow progressive filling (see
+    /// `fair`). Its capacities are the faulted ones.
     fair: FairShareState,
     /// The flow arena: grows as the source injects. Results and bundle
     /// membership share its indexing (= FlowId = injection order).
@@ -462,8 +478,8 @@ struct Run<'a> {
     /// Active partition cuts, as host membership masks.
     partitions: Vec<Vec<bool>>,
     now: f64,
-    /// Completion predictions older than the last event are stale; the
-    /// generation counter skips them.
+    /// Completion predictions older than the last fluid event are stale;
+    /// the generation counter, bumped by every fluid event, skips them.
     gen: u64,
     iterations: u64,
     events: u64,
@@ -571,8 +587,11 @@ impl<'a> Run<'a> {
 
         // Advance every live bundle's service curve to the event's
         // precise time — O(bundles), the loop that used to be O(flows).
+        // Settle first: an event that skipped its prediction may precede
+        // this one by a fraction of the same nanosecond.
         let dt = (tf - self.now).max(0.0);
         if dt > 0.0 {
+            self.fair.settle();
             for &bi in &self.live {
                 let b = &mut self.bundles[bi as usize];
                 let rate = self.fair.live_rate(b.fair.expect("live bundle"));
@@ -589,10 +608,19 @@ impl<'a> Run<'a> {
         }
 
         // Re-predict the earliest completion with the post-event rates and
-        // remainders. Only each bundle's head member (minimum target) can
-        // finish first — members share one rate — so the fold is
-        // O(bundles), not O(flows).
+        // remainders, unless an arrival or fault queued for this
+        // nanosecond would make the prediction stale (see the module's
+        // "One solve per instant"). Only each bundle's head member
+        // (minimum target) can finish first — members share one rate — so
+        // the fold is O(bundles), not O(flows).
         self.gen += 1;
+        let instant_continues = queue.peek().is_some_and(|(at, next)| {
+            at == t && matches!(next, Ev::Arrive { .. } | Ev::Fault { .. })
+        });
+        if instant_continues {
+            return;
+        }
+        self.fair.settle();
         let mut next_completion = f64::INFINITY;
         for &bi in &self.live {
             let b = &self.bundles[bi as usize];
@@ -713,9 +741,9 @@ impl<'a> Run<'a> {
         });
         let b = &mut self.bundles[bi as usize];
         match b.fair {
-            Some(fid) => self.fair.add_weight(fid, 1),
+            Some(fid) => self.fair.record_add_weight(fid, 1),
             None => {
-                b.fair = Some(self.fair.insert_weighted(&b.links, 1));
+                b.fair = Some(self.fair.record_insert(&b.links, 1));
                 b.live_pos = self.live.len();
                 self.live.push(bi);
             }
@@ -745,9 +773,9 @@ impl<'a> Run<'a> {
             if let Some(&moved) = self.live.get(pos) {
                 self.bundles[moved as usize].live_pos = pos;
             }
-            self.fair.remove_flow(fid);
+            self.fair.record_remove(fid);
         } else {
-            self.fair.sub_weight(fid, 1);
+            self.fair.record_sub_weight(fid, 1);
         }
         self.active_members -= 1;
         (rem_q, bi)
@@ -925,7 +953,7 @@ impl<'a> Run<'a> {
                 // The link's bundles seed the incremental dirty set; only
                 // their component re-solves.
                 let bps = self.topo.link_capacity(LinkId(*link)) * factor.clamp(0.0, 1.0);
-                self.fair.set_capacity(*link, bps);
+                self.fair.record_capacity(*link, bps);
                 Vec::new()
             }
             FaultKind::Partition { cut } => {
@@ -966,7 +994,7 @@ impl<'a> Run<'a> {
         if let Some(l) = downed {
             // Zero the dead link's share only after its bundles have left
             // it (no entry may hold a 0-capacity link).
-            self.fair.set_capacity(l, 0.0);
+            self.fair.record_capacity(l, 0.0);
         }
     }
 
@@ -1061,6 +1089,63 @@ mod tests {
         let a = report.results[0].fct().as_secs_f64();
         // A: 0.5 s alone (half done) + 1 s shared = 1.5 s.
         assert!((a - 1.5).abs() < 0.02, "a = {a}");
+    }
+
+    #[test]
+    fn one_fair_solve_per_instant() {
+        // Four flows into host 4 and a host-local flow, all at t = 0: one
+        // instant, so one solve. The four finish together, which empties
+        // every link; that instant's settle has nothing left to fill.
+        let topo = Topology::star(5, 1e9);
+        let mut flows: Vec<FlowSpec> = (0..4).map(|h| flow(h, 4, 125_000_000, 0)).collect();
+        flows.insert(2, flow(1, 1, 125_000_000, 0));
+        let obs = Obs::enabled();
+        let mut source = StaticSource::new(flows);
+        let report = simulate_faulted(
+            &topo,
+            &mut source,
+            &FaultSchedule::empty(),
+            SimOptions::default(),
+            &obs,
+        );
+        // A quarter of 1 Gb/s for 1 Gb, plus 100 µs propagation; the
+        // local flow runs at 10 Gb/s.
+        for (i, r) in report.results.iter().enumerate() {
+            let want = if i == 2 { 100_100_000 } else { 4_000_100_000 };
+            assert_eq!(r.finish, SimTime::from_nanos(want), "flow {i}");
+        }
+        assert_eq!(obs.metrics().gauge("netsim", "fair_solves"), 1);
+    }
+
+    #[test]
+    fn prediction_waits_only_for_fluid_events() {
+        // The second elephant arrives at the nanosecond the mouse's
+        // Notify fires, and pops first. The Notify next in the queue
+        // neither changes rates nor predicts, so the arrival must.
+        let topo = Topology::star(3, 1e9);
+        let opts = SimOptions {
+            mouse_threshold: 10_000,
+            ..SimOptions::default()
+        };
+        let mut flows = vec![flow(0, 2, 125_000_000, 0), flow(1, 2, 1_000, 500)];
+        flows.push(FlowSpec {
+            start: SimTime::from_nanos(500_108_000),
+            ..flow(1, 2, 125_000_000, 0)
+        });
+        let report = simulate(&topo, &flows, opts);
+        // The mouse: 100 µs propagation and 8 µs on the wire. The first
+        // elephant: 500.108 Mb alone, 499.892 Mb at half rate. The second:
+        // 499.892 Mb at half rate, then the rest alone.
+        let finish: Vec<u64> = report.results.iter().map(|r| r.finish.as_nanos()).collect();
+        assert_eq!(finish, [1_499_992_000, 500_108_000, 2_000_100_000]);
+
+        // An arrival at the nanosecond of the lone elephant's predicted
+        // completion pops first; the prediction behind it is stale, so
+        // the arrival must predict again.
+        let flows = [flow(0, 2, 125_000_000, 0), flow(1, 2, 125_000_000, 1_000)];
+        let report = simulate(&topo, &flows, opts);
+        let finish: Vec<u64> = report.results.iter().map(|r| r.finish.as_nanos()).collect();
+        assert_eq!(finish, [1_000_100_000, 2_000_100_000]);
     }
 
     #[test]

@@ -296,8 +296,8 @@ const TERASORT_FAULTED_ABORTED: &[usize] = &[
 /// (aggregate, FNV of the metrics JSON, FNV of the trace JSONL). The
 /// metrics differ across the knob only in its bundle and solver gauges.
 const TERASORT_FAULTED_DIGESTS: &[(bool, u64, u64)] = &[
-    (true, 0xcb95_c774_6514_27e3, 0xb919_8e08_4d7e_5b44),
-    (false, 0x3fee_f002_ab25_479e, 0xb919_8e08_4d7e_5b44),
+    (true, 0x5e1c_35f5_887e_32b7, 0xd510_1981_43f8_2b45),
+    (false, 0x0707_1312_2330_ff2e, 0xd510_1981_43f8_2b45),
 ];
 
 /// Open-loop terasort under [`every_fault_kind`], observed, with

@@ -11,6 +11,9 @@ use keddah::stat::fit::{fit_all, fit_best, Candidate, FitReport};
 use keddah::stat::Ecdf;
 use proptest::prelude::*;
 
+#[path = "../crates/netsim/src/fair/ops.rs"]
+mod fair_ops;
+
 /// Family, parameters, statistic, p-value, log-likelihood and AIC of a
 /// fit report, as bit patterns.
 fn report_bits(r: &FitReport) -> (&'static str, Vec<u64>, [u64; 4]) {
@@ -217,11 +220,8 @@ proptest! {
     /// the giant and re-solves take the whole-set path.
     #[test]
     fn incremental_fair_share_matches_full(
-        caps in prop::collection::vec(1.0f64..1e9, 1..12),
-        ops in prop::collection::vec(
-            (0u32..4, prop::collection::vec(0u32..12, 0..4), 0usize..8),
-            1..400
-        ),
+        caps in fair_ops::caps(),
+        ops in fair_ops::ops(),
     ) {
         use keddah::netsim::fair::{max_min_rates, FairShareState};
 
