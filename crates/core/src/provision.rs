@@ -253,9 +253,11 @@ impl Candidate {
         if self.racks == 0 || self.nodes_per_rack == 0 {
             return Err("cluster needs at least one rack and one node per rack".into());
         }
-        self.config.validate().map_err(|e| e.to_string())?;
-        self.cluster().validate().map_err(|e| e.to_string())?;
-        Ok(())
+        let cluster = self.cluster();
+        cluster.validate().map_err(|e| e.to_string())?;
+        self.config
+            .validate_for(&cluster)
+            .map_err(|e| e.to_string())
     }
 }
 

@@ -33,7 +33,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::Mutex;
 use std::thread;
 
 use keddah_flowcap::{Component, FlowRecord};
@@ -440,6 +440,47 @@ impl BudgetedSweep {
     }
 }
 
+/// Maps `f` over `items` on `jobs` scoped worker threads (clamped to at
+/// least 1 and at most one per item) and returns the results in `items`
+/// order. Workers pull the next unclaimed item from a shared cursor, so
+/// unequal items load-balance without static partitioning, and the
+/// output never depends on `jobs` or on scheduling.
+///
+/// # Panics
+///
+/// Re-raises a panic of `f` once every worker has stopped.
+pub fn par_map<T: Sync, R: Send>(items: &[T], jobs: usize, f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    let next = AtomicUsize::new(0);
+    let worker = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else {
+                return done;
+            };
+            done.push((i, f(item)));
+        }
+    };
+    let mut slots: Vec<Option<R>> = items.iter().map(|_| None).collect();
+    thread::scope(|scope| {
+        let workers: Vec<_> = (0..jobs.max(1).min(items.len()))
+            .map(|_| scope.spawn(worker))
+            .collect();
+        for handle in workers {
+            let done = handle
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            for (i, result) in done {
+                slots[i] = Some(result);
+            }
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every item is mapped"))
+        .collect()
+}
+
 /// The experiment engine: runs matrix cells across worker threads with
 /// derived seeds and a per-cell result cache.
 ///
@@ -490,47 +531,16 @@ impl Runner {
     /// Results are returned in `cells` order, and their contents are
     /// byte-identical for any `parallelism`: each cell's seeds come from
     /// its identity, not its schedule. Workers pull the next unclaimed
-    /// cell from a shared queue, so a matrix of unequal cells (16 GiB
-    /// TeraSort next to 1 GiB Grep) load-balances without static
-    /// partitioning.
+    /// cell ([`par_map`]), so a matrix of unequal cells (16 GiB TeraSort
+    /// next to 1 GiB Grep) load-balances without static partitioning.
     ///
     /// # Panics
     ///
-    /// Panics if a worker thread panics (a cell's config failed
-    /// validation, or fitting panicked).
+    /// Re-raises a cell's panic (its config failed validation, or
+    /// fitting panicked).
     #[must_use]
     pub fn run_matrix(&self, cells: &[MatrixCell], parallelism: usize) -> Vec<CellResult> {
-        if cells.is_empty() {
-            return Vec::new();
-        }
-        let workers = parallelism.clamp(1, cells.len());
-        let next = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, CellResult)>();
-        thread::scope(|scope| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let next = &next;
-                scope.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= cells.len() {
-                        break;
-                    }
-                    let result = self.run_cell(&cells[i]);
-                    if tx.send((i, result)).is_err() {
-                        break;
-                    }
-                });
-            }
-        });
-        drop(tx);
-        let mut slots: Vec<Option<CellResult>> = cells.iter().map(|_| None).collect();
-        for (i, result) in rx {
-            slots[i] = Some(result);
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every cell completed"))
-            .collect()
+        par_map(cells, parallelism, |cell| self.run_cell(cell))
     }
 
     /// [`Runner::run_matrix`], folding every cell's aggregates into
@@ -742,6 +752,27 @@ impl Runner {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn par_map_keeps_input_order_for_any_width() {
+        let items: Vec<u64> = (0..37).collect();
+        // Unequal work, so workers finish out of order.
+        let slow_square = |&x: &u64| (0..x * 1000).fold(x * x, |acc, _| std::hint::black_box(acc));
+        let want: Vec<u64> = items.iter().map(|&x| x * x).collect();
+        for jobs in [0, 1, 2, 5, 64] {
+            assert_eq!(par_map(&items, jobs, slow_square), want, "jobs {jobs}");
+        }
+        assert!(par_map(&[] as &[u64], 4, slow_square).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "item 3")]
+    fn par_map_reraises_a_worker_panic() {
+        let _ = par_map(&[1, 2, 3, 4], 2, |&x: &u32| {
+            assert_ne!(x, 3, "item 3");
+            x
+        });
+    }
 
     fn small_cell(workload: Workload) -> MatrixCell {
         MatrixCell::new(

@@ -13,9 +13,9 @@
 
 use std::fs;
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use keddah_core::replay::{replay_faulted, replay_observed, trace_to_flows};
+use keddah_core::runner::par_map;
 use keddah_faults::{generate, FaultClass, FaultGen, FaultKind, FaultSpec};
 use keddah_hadoop::{run_dag, run_job, ClusterSpec, HadoopConfig, JobSpec, Workload};
 use keddah_netsim::{SimOptions, StaticSource, Topology};
@@ -457,39 +457,13 @@ impl Manifest {
 /// Fails on the first cell that cannot be built or written.
 pub fn build(out: &Path, workloads: &[Workload], seeds: u64, jobs: usize) -> Result<Manifest> {
     let cells = plan(workloads, seeds);
-    let jobs = jobs.max(1).min(cells.len().max(1));
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<Result<Cell>>> = (0..cells.len()).map(|_| None).collect();
-
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..jobs)
-            .map(|_| {
-                let next = &next;
-                let cells = &cells;
-                scope.spawn(move || {
-                    let mut done = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= cells.len() {
-                            return done;
-                        }
-                        done.push((i, build_cell(&cells[i])));
-                    }
-                })
-            })
-            .collect();
-        for worker in workers {
-            for (i, result) in worker.join().expect("corpus worker panicked") {
-                slots[i] = Some(result);
-            }
-        }
-    });
+    let built = par_map(&cells, jobs, build_cell);
 
     let io = |path: &Path, e: std::io::Error| DiagnoseError::io(path.display().to_string(), e);
     fs::create_dir_all(out).map_err(|e| io(out, e))?;
     let mut names = Vec::with_capacity(cells.len());
-    for slot in slots {
-        let cell = slot.expect("every planned cell is built")?;
+    for cell in built {
+        let cell = cell?;
         let dir = out.join(&cell.name);
         fs::create_dir_all(&dir).map_err(|e| io(&dir, e))?;
         let label_path = dir.join("label.json");

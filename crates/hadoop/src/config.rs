@@ -2,6 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::cluster::ClusterSpec;
 use crate::{HadoopError, Result};
 
 /// Tunable Hadoop parameters — the configuration covariates whose effect
@@ -200,6 +201,26 @@ impl HadoopConfig {
         }
         Ok(())
     }
+
+    /// [`validate`](Self::validate), plus the checks that need the
+    /// cluster the configuration runs on: HDFS cannot place more
+    /// distinct replicas of a block than there are workers.
+    ///
+    /// # Errors
+    ///
+    /// As [`validate`](Self::validate), or
+    /// [`HadoopError::ReplicationExceedsWorkers`].
+    pub fn validate_for(&self, cluster: &ClusterSpec) -> Result<()> {
+        self.validate()?;
+        let workers = cluster.worker_count();
+        if u32::from(self.replication) > workers {
+            return Err(HadoopError::ReplicationExceedsWorkers {
+                replication: self.replication,
+                workers,
+            });
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -209,6 +230,23 @@ mod tests {
     #[test]
     fn default_is_valid() {
         HadoopConfig::default().validate().unwrap();
+    }
+
+    #[test]
+    fn replication_must_fit_the_cluster() {
+        let config = HadoopConfig::default().with_replication(3);
+        config.validate_for(&ClusterSpec::racks(1, 3)).unwrap();
+        let err = config.validate_for(&ClusterSpec::racks(1, 2)).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid configuration: replication 3 exceeds worker count 2"
+        );
+        // Cluster-free problems still come first.
+        let bad = config.with_reducers(0);
+        assert_eq!(
+            bad.validate_for(&ClusterSpec::racks(1, 2)),
+            Err(HadoopError::InvalidConfig("reducers must be >= 1"))
+        );
     }
 
     #[test]

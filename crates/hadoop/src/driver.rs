@@ -7,20 +7,16 @@
 //! for callers that ask for them ([`run_job_with_packets`], or
 //! [`ConnectionLog::packets`] on what [`run_dag`] returns).
 
-use std::collections::BTreeMap;
-
 use keddah_des::{Duration, SimTime};
 use keddah_faults::FaultSpec;
-use keddah_flowcap::{PacketRecord, Trace, TraceMeta};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use keddah_flowcap::{PacketRecord, Trace};
 
 use crate::cluster::ClusterSpec;
 use crate::config::HadoopConfig;
 use crate::dag::JobDag;
-use crate::net::{ConnectionLog, NetModel};
+use crate::net::ConnectionLog;
 pub use crate::sim::StageStats;
-use crate::sim::{node_faults, simulate_dag_at_faulted, JobCounters};
+use crate::sim::{JobCounters, JobSim};
 use crate::workload::JobSpec;
 
 /// The result of one simulated job execution.
@@ -119,7 +115,9 @@ pub fn run_job_with_packets(
 ///
 /// # Panics
 ///
-/// Panics if the cluster, config, or DAG fail validation.
+/// Panics if the cluster, config, or DAG fail validation, including a
+/// replication factor above the worker count
+/// ([`HadoopConfig::validate_for`]).
 #[must_use]
 pub fn run_dag(
     cluster: &ClusterSpec,
@@ -129,70 +127,21 @@ pub fn run_dag(
     seed: u64,
     faults: &FaultSpec,
 ) -> (JobRun, ConnectionLog) {
-    cluster.validate().expect("invalid cluster spec");
-    config.validate().expect("invalid hadoop config");
+    let mut sim = JobSim::new(cluster, config, seed, faults);
     dag.validate().expect("invalid job dag");
-    let timeline = node_faults(faults, cluster.worker_count());
-    let mut net = NetModel::new(cluster.nic_bps);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut counters = JobCounters::default();
-    let outcome = simulate_dag_at_faulted(
-        cluster,
-        config,
-        dag,
-        input_bytes,
-        &mut net,
-        &mut rng,
-        &mut counters,
-        SimTime::ZERO,
-        None,
-        &timeline,
-    );
-    let log = net.take_log();
+    let outcome = sim.run(dag, input_bytes, SimTime::ZERO, None);
     // Faulted captures embed their ground-truth counters; clean captures
     // keep the historical (counter-free) byte layout.
+    let counters = outcome.counters;
     let meta_counters = (!faults.is_empty()).then(|| counters.to_map());
+    let (trace, log) = sim.into_capture(dag.name.clone(), input_bytes, meta_counters);
     let run = JobRun {
-        trace: capture_trace(
-            cluster,
-            config,
-            seed,
-            dag.name.clone(),
-            input_bytes,
-            meta_counters,
-            &log,
-        ),
+        trace,
         duration: outcome.end.saturating_since(SimTime::ZERO),
         counters,
         stages: outcome.stages,
     };
     (run, log)
-}
-
-/// Builds a capture's flows from its connection log and labels them,
-/// under metadata describing the run.
-fn capture_trace(
-    cluster: &ClusterSpec,
-    config: &HadoopConfig,
-    seed: u64,
-    workload: String,
-    input_bytes: u64,
-    counters: Option<BTreeMap<String, u64>>,
-    log: &ConnectionLog,
-) -> Trace {
-    let meta = TraceMeta {
-        workload,
-        input_bytes,
-        reducers: config.reducers,
-        replication: config.replication,
-        block_bytes: config.block_bytes,
-        nodes: cluster.worker_count(),
-        seed,
-        counters,
-    };
-    let mut trace = Trace::new(meta, log.flows());
-    trace.classify();
-    trace
 }
 
 /// The result of a chained benchmark session.
@@ -218,7 +167,8 @@ pub struct SessionRun {
 ///
 /// # Panics
 ///
-/// Panics if `jobs` is empty or the cluster/config are invalid.
+/// Panics if `jobs` is empty or the cluster/config are invalid (as
+/// [`run_dag`]).
 ///
 /// # Examples
 ///
@@ -245,30 +195,15 @@ pub fn run_session(
     seed: u64,
 ) -> (SessionRun, ConnectionLog) {
     assert!(!jobs.is_empty(), "session needs at least one job");
-    cluster.validate().expect("invalid cluster spec");
-    config.validate().expect("invalid hadoop config");
-    let mut net = NetModel::new(cluster.nic_bps);
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut sim = JobSim::new(cluster, config, seed, &FaultSpec::empty());
     let mut job_ends = Vec::with_capacity(jobs.len());
     let mut all_counters = Vec::with_capacity(jobs.len());
     let mut start = SimTime::ZERO;
-    let mut chained: Option<Vec<crate::hdfs::Block>> = None;
+    let mut chained = None;
     for job in jobs {
-        let mut counters = JobCounters::default();
-        let outcome = simulate_dag_at_faulted(
-            cluster,
-            config,
-            &job.workload.dag(),
-            job.input_bytes,
-            &mut net,
-            &mut rng,
-            &mut counters,
-            start,
-            chained.take(),
-            &[],
-        );
+        let outcome = sim.run(&job.workload.dag(), job.input_bytes, start, chained.take());
         job_ends.push(outcome.end.saturating_since(SimTime::ZERO));
-        all_counters.push(counters);
+        all_counters.push(outcome.counters);
         chained = (!outcome.last_output.is_empty()).then_some(outcome.last_output);
         start = outcome.end + Duration::from_secs(2);
     }
@@ -278,17 +213,9 @@ pub fn run_session(
         .map(|j| j.workload.name())
         .collect::<Vec<_>>()
         .join("+");
-    let log = net.take_log();
+    let (trace, log) = sim.into_capture(workload, jobs[0].input_bytes, None);
     let session = SessionRun {
-        trace: capture_trace(
-            cluster,
-            config,
-            seed,
-            workload,
-            jobs[0].input_bytes,
-            None,
-            &log,
-        ),
+        trace,
         job_ends,
         counters: all_counters,
     };

@@ -11,11 +11,17 @@
 //! * **Write pipelines** (first replica on the writer's node, second on a
 //!   different rack, third on the second replica's rack), which generate
 //!   the inter-DataNode replication flows Keddah labels HDFS write.
+//!
+//! Placement and reads both take the set of dead workers: a dead
+//! DataNode neither receives nor serves a replica. With no worker down
+//! they draw exactly what a fault-free cluster draws, so clean captures
+//! do not depend on the fault machinery being present.
+
+use std::collections::HashSet;
 
 use keddah_flowcap::NodeId;
 use rand::rngs::StdRng;
 use rand::seq::{IndexedRandom, SliceRandom};
-use rand::Rng;
 
 use crate::cluster::ClusterSpec;
 
@@ -86,7 +92,7 @@ impl Hdfs {
                 block_bytes
             };
             let primary = workers[(i as usize) % workers.len()];
-            let replicas = self.pipeline_targets(primary, replication, rng);
+            let replicas = self.pipeline_targets(primary, replication, &HashSet::new(), rng);
             blocks.push(Block { bytes, replicas });
         }
         blocks
@@ -127,144 +133,117 @@ impl Hdfs {
         )
     }
 
+    /// Chooses the replica of `block` that serves a read on `reader`,
+    /// skipping replicas on `down` workers: the locality ladder of
+    /// [`select_read_replica`](Self::select_read_replica) (no draw when
+    /// the block is node-local), or with `uniform` a uniformly random
+    /// live replica (the data-grid access pattern, which may still land
+    /// on `reader` and read locally). `None` means the read is local, or
+    /// that no live replica is left.
+    #[must_use]
+    pub fn select_live_replica(
+        &self,
+        block: &Block,
+        reader: NodeId,
+        uniform: bool,
+        down: &HashSet<NodeId>,
+        rng: &mut StdRng,
+    ) -> Option<NodeId> {
+        let live;
+        let block = if down.is_empty() {
+            block
+        } else {
+            live = Block {
+                bytes: block.bytes,
+                replicas: block
+                    .replicas
+                    .iter()
+                    .copied()
+                    .filter(|r| !down.contains(r))
+                    .collect(),
+            };
+            if live.replicas.is_empty() {
+                return None;
+            }
+            &live
+        };
+        if uniform {
+            let &choice = block.replicas.as_slice().choose(rng)?;
+            (choice != reader).then_some(choice)
+        } else {
+            self.select_read_replica(block, reader, rng)
+        }
+    }
+
     /// Chooses the write pipeline for a block whose writer runs on
     /// `writer`: `[writer, off-rack node, node on that second rack, ...]`,
-    /// the default `BlockPlacementPolicyDefault`. If the writer is not a
-    /// worker (e.g. the master acting as an ingest client), the first
-    /// target is a seeded-random worker.
+    /// the default `BlockPlacementPolicyDefault`, over live workers only
+    /// (a dead DataNode cannot receive a replica). If the writer is not
+    /// a live worker (a dead node, or the master acting as an ingest
+    /// client), the first target is a seeded-random live worker.
+    ///
+    /// The pipeline holds `min(replication, live workers)` distinct
+    /// nodes: with fewer live workers than `replication` it is silently
+    /// shorter, as HDFS under-replicates until nodes return, and a
+    /// whole-cluster outage gives an empty pipeline. Every choice is one
+    /// `choose` over the candidates, so with nothing `down` the draws
+    /// are those of a cluster that never had a fault.
     #[must_use]
     pub fn pipeline_targets(
         &self,
         writer: NodeId,
         replication: u16,
+        down: &HashSet<NodeId>,
         rng: &mut StdRng,
     ) -> Vec<NodeId> {
-        let worker_count = self.cluster.worker_count();
-        let writer_is_worker = writer.0 >= 1 && writer.0 <= worker_count;
-        let first = if writer_is_worker {
-            writer
-        } else {
-            NodeId(rng.random_range(1..=worker_count))
-        };
-        let mut targets = vec![first];
-        if replication == 1 {
-            return targets;
-        }
-        // Second replica: a different rack if one exists.
-        let first_rack = self.cluster.rack_of(first);
-        let off_rack: Vec<NodeId> = self
-            .cluster
-            .workers()
-            .filter(|&w| self.cluster.rack_of(w) != first_rack)
-            .collect();
-        let second = off_rack.as_slice().choose(rng).copied().unwrap_or_else(|| {
-            // Single-rack cluster: any other node.
-            pick_excluding(&self.cluster, &targets, rng)
-        });
-        targets.push(second);
-        // Third and later replicas: same rack as the second, else anywhere,
-        // never repeating a node.
-        while targets.len() < replication as usize {
-            let second_rack = self.cluster.rack_of(second);
-            let candidates: Vec<NodeId> = self
-                .cluster
-                .rack_members(second_rack)
-                .filter(|w| !targets.contains(w))
-                .collect();
-            let next = candidates
-                .as_slice()
-                .choose(rng)
-                .copied()
-                .unwrap_or_else(|| pick_excluding(&self.cluster, &targets, rng));
-            targets.push(next);
-        }
-        targets
-    }
-
-    /// [`pipeline_targets`](Self::pipeline_targets) restricted to live
-    /// nodes: workers in `down` never enter the pipeline (a dead
-    /// DataNode cannot receive a replica). With fewer live workers than
-    /// `replication`, the pipeline is silently shorter — HDFS likewise
-    /// under-replicates until nodes return.
-    ///
-    /// With an empty `down` set this delegates to the unrestricted
-    /// version, drawing the identical RNG sequence — fault-free runs are
-    /// byte-for-byte unchanged.
-    #[must_use]
-    pub fn pipeline_targets_avoiding(
-        &self,
-        writer: NodeId,
-        replication: u16,
-        rng: &mut StdRng,
-        down: &std::collections::HashSet<NodeId>,
-    ) -> Vec<NodeId> {
-        if down.is_empty() {
-            return self.pipeline_targets(writer, replication, rng);
-        }
-        let worker_count = self.cluster.worker_count();
         let live: Vec<NodeId> = self
             .cluster
             .workers()
             .filter(|w| !down.contains(w))
             .collect();
-        let writer_is_live_worker =
-            writer.0 >= 1 && writer.0 <= worker_count && !down.contains(&writer);
-        let first = if writer_is_live_worker {
+        let pick = |candidates: &[NodeId], rng: &mut StdRng| candidates.choose(rng).copied();
+        let others = |targets: &[NodeId]| -> Vec<NodeId> {
+            live.iter()
+                .copied()
+                .filter(|w| !targets.contains(w))
+                .collect()
+        };
+        let first = if live.contains(&writer) {
             writer
         } else {
-            match live.as_slice().choose(rng) {
-                Some(&n) => n,
-                None => return Vec::new(), // whole cluster down
+            match pick(&live, rng) {
+                Some(n) => n,
+                None => return Vec::new(),
             }
         };
+        let replication = usize::from(replication).min(live.len());
         let mut targets = vec![first];
-        let replication = (replication as usize).min(live.len());
         if replication <= 1 {
             return targets;
         }
-        // Second replica: a live node on a different rack if one exists.
+        // Second replica: a live node on a different rack if one exists,
+        // else any other live node.
         let first_rack = self.cluster.rack_of(first);
         let off_rack: Vec<NodeId> = live
             .iter()
             .copied()
             .filter(|&w| self.cluster.rack_of(w) != first_rack)
             .collect();
-        let second = match off_rack.as_slice().choose(rng) {
-            Some(&n) => n,
-            None => {
-                let others: Vec<NodeId> = live
-                    .iter()
-                    .copied()
-                    .filter(|w| !targets.contains(w))
-                    .collect();
-                match others.as_slice().choose(rng) {
-                    Some(&n) => n,
-                    None => return targets,
-                }
-            }
+        let Some(second) = pick(&off_rack, rng).or_else(|| pick(&others(&targets), rng)) else {
+            return targets;
         };
         targets.push(second);
-        // Third and later replicas: the second's rack, else any live node.
+        // Third and later replicas: the second's rack, else any live
+        // node, never repeating one.
+        let second_rack = self.cluster.rack_of(second);
         while targets.len() < replication {
-            let second_rack = self.cluster.rack_of(second);
             let rack_mates: Vec<NodeId> = self
                 .cluster
                 .rack_members(second_rack)
                 .filter(|w| !down.contains(w) && !targets.contains(w))
                 .collect();
-            let next = match rack_mates.as_slice().choose(rng) {
-                Some(&n) => n,
-                None => {
-                    let others: Vec<NodeId> = live
-                        .iter()
-                        .copied()
-                        .filter(|w| !targets.contains(w))
-                        .collect();
-                    match others.as_slice().choose(rng) {
-                        Some(&n) => n,
-                        None => break,
-                    }
-                }
+            let Some(next) = pick(&rack_mates, rng).or_else(|| pick(&others(&targets), rng)) else {
+                break;
             };
             targets.push(next);
         }
@@ -272,19 +251,10 @@ impl Hdfs {
     }
 }
 
-/// Picks any worker not already in `used` (seeded-random).
-fn pick_excluding(cluster: &ClusterSpec, used: &[NodeId], rng: &mut StdRng) -> NodeId {
-    let candidates: Vec<NodeId> = cluster.workers().filter(|w| !used.contains(w)).collect();
-    *candidates
-        .as_slice()
-        .choose(rng)
-        .expect("replication never exceeds worker count")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(99)
@@ -326,7 +296,7 @@ mod tests {
         let hdfs = Hdfs::new(cluster.clone());
         let mut r = rng();
         for _ in 0..50 {
-            let targets = hdfs.pipeline_targets(NodeId(1), 3, &mut r);
+            let targets = hdfs.pipeline_targets(NodeId(1), 3, &HashSet::new(), &mut r);
             assert_eq!(targets[0], NodeId(1));
             // Second replica off-rack.
             assert!(!cluster.same_rack(targets[0], targets[1]));
@@ -340,7 +310,7 @@ mod tests {
     #[test]
     fn single_rack_pipeline_still_distinct() {
         let hdfs = Hdfs::new(ClusterSpec::racks(1, 5));
-        let targets = hdfs.pipeline_targets(NodeId(2), 3, &mut rng());
+        let targets = hdfs.pipeline_targets(NodeId(2), 3, &HashSet::new(), &mut rng());
         let mut uniq = targets.clone();
         uniq.sort();
         uniq.dedup();
@@ -377,9 +347,130 @@ mod tests {
     fn pipeline_from_master_starts_on_worker() {
         let cluster = ClusterSpec::racks(2, 2);
         let hdfs = Hdfs::new(cluster.clone());
-        let targets = hdfs.pipeline_targets(NodeId(0), 2, &mut rng());
+        let targets = hdfs.pipeline_targets(NodeId(0), 2, &HashSet::new(), &mut rng());
         assert!(targets[0].0 >= 1);
         assert_eq!(targets.len(), 2);
+    }
+
+    /// Workers `nodes` as a down set.
+    fn down(nodes: &[u32]) -> HashSet<NodeId> {
+        nodes.iter().map(|&n| NodeId(n)).collect()
+    }
+
+    #[test]
+    fn down_aware_pipeline_keeps_the_placement_rules() {
+        // Random down sets, writers (the master, dead and live workers)
+        // and replication factors over clusters of one to four racks.
+        let mut r = rng();
+        for cluster in [
+            ClusterSpec::racks(1, 5),
+            ClusterSpec::racks(2, 3),
+            ClusterSpec::racks(3, 3),
+            ClusterSpec::racks(4, 1),
+        ] {
+            let hdfs = Hdfs::new(cluster.clone());
+            for _ in 0..300 {
+                let dead: HashSet<NodeId> = cluster
+                    .workers()
+                    .filter(|_| r.random::<f64>() < 0.4)
+                    .collect();
+                let live: Vec<NodeId> = cluster.workers().filter(|w| !dead.contains(w)).collect();
+                let writer = NodeId(r.random_range(0..=cluster.worker_count()));
+                let replication = r.random_range(1..=4u16);
+                let targets = hdfs.pipeline_targets(writer, replication, &dead, &mut r);
+                assert!(targets.iter().all(|t| !dead.contains(t)), "{targets:?}");
+                let mut uniq = targets.clone();
+                uniq.sort();
+                uniq.dedup();
+                assert_eq!(uniq.len(), targets.len(), "{targets:?} repeats a node");
+                assert_eq!(targets.len(), usize::from(replication).min(live.len()));
+                if live.contains(&writer) {
+                    assert_eq!(targets[0], writer);
+                }
+                let off_rack_live =
+                    |first: NodeId| live.iter().any(|&w| !cluster.same_rack(w, first));
+                if targets.len() >= 2 && off_rack_live(targets[0]) {
+                    assert!(!cluster.same_rack(targets[0], targets[1]), "{targets:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dead_writer_or_master_gets_a_live_first_target() {
+        let hdfs = Hdfs::new(ClusterSpec::racks(2, 3));
+        let dead = down(&[1, 2, 4]);
+        let mut r = rng();
+        for writer in [NodeId(0), NodeId(1), NodeId(4)] {
+            for _ in 0..20 {
+                let targets = hdfs.pipeline_targets(writer, 3, &dead, &mut r);
+                assert_eq!(targets.len(), 3);
+                assert!(!dead.contains(&targets[0]), "{targets:?}");
+                assert!(targets[0].0 >= 1, "{targets:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn too_few_live_workers_shorten_the_pipeline() {
+        let hdfs = Hdfs::new(ClusterSpec::racks(2, 3));
+        let targets = hdfs.pipeline_targets(NodeId(3), 3, &down(&[1, 2, 4, 5]), &mut rng());
+        assert_eq!(targets, [NodeId(3), NodeId(6)]);
+        // A single live worker: the writer's own copy only.
+        let lone = down(&[1, 2, 3, 4, 5]);
+        assert_eq!(
+            hdfs.pipeline_targets(NodeId(0), 3, &lone, &mut rng()),
+            [NodeId(6)]
+        );
+    }
+
+    #[test]
+    fn whole_cluster_outage_gives_an_empty_pipeline() {
+        let hdfs = Hdfs::new(ClusterSpec::racks(2, 2));
+        let all = down(&[1, 2, 3, 4]);
+        for writer in [NodeId(0), NodeId(2)] {
+            assert!(hdfs
+                .pipeline_targets(writer, 3, &all, &mut rng())
+                .is_empty());
+        }
+    }
+
+    #[test]
+    fn second_replica_leaves_the_rack_while_a_live_worker_is_off_rack() {
+        let cluster = ClusterSpec::racks(3, 3);
+        let hdfs = Hdfs::new(cluster.clone());
+        let mut r = rng();
+        // Rack 1 is gone and rack 2 has one survivor: the second replica
+        // must land on it.
+        let dead = down(&[4, 5, 6, 7, 8]);
+        for _ in 0..20 {
+            let targets = hdfs.pipeline_targets(NodeId(2), 3, &dead, &mut r);
+            assert_eq!(targets[..2], [NodeId(2), NodeId(9)]);
+            // No live rack-mate of the second: the third falls back to
+            // any live node.
+            assert!(cluster.same_rack(targets[0], targets[2]));
+        }
+    }
+
+    #[test]
+    fn live_replica_reads_skip_dead_nodes() {
+        let hdfs = Hdfs::new(ClusterSpec::racks(2, 3));
+        let block = Block {
+            bytes: 1,
+            replicas: vec![NodeId(1), NodeId(4), NodeId(5)],
+        };
+        let mut r = rng();
+        // The local replica's node is dead: read remotely from a live one.
+        for uniform in [false, true] {
+            let pick = hdfs.select_live_replica(&block, NodeId(1), uniform, &down(&[1]), &mut r);
+            assert!(matches!(pick, Some(NodeId(4 | 5))), "{pick:?}");
+        }
+        // Every replica dead: nothing to read.
+        let gone = down(&[1, 4, 5]);
+        assert_eq!(
+            hdfs.select_live_replica(&block, NodeId(2), false, &gone, &mut r),
+            None
+        );
     }
 
     #[test]

@@ -32,6 +32,10 @@
 //! assert!(shuffle_flows > 0);
 //! ```
 
+// Run state lives in structs, not argument lists: a helper that needs
+// more than clippy's seven arguments, or a local `allow`, is an error.
+#![forbid(clippy::too_many_arguments)]
+
 mod cluster;
 mod config;
 pub mod dag;
@@ -60,12 +64,27 @@ use std::fmt;
 pub enum HadoopError {
     /// A configuration field was out of range; the message names it.
     InvalidConfig(&'static str),
+    /// The replication factor exceeds the cluster's worker count, so
+    /// HDFS cannot place that many distinct replicas of a block.
+    ReplicationExceedsWorkers {
+        /// The configured replication factor.
+        replication: u16,
+        /// Workers in the cluster.
+        workers: u32,
+    },
 }
 
 impl fmt::Display for HadoopError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             HadoopError::InvalidConfig(what) => write!(f, "invalid configuration: {what}"),
+            HadoopError::ReplicationExceedsWorkers {
+                replication,
+                workers,
+            } => write!(
+                f,
+                "invalid configuration: replication {replication} exceeds worker count {workers}"
+            ),
         }
     }
 }

@@ -25,21 +25,28 @@
 //! straggler noise. The legacy workloads' iterative rounds are unrolled
 //! chains of identical stages (see [`crate::dag`]) and replay
 //! byte-identically to the pre-DAG engine.
+//!
+//! One [`JobSim`] is the run state: it holds what a job's stages share
+//! (cluster, configuration, HDFS placement, the capture tap, the RNG,
+//! counters, task intervals, the AM node, the node-fault timeline and
+//! the down set, the stored-block inventory). Each stage is a
+//! [`StageSim`] that borrows it for the stage's span and adds only the
+//! stage's own task state.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use keddah_des::{Duration, Engine, EventQueue, SimTime};
 use keddah_faults::{FaultKind, FaultSpec};
-use keddah_flowcap::{ports, NodeId};
+use keddah_flowcap::{ports, NodeId, Trace, TraceMeta};
 use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
-use rand::Rng;
+use rand::{Rng, SeedableRng};
 
 use crate::cluster::ClusterSpec;
 use crate::config::HadoopConfig;
 use crate::dag::{EdgeSource, JobDag, StageSpec, TransferKind};
 use crate::hdfs::{Block, Hdfs};
-use crate::net::{NetModel, Payload};
+use crate::net::{ConnectionLog, NetModel, Payload};
 
 /// Delay between job submission and the ApplicationMaster becoming ready.
 const AM_STARTUP: Duration = Duration::from_secs(2);
@@ -106,49 +113,38 @@ impl JobCounters {
     /// form embedded in trace metadata so captures carry their ground
     /// truth along.
     #[must_use]
-    pub fn to_map(&self) -> std::collections::BTreeMap<String, u64> {
-        let mut m = std::collections::BTreeMap::new();
-        m.insert("maps".to_string(), u64::from(self.maps));
-        m.insert("local_maps".to_string(), u64::from(self.local_maps));
-        m.insert(
-            "rack_local_maps".to_string(),
-            u64::from(self.rack_local_maps),
-        );
-        m.insert("remote_maps".to_string(), u64::from(self.remote_maps));
-        m.insert("reducers".to_string(), u64::from(self.reducers));
-        m.insert("rounds".to_string(), u64::from(self.rounds));
-        m.insert("hdfs_read_bytes".to_string(), self.hdfs_read_bytes);
-        m.insert("shuffle_bytes".to_string(), self.shuffle_bytes);
-        m.insert("hdfs_write_bytes".to_string(), self.hdfs_write_bytes);
+    pub fn to_map(&self) -> BTreeMap<String, u64> {
+        let mut m: BTreeMap<String, u64> = [
+            ("maps", u64::from(self.maps)),
+            ("local_maps", u64::from(self.local_maps)),
+            ("rack_local_maps", u64::from(self.rack_local_maps)),
+            ("remote_maps", u64::from(self.remote_maps)),
+            ("reducers", u64::from(self.reducers)),
+            ("rounds", u64::from(self.rounds)),
+            ("hdfs_read_bytes", self.hdfs_read_bytes),
+            ("shuffle_bytes", self.shuffle_bytes),
+            ("hdfs_write_bytes", self.hdfs_write_bytes),
+            ("local_fetches", u64::from(self.local_fetches)),
+            ("failed_map_attempts", u64::from(self.failed_map_attempts)),
+            ("speculative_attempts", u64::from(self.speculative_attempts)),
+            ("node_crashes", u64::from(self.node_crashes)),
+            (
+                "fault_killed_attempts",
+                u64::from(self.fault_killed_attempts),
+            ),
+            ("rereplicated_blocks", u64::from(self.rereplicated_blocks)),
+            ("rereplicated_bytes", self.rereplicated_bytes),
+            ("rereplication_flows", u64::from(self.rereplication_flows)),
+        ]
+        .into_iter()
+        .map(|(name, value)| (name.to_string(), value))
+        .collect();
         // Only present when a broadcast edge actually moved bytes:
         // committed pre-DAG fixtures embed this map in their metadata
         // and must keep parsing (and re-capturing) byte-identically.
         if self.broadcast_bytes > 0 {
             m.insert("broadcast_bytes".to_string(), self.broadcast_bytes);
         }
-        m.insert("local_fetches".to_string(), u64::from(self.local_fetches));
-        m.insert(
-            "failed_map_attempts".to_string(),
-            u64::from(self.failed_map_attempts),
-        );
-        m.insert(
-            "speculative_attempts".to_string(),
-            u64::from(self.speculative_attempts),
-        );
-        m.insert("node_crashes".to_string(), u64::from(self.node_crashes));
-        m.insert(
-            "fault_killed_attempts".to_string(),
-            u64::from(self.fault_killed_attempts),
-        );
-        m.insert(
-            "rereplicated_blocks".to_string(),
-            u64::from(self.rereplicated_blocks),
-        );
-        m.insert("rereplicated_bytes".to_string(), self.rereplicated_bytes);
-        m.insert(
-            "rereplication_flows".to_string(),
-            u64::from(self.rereplication_flows),
-        );
         m
     }
 
@@ -173,10 +169,10 @@ impl JobCounters {
 /// (the capture side has no network topology) and are ignored here;
 /// they apply when the captured trace is replayed through `keddah-netsim`.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct NodeFault {
-    pub at: SimTime,
-    pub node: NodeId,
-    pub down: bool,
+struct NodeFault {
+    at: SimTime,
+    node: NodeId,
+    down: bool,
 }
 
 /// Extracts the time-ordered worker crash/recover events a fault spec
@@ -184,48 +180,43 @@ pub(crate) struct NodeFault {
 /// master (node 0) or out-of-range nodes are dropped: losing the
 /// NameNode/ResourceManager kills the job rather than degrading it, and
 /// that failure mode is out of scope (see `DESIGN.md`).
-pub(crate) fn node_faults(spec: &FaultSpec, worker_count: u32) -> Vec<NodeFault> {
+fn node_faults(spec: &FaultSpec, worker_count: u32) -> Vec<NodeFault> {
     spec.schedule()
         .events()
         .iter()
-        .filter_map(|ev| match ev.kind {
-            FaultKind::NodeCrash { node } if (1..=worker_count).contains(&node) => {
-                Some(NodeFault {
-                    at: ev.at(),
-                    node: NodeId(node),
-                    down: true,
-                })
-            }
-            FaultKind::NodeRecover { node } if (1..=worker_count).contains(&node) => {
-                Some(NodeFault {
-                    at: ev.at(),
-                    node: NodeId(node),
-                    down: false,
-                })
-            }
-            _ => None,
+        .filter_map(|ev| {
+            let (node, down) = match ev.kind {
+                FaultKind::NodeCrash { node } => (node, true),
+                FaultKind::NodeRecover { node } => (node, false),
+                _ => return None,
+            };
+            (1..=worker_count).contains(&node).then_some(NodeFault {
+                at: ev.at(),
+                node: NodeId(node),
+                down,
+            })
         })
         .collect()
 }
 
 /// A task's lifetime on a node, recorded for umbilical control traffic.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct TaskInterval {
-    pub node: NodeId,
-    pub start: SimTime,
-    pub end: SimTime,
+struct TaskInterval {
+    node: NodeId,
+    start: SimTime,
+    end: SimTime,
 }
 
 /// Result of one DAG stage.
-pub(crate) struct StageResult {
-    pub end: SimTime,
-    pub output_blocks: Vec<Block>,
+struct StageResult {
+    end: SimTime,
+    output_blocks: Vec<Block>,
 }
 
 /// How a map attempt ingests its input block — decided per block by the
 /// [`TransferKind`] of the DAG edge that delivered it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum MapInput {
+enum MapInput {
     /// Synthesized in place (pipe edges, generator stages): no lookup,
     /// no traffic.
     Generate,
@@ -240,13 +231,21 @@ pub(crate) enum MapInput {
     ShuffleFetch,
 }
 
+/// One in-flight map attempt.
+#[derive(Debug, Clone, Copy)]
+struct Attempt {
+    id: u32,
+    node: NodeId,
+    /// Launch time: the start of the attempt's task interval.
+    start: SimTime,
+}
+
 #[derive(Debug)]
 struct MapState {
     block: Block,
     /// How this map reads `block` (from the feeding edge's kind).
     input: MapInput,
-    /// In-flight attempts: (attempt id, node).
-    running: Vec<(u32, NodeId)>,
+    running: Vec<Attempt>,
     done: bool,
     /// Node of the attempt that won (shuffle fetch source).
     winner: Option<NodeId>,
@@ -261,6 +260,8 @@ struct MapState {
 #[derive(Debug)]
 struct ReduceState {
     node: Option<NodeId>,
+    /// Launch time of the current attempt.
+    start: SimTime,
     /// Which maps' partitions this attempt has fetched. A crash of a
     /// serving node resets the task (fresh attempt, all-false again).
     fetched_from: Vec<bool>,
@@ -274,6 +275,17 @@ struct ReduceState {
     /// `output_blocks` (written at compute-done, committed at task end;
     /// a crash in between discards them — Hadoop's output commit).
     written: Option<(usize, usize)>,
+}
+
+/// A shuffle fetch in flight: reducer `reduce`, in its attempt
+/// `attempt`, pulls `bytes` of map `map`'s output from `from`.
+#[derive(Debug, Clone, Copy)]
+struct Fetch {
+    reduce: usize,
+    map: usize,
+    from: NodeId,
+    attempt: u32,
+    bytes: u64,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -294,13 +306,7 @@ enum Event {
         map: usize,
         attempt: u32,
     },
-    FetchDone {
-        reduce: usize,
-        map: usize,
-        from: NodeId,
-        attempt: u32,
-        bytes: u64,
-    },
+    FetchDone(Fetch),
     ReduceComputeDone {
         reduce: usize,
         attempt: u32,
@@ -309,30 +315,350 @@ enum Event {
         reduce: usize,
         attempt: u32,
     },
-    /// A scheduled node crash/recover (index into the round's fault
-    /// slice) reaching its firing time.
+    /// A scheduled node crash/recover (index into the job's fault
+    /// timeline) reaching its firing time.
     NodeFault {
         idx: usize,
     },
 }
 
-/// One DAG stage (a map wave, optionally shuffling into reducers).
-pub(crate) struct StageSim<'a> {
+/// The run state of a job: what all its stages share. [`JobSim::new`]
+/// is the one place a run is validated and its capture tap and RNG are
+/// set up; [`JobSim::run`] executes a [`JobDag`], lending the state to
+/// each stage's [`StageSim`] in turn; [`JobSim::into_capture`] builds
+/// the trace. A session runs several jobs on one `JobSim`, so they
+/// share the tap, the RNG and the fault timeline, while counters, task
+/// intervals, the AM node, the fault cursor, the down set and the block
+/// inventory start afresh with each job.
+pub(crate) struct JobSim<'a> {
     cluster: &'a ClusterSpec,
     config: &'a HadoopConfig,
-    stage: &'a StageSpec,
-    hdfs: &'a Hdfs,
-    net: &'a mut NetModel,
-    rng: &'a mut StdRng,
-    counters: &'a mut JobCounters,
-    tasks: &'a mut Vec<TaskInterval>,
+    hdfs: Hdfs,
+    /// The capture tap: every connection the job opens is logged here.
+    net: NetModel,
+    rng: StdRng,
+    /// The RNG's seed, recorded in the capture's metadata.
+    seed: u64,
+    /// The node-fault timeline, in time order.
+    faults: Vec<NodeFault>,
+    counters: JobCounters,
+    tasks: Vec<TaskInterval>,
+    /// The job's ApplicationMaster, drawn when the job starts.
     am_node: NodeId,
-    /// The job's full node-fault timeline; this stage schedules the
-    /// not-yet-applied tail (`fault_cursor..`) as DES events.
-    faults: &'a [NodeFault],
-    fault_cursor: &'a mut usize,
-    /// Workers currently dead, shared across stages.
-    down: &'a mut HashSet<NodeId>,
+    /// Index of the first timeline event not yet applied.
+    fault_cursor: usize,
+    /// Workers currently dead.
+    down: HashSet<NodeId>,
+    /// All blocks the job ever stored (input plus every stage's output):
+    /// the inventory the re-replication pass scans for lost replicas.
+    stored_blocks: Vec<Block>,
+}
+
+impl<'a> JobSim<'a> {
+    /// The run state for jobs on `cluster` under `config`, drawing from
+    /// `seed`, with the worker crashes and recoveries in `faults`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cluster or config fail validation, including a
+    /// replication factor above the worker count.
+    pub(crate) fn new(
+        cluster: &'a ClusterSpec,
+        config: &'a HadoopConfig,
+        seed: u64,
+        faults: &FaultSpec,
+    ) -> Self {
+        cluster.validate().expect("invalid cluster spec");
+        config.validate_for(cluster).expect("invalid hadoop config");
+        JobSim {
+            cluster,
+            config,
+            hdfs: Hdfs::new(cluster.clone()),
+            net: NetModel::new(cluster.nic_bps),
+            rng: StdRng::seed_from_u64(seed),
+            seed,
+            faults: node_faults(faults, cluster.worker_count()),
+            counters: JobCounters::default(),
+            tasks: Vec::new(),
+            am_node: cluster.master(),
+            fault_cursor: 0,
+            down: HashSet::new(),
+            stored_blocks: Vec::new(),
+        }
+    }
+
+    /// The capture of everything run so far: the connection log, and
+    /// the labelled trace its flows make under metadata describing the
+    /// run (`counters` is the ground truth to embed, if any).
+    pub(crate) fn into_capture(
+        mut self,
+        workload: String,
+        input_bytes: u64,
+        counters: Option<BTreeMap<String, u64>>,
+    ) -> (Trace, ConnectionLog) {
+        let log = self.net.take_log();
+        let meta = TraceMeta {
+            workload,
+            input_bytes,
+            reducers: self.config.reducers,
+            replication: self.config.replication,
+            block_bytes: self.config.block_bytes,
+            nodes: self.cluster.worker_count(),
+            seed: self.seed,
+            counters,
+        };
+        let mut trace = Trace::new(meta, log.flows());
+        trace.classify();
+        (trace, log)
+    }
+
+    /// Multiplicative log-normal noise with the configured sigma scaled by
+    /// `scale` (approximate standard normal from an Irwin–Hall sum; the
+    /// simulator needs jitter, not exact normality).
+    fn noise(&mut self, scale: f64) -> f64 {
+        let z: f64 = (0..12).map(|_| self.rng.random::<f64>()).sum::<f64>() - 6.0;
+        (self.config.task_noise_sigma * scale * z).exp()
+    }
+
+    /// Simulates `dag`: submission, AM startup, every stage in
+    /// topological order over the bytes its in-edges deliver, then the
+    /// re-replication and control planes over the whole span.
+    ///
+    /// The job starts at `start` and consumes `input_blocks` (a previous
+    /// job's output, for chained sessions) or, when `None`, freshly
+    /// placed input. Node crashes and recoveries fire as DES events
+    /// inside the stages (killing attempts, invalidating map output,
+    /// restarting reducers), and every crash that costs a stored block a
+    /// replica triggers NameNode-commanded re-replication traffic after
+    /// the heartbeat-expiry delay. An empty fault timeline takes exactly
+    /// the clean path — same RNG draws, same events, byte-identical
+    /// capture.
+    pub(crate) fn run(
+        &mut self,
+        dag: &JobDag,
+        input_bytes: u64,
+        start: SimTime,
+        input_blocks: Option<Vec<Block>>,
+    ) -> DagOutcome {
+        self.counters = JobCounters::default();
+        self.tasks.clear();
+        self.fault_cursor = 0;
+        self.down.clear();
+        let master = self.cluster.master();
+        self.am_node = NodeId(1 + (self.rng.random::<u32>() % self.cluster.worker_count()));
+
+        // Job submission and AM launch.
+        self.net
+            .exchange(start, master, master, ports::RM_CLIENT, 2_000, 500);
+        self.net.exchange(
+            start + Duration::from_millis(100),
+            master,
+            self.am_node,
+            ports::NM_CONTAINER,
+            1_500,
+            300,
+        );
+
+        let original_blocks = input_blocks.unwrap_or_else(|| {
+            self.hdfs.place_file(
+                input_bytes,
+                self.config.block_bytes,
+                self.config.replication,
+                &mut self.rng,
+            )
+        });
+        self.stored_blocks = original_blocks.clone();
+        let mut t = start + AM_STARTUP;
+        let mut job_end = t;
+        let mut stage_outputs: Vec<Vec<Block>> = Vec::with_capacity(dag.stages.len());
+        let mut stage_stats: Vec<StageStats> = Vec::with_capacity(dag.stages.len());
+        for (i, stage) in dag.stages.iter().enumerate() {
+            // Faults landing before the stage starts (or between stages)
+            // apply directly: the node is simply absent (or back) when
+            // scheduling begins.
+            while let Some(fault) = self.faults.get(self.fault_cursor).filter(|f| f.at <= t) {
+                if fault.down {
+                    self.down.insert(fault.node);
+                } else {
+                    self.down.remove(&fault.node);
+                }
+                self.fault_cursor += 1;
+            }
+            self.counters.rounds += 1;
+            let (inputs, broadcast) = stage_inputs(dag, i, &original_blocks, &stage_outputs);
+            let before = self.counters;
+            let stage_input_bytes: u64 = inputs.iter().map(|(b, _)| b.bytes).sum();
+            let result = StageSim::new(self, stage, inputs, broadcast).run(t);
+            job_end = result.end;
+            self.stored_blocks
+                .extend(result.output_blocks.iter().cloned());
+            stage_stats.push(StageStats {
+                name: stage.name.clone(),
+                maps: self.counters.maps - before.maps,
+                reducers: self.counters.reducers - before.reducers,
+                input_bytes: stage_input_bytes,
+                output_bytes: result.output_blocks.iter().map(|b| b.bytes).sum(),
+                broadcast_bytes: self.counters.broadcast_bytes - before.broadcast_bytes,
+            });
+            stage_outputs.push(result.output_blocks);
+            t = result.end + ROUND_GAP;
+        }
+        self.rereplicate(job_end);
+        self.control_plane(start, job_end);
+        DagOutcome {
+            end: job_end,
+            last_output: stage_outputs.pop().unwrap_or_default(),
+            stages: stage_stats,
+            counters: self.counters,
+        }
+    }
+
+    /// HDFS re-replication: each worker crash up to `end` costs every
+    /// stored block it held a replica; once the NameNode notices
+    /// (heartbeat expiry), a surviving replica holder streams a copy to
+    /// a fresh live node.
+    fn rereplicate(&mut self, end: SimTime) {
+        let master = self.cluster.master();
+        let mut down: HashSet<NodeId> = HashSet::new();
+        for fault in &self.faults {
+            if fault.at > end {
+                break;
+            }
+            if !fault.down {
+                down.remove(&fault.node);
+                continue;
+            }
+            if !down.insert(fault.node) {
+                continue;
+            }
+            self.counters.node_crashes += 1;
+            let at = fault.at + REREPLICATION_DELAY;
+            for block in &mut self.stored_blocks {
+                if !block.replicas.contains(&fault.node) {
+                    continue;
+                }
+                // All replicas dead: the block is lost; nothing to copy.
+                let Some(&source) = block.replicas.iter().find(|n| !down.contains(n)) else {
+                    continue;
+                };
+                let candidates: Vec<NodeId> = self
+                    .cluster
+                    .workers()
+                    .filter(|w| !down.contains(w) && !block.replicas.contains(w))
+                    .collect();
+                let Some(&target) = candidates.choose(&mut self.rng) else {
+                    continue; // no spare node to hold a new replica
+                };
+                self.net
+                    .exchange(at, source, master, ports::NAMENODE_RPC, 300, 500);
+                self.net.transfer(
+                    at,
+                    source,
+                    target,
+                    ports::DATANODE_XFER,
+                    block.bytes,
+                    Payload::ToServer,
+                );
+                self.counters.rereplicated_blocks += 1;
+                self.counters.rereplicated_bytes += block.bytes;
+                self.counters.rereplication_flows += 1;
+                for replica in &mut block.replicas {
+                    if *replica == fault.node {
+                        *replica = target;
+                    }
+                }
+            }
+        }
+    }
+
+    /// The control plane over the job span `start..end`: periodic
+    /// heartbeats with per-client phase jitter (every NodeManager to the
+    /// RM tracker, then the AM to the RM scheduler), task umbilicals to
+    /// the AM, and the job-completion notification.
+    fn control_plane(&mut self, start: SimTime, end: SimTime) {
+        let master = self.cluster.master();
+        let period = self.config.nm_heartbeat_secs;
+        let heartbeats = self
+            .cluster
+            .workers()
+            .map(|w| (w, ports::RM_TRACKER, (600, 900), (200, 400)))
+            .chain([(self.am_node, ports::RM_SCHEDULER, (400, 800), (200, 600))]);
+        for (client, port, (req_lo, req_hi), (resp_lo, resp_hi)) in heartbeats {
+            let mut at = start + Duration::from_secs_f64(period * self.rng.random::<f64>());
+            while at < end {
+                let req = self.rng.random_range(req_lo..=req_hi);
+                let resp = self.rng.random_range(resp_lo..=resp_hi);
+                self.net.exchange(at, client, master, port, req, resp);
+                at += Duration::from_secs_f64(period * (0.95 + 0.1 * self.rng.random::<f64>()));
+            }
+        }
+        for task in &self.tasks {
+            if task.node == self.am_node {
+                continue;
+            }
+            let mut at = task.start;
+            while at < task.end {
+                self.net
+                    .exchange(at, task.node, self.am_node, ports::AM_UMBILICAL, 300, 150);
+                at += Duration::from_secs_f64(
+                    self.config.umbilical_secs * (0.9 + 0.2 * self.rng.random::<f64>()),
+                );
+            }
+        }
+        self.net
+            .exchange(end, self.am_node, master, ports::RM_SCHEDULER, 800, 300);
+    }
+}
+
+/// Resolves stage `i`'s in-edges to concrete input blocks, each tagged
+/// with the read mode its edge implies, plus the broadcast side-input
+/// payloads every map pulls.
+fn stage_inputs(
+    dag: &JobDag,
+    i: usize,
+    job_input: &[Block],
+    stage_outputs: &[Vec<Block>],
+) -> (Vec<(Block, MapInput)>, Vec<Block>) {
+    let mut inputs: Vec<(Block, MapInput)> = Vec::new();
+    let mut broadcast: Vec<Block> = Vec::new();
+    for edge in dag.in_edges(i) {
+        let source_blocks: &[Block] = match edge.from {
+            EdgeSource::JobInput => job_input,
+            // An upstream stage stranded by faults may have produced
+            // nothing; fall back to the job input (the legacy engine's
+            // empty-round fallback, kept for byte-identity of faulted
+            // captures).
+            EdgeSource::Stage(p) if stage_outputs[p].is_empty() => job_input,
+            EdgeSource::Stage(p) => &stage_outputs[p],
+        };
+        let mode = match edge.kind {
+            TransferKind::Broadcast => {
+                broadcast.extend(
+                    source_blocks
+                        .iter()
+                        .map(|b| scale_block(b, edge.selectivity)),
+                );
+                continue;
+            }
+            TransferKind::HdfsRead => MapInput::Hdfs,
+            TransferKind::RemoteRead => MapInput::Remote,
+            TransferKind::Shuffle => MapInput::ShuffleFetch,
+            TransferKind::Pipe => MapInput::Generate,
+        };
+        inputs.extend(
+            source_blocks
+                .iter()
+                .map(|b| (scale_block(b, edge.selectivity), mode)),
+        );
+    }
+    (inputs, broadcast)
+}
+
+/// One DAG stage (a map wave, optionally shuffling into reducers): the
+/// stage's own task state over the job's run state it borrows.
+struct StageSim<'j, 'a> {
+    job: &'j mut JobSim<'a>,
+    stage: &'j StageSpec,
     /// Latest time real (non-fault) work happened; the stage's end.
     /// `engine.now()` would count ignored fault events queued past it.
     round_end: SimTime,
@@ -349,27 +675,14 @@ pub(crate) struct StageSim<'a> {
     completed_maps: usize,
     completed_reducers: usize,
     output_blocks: Vec<Block>,
-    map_starts: HashMap<(usize, u32), SimTime>,
-    reduce_starts: HashMap<usize, SimTime>,
 }
 
-impl<'a> StageSim<'a> {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        cluster: &'a ClusterSpec,
-        config: &'a HadoopConfig,
-        stage: &'a StageSpec,
-        hdfs: &'a Hdfs,
-        net: &'a mut NetModel,
-        rng: &'a mut StdRng,
-        counters: &'a mut JobCounters,
-        tasks: &'a mut Vec<TaskInterval>,
-        am_node: NodeId,
+impl<'j, 'a> StageSim<'j, 'a> {
+    fn new(
+        job: &'j mut JobSim<'a>,
+        stage: &'j StageSpec,
         input_blocks: Vec<(Block, MapInput)>,
         broadcast: Vec<Block>,
-        faults: &'a [NodeFault],
-        fault_cursor: &'a mut usize,
-        down: &'a mut HashSet<NodeId>,
     ) -> Self {
         let maps: Vec<MapState> = input_blocks
             .into_iter()
@@ -389,13 +702,13 @@ impl<'a> StageSim<'a> {
         let reducer_count = if stage.map_only {
             0
         } else {
-            config.reducers as usize
+            job.config.reducers as usize
         };
-        let map_count = maps.len();
         let reducers: Vec<ReduceState> = (0..reducer_count)
             .map(|_| ReduceState {
                 node: None,
-                fetched_from: vec![false; map_count],
+                start: SimTime::ZERO,
+                fetched_from: vec![false; maps.len()],
                 input_bytes: 0,
                 compute_scheduled: false,
                 done: false,
@@ -404,24 +717,15 @@ impl<'a> StageSim<'a> {
             })
             .collect();
         let pending_reducers: Vec<usize> = (0..reducers.len()).collect();
-        let free_slots = cluster
+        let free_slots = job
+            .cluster
             .workers()
-            .filter(|w| !down.contains(w))
-            .map(|w| (w, config.slots_per_node))
+            .filter(|w| !job.down.contains(w))
+            .map(|w| (w, job.config.slots_per_node))
             .collect();
         StageSim {
-            cluster,
-            config,
+            job,
             stage,
-            hdfs,
-            net,
-            rng,
-            counters,
-            tasks,
-            am_node,
-            faults,
-            fault_cursor,
-            down,
             round_end: SimTime::ZERO,
             broadcast,
             maps,
@@ -434,23 +738,13 @@ impl<'a> StageSim<'a> {
             completed_maps: 0,
             completed_reducers: 0,
             output_blocks: Vec::new(),
-            map_starts: HashMap::new(),
-            reduce_starts: HashMap::new(),
         }
-    }
-
-    /// Multiplicative log-normal noise with the configured sigma scaled by
-    /// `scale` (approximate standard normal from an Irwin–Hall sum; the
-    /// simulator needs jitter, not exact normality).
-    fn noise(&mut self, scale: f64) -> f64 {
-        let z: f64 = (0..12).map(|_| self.rng.random::<f64>()).sum::<f64>() - 6.0;
-        (self.config.task_noise_sigma * scale * z).exp()
     }
 
     /// Runs the stage to completion on a [`keddah_des::Engine`], starting
     /// task scheduling at `start` (via a [`Event::Kick`] event — the same
     /// engine-driven loop the replay simulator uses).
-    pub(crate) fn run(mut self, start: SimTime) -> StageResult {
+    fn run(mut self, start: SimTime) -> StageResult {
         let mut engine: Engine<Event> = Engine::new();
         self.round_end = start;
         engine.schedule(start, Event::Kick);
@@ -464,8 +758,8 @@ impl<'a> StageSim<'a> {
                     // landing after the round's work finishes are ignored
                     // (and re-queued by the next round, which reads the
                     // shared cursor).
-                    for idx in *self.fault_cursor..self.faults.len() {
-                        queue.push(self.faults[idx].at.max(now), Event::NodeFault { idx });
+                    for idx in self.job.fault_cursor..self.job.faults.len() {
+                        queue.push(self.job.faults[idx].at.max(now), Event::NodeFault { idx });
                     }
                     self.schedule_tasks(now, queue);
                 }
@@ -474,13 +768,7 @@ impl<'a> StageSim<'a> {
                     self.on_map_compute_done(map, attempt, now, queue)
                 }
                 Event::MapFailed { map, attempt } => self.on_map_failed(map, attempt, now, queue),
-                Event::FetchDone {
-                    reduce,
-                    map,
-                    from,
-                    attempt,
-                    bytes,
-                } => self.on_fetch_done(reduce, map, from, attempt, bytes, now, queue),
+                Event::FetchDone(fetch) => self.on_fetch_done(fetch, now, queue),
                 Event::ReduceComputeDone { reduce, attempt } => {
                     self.on_reduce_compute_done(reduce, attempt, now, queue)
                 }
@@ -491,7 +779,7 @@ impl<'a> StageSim<'a> {
             }
         });
         let end = self.round_end.max(start);
-        if self.faults.is_empty() {
+        if self.job.faults.is_empty() {
             assert_eq!(
                 self.completed_maps,
                 self.maps.len(),
@@ -522,11 +810,11 @@ impl<'a> StageSim<'a> {
     /// event reaching a round whose work already finished is left for
     /// the inter-round application pass.
     fn on_node_fault(&mut self, idx: usize, now: SimTime, queue: &mut EventQueue<Event>) {
-        if idx != *self.fault_cursor || self.round_complete() {
+        if idx != self.job.fault_cursor || self.round_complete() {
             return;
         }
-        *self.fault_cursor += 1;
-        let fault = self.faults[idx];
+        self.job.fault_cursor += 1;
+        let fault = self.job.faults[idx];
         if fault.down {
             self.on_node_crash(fault.node, now, queue);
         } else {
@@ -539,39 +827,28 @@ impl<'a> StageSim<'a> {
     /// reducers that had not fetched it yet, and its reducers restart
     /// from scratch elsewhere.
     fn on_node_crash(&mut self, n: NodeId, now: SimTime, queue: &mut EventQueue<Event>) {
-        if !self.down.insert(n) {
+        if !self.job.down.insert(n) {
             return;
         }
         self.free_slots.remove(&n);
         // Kill running map attempts on the dead node. No blacklist and
         // no slot release: the node is gone, and losing a node is not
         // the task's fault.
-        for m in 0..self.maps.len() {
-            let victims: Vec<u32> = self.maps[m]
-                .running
-                .iter()
-                .filter(|&&(_, node)| node == n)
-                .map(|&(a, _)| a)
-                .collect();
-            for a in victims {
-                let pos = self.maps[m]
-                    .running
-                    .iter()
-                    .position(|&(x, _)| x == a)
-                    .expect("victim is running");
-                self.maps[m].running.remove(pos);
-                let task_start = self.map_starts[&(m, a)];
-                self.tasks.push(TaskInterval {
+        let job = &mut *self.job;
+        for (m, map) in self.maps.iter_mut().enumerate() {
+            map.running.retain(|a| {
+                if a.node != n {
+                    return true;
+                }
+                job.tasks.push(TaskInterval {
                     node: n,
-                    start: task_start,
+                    start: a.start,
                     end: now,
                 });
-                self.counters.fault_killed_attempts += 1;
-            }
-            if !self.maps[m].done
-                && self.maps[m].running.is_empty()
-                && !self.pending_maps.contains(&m)
-            {
+                job.counters.fault_killed_attempts += 1;
+                false
+            });
+            if !map.done && map.running.is_empty() && !self.pending_maps.contains(&m) {
                 self.pending_maps.push(m);
             }
         }
@@ -597,13 +874,12 @@ impl<'a> StageSim<'a> {
         // attempt re-fetches everything (shuffle re-fetch traffic).
         for r in 0..self.reducers.len() {
             if self.reducers[r].node == Some(n) && !self.reducers[r].done {
-                let task_start = self.reduce_starts[&r];
-                self.tasks.push(TaskInterval {
+                self.job.tasks.push(TaskInterval {
                     node: n,
-                    start: task_start,
+                    start: self.reducers[r].start,
                     end: now,
                 });
-                self.counters.fault_killed_attempts += 1;
+                self.job.counters.fault_killed_attempts += 1;
                 // Discard blocks the dead attempt wrote but never
                 // committed, shifting later attempts' recorded ranges.
                 if let Some((w_start, w_count)) = self.reducers[r].written.take() {
@@ -633,10 +909,10 @@ impl<'a> StageSim<'a> {
     /// A worker rejoins: its slots come back and pending work may land
     /// on it again.
     fn on_node_recover(&mut self, n: NodeId, now: SimTime, queue: &mut EventQueue<Event>) {
-        if !self.down.remove(&n) {
+        if !self.job.down.remove(&n) {
             return;
         }
-        self.free_slots.insert(n, self.config.slots_per_node);
+        self.free_slots.insert(n, self.job.config.slots_per_node);
         self.schedule_tasks(now, queue);
     }
 
@@ -646,11 +922,11 @@ impl<'a> StageSim<'a> {
     /// opportunities), then strict FIFO placement of whatever remains,
     /// then reducers up to the ramp-up cap.
     fn schedule_tasks(&mut self, now: SimTime, queue: &mut EventQueue<Event>) {
+        let cluster = self.job.cluster;
         // Pass 1: node-local maps. Each local candidate gets exactly one
         // scheduling opportunity per invocation; a missed roll defers it
         // to the FIFO pass (delay-scheduling expiry).
-        let workers: Vec<NodeId> = self.cluster.workers().collect();
-        for &node in &workers {
+        for node in cluster.workers() {
             let local: Vec<usize> = self
                 .pending_maps
                 .iter()
@@ -664,7 +940,7 @@ impl<'a> StageSim<'a> {
                 if !self.slot_free(node) {
                     break;
                 }
-                if self.rng.random::<f64>() < self.config.locality_miss {
+                if self.job.rng.random::<f64>() < self.job.config.locality_miss {
                     continue; // opportunity missed; falls to pass 2
                 }
                 let pos = self
@@ -680,7 +956,7 @@ impl<'a> StageSim<'a> {
         // node goes to the first node with a free slot, locality or not
         // (replica selection at read time still prefers a rack-local
         // source).
-        for &node in &workers {
+        for node in cluster.workers() {
             while self.slot_free(node) {
                 let Some(pos) = self
                     .pending_maps
@@ -696,8 +972,8 @@ impl<'a> StageSim<'a> {
         // Pass 3: reducers (after slow-start), capped at half the cluster
         // slots while maps are still pending so maps keep priority.
         if self.reducers_released {
-            let total_slots = self.cluster.worker_count() * self.config.slots_per_node;
-            for &node in &workers {
+            let total_slots = cluster.worker_count() * self.job.config.slots_per_node;
+            for node in cluster.workers() {
                 while self.slot_free(node) && !self.pending_reducers.is_empty() {
                     let maps_outstanding =
                         !self.pending_maps.is_empty() || self.completed_maps < self.maps.len();
@@ -725,141 +1001,65 @@ impl<'a> StageSim<'a> {
         *self.free_slots.get_mut(&node).expect("known worker") += 1;
     }
 
-    /// Selects the serving replica for map `m`'s input block on `node`.
-    fn pick_replica(&mut self, m: usize, node: NodeId, uniform: bool) -> Option<NodeId> {
-        let block = self.maps[m].block.clone();
-        self.select_live_replica(&block, node, uniform)
-    }
-
-    /// Selects a replica of `block` to serve a read on `node`, skipping
-    /// dead nodes: locality-preferring (`uniform == false`, the HDFS
-    /// ladder — no RNG draw when the block is node-local) or uniformly
-    /// random among live replicas (`uniform == true`, the data-grid
-    /// access pattern, which may still land on `node` and read locally).
-    /// `None` means the read is local (or the data is gone).
-    fn select_live_replica(
-        &mut self,
-        block: &Block,
-        node: NodeId,
-        uniform: bool,
-    ) -> Option<NodeId> {
-        let filtered;
-        let block = if self.down.is_empty() {
-            block
-        } else {
-            filtered = Block {
-                bytes: block.bytes,
-                replicas: block
-                    .replicas
-                    .iter()
-                    .copied()
-                    .filter(|r| !self.down.contains(r))
-                    .collect(),
-            };
-            if filtered.replicas.is_empty() {
-                return None;
-            }
-            &filtered
-        };
-        if uniform {
-            let &choice = block.replicas.as_slice().choose(self.rng)?;
-            if choice == node {
-                None
-            } else {
-                Some(choice)
-            }
-        } else {
-            self.hdfs.select_read_replica(block, node, self.rng)
-        }
-    }
-
     fn launch_map(&mut self, m: usize, node: NodeId, now: SimTime, queue: &mut EventQueue<Event>) {
         self.take_slot(node);
         let attempt = self.maps[m].attempts;
         self.maps[m].attempts += 1;
-        self.maps[m].running.push((attempt, node));
-        self.map_starts.insert((m, attempt), now);
+        self.maps[m].running.push(Attempt {
+            id: attempt,
+            node,
+            start: now,
+        });
         if attempt == 0 {
-            self.counters.maps += 1;
+            self.job.counters.maps += 1;
         }
 
-        let block_bytes = self.maps[m].block.bytes;
+        let job = &mut *self.job;
+        let block = &self.maps[m].block;
         let mut read_done = match self.maps[m].input {
             MapInput::Generate => {
                 // In-place ingest (pipe edges, TeraGen-style generators):
                 // input is synthesized locally, no read and no
                 // block-location lookup.
-                self.counters.local_maps += 1;
+                job.counters.local_maps += 1;
                 now
             }
-            MapInput::Hdfs => {
-                // NameNode RPC: getBlockLocations.
-                self.net.exchange(
-                    now,
-                    node,
-                    self.cluster.master(),
-                    ports::NAMENODE_RPC,
-                    300,
-                    600,
-                );
-                // Input: local disk or an HDFS read over the network. With
-                // nodes down, only live replicas can serve; a block with no
-                // live replica at all reads as a local re-ingest (the data
-                // is gone — a real job would fail here, which is out of
-                // scope; see `DESIGN.md`).
-                match self.pick_replica(m, node, false) {
+            input @ (MapInput::Hdfs | MapInput::Remote) => {
+                // NameNode RPC: getBlockLocations (a data-grid catalogue
+                // lookup for remote reads).
+                let master = job.cluster.master();
+                job.net
+                    .exchange(now, node, master, ports::NAMENODE_RPC, 300, 600);
+                // Input: local disk or a read over the network, from the
+                // locality ladder's replica or, for a data-grid read, a
+                // uniformly random one (the job landed wherever a slot
+                // was free and pulls its dataset across the fabric).
+                // With nodes down only live replicas serve; a block with
+                // no live replica at all reads as a local re-ingest (the
+                // data is gone — a real job would fail here, which is
+                // out of scope; see `DESIGN.md`).
+                let uniform = input == MapInput::Remote;
+                match job
+                    .hdfs
+                    .select_live_replica(block, node, uniform, &job.down, &mut job.rng)
+                {
                     None => {
-                        self.counters.local_maps += 1;
+                        job.counters.local_maps += 1;
                         now
                     }
                     Some(source) => {
-                        if self.cluster.same_rack(source, node) {
-                            self.counters.rack_local_maps += 1;
+                        if job.cluster.same_rack(source, node) {
+                            job.counters.rack_local_maps += 1;
                         } else {
-                            self.counters.remote_maps += 1;
+                            job.counters.remote_maps += 1;
                         }
-                        self.counters.hdfs_read_bytes += block_bytes;
-                        self.net.transfer(
+                        job.counters.hdfs_read_bytes += block.bytes;
+                        job.net.transfer(
                             now,
                             node,
                             source,
                             ports::DATANODE_XFER,
-                            block_bytes,
-                            Payload::ToClient,
-                        )
-                    }
-                }
-            }
-            MapInput::Remote => {
-                // Data-grid access: catalogue lookup, then a uniformly
-                // random live replica — the job landed wherever a slot
-                // was free and pulls its dataset across the fabric.
-                self.net.exchange(
-                    now,
-                    node,
-                    self.cluster.master(),
-                    ports::NAMENODE_RPC,
-                    300,
-                    600,
-                );
-                match self.pick_replica(m, node, true) {
-                    None => {
-                        self.counters.local_maps += 1;
-                        now
-                    }
-                    Some(source) => {
-                        if self.cluster.same_rack(source, node) {
-                            self.counters.rack_local_maps += 1;
-                        } else {
-                            self.counters.remote_maps += 1;
-                        }
-                        self.counters.hdfs_read_bytes += block_bytes;
-                        self.net.transfer(
-                            now,
-                            node,
-                            source,
-                            ports::DATANODE_XFER,
-                            block_bytes,
+                            block.bytes,
                             Payload::ToClient,
                         )
                     }
@@ -870,19 +1070,22 @@ impl<'a> StageSim<'a> {
                 // the producer's materialised output over the shuffle
                 // port (no NameNode involvement — the AM knows where the
                 // producer wrote).
-                match self.pick_replica(m, node, false) {
+                match job
+                    .hdfs
+                    .select_live_replica(block, node, false, &job.down, &mut job.rng)
+                {
                     None => {
-                        self.counters.local_fetches += 1;
+                        job.counters.local_fetches += 1;
                         now
                     }
                     Some(source) => {
-                        self.counters.shuffle_bytes += block_bytes;
-                        self.net.transfer(
+                        job.counters.shuffle_bytes += block.bytes;
+                        job.net.transfer(
                             now,
                             node,
                             source,
                             ports::SHUFFLE,
-                            block_bytes,
+                            block.bytes,
                             Payload::ToClient,
                         )
                     }
@@ -894,33 +1097,33 @@ impl<'a> StageSim<'a> {
         // broadcast block from a replica before compute starts (local
         // copies are free). Empty for every non-broadcast DAG — no RNG
         // draws, no traffic.
-        for i in 0..self.broadcast.len() {
-            let block = self.broadcast[i].clone();
-            let replica = self.select_live_replica(&block, node, false);
+        for side in &self.broadcast {
+            let replica = job
+                .hdfs
+                .select_live_replica(side, node, false, &job.down, &mut job.rng);
             if let Some(source) = replica {
-                self.counters.broadcast_bytes += block.bytes;
-                let f = self.net.transfer(
+                job.counters.broadcast_bytes += side.bytes;
+                let f = job.net.transfer(
                     now,
                     node,
                     source,
                     ports::BROADCAST,
-                    block.bytes,
+                    side.bytes,
                     Payload::ToClient,
                 );
                 read_done = read_done.max(f);
             }
         }
 
-        let compute_secs = self.config.task_overhead_secs
-            + block_bytes as f64 * self.stage.cpu_factor / self.config.map_rate_bps;
-        let noise = self.noise(1.0);
-        let compute = Duration::from_secs_f64(compute_secs * noise);
+        let compute_secs = job.config.task_overhead_secs
+            + block.bytes as f64 * self.stage.cpu_factor / job.config.map_rate_bps;
+        let compute = Duration::from_secs_f64(compute_secs * job.noise(1.0));
         // Failure injection: an attempt may die partway and be
         // re-executed, unless it is the task's last permitted attempt.
-        let fails = self.maps[m].attempts < self.config.max_task_attempts
-            && self.rng.random::<f64>() < self.config.task_failure_prob;
+        let fails = self.maps[m].attempts < job.config.max_task_attempts
+            && job.rng.random::<f64>() < job.config.task_failure_prob;
         if fails {
-            let frac = 0.2 + 0.7 * self.rng.random::<f64>();
+            let frac = 0.2 + 0.7 * job.rng.random::<f64>();
             queue.push(
                 read_done + compute.mul_f64(frac),
                 Event::MapFailed { map: m, attempt },
@@ -933,6 +1136,15 @@ impl<'a> StageSim<'a> {
         } else {
             queue.push(read_done + compute, Event::MapDone { map: m, attempt });
         }
+    }
+
+    /// Map `m`'s output size for one finished attempt: its input through
+    /// the stage's selectivity, with `noise_scale` noise, floored at the
+    /// smallest output modelled.
+    fn map_output(&mut self, m: usize, noise_scale: f64) -> u64 {
+        let noise = self.job.noise(noise_scale);
+        ((self.maps[m].block.bytes as f64 * self.stage.map_selectivity * noise) as u64)
+            .max(MIN_MAP_OUTPUT)
     }
 
     /// A map-only attempt finished generating its data: write it to HDFS
@@ -954,17 +1166,14 @@ impl<'a> StageSim<'a> {
         let Some(node) = self.maps[m]
             .running
             .iter()
-            .find(|&&(a, _)| a == attempt)
-            .map(|&(_, n)| n)
+            .find(|a| a.id == attempt)
+            .map(|a| a.node)
         else {
             // The attempt was killed by a node crash after its compute
             // event was queued; nothing to commit.
             return;
         };
-        let out_noise = self.noise(0.2);
-        let output = ((self.maps[m].block.bytes as f64 * self.stage.map_selectivity * out_noise)
-            as u64)
-            .max(MIN_MAP_OUTPUT);
+        let output = self.map_output(m, 0.2);
         let finish = self.write_output(node, output, now);
         queue.push(
             finish.max(now + Duration::from_millis(10)),
@@ -979,15 +1188,14 @@ impl<'a> StageSim<'a> {
     /// attempt missing *without* faults in play would be a bookkeeping
     /// bug, which the debug assertion catches.
     fn try_retire_attempt(&mut self, m: usize, attempt: u32, now: SimTime) -> Option<NodeId> {
-        let pos = self.maps[m].running.iter().position(|&(a, _)| a == attempt);
+        let pos = self.maps[m].running.iter().position(|a| a.id == attempt);
         debug_assert!(
-            pos.is_some() || !self.faults.is_empty(),
+            pos.is_some() || !self.job.faults.is_empty(),
             "map {m} attempt {attempt} vanished without a fault schedule"
         );
-        let (_, node) = self.maps[m].running.remove(pos?);
+        let Attempt { node, start, .. } = self.maps[m].running.remove(pos?);
         self.release_slot(node);
-        let start = self.map_starts[&(m, attempt)];
-        self.tasks.push(TaskInterval {
+        self.job.tasks.push(TaskInterval {
             node,
             start,
             end: now,
@@ -1010,7 +1218,7 @@ impl<'a> StageSim<'a> {
         let Some(node) = self.try_retire_attempt(m, attempt, now) else {
             return;
         };
-        self.counters.failed_map_attempts += 1;
+        self.job.counters.failed_map_attempts += 1;
         if !self.maps[m].blacklist.contains(&node) {
             self.maps[m].blacklist.push(node);
         }
@@ -1030,17 +1238,14 @@ impl<'a> StageSim<'a> {
             self.schedule_tasks(now, queue);
             return;
         }
-        let out_noise = self.noise(0.5);
-        let output = ((self.maps[m].block.bytes as f64 * self.stage.map_selectivity * out_noise)
-            as u64)
-            .max(MIN_MAP_OUTPUT);
+        let output = self.map_output(m, 0.5);
         self.maps[m].done = true;
         self.maps[m].winner = Some(node);
         self.maps[m].output_bytes = output;
         self.completed_maps += 1;
 
         // Slow-start: release reducers once enough maps completed.
-        let threshold = (self.config.slowstart * self.maps.len() as f64)
+        let threshold = (self.job.config.slowstart * self.maps.len() as f64)
             .ceil()
             .max(1.0) as usize;
         if !self.reducers_released && self.completed_maps >= threshold {
@@ -1068,11 +1273,11 @@ impl<'a> StageSim<'a> {
     /// loser's work (including any HDFS re-read) stays on the wire —
     /// exactly the duplicate traffic speculation costs a real cluster.
     fn maybe_speculate(&mut self, now: SimTime, queue: &mut EventQueue<Event>) {
-        if !self.config.speculative_execution {
+        let config = self.job.config;
+        if !config.speculative_execution {
             return;
         }
-        let threshold =
-            (self.config.speculation_threshold * self.maps.len() as f64).ceil() as usize;
+        let threshold = (config.speculation_threshold * self.maps.len() as f64).ceil() as usize;
         if self.completed_maps < threshold.max(1) {
             return;
         }
@@ -1081,14 +1286,14 @@ impl<'a> StageSim<'a> {
                 !self.maps[m].done && !self.maps[m].speculated && self.maps[m].running.len() == 1
             })
             .collect();
-        let workers: Vec<NodeId> = self.cluster.workers().collect();
+        let cluster = self.job.cluster;
         for m in stragglers {
-            let busy = self.maps[m].running[0].1;
-            let Some(&node) = workers.iter().find(|&&w| w != busy && self.slot_free(w)) else {
+            let busy = self.maps[m].running[0].node;
+            let Some(node) = cluster.workers().find(|&w| w != busy && self.slot_free(w)) else {
                 return; // cluster is full; try again on the next completion
             };
             self.maps[m].speculated = true;
-            self.counters.speculative_attempts += 1;
+            self.job.counters.speculative_attempts += 1;
             self.launch_map(m, node, now, queue);
         }
     }
@@ -1102,9 +1307,9 @@ impl<'a> StageSim<'a> {
     ) {
         self.take_slot(node);
         self.reducers[r].node = Some(node);
-        self.reduce_starts.insert(r, now);
+        self.reducers[r].start = now;
         self.running_reducers += 1;
-        self.counters.reducers += 1;
+        self.job.counters.reducers += 1;
         // Fetch everything already finished.
         let done_maps: Vec<usize> = (0..self.maps.len())
             .filter(|&m| self.maps[m].done)
@@ -1123,19 +1328,19 @@ impl<'a> StageSim<'a> {
             return;
         }
         let base = self.maps[m].output_bytes / self.reducers.len() as u64;
-        let skew = self.noise(0.8);
+        let skew = self.job.noise(0.8);
         let bytes = ((base as f64 * skew) as u64).max(64);
         let map_node = self.maps[m].winner.expect("finished map has a winner");
         let reduce_node = self.reducers[r].node.expect("running reducer has a node");
         if map_node == reduce_node {
             // Local fetch: served from disk, invisible on the wire.
-            self.counters.local_fetches += 1;
+            self.job.counters.local_fetches += 1;
             self.reducers[r].fetched_from[m] = true;
             self.reducers[r].input_bytes += bytes;
             self.check_reduce_ready(r, now, queue);
         } else {
-            self.counters.shuffle_bytes += bytes;
-            let finish = self.net.transfer(
+            self.job.counters.shuffle_bytes += bytes;
+            let finish = self.job.net.transfer(
                 now,
                 reduce_node,
                 map_node,
@@ -1145,13 +1350,13 @@ impl<'a> StageSim<'a> {
             );
             queue.push(
                 finish,
-                Event::FetchDone {
+                Event::FetchDone(Fetch {
                     reduce: r,
                     map: m,
                     from: map_node,
                     attempt: self.reducers[r].attempt,
                     bytes,
-                },
+                }),
             );
         }
     }
@@ -1160,17 +1365,14 @@ impl<'a> StageSim<'a> {
     /// reducer restarted on another node (attempt mismatch), the serving
     /// map was invalidated or re-won elsewhere (its source died
     /// mid-shuffle), or this partition was already re-fetched.
-    #[allow(clippy::too_many_arguments)]
-    fn on_fetch_done(
-        &mut self,
-        r: usize,
-        m: usize,
-        from: NodeId,
-        attempt: u32,
-        bytes: u64,
-        now: SimTime,
-        queue: &mut EventQueue<Event>,
-    ) {
+    fn on_fetch_done(&mut self, fetch: Fetch, now: SimTime, queue: &mut EventQueue<Event>) {
+        let Fetch {
+            reduce: r,
+            map: m,
+            from,
+            attempt,
+            bytes,
+        } = fetch;
         let stale = self.reducers[r].attempt != attempt
             || self.reducers[r].done
             || self.reducers[r].fetched_from[m]
@@ -1194,9 +1396,9 @@ impl<'a> StageSim<'a> {
         {
             return;
         }
-        let compute_secs = self.config.task_overhead_secs
-            + state.input_bytes as f64 * self.stage.cpu_factor / self.config.reduce_rate_bps;
-        let noise = self.noise(1.0);
+        let compute_secs = self.job.config.task_overhead_secs
+            + state.input_bytes as f64 * self.stage.cpu_factor / self.job.config.reduce_rate_bps;
+        let noise = self.job.noise(1.0);
         self.reducers[r].compute_scheduled = true;
         queue.push(
             now + Duration::from_secs_f64(compute_secs * noise),
@@ -1208,49 +1410,38 @@ impl<'a> StageSim<'a> {
     }
 
     /// Writes `output` bytes from `node` into HDFS as blocks through
-    /// replication pipelines, recording the resulting blocks for the
-    /// next round. Returns when the last pipeline drains.
+    /// replication pipelines over live workers, recording the resulting
+    /// blocks for the next round. Returns when the last pipeline drains.
     fn write_output(&mut self, node: NodeId, output: u64, start: SimTime) -> SimTime {
         let mut finish = start;
         if output == 0 {
             return finish;
         }
-        let n_blocks = output.div_ceil(self.config.block_bytes);
+        let job = &mut *self.job;
+        let block_bytes = job.config.block_bytes;
+        let n_blocks = output.div_ceil(block_bytes);
         let mut write_at = start;
         for b in 0..n_blocks {
             let bytes = if b == n_blocks - 1 {
-                output - self.config.block_bytes * (n_blocks - 1)
+                output - block_bytes * (n_blocks - 1)
             } else {
-                self.config.block_bytes
+                block_bytes
             };
             // NameNode RPC: addBlock.
-            self.net.exchange(
-                write_at,
-                node,
-                self.cluster.master(),
-                ports::NAMENODE_RPC,
-                400,
-                700,
-            );
-            let targets = if self.down.is_empty() {
-                self.hdfs
-                    .pipeline_targets(node, self.config.replication, self.rng)
-            } else {
-                self.hdfs.pipeline_targets_avoiding(
-                    node,
-                    self.config.replication,
-                    self.rng,
-                    self.down,
-                )
-            };
+            let master = job.cluster.master();
+            job.net
+                .exchange(write_at, node, master, ports::NAMENODE_RPC, 400, 700);
+            let targets =
+                job.hdfs
+                    .pipeline_targets(node, job.config.replication, &job.down, &mut job.rng);
             // Pipeline hops: writer -> t0 is local when t0 == writer;
             // each subsequent hop is a network flow.
             let mut hop_finish = write_at;
             let mut upstream = node;
             for &target in &targets {
                 if target != upstream {
-                    self.counters.hdfs_write_bytes += bytes;
-                    let f = self.net.transfer(
+                    job.counters.hdfs_write_bytes += bytes;
+                    let f = job.net.transfer(
                         write_at,
                         upstream,
                         target,
@@ -1318,15 +1509,16 @@ impl<'a> StageSim<'a> {
         self.completed_reducers += 1;
         self.running_reducers -= 1;
         self.release_slot(node);
-        let start = self.reduce_starts[&r];
-        self.tasks.push(TaskInterval {
+        self.job.tasks.push(TaskInterval {
             node,
-            start,
+            start: self.reducers[r].start,
             end: now,
         });
         // Task completion report to the AM.
-        self.net
-            .exchange(now, node, self.am_node, ports::AM_UMBILICAL, 500, 200);
+        let am_node = self.job.am_node;
+        self.job
+            .net
+            .exchange(now, node, am_node, ports::AM_UMBILICAL, 500, 200);
         self.schedule_tasks(now, queue);
     }
 }
@@ -1356,6 +1548,7 @@ pub(crate) struct DagOutcome {
     pub end: SimTime,
     pub last_output: Vec<Block>,
     pub stages: Vec<StageStats>,
+    pub counters: JobCounters,
 }
 
 /// Scales a producer block through an edge's selectivity. Unity
@@ -1373,329 +1566,34 @@ fn scale_block(block: &Block, selectivity: f64) -> Block {
     }
 }
 
-/// Simulates a [`JobDag`]: submission, AM startup, every stage in
-/// topological order over the bytes its in-edges deliver, then the
-/// re-replication and control planes over the whole span.
-///
-/// The job starts at `start` and consumes `input_blocks` (a previous
-/// job's output, for chained sessions) or, when `None`, freshly placed
-/// input. Node crashes and recoveries in `faults` fire as DES events
-/// inside the stages (killing attempts, invalidating map output,
-/// restarting reducers), and every crash that costs a stored block a
-/// replica triggers NameNode-commanded re-replication traffic after the
-/// heartbeat-expiry delay. An empty `faults` slice takes exactly the
-/// clean path — same RNG draws, same events, byte-identical capture.
-///
-/// The caller provides the shared [`NetModel`] tap; the connections it
-/// logs are the capture.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn simulate_dag_at_faulted(
-    cluster: &ClusterSpec,
-    config: &HadoopConfig,
-    dag: &JobDag,
-    input_bytes: u64,
-    net: &mut NetModel,
-    rng: &mut StdRng,
-    counters: &mut JobCounters,
-    start: SimTime,
-    input_blocks: Option<Vec<Block>>,
-    faults: &[NodeFault],
-) -> DagOutcome {
-    let hdfs = Hdfs::new(cluster.clone());
-    let master = cluster.master();
-    let am_node = NodeId(1 + (rng.random::<u32>() % cluster.worker_count()));
-
-    // Job submission and AM launch.
-    net.exchange(start, master, master, ports::RM_CLIENT, 2_000, 500);
-    net.exchange(
-        start + Duration::from_millis(100),
-        master,
-        am_node,
-        ports::NM_CONTAINER,
-        1_500,
-        300,
-    );
-    let mut tasks: Vec<TaskInterval> = Vec::new();
-
-    let original_blocks = input_blocks.unwrap_or_else(|| {
-        hdfs.place_file(input_bytes, config.block_bytes, config.replication, rng)
-    });
-    let mut t = start + AM_STARTUP;
-    let mut job_end = t;
-    let mut last_output: Vec<Block> = Vec::new();
-    // All blocks the job ever stored (input plus every stage's output):
-    // the inventory the re-replication pass scans for lost replicas.
-    let mut stored_blocks = original_blocks.clone();
-    let mut stage_outputs: Vec<Vec<Block>> = Vec::with_capacity(dag.stages.len());
-    let mut stage_stats: Vec<StageStats> = Vec::with_capacity(dag.stages.len());
-    let mut fault_cursor = 0usize;
-    let mut down: HashSet<NodeId> = HashSet::new();
-    for (i, stage) in dag.stages.iter().enumerate() {
-        // Faults landing before the stage starts (or between stages)
-        // apply directly: the node is simply absent (or back) when
-        // scheduling begins.
-        while fault_cursor < faults.len() && faults[fault_cursor].at <= t {
-            let fault = faults[fault_cursor];
-            if fault.down {
-                down.insert(fault.node);
-            } else {
-                down.remove(&fault.node);
-            }
-            fault_cursor += 1;
-        }
-        counters.rounds += 1;
-        // Resolve the stage's in-edges to concrete input blocks, each
-        // tagged with the read mode its edge implies; broadcast edges
-        // become side-input payloads every map pulls.
-        let mut inputs: Vec<(Block, MapInput)> = Vec::new();
-        let mut broadcast: Vec<Block> = Vec::new();
-        for edge in dag.in_edges(i) {
-            let source_blocks: &[Block] = match edge.from {
-                EdgeSource::JobInput => &original_blocks,
-                // An upstream stage stranded by faults may have produced
-                // nothing; fall back to the job input (the legacy
-                // engine's empty-round fallback, kept for byte-identity
-                // of faulted captures).
-                EdgeSource::Stage(p) if stage_outputs[p].is_empty() => &original_blocks,
-                EdgeSource::Stage(p) => &stage_outputs[p],
-            };
-            if edge.kind == TransferKind::Broadcast {
-                broadcast.extend(
-                    source_blocks
-                        .iter()
-                        .map(|b| scale_block(b, edge.selectivity)),
-                );
-            } else {
-                let mode = match edge.kind {
-                    TransferKind::HdfsRead => MapInput::Hdfs,
-                    TransferKind::RemoteRead => MapInput::Remote,
-                    TransferKind::Shuffle => MapInput::ShuffleFetch,
-                    TransferKind::Pipe | TransferKind::Broadcast => MapInput::Generate,
-                };
-                inputs.extend(
-                    source_blocks
-                        .iter()
-                        .map(|b| (scale_block(b, edge.selectivity), mode)),
-                );
-            }
-        }
-        let before = *counters;
-        let stage_input_bytes: u64 = inputs.iter().map(|(b, _)| b.bytes).sum();
-        let sim = StageSim::new(
-            cluster,
-            config,
-            stage,
-            &hdfs,
-            net,
-            rng,
-            counters,
-            &mut tasks,
-            am_node,
-            inputs,
-            broadcast,
-            faults,
-            &mut fault_cursor,
-            &mut down,
-        );
-        let result = sim.run(t);
-        job_end = result.end;
-        last_output = result.output_blocks.clone();
-        stored_blocks.extend(result.output_blocks.iter().cloned());
-        stage_stats.push(StageStats {
-            name: stage.name.clone(),
-            maps: counters.maps - before.maps,
-            reducers: counters.reducers - before.reducers,
-            input_bytes: stage_input_bytes,
-            output_bytes: result.output_blocks.iter().map(|b| b.bytes).sum(),
-            broadcast_bytes: counters.broadcast_bytes - before.broadcast_bytes,
-        });
-        stage_outputs.push(result.output_blocks);
-        t = result.end + ROUND_GAP;
-    }
-
-    // HDFS re-replication: each worker crash inside the job's span costs
-    // every block it held a replica; once the NameNode notices (heartbeat
-    // expiry), a surviving replica holder streams a copy to a fresh node.
-    if !faults.is_empty() {
-        let master = cluster.master();
-        let mut down_now: HashSet<NodeId> = HashSet::new();
-        for fault in faults {
-            if fault.at > job_end {
-                break;
-            }
-            if !fault.down {
-                down_now.remove(&fault.node);
-                continue;
-            }
-            if !down_now.insert(fault.node) {
-                continue;
-            }
-            counters.node_crashes += 1;
-            let at = fault.at + REREPLICATION_DELAY;
-            for block in &mut stored_blocks {
-                if !block.replicas.contains(&fault.node) {
-                    continue;
-                }
-                let live: Vec<NodeId> = block
-                    .replicas
-                    .iter()
-                    .copied()
-                    .filter(|n| !down_now.contains(n))
-                    .collect();
-                // All replicas dead: the block is lost; nothing to copy.
-                let Some(&source) = live.first() else {
-                    continue;
-                };
-                let candidates: Vec<NodeId> = cluster
-                    .workers()
-                    .filter(|w| !down_now.contains(w) && !block.replicas.contains(w))
-                    .collect();
-                let Some(&target) = candidates.as_slice().choose(rng) else {
-                    continue; // no spare node to hold a new replica
-                };
-                net.exchange(at, source, master, ports::NAMENODE_RPC, 300, 500);
-                net.transfer(
-                    at,
-                    source,
-                    target,
-                    ports::DATANODE_XFER,
-                    block.bytes,
-                    Payload::ToServer,
-                );
-                counters.rereplicated_blocks += 1;
-                counters.rereplicated_bytes += block.bytes;
-                counters.rereplication_flows += 1;
-                for replica in &mut block.replicas {
-                    if *replica == fault.node {
-                        *replica = target;
-                    }
-                }
-            }
-        }
-    }
-
-    // Control plane, generated over the measured job span:
-    // NodeManager heartbeats to the RM.
-    emit_periodic(
-        net,
-        rng,
-        cluster.workers(),
-        master,
-        ports::RM_TRACKER,
-        config.nm_heartbeat_secs,
-        start,
-        job_end,
-        (600, 900),
-        (200, 400),
-    );
-    // AM <-> RM scheduler heartbeats.
-    emit_periodic(
-        net,
-        rng,
-        std::iter::once(am_node),
-        master,
-        ports::RM_SCHEDULER,
-        config.nm_heartbeat_secs,
-        start,
-        job_end,
-        (400, 800),
-        (200, 600),
-    );
-    // Task umbilicals to the AM.
-    for interval in &tasks {
-        if interval.node == am_node {
-            continue;
-        }
-        let mut at = interval.start;
-        while at < interval.end {
-            net.exchange(at, interval.node, am_node, ports::AM_UMBILICAL, 300, 150);
-            at +=
-                Duration::from_secs_f64(config.umbilical_secs * (0.9 + 0.2 * rng.random::<f64>()));
-        }
-    }
-    // Job completion notification.
-    net.exchange(job_end, am_node, master, ports::RM_SCHEDULER, 800, 300);
-    DagOutcome {
-        end: job_end,
-        last_output,
-        stages: stage_stats,
-    }
-}
-
-/// Emits periodic request/response control exchanges from each client to
-/// `server:port` until `until`, with per-client phase jitter.
-#[allow(clippy::too_many_arguments)]
-fn emit_periodic(
-    net: &mut NetModel,
-    rng: &mut StdRng,
-    clients: impl Iterator<Item = NodeId>,
-    server: NodeId,
-    port: u16,
-    interval_secs: f64,
-    from: SimTime,
-    until: SimTime,
-    req_range: (u64, u64),
-    resp_range: (u64, u64),
-) {
-    for client in clients {
-        let mut at = from + Duration::from_secs_f64(interval_secs * rng.random::<f64>());
-        while at < until {
-            let req = rng.random_range(req_range.0..=req_range.1);
-            let resp = rng.random_range(resp_range.0..=resp_range.1);
-            net.exchange(at, client, server, port, req, resp);
-            at += Duration::from_secs_f64(interval_secs * (0.95 + 0.1 * rng.random::<f64>()));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::workload::{JobSpec, Workload};
-    use rand::SeedableRng;
 
-    /// Simulates `job`'s DAG from t = 0 on freshly placed input.
-    fn job_end(
+    /// Simulates `job`'s DAG from t = 0 on freshly placed input under
+    /// `faults`: the end time, the counters and the capture tap.
+    fn simulate(
         cluster: &ClusterSpec,
         config: &HadoopConfig,
         job: &JobSpec,
-        net: &mut NetModel,
-        rng: &mut StdRng,
-        counters: &mut JobCounters,
-        faults: &[NodeFault],
-    ) -> SimTime {
-        let dag = job.workload.dag();
-        let outcome = simulate_dag_at_faulted(
-            cluster,
-            config,
-            &dag,
-            job.input_bytes,
-            net,
-            rng,
-            counters,
-            SimTime::ZERO,
-            None,
-            faults,
-        );
-        outcome.end
+        seed: u64,
+        faults: &FaultSpec,
+    ) -> (SimTime, JobCounters, NetModel) {
+        let mut sim = JobSim::new(cluster, config, seed, faults);
+        let outcome = sim.run(&job.workload.dag(), job.input_bytes, SimTime::ZERO, None);
+        (outcome.end, outcome.counters, sim.net)
     }
 
     fn run(job: JobSpec, seed: u64) -> (SimTime, JobCounters, NetModel) {
-        let cluster = ClusterSpec::racks(2, 4);
         let config = HadoopConfig::default();
-        let mut net = NetModel::new(cluster.nic_bps);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut counters = JobCounters::default();
-        let end = job_end(
-            &cluster,
+        simulate(
+            &ClusterSpec::racks(2, 4),
             &config,
             &job,
-            &mut net,
-            &mut rng,
-            &mut counters,
-            &[],
-        );
-        (end, counters, net)
+            seed,
+            &FaultSpec::empty(),
+        )
     }
 
     #[test]
@@ -1742,18 +1640,7 @@ mod tests {
         let mut totals = Vec::new();
         for repl in [1u16, 3] {
             let config = HadoopConfig::default().with_replication(repl);
-            let mut net = NetModel::new(cluster.nic_bps);
-            let mut rng = StdRng::seed_from_u64(4);
-            let mut counters = JobCounters::default();
-            job_end(
-                &cluster,
-                &config,
-                &job,
-                &mut net,
-                &mut rng,
-                &mut counters,
-                &[],
-            );
+            let (_, counters, _) = simulate(&cluster, &config, &job, 4, &FaultSpec::empty());
             totals.push(counters.hdfs_write_bytes);
         }
         // Replication 3 writes ~(r-1)+1 = about 2-3x the pipeline bytes of
@@ -1784,18 +1671,7 @@ mod tests {
                 task_failure_prob: prob,
                 ..HadoopConfig::default()
             };
-            let mut net = NetModel::new(cluster.nic_bps);
-            let mut rng = StdRng::seed_from_u64(17);
-            let mut counters = JobCounters::default();
-            let end = job_end(
-                &cluster,
-                &config,
-                &job,
-                &mut net,
-                &mut rng,
-                &mut counters,
-                &[],
-            );
+            let (end, counters, _) = simulate(&cluster, &config, &job, 17, &FaultSpec::empty());
             (end, counters)
         };
         let (end_clean, clean) = run(0.0);
@@ -1839,18 +1715,7 @@ mod tests {
             ..HadoopConfig::default()
         };
         let job = JobSpec::new(Workload::TeraGen, 1 << 30);
-        let mut net = NetModel::new(cluster.nic_bps);
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut counters = JobCounters::default();
-        let end = job_end(
-            &cluster,
-            &config,
-            &job,
-            &mut net,
-            &mut rng,
-            &mut counters,
-            &[],
-        );
+        let (end, counters, _) = simulate(&cluster, &config, &job, 5, &FaultSpec::empty());
         assert!(counters.failed_map_attempts > 0);
         assert_eq!(counters.maps, 8);
         assert!(end > SimTime::from_secs(2));
@@ -1867,18 +1732,7 @@ mod tests {
                 task_noise_sigma: 0.6,
                 ..HadoopConfig::default()
             };
-            let mut net = NetModel::new(cluster.nic_bps);
-            let mut rng = StdRng::seed_from_u64(31);
-            let mut counters = JobCounters::default();
-            let end = job_end(
-                &cluster,
-                &config,
-                &job,
-                &mut net,
-                &mut rng,
-                &mut counters,
-                &[],
-            );
+            let (end, counters, _) = simulate(&cluster, &config, &job, 31, &FaultSpec::empty());
             (end, counters)
         };
         let (_, base) = run(false);
@@ -1899,18 +1753,7 @@ mod tests {
             ..HadoopConfig::default()
         };
         let job = JobSpec::new(Workload::PageRank, 1 << 30);
-        let mut net = NetModel::new(cluster.nic_bps);
-        let mut rng = StdRng::seed_from_u64(13);
-        let mut counters = JobCounters::default();
-        let end = job_end(
-            &cluster,
-            &config,
-            &job,
-            &mut net,
-            &mut rng,
-            &mut counters,
-            &[],
-        );
+        let (end, counters, _) = simulate(&cluster, &config, &job, 13, &FaultSpec::empty());
         assert!(end > SimTime::from_secs(5));
         assert_eq!(counters.rounds, 3);
     }
@@ -1924,18 +1767,8 @@ mod tests {
         };
         let job = JobSpec::new(Workload::WordCount, 1 << 30);
         let go = || {
-            let mut net = NetModel::new(cluster.nic_bps);
-            let mut rng = StdRng::seed_from_u64(77);
-            let mut counters = JobCounters::default();
-            let end = job_end(
-                &cluster,
-                &config,
-                &job,
-                &mut net,
-                &mut rng,
-                &mut counters,
-                &[],
-            );
+            let (end, counters, mut net) =
+                simulate(&cluster, &config, &job, 77, &FaultSpec::empty());
             (end, counters, net.take_log())
         };
         let (e1, c1, p1) = go();
@@ -1960,19 +1793,7 @@ mod tests {
     fn run_faulted(job: JobSpec, seed: u64, spec: &FaultSpec) -> (SimTime, JobCounters, NetModel) {
         let cluster = ClusterSpec::racks(2, 3);
         let config = HadoopConfig::default();
-        let timeline = node_faults(spec, cluster.worker_count());
-        let mut net = NetModel::new(cluster.nic_bps);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut counters = JobCounters::default();
-        let end = job_end(
-            &cluster,
-            &config,
-            &job,
-            &mut net,
-            &mut rng,
-            &mut counters,
-            &timeline,
-        );
+        let (end, counters, net) = simulate(&cluster, &config, &job, seed, spec);
         (end, counters, net)
     }
 

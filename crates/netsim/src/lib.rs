@@ -43,6 +43,10 @@
 //! assert_eq!(report.results.len(), 4);
 //! ```
 
+// Run state lives in structs, not argument lists: a helper that needs
+// more than clippy's seven arguments, or a local `allow`, is an error.
+#![forbid(clippy::too_many_arguments)]
+
 pub mod fair;
 mod routing;
 mod sim;

@@ -3,6 +3,7 @@
 use std::fs;
 use std::path::PathBuf;
 
+use keddah_core::runner::par_map;
 use keddah_faults::FaultSpec;
 use keddah_flowcap::classify::classify_all;
 use keddah_flowcap::tcpdump::{self, read_text_lenient};
@@ -170,8 +171,8 @@ pub fn run(args: &Args) -> Result<()> {
         .with_replication(args.get_num("replication", 3u16)?)
         .with_block_bytes(args.get_num("block-mb", 128u64)? << 20);
     config
-        .validate()
-        .map_err(|e| err(format!("invalid configuration: {e}")))?;
+        .validate_for(&cluster)
+        .map_err(|e| err(e.to_string()))?;
     let repeats: u32 = args.get_num("repeats", 5u32)?;
     let seed: u64 = args.get_num("seed", 1u64)?;
     let out_dir = PathBuf::from(args.get_or("out", "."));
@@ -213,52 +214,19 @@ pub fn run(args: &Args) -> Result<()> {
     );
     let seeds: Vec<u64> = (0..repeats).map(|i| seed + u64::from(i)).collect();
     let dag = job.workload.dag();
-    // Simulate in parallel (workers pull seeds from a shared queue),
-    // then write results in seed order so output is independent of
-    // scheduling. A run keeps its connection log only when its packets
-    // are to be written, and renders them then.
-    let runs = {
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::scope(|scope| {
-            for _ in 0..jobs.min(seeds.len()) {
-                let tx = tx.clone();
-                let (next, seeds, cluster, config, dag, input_bytes, faults, keep_log) = (
-                    &next,
-                    &seeds,
-                    &cluster,
-                    &config,
-                    &dag,
-                    job.input_bytes,
-                    &faults,
-                    packets_dir.is_some(),
-                );
-                scope.spawn(move || loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= seeds.len() {
-                        break;
-                    }
-                    let (run, log) = run_dag(cluster, config, dag, input_bytes, seeds[i], faults);
-                    let packets = log.packet_count();
-                    let result = (run, packets, keep_log.then_some(log));
-                    if tx.send((i, result)).is_err() {
-                        break;
-                    }
-                });
-            }
-        });
-        drop(tx);
-        let mut slots: Vec<_> = seeds.iter().map(|_| None).collect();
-        for (i, result) in rx {
-            slots[i] = Some(result);
-        }
-        slots
-    };
+    // Simulate in parallel, in seed order whatever the scheduling. A run
+    // keeps its connection log only when its packets are to be written,
+    // and renders them then.
+    let keep_log = packets_dir.is_some();
+    let runs = par_map(&seeds, jobs, |&run_seed| {
+        let (run, log) = run_dag(&cluster, &config, &dag, job.input_bytes, run_seed, &faults);
+        let packets = log.packet_count();
+        (run, packets, keep_log.then_some(log))
+    });
     // Record in seed order, from the deterministically collected runs,
     // so artefacts are identical for any --jobs value.
     let obs = obs_out::obs_from_args(args);
-    for (&run_seed, slot) in seeds.iter().zip(runs) {
-        let (run, packets, log) = slot.expect("every repeat completed");
+    for (&run_seed, (run, packets, log)) in seeds.iter().zip(runs) {
         run.counters.record_obs(&obs);
         obs.add("capture", "runs", 1);
         obs.add("capture", "flows", run.trace.len() as u64);

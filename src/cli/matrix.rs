@@ -104,8 +104,8 @@ pub fn run(args: &Args) -> Result<()> {
             for &r in &reducers {
                 let config = HadoopConfig::default().with_reducers(r);
                 config
-                    .validate()
-                    .map_err(|e| err(format!("invalid configuration: {e}")))?;
+                    .validate_for(&cluster)
+                    .map_err(|e| err(e.to_string()))?;
                 let input_bytes = (gb * (1u64 << 30) as f64) as u64;
                 cells.push(MatrixCell::new(workload, input_bytes, config, repeats));
             }

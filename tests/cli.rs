@@ -236,6 +236,100 @@ fn error_paths_are_reported() {
         .contains("unknown flag"));
 }
 
+/// A cluster with fewer workers than the replication factor is a
+/// one-line configuration error in `capture` and `matrix`, and a
+/// skipped candidate in `provision`, never a panic; configuration
+/// errors carry their prefix once.
+#[test]
+fn replication_above_the_worker_count_is_reported_not_panicked_on() {
+    let dir = tmp_dir("replication");
+    let out = dir.to_str().unwrap();
+    assert_eq!(
+        run(&[
+            "capture",
+            "--workload",
+            "grep",
+            "--replication",
+            "30",
+            "--out",
+            out
+        ])
+        .unwrap_err(),
+        "invalid configuration: replication 30 exceeds worker count 20"
+    );
+    assert_eq!(
+        run(&[
+            "capture",
+            "--workload",
+            "grep",
+            "--reducers",
+            "0",
+            "--out",
+            out
+        ])
+        .unwrap_err(),
+        "invalid configuration: reducers must be >= 1"
+    );
+    assert_eq!(
+        run(&[
+            "matrix",
+            "--workloads",
+            "grep",
+            "--racks",
+            "1",
+            "--nodes-per-rack",
+            "2"
+        ])
+        .unwrap_err(),
+        "invalid configuration: replication 3 exceeds worker count 2"
+    );
+    assert_eq!(
+        run(&["matrix", "--workloads", "grep", "--reducers", "0"]).unwrap_err(),
+        "invalid configuration: reducers must be >= 1"
+    );
+
+    let report_path = dir.join("provision.json");
+    run(&[
+        "provision",
+        "--workloads",
+        "grep",
+        "--input-gb",
+        "0.1",
+        "--nodes",
+        "1x2,2x2",
+        "--oversub",
+        "1",
+        "--reducers",
+        "4",
+        "--jobs",
+        "1",
+        "--out",
+        report_path.to_str().unwrap(),
+    ])
+    .expect("provision skips the small shape and ranks the rest");
+    let report =
+        keddah::core::provision::ProvisionReport::load(&report_path).expect("report parses");
+    let reasons: Vec<(u32, Option<&str>)> = report
+        .candidates
+        .iter()
+        .map(|c| (c.racks * c.nodes_per_rack, c.skip_reason.as_deref()))
+        .collect();
+    // Ranked rows come first, skipped ones after.
+    assert_eq!(
+        reasons,
+        [
+            (4, None),
+            (
+                2,
+                Some("invalid configuration: replication 3 exceeds worker count 2")
+            )
+        ]
+    );
+    let top = report.top().expect("the valid shape is ranked");
+    assert_eq!((top.racks, top.nodes_per_rack), (2, 2));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A one-component model file whose shuffle sizes follow `size_dist`.
 fn model_with_size_dist(size_dist: &str) -> String {
     format!(
