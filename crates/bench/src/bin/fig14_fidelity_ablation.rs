@@ -12,7 +12,7 @@ use keddah_core::pipeline::Keddah;
 use keddah_core::replay::jobs_to_flows;
 use keddah_flowcap::Component;
 use keddah_hadoop::{JobSpec, Workload};
-use keddah_netsim::{simulate, simulate_tcp, SimOptions, TcpOptions, Topology};
+use keddah_netsim::{simulate, simulate_tcp, SimOptions, Topology};
 
 fn main() {
     heading("Figure 14 [extension]: fluid vs TCP fidelity (TeraSort 4 GiB)");
@@ -63,7 +63,7 @@ fn main() {
             ..SimOptions::default()
         },
     );
-    let tcp = simulate_tcp(&topo, &data_flows, TcpOptions::default());
+    let tcp = simulate_tcp(&topo, &data_flows);
     for (name, report) in [
         ("fluid max-min", &fluid),
         ("fluid + slow-start latency", &fluid_ss),

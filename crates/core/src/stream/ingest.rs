@@ -15,7 +15,7 @@
 //! Unreadable streams and malformed headers (nothing salvageable) count
 //! under `stream/io_errors` / `stream/malformed_runs` respectively.
 
-use std::io::ErrorKind;
+use std::io::{ErrorKind, Read};
 use std::path::Path;
 
 use keddah_flowcap::{tcpdump, Trace, TraceError, TraceMeta};
@@ -34,9 +34,8 @@ pub struct IngestReport {
 }
 
 /// Ingests one rotated capture file (`.jsonl` flow trace or `.txt`
-/// packet text) as one run, ending the run at EOF. Packet text is put
-/// into time order first, as `keddah capture --packets-in` does; late
-/// packets count under `stream/packets_reordered`.
+/// packet text) as one run, ending the run at EOF. Packet text goes
+/// through [`ingest_packet_text`].
 ///
 /// `workload` labels packet-text runs, which carry no header. All
 /// failure modes return [`CoreError::Stream`] after bumping the matching
@@ -100,34 +99,50 @@ pub fn ingest_path(
                 parse_errors: rejects,
             })
         }
-        "txt" => {
-            let mut parsed = match tcpdump::read_text_lenient(reader) {
-                Ok(parsed) => parsed,
-                Err(e) => {
-                    obs.add("stream", "io_errors", 1);
-                    return Err(CoreError::Stream(format!("{}: {e}", path.display())));
-                }
-            };
-            obs.add("stream", "parse_errors", parsed.errors.len() as u64);
-            let reordered = tcpdump::sort_by_time(&mut parsed.packets);
-            obs.add("stream", "packets_reordered", reordered);
-            for packet in parsed.packets {
-                engine.ingest_packet(packet);
-            }
-            let refit = engine.end_run(&TraceMeta {
-                workload: workload.to_string(),
-                ..TraceMeta::default()
-            })?;
-            Ok(IngestReport {
-                refit,
-                parse_errors: parsed.errors,
-            })
-        }
+        "txt" => ingest_packet_text(engine, obs, workload, &path.display().to_string(), reader),
         other => Err(CoreError::Stream(format!(
             "{}: unsupported capture extension `{other}`",
             path.display()
         ))),
     }
+}
+
+/// Ingests packet text from `reader` (named `source` in errors) as one
+/// run labelled `workload`, which packet text carries no header for.
+/// The packets are put into time order first, as `keddah capture
+/// --packets-in` does. Malformed lines count under
+/// `stream/parse_errors`, late packets under `stream/packets_reordered`,
+/// and a failed read under `stream/io_errors`.
+///
+/// # Errors
+///
+/// [`CoreError::Stream`] when `reader` fails. Refit failures propagate
+/// from [`StreamEngine::end_run`].
+pub fn ingest_packet_text(
+    engine: &mut StreamEngine,
+    obs: &Obs,
+    workload: &str,
+    source: &str,
+    reader: impl Read,
+) -> Result<IngestReport> {
+    let mut parsed = tcpdump::read_text_lenient(reader).map_err(|e| {
+        obs.add("stream", "io_errors", 1);
+        CoreError::Stream(format!("{source}: {e}"))
+    })?;
+    obs.add("stream", "parse_errors", parsed.errors.len() as u64);
+    let reordered = tcpdump::sort_by_time(&mut parsed.packets);
+    obs.add("stream", "packets_reordered", reordered);
+    for packet in parsed.packets {
+        engine.ingest_packet(packet);
+    }
+    let refit = engine.end_run(&TraceMeta {
+        workload: workload.to_string(),
+        ..TraceMeta::default()
+    })?;
+    Ok(IngestReport {
+        refit,
+        parse_errors: parsed.errors,
+    })
 }
 
 #[cfg(test)]

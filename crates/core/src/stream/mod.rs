@@ -43,7 +43,7 @@ mod ingest;
 mod tail;
 
 pub use http::{bind, serve_http, HttpStats, SharedStatus};
-pub use ingest::{ingest_path, IngestReport};
+pub use ingest::{ingest_packet_text, ingest_path, IngestReport};
 pub use tail::DirTailer;
 
 use std::collections::BTreeMap;

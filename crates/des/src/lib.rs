@@ -10,30 +10,37 @@
 //!   `u64` so wall-clock and simulated time can never be confused);
 //! * [`EventQueue`] — a priority queue of `(SimTime, sequence, event)`
 //!   entries with FIFO tie-breaking, which makes simulations byte-for-byte
-//!   reproducible across runs;
-//! * [`Engine`] — a convenience driver that pops events and hands them to a
-//!   handler until the queue drains or a time horizon is reached.
+//!   reproducible across runs. A [`ticket`](EventQueue::ticket) lets a
+//!   simulator hold one event outside the queue and still deliver it
+//!   where the queue would have.
+//!
+//! Each simulator runs its own loop: pop the earliest event, advance the
+//! clock to it, handle it, and let the handler push follow-ups.
 //!
 //! # Examples
 //!
 //! ```
-//! use keddah_des::{Engine, SimTime};
+//! use keddah_des::{Duration, EventQueue, SimTime};
 //!
-//! // Count ticks at t = 1ms, 2ms, 3ms.
-//! let mut engine: Engine<u32> = Engine::new();
-//! for i in 1..=3u32 {
-//!     engine.schedule(SimTime::from_millis(i as u64), i);
-//! }
+//! // A tick at 1 ms that re-schedules itself until 3 ms.
+//! let mut queue = EventQueue::new();
+//! queue.push(SimTime::from_millis(1), 1u32);
+//! let mut now = SimTime::ZERO;
 //! let mut seen = Vec::new();
-//! engine.run(|now, ev, _queue| seen.push((now, ev)));
+//! while let Some(ev) = queue.pop() {
+//!     assert!(ev.at >= now, "time never moves backwards");
+//!     now = ev.at;
+//!     seen.push((now, ev.event));
+//!     if ev.event < 3 {
+//!         queue.push(now + Duration::from_millis(1), ev.event + 1);
+//!     }
+//! }
 //! assert_eq!(seen.len(), 3);
 //! assert_eq!(seen[2], (SimTime::from_millis(3), 3));
 //! ```
 
-mod engine;
 mod queue;
 mod time;
 
-pub use engine::Engine;
 pub use queue::{EventQueue, ScheduledEvent};
 pub use time::{Duration, SimTime};

@@ -85,9 +85,20 @@ impl<E> EventQueue<E> {
 
     /// Schedules `event` to fire at time `at`.
     pub fn push(&mut self, at: SimTime, event: E) {
+        let seq = self.ticket();
+        self.heap.push(ScheduledEvent { at, seq, event });
+    }
+
+    /// Draws the sequence number the next push would have taken. An
+    /// event held outside the queue for time `at` then orders as `(at,
+    /// ticket)`: after every same-time event pushed before the ticket,
+    /// and before every one pushed after it (see [`peek_key`]).
+    ///
+    /// [`peek_key`]: Self::peek_key
+    pub fn ticket(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(ScheduledEvent { at, seq, event });
+        seq
     }
 
     /// Schedules every event in `batch` in one O(pending + batch)
@@ -100,8 +111,7 @@ impl<E> EventQueue<E> {
     pub fn push_batch<I: IntoIterator<Item = (SimTime, E)>>(&mut self, batch: I) {
         let mut events = std::mem::take(&mut self.heap).into_vec();
         for (at, event) in batch {
-            let seq = self.next_seq;
-            self.next_seq += 1;
+            let seq = self.ticket();
             events.push(ScheduledEvent { at, seq, event });
         }
         self.heap = BinaryHeap::from(events);
@@ -117,6 +127,16 @@ impl<E> EventQueue<E> {
     #[must_use]
     pub fn peek(&self) -> Option<(SimTime, &E)> {
         self.heap.peek().map(|e| (e.at, &e.event))
+    }
+
+    /// Returns the next event's delivery key, `(time, sequence number)`,
+    /// without removing it. An event held under a [`ticket`] is due
+    /// before the queue's head when its `(time, ticket)` sorts first.
+    ///
+    /// [`ticket`]: Self::ticket
+    #[must_use]
+    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
+        self.heap.peek().map(|e| (e.at, e.seq))
     }
 
     /// Returns the time of the earliest pending event without removing it.
@@ -226,6 +246,25 @@ mod tests {
             order.push(ev);
         }
         assert_eq!(order, ['e', 'b', 'f', 'c', 'd']);
+    }
+
+    #[test]
+    fn a_ticket_orders_between_earlier_and_later_pushes() {
+        let mut q = EventQueue::new();
+        let t = SimTime::from_secs(1);
+        q.push(t, 'a');
+        let ticket = q.ticket();
+        q.push(t, 'b');
+        q.push(SimTime::ZERO, 'c');
+        // Held at (t, ticket): after the earlier 'c' and the same-time
+        // 'a' pushed before the ticket, before the 'b' pushed after it.
+        let mut ahead = Vec::new();
+        while q.peek_key().is_some_and(|head| head < (t, ticket)) {
+            ahead.push(q.pop().expect("peeked an event").event);
+        }
+        assert_eq!(ahead, ['c', 'a']);
+        assert!(q.peek_key().is_some_and(|head| head > (t, ticket)));
+        assert_eq!(q.pop().map(|e| e.event), Some('b'));
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! [`FaultSpec`] listing timed [`FaultKind`] events, validated against a
 //! target cluster/topology and compiled into a time-sorted
 //! [`FaultSchedule`] that the simulators (`keddah-netsim`,
-//! `keddah-hadoop`) consume as discrete events on their shared
-//! `keddah_des::Engine`.
+//! `keddah-hadoop`) consume as discrete events in their
+//! `keddah_des::EventQueue` loops.
 //!
 //! Schedules are either hand-written JSON or derived deterministically
 //! from a seed via [`generate`] — the same `(profile, seed)` pair always

@@ -35,7 +35,7 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-use keddah_des::{Duration, Engine, EventQueue, SimTime};
+use keddah_des::{Duration, EventQueue, ScheduledEvent, SimTime};
 use keddah_faults::{FaultKind, FaultSpec};
 use keddah_flowcap::{ports, NodeId, Trace, TraceMeta};
 use rand::rngs::StdRng;
@@ -292,7 +292,7 @@ struct Fetch {
 enum Event {
     /// Fires once at round start to run the initial scheduling pass; all
     /// later events descend from it, so the whole round lives on the
-    /// engine's clock.
+    /// stage's event queue.
     Kick,
     MapDone {
         map: usize,
@@ -660,7 +660,8 @@ struct StageSim<'j, 'a> {
     job: &'j mut JobSim<'a>,
     stage: &'j StageSpec,
     /// Latest time real (non-fault) work happened; the stage's end.
-    /// `engine.now()` would count ignored fault events queued past it.
+    /// The last popped time would count ignored fault events queued past
+    /// it.
     round_end: SimTime,
     /// Broadcast side-input blocks every map attempt pulls a copy of.
     broadcast: Vec<Block>,
@@ -741,18 +742,22 @@ impl<'j, 'a> StageSim<'j, 'a> {
         }
     }
 
-    /// Runs the stage to completion on a [`keddah_des::Engine`], starting
-    /// task scheduling at `start` (via a [`Event::Kick`] event — the same
-    /// engine-driven loop the replay simulator uses).
+    /// Runs the stage to completion: pops its [`EventQueue`] until it
+    /// drains, starting task scheduling at `start` with an
+    /// [`Event::Kick`].
     fn run(mut self, start: SimTime) -> StageResult {
-        let mut engine: Engine<Event> = Engine::new();
+        let mut queue = EventQueue::new();
         self.round_end = start;
-        engine.schedule(start, Event::Kick);
-        engine.run(|now, ev, queue| {
-            if !matches!(ev, Event::NodeFault { .. }) {
+        queue.push(start, Event::Kick);
+        let mut last = start;
+        while let Some(ScheduledEvent { at: now, event, .. }) = queue.pop() {
+            debug_assert!(now >= last, "event at {now:?} popped after {last:?}");
+            last = now;
+            if !matches!(event, Event::NodeFault { .. }) {
                 self.round_end = self.round_end.max(now);
             }
-            match ev {
+            let queue = &mut queue;
+            match event {
                 Event::Kick => {
                     // Queue the not-yet-applied fault timeline; events
                     // landing after the round's work finishes are ignored
@@ -777,7 +782,7 @@ impl<'j, 'a> StageSim<'j, 'a> {
                 }
                 Event::NodeFault { idx } => self.on_node_fault(idx, now, queue),
             }
-        });
+        }
         let end = self.round_end.max(start);
         if self.job.faults.is_empty() {
             assert_eq!(

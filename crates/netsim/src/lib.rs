@@ -10,8 +10,8 @@
 //!   fat-tree fabrics, with ECMP shortest-path routing;
 //! * [`fair`] — max-min fair bandwidth sharing by progressive filling,
 //!   the standard fluid abstraction of long-lived TCP;
-//! * [`simulate_faulted`] — the event loop (built on the shared
-//!   [`keddah_des::Engine`]): flows from a [`TrafficSource`] arrive,
+//! * [`simulate_faulted`] — the event loop (over a
+//!   [`keddah_des::EventQueue`]): flows from a [`TrafficSource`] arrive,
 //!   share links and complete, under a `keddah-faults` schedule whose
 //!   node crashes, link failures/degradations and partitions fire as DES
 //!   events that abort or re-route flows ([`FaultStats`] accounts for
@@ -60,5 +60,5 @@ pub use sim::{
     simulate, simulate_faulted, FaultStats, FlowResult, FlowSpec, SimOptions, SimReport,
 };
 pub use source::{FlowId, StaticSource, TrafficSource};
-pub use tcp::{simulate_tcp, TcpOptions};
+pub use tcp::simulate_tcp;
 pub use topology::{HostId, LinkId, Topology};

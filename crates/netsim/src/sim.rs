@@ -1,7 +1,6 @@
-//! Fluid flow-level simulation loop, driven by the shared
-//! [`keddah_des::Engine`].
+//! Fluid flow-level simulation loop over a [`keddah_des::EventQueue`].
 //!
-//! Flow arrivals, predicted completions and faults are engine events;
+//! Flow arrivals, completion callbacks and faults are queued events;
 //! a [`TrafficSource`] decides which flows exist and may inject dependent
 //! flows reactively on every completion (closed-loop replay). Event
 //! timestamps quantize to nanoseconds for ordering, but every event
@@ -29,16 +28,23 @@
 //!
 //! # One solve per instant
 //!
-//! Each fluid event records its fair-share mutations and bumps the
-//! prediction generation. Rates are settled only where they are read:
-//! before the service curves advance (when time moves) and before a
-//! prediction. A prediction is skipped when the next queued event is an
-//! `Arrive` or `Fault` at the same nanosecond: that event pops before
-//! any completion predicted now, and its own generation would make the
-//! prediction stale. A queued `Notify` or stale `Complete` does not
-//! predict, so it never lets an event skip. Rates, service curves and
-//! predictions are the ones a per-event solve gives, bit for bit; only
-//! the solve count and the stale completions in the queue drop.
+//! Each fluid event (`Arrive`, `Complete`, `Fault`) records its
+//! fair-share mutations and drops the run's completion prediction. Rates
+//! are settled only where they are read: before the service curves
+//! advance (when time moves) and before a prediction. A prediction is
+//! skipped when the next queued event is an `Arrive` or `Fault` at the
+//! same nanosecond: that event is delivered before any completion
+//! predicted now, and would drop the prediction unread. A queued
+//! `Notify` touches no fluid state and does not predict, so it never
+//! lets an event skip. Rates, service curves and predictions are the
+//! ones a per-event solve gives, bit for bit; only the solve count drops.
+//!
+//! The one standing prediction is held outside the queue: its precise
+//! time, its nanosecond and a FIFO ticket drawn from the queue when it
+//! is made. The loop delivers it when `(nanosecond, ticket)` sorts before
+//! the queue's head, which is exactly where a queued `Complete` would
+//! pop, so a prediction that a later event replaced is never queued or
+//! dispatched.
 //!
 //! # A flow's life
 //!
@@ -53,7 +59,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use keddah_des::{Duration, Engine, EventQueue, SimTime};
+use keddah_des::{Duration, EventQueue, SimTime};
 use keddah_faults::{FaultKind, FaultSchedule};
 use keddah_obs::{Counter, Histogram, Obs};
 use serde::{Deserialize, Serialize};
@@ -287,22 +293,31 @@ fn q_to_bits(q: u128) -> f64 {
     (q as f64) / Q_SCALE
 }
 
-/// Engine events of the fluid loop. Nanosecond timestamps order events;
-/// the precise `f64` times ride in the payloads so drain arithmetic never
+/// Events of the fluid loop. Nanosecond timestamps order events; the
+/// precise `f64` times ride in the payloads so drain arithmetic never
 /// quantizes.
 #[derive(Debug, Clone, Copy)]
 enum Ev {
     /// Flow `id` (arena index) enters the network at its spec's start.
     Arrive { id: usize },
-    /// Predicted earliest completion among the active flows, computed at
-    /// the previous instant. `gen` invalidates predictions made before
-    /// the last fluid event; `at` is the precise predicted time.
-    Complete { gen: u64, at: f64 },
+    /// The earliest completion among the active flows, predicted at the
+    /// last fluid event and delivered from the run's [`Prediction`], not
+    /// from the queue; `at` is the precise predicted time.
+    Complete { at: f64 },
     /// Flow `id`'s last byte has arrived: tell the source, which may
     /// inject dependent flows. Never touches fluid state.
     Notify { id: usize },
     /// Scheduled fault `idx` (index into the fault schedule) fires.
     Fault { idx: usize },
+}
+
+/// The run's one predicted completion: due when `key`, its nanosecond
+/// and queue ticket, sorts before the queue's head; `at` is its precise
+/// time.
+#[derive(Clone, Copy)]
+struct Prediction {
+    key: (SimTime, u64),
+    at: f64,
 }
 
 /// Runs the fluid simulation of `flows` over `topo`: the open-loop,
@@ -378,7 +393,7 @@ pub fn simulate(topo: &Topology, flows: &[FlowSpec], options: SimOptions) -> Sim
 /// fault-free arithmetic path; the golden replay corpus pins the
 /// byte-identity, and one faulted replay.
 ///
-/// When `obs` is enabled the run emits trace events for engine
+/// When `obs` is enabled the run emits trace events for event
 /// dispatches (`des`/`dispatch`), flow lifecycle transitions
 /// (`netsim`/`flow_arrive`, `flow_complete`, `flow_abort`,
 /// `flow_reroute`) and fault firings (`faults`/`fault_fire`), and
@@ -404,42 +419,23 @@ pub fn simulate_faulted(
 ) -> SimReport {
     let c_dispatch = obs.counter("des", "events_dispatched");
     let mut run = Run::new(topo, source, schedule, options, obs);
-    let mut engine: Engine<Ev> = Engine::new();
-    // Initial arrivals are scheduled in start order (stable), so
-    // same-nanosecond arrivals pop in the order the pre-engine loop
-    // processed them; one batched heapify seeds even million-flow runs
-    // in linear time.
-    let flows = &run.flows;
-    let mut order: Vec<usize> = (0..flows.len()).collect();
-    order.sort_by_key(|&i| flows[i].start);
-    engine.schedule_batch(
-        order
-            .iter()
-            .map(|&i| (flows[i].start, Ev::Arrive { id: i })),
-    );
-    // Fault events after same-time arrivals (FIFO ties), so a crash at a
-    // flow's exact start still sees the flow on the wire.
-    engine.schedule_batch(
-        schedule
-            .events()
-            .iter()
-            .enumerate()
-            .map(|(i, fault)| (fault.at(), Ev::Fault { idx: i })),
-    );
-    // The engine-level tap: every delivered event is visible to the
-    // tracer before its handler runs. Read-only, so it cannot perturb
-    // the simulation.
-    let tap = |t: SimTime, ev: &Ev| {
+    let mut now = SimTime::ZERO;
+    while let Some((t, ev)) = run.next_event() {
+        debug_assert!(t >= now, "event at {t:?} delivered after {now:?}");
+        now = t;
+        // Every delivered event is counted and traced before its handler
+        // runs. Recording only reads the event, so it cannot perturb the
+        // simulation.
         c_dispatch.inc();
         let flow_id = match ev {
-            Ev::Arrive { id } | Ev::Notify { id } => Some(*id as u64),
+            Ev::Arrive { id } | Ev::Notify { id } => Some(id as u64),
             Ev::Complete { .. } | Ev::Fault { .. } => None,
         };
         obs.trace(t.as_nanos(), "des", "dispatch", flow_id, || {
             format!("{ev:?}")
         });
-    };
-    engine.run_with_tap(tap, |t, ev, queue| run.step(t, ev, queue));
+        run.step(t, ev);
+    }
     run.report()
 }
 
@@ -451,6 +447,11 @@ struct Run<'a> {
     schedule: &'a FaultSchedule,
     options: SimOptions,
     obs: &'a Obs,
+    /// Pending arrivals, completion callbacks and faults.
+    queue: EventQueue<Ev>,
+    /// The earliest completion, predicted after the last fluid event
+    /// (see the module's "One solve per instant").
+    predicted: Option<Prediction>,
     router: RouteCache<'a>,
     /// Incremental max-min state, one weighted entry per bundle:
     /// arrivals, retirements and faults record their mutations, and a
@@ -478,9 +479,6 @@ struct Run<'a> {
     /// Active partition cuts, as host membership masks.
     partitions: Vec<Vec<bool>>,
     now: f64,
-    /// Completion predictions older than the last fluid event are stale;
-    /// the generation counter, bumped by every fluid event, skips them.
-    gen: u64,
     iterations: u64,
     events: u64,
     // Metric handles, registered once; inert when `obs` is disabled.
@@ -503,12 +501,28 @@ impl<'a> Run<'a> {
     ) -> Self {
         let flows = source.on_start();
         let n = flows.len();
+        // Initial arrivals are queued in start order (stable), so
+        // same-nanosecond arrivals pop in input order; one batched
+        // heapify seeds even million-flow runs in linear time.
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by_key(|&i| flows[i].start);
+        let mut queue = EventQueue::new();
+        let arrivals = order
+            .iter()
+            .map(|&i| (flows[i].start, Ev::Arrive { id: i }));
+        queue.push_batch(arrivals);
+        // Fault events after same-time arrivals (FIFO ties), so a crash at a
+        // flow's exact start still sees the flow on the wire.
+        let faults = schedule.events().iter().enumerate();
+        queue.push_batch(faults.map(|(i, fault)| (fault.at(), Ev::Fault { idx: i })));
         Run {
             topo,
             source,
             schedule,
             options,
             obs,
+            queue,
+            predicted: None,
             router: RouteCache::new(topo),
             fair: FairShareState::new(topo.capacities(), options.local_bps),
             flows,
@@ -525,7 +539,6 @@ impl<'a> Run<'a> {
             host_down: vec![false; topo.host_count() as usize],
             partitions: Vec::new(),
             now: 0.0,
-            gen: 0,
             iterations: 0,
             events: 0,
             c_started: obs.counter("netsim", "flows_started"),
@@ -538,25 +551,32 @@ impl<'a> Run<'a> {
         }
     }
 
-    /// Handles one engine event at `t`.
-    fn step(&mut self, t: SimTime, ev: Ev, queue: &mut EventQueue<Ev>) {
+    /// The next event to deliver: the predicted completion when it sorts
+    /// before the queue's head, where a queued one would pop, else the
+    /// head.
+    fn next_event(&mut self) -> Option<(SimTime, Ev)> {
+        let head = self.queue.peek_key();
+        let due = |p: &mut Prediction| head.is_none_or(|head| p.key < head);
+        match self.predicted.take_if(due) {
+            Some(p) => Some((p.key.0, Ev::Complete { at: p.at })),
+            None => self.queue.pop().map(|e| (e.at, e.event)),
+        }
+    }
+
+    /// Handles one event at `t`.
+    fn step(&mut self, t: SimTime, ev: Ev) {
         // The event's precise time: arrivals carry exact nanoseconds,
         // completions their predicted f64.
         let tf = match ev {
             Ev::Arrive { id } => self.flows[id].start.as_secs_f64(),
-            Ev::Complete { gen, at } => {
-                if gen != self.gen {
-                    return; // stale prediction: rates changed since
-                }
-                at
-            }
+            Ev::Complete { at } => at,
             Ev::Notify { id } => {
                 // Completion callback: the source may release dependents.
                 // Fluid state is untouched.
                 self.events += 1;
                 let result = self.results[id].expect("notified flow has a result");
                 let released = self.source.on_flow_complete(FlowId(id), &result);
-                self.inject(t, released, queue);
+                self.inject(t, released);
                 return;
             }
             Ev::Fault { idx } => self.schedule.events()[idx].at().as_secs_f64(),
@@ -581,7 +601,7 @@ impl<'a> Run<'a> {
             for id in self.active(|_, _| true) {
                 let finish = SimTime::from_secs_f64(self.now).max(t);
                 let (_, lost) = self.evict(id);
-                self.abort(t, id, lost, finish, "divergence drain", queue);
+                self.abort(t, id, lost, finish, "divergence drain");
             }
         }
 
@@ -601,20 +621,20 @@ impl<'a> Run<'a> {
         self.now = tf;
 
         match ev {
-            Ev::Arrive { id } => self.arrive(t, id, queue),
-            Ev::Complete { .. } => self.retire(t, queue),
-            Ev::Fault { idx } => self.fault(t, idx, queue),
+            Ev::Arrive { id } => self.arrive(t, id),
+            Ev::Complete { .. } => self.retire(t),
+            Ev::Fault { idx } => self.fault(t, idx),
             Ev::Notify { .. } => unreachable!("handled above"),
         }
 
         // Re-predict the earliest completion with the post-event rates and
         // remainders, unless an arrival or fault queued for this
-        // nanosecond would make the prediction stale (see the module's
-        // "One solve per instant"). Only each bundle's head member
-        // (minimum target) can finish first — members share one rate — so
-        // the fold is O(bundles), not O(flows).
-        self.gen += 1;
-        let instant_continues = queue.peek().is_some_and(|(at, next)| {
+        // nanosecond is delivered first and would drop the prediction
+        // unread (see the module's "One solve per instant"). Only each
+        // bundle's head member (minimum target) can finish first — members
+        // share one rate — so the fold is O(bundles), not O(flows).
+        self.predicted = None;
+        let instant_continues = self.queue.peek().is_some_and(|(at, next)| {
             at == t && matches!(next, Ev::Arrive { .. } | Ev::Fault { .. })
         });
         if instant_continues {
@@ -630,34 +650,32 @@ impl<'a> Run<'a> {
             next_completion = next_completion.min(self.now + rem_bits / rate.max(1e-9));
         }
         if next_completion.is_finite() {
-            queue.push(
-                SimTime::from_secs_f64(next_completion).max(t),
-                Ev::Complete {
-                    gen: self.gen,
-                    at: next_completion,
-                },
-            );
+            let due = SimTime::from_secs_f64(next_completion).max(t);
+            self.predicted = Some(Prediction {
+                key: (due, self.queue.ticket()),
+                at: next_completion,
+            });
         }
     }
 
     /// Appends flows the source released at `t` to the arena and
     /// schedules their arrivals. A released flow cannot start before its
     /// trigger: earlier starts clamp to `t`.
-    fn inject(&mut self, t: SimTime, specs: Vec<FlowSpec>, queue: &mut EventQueue<Ev>) {
+    fn inject(&mut self, t: SimTime, specs: Vec<FlowSpec>) {
         for mut spec in specs {
             spec.start = spec.start.max(t);
             let id = self.flows.len();
             self.flows.push(spec);
             self.results.push(None);
             self.member_of.push(None);
-            queue.push(spec.start, Ev::Arrive { id });
+            self.queue.push(spec.start, Ev::Arrive { id });
         }
     }
 
     /// Flow `id` reaches the network: it is lost at once if a fault cut
     /// it off, completes on the mice fast path if small, and otherwise
     /// joins its path's bundle.
-    fn arrive(&mut self, t: SimTime, id: usize, queue: &mut EventQueue<Ev>) {
+    fn arrive(&mut self, t: SimTime, id: usize) {
         let spec = self.flows[id];
         self.c_started.inc();
         self.h_bytes.observe(spec.bytes as f64);
@@ -687,7 +705,7 @@ impl<'a> Run<'a> {
             self.router.route(spec.src, spec.dst, id as u64)
         };
         let Some(path) = path else {
-            self.abort(t, id, spec.bytes, t, "doomed at injection", queue);
+            self.abort(t, id, spec.bytes, t, "doomed at injection");
             return;
         };
         let links: Vec<u32> = path.into_iter().map(|l| l.0).collect();
@@ -705,7 +723,7 @@ impl<'a> Run<'a> {
                 + spec.bytes as f64 * 8.0 / bottleneck;
             self.c_mice.inc();
             let finish = SimTime::from_secs_f64(self.now + fct);
-            self.complete(t, id, finish, fct * 1e6, "mice fast-path, ", queue);
+            self.complete(t, id, finish, fct * 1e6, "mice fast-path, ");
         } else {
             // Propagation charged up front as extra "bits" at the eventual
             // rate would distort sharing; instead it is added to the
@@ -821,7 +839,7 @@ impl<'a> Run<'a> {
     /// cross-bundle flow-idx sort fixes one canonical processing order
     /// whatever the bundling — the aggregation knob must not reorder
     /// Notify delivery.
-    fn retire(&mut self, t: SimTime, queue: &mut EventQueue<Ev>) {
+    fn retire(&mut self, t: SimTime) {
         let mut finished: Vec<u32> = Vec::new();
         for &bi in &self.live {
             let b = &self.bundles[bi as usize];
@@ -853,21 +871,13 @@ impl<'a> Run<'a> {
                 + slow_start_delay(spec.bytes, &self.options);
             let finish = SimTime::from_secs_f64(self.now + extra);
             let fct_us = finish.saturating_since(spec.start).as_secs_f64() * 1e6;
-            self.complete(t, id, finish, fct_us, "", queue);
+            self.complete(t, id, finish, fct_us, "");
         }
     }
 
     /// Records flow `id`'s last byte arriving at `finish` and schedules
     /// the source's completion callback.
-    fn complete(
-        &mut self,
-        t: SimTime,
-        id: usize,
-        finish: SimTime,
-        fct_us: f64,
-        how: &str,
-        queue: &mut EventQueue<Ev>,
-    ) {
+    fn complete(&mut self, t: SimTime, id: usize, finish: SimTime, fct_us: f64, how: &str) {
         let spec = self.flows[id];
         self.c_completed.inc();
         self.h_fct.observe(fct_us);
@@ -880,21 +890,13 @@ impl<'a> Run<'a> {
         );
         self.fstats.delivered_bytes += spec.bytes;
         self.results[id] = Some(FlowResult { spec, finish });
-        queue.push(finish.max(t), Ev::Notify { id });
+        self.queue.push(finish.max(t), Ev::Notify { id });
     }
 
     /// Records flow `id` as killed at `finish` with `lost` of its bytes
     /// undelivered, and (unless the run is draining after divergence)
     /// injects whatever the source releases in response.
-    fn abort(
-        &mut self,
-        t: SimTime,
-        id: usize,
-        lost: u64,
-        finish: SimTime,
-        why: &str,
-        queue: &mut EventQueue<Ev>,
-    ) {
+    fn abort(&mut self, t: SimTime, id: usize, lost: u64, finish: SimTime, why: &str) {
         let spec = self.flows[id];
         self.c_aborted.inc();
         self.obs.trace(
@@ -911,13 +913,13 @@ impl<'a> Run<'a> {
         self.results[id] = Some(result);
         if !self.fstats.diverged {
             let released = self.source.on_flow_aborted(FlowId(id), &result, lost);
-            self.inject(t, released, queue);
+            self.inject(t, released);
         }
     }
 
     /// Applies scheduled fault `idx`: updates the fault state, then
     /// reroutes or aborts the active flows it displaces.
-    fn fault(&mut self, t: SimTime, idx: usize, queue: &mut EventQueue<Ev>) {
+    fn fault(&mut self, t: SimTime, idx: usize) {
         let fault = &self.schedule.events()[idx];
         self.fstats.faults_applied += 1;
         self.obs
@@ -988,7 +990,7 @@ impl<'a> Run<'a> {
                 );
             } else {
                 let finish = SimTime::from_secs_f64(self.now).max(t);
-                self.abort(t, id, undrained, finish, "killed by fault", queue);
+                self.abort(t, id, undrained, finish, "killed by fault");
             }
         }
         if let Some(l) = downed {
@@ -1140,12 +1142,37 @@ mod tests {
         assert_eq!(finish, [1_499_992_000, 500_108_000, 2_000_100_000]);
 
         // An arrival at the nanosecond of the lone elephant's predicted
-        // completion pops first; the prediction behind it is stale, so
-        // the arrival must predict again.
+        // completion is delivered first and drops the prediction, so the
+        // arrival must predict again.
         let flows = [flow(0, 2, 125_000_000, 0), flow(1, 2, 125_000_000, 1_000)];
         let report = simulate(&topo, &flows, opts);
         let finish: Vec<u64> = report.results.iter().map(|r| r.finish.as_nanos()).collect();
         assert_eq!(finish, [1_000_100_000, 2_000_100_000]);
+    }
+
+    #[test]
+    fn a_moved_prediction_is_never_dispatched() {
+        // The lone first flow's completion, predicted at t = 0 for 1 s,
+        // moves when the second flow arrives at 0.5 s. The replaced
+        // prediction is never delivered, so every dispatch is one of the
+        // run's events: two arrivals, two completions, two callbacks.
+        let topo = Topology::star(3, 1e9);
+        let flows = vec![flow(0, 2, 125_000_000, 0), flow(1, 2, 125_000_000, 500)];
+        let obs = Obs::enabled();
+        let mut source = StaticSource::new(flows);
+        let report = simulate_faulted(
+            &topo,
+            &mut source,
+            &FaultSchedule::empty(),
+            SimOptions::default(),
+            &obs,
+        );
+        let finish: Vec<u64> = report.results.iter().map(|r| r.finish.as_nanos()).collect();
+        assert_eq!(finish, [1_500_100_000, 2_000_100_000]);
+        assert_eq!(report.events, 6);
+        let snap = obs.metrics();
+        assert_eq!(snap.counter("netsim", "events"), report.events);
+        assert_eq!(snap.counter("des", "events_dispatched"), report.events);
     }
 
     #[test]
@@ -1285,14 +1312,14 @@ mod tests {
     /// A source that releases one dependent flow when its parent (flow 0)
     /// completes.
     struct ChainSource {
-        first: Option<FlowSpec>,
+        initial: Vec<FlowSpec>,
         child: Option<FlowSpec>,
         releases: Vec<(usize, SimTime)>,
     }
 
     impl TrafficSource for ChainSource {
         fn on_start(&mut self) -> Vec<FlowSpec> {
-            self.first.take().into_iter().collect()
+            std::mem::take(&mut self.initial)
         }
         fn on_flow_complete(&mut self, id: FlowId, result: &FlowResult) -> Vec<FlowSpec> {
             self.releases.push((id.0, result.finish));
@@ -1308,7 +1335,7 @@ mod tests {
     fn source_injects_dependent_flow_after_parent() {
         let topo = Topology::star(3, 1e9);
         let mut source = ChainSource {
-            first: Some(flow(0, 2, 125_000_000, 0)),
+            initial: vec![flow(0, 2, 125_000_000, 0)],
             child: Some(flow(1, 2, 125_000_000, 0)),
             releases: Vec::new(),
         };
@@ -1346,13 +1373,57 @@ mod tests {
         assert_eq!(direct.peak_active, via_source.peak_active);
     }
 
+    /// The `des/dispatch` details of a run's events at `nanos`.
+    fn dispatches_at(obs: &Obs, nanos: u64) -> Vec<String> {
+        let events = obs.trace_events().into_iter();
+        let at = events.filter(|e| e.kind == "dispatch" && e.t_nanos == nanos);
+        at.map(|e| e.detail).collect()
+    }
+
+    #[test]
+    fn prediction_is_delivered_where_a_queued_completion_would_pop() {
+        // Flow 0 alone on its path is due at exactly 1 s, and flow 1's
+        // arrival at 1 s was queued before that prediction was made:
+        // the arrival goes first.
+        let topo = Topology::star(4, 1e9);
+        let obs = Obs::enabled();
+        let mut source = StaticSource::new(vec![
+            flow(0, 1, 125_000_000, 0),
+            flow(2, 1, 125_000_000, 1_000),
+        ]);
+        let clean = FaultSchedule::empty();
+        let report = simulate_faulted(&topo, &mut source, &clean, SimOptions::default(), &obs);
+        let at_1s = dispatches_at(&obs, 1_000_000_000);
+        assert_eq!(at_1s[0], "Arrive { id: 1 }", "{at_1s:?}");
+        assert!(at_1s[1].starts_with("Complete"), "{at_1s:?}");
+        let finish: Vec<u64> = report.results.iter().map(|r| r.finish.as_nanos()).collect();
+        assert_eq!(finish, [1_000_100_000, 2_000_100_000]);
+
+        // Here flow 0 finishes first, which re-predicts flow 1, and its
+        // callback releases flow 2 to start at 1 s. That arrival was
+        // queued after the prediction was made: the prediction goes
+        // first.
+        let obs = Obs::enabled();
+        let mut source = ChainSource {
+            initial: vec![flow(2, 3, 1_000, 0), flow(0, 1, 125_000_000, 0)],
+            child: Some(flow(2, 1, 125_000_000, 1_000)),
+            releases: Vec::new(),
+        };
+        let report = simulate_faulted(&topo, &mut source, &clean, SimOptions::default(), &obs);
+        let at_1s = dispatches_at(&obs, 1_000_000_000);
+        assert!(at_1s[0].starts_with("Complete"), "{at_1s:?}");
+        assert_eq!(at_1s[1..], ["Arrive { id: 2 }"]);
+        let finish: Vec<u64> = report.results.iter().map(|r| r.finish.as_nanos()).collect();
+        assert_eq!(finish, [108_000, 1_000_100_000, 2_000_100_000]);
+    }
+
     #[test]
     fn past_start_times_clamp_to_release() {
         // A child spec claiming to start at t=0 is injected when its
         // parent completes (~1 s): the start clamps forward, never back.
         let topo = Topology::star(3, 1e9);
         let mut source = ChainSource {
-            first: Some(flow(0, 1, 125_000_000, 500)),
+            initial: vec![flow(0, 1, 125_000_000, 500)],
             child: Some(flow(1, 2, 1_000, 0)),
             releases: Vec::new(),
         };
@@ -1652,7 +1723,10 @@ mod tests {
             observed.faults.lost_bytes
         );
         assert_eq!(snap.counter("netsim", "flows_started"), 2);
-        assert!(snap.counter("des", "events_dispatched") >= observed.events);
+        // Two arrivals and the crash; the killed flow's prediction is
+        // dropped, not delivered.
+        assert_eq!(observed.events, 3);
+        assert_eq!(snap.counter("des", "events_dispatched"), observed.events);
         let events = obs.trace_events();
         assert!(events.iter().any(|e| e.kind == "fault_fire"));
         assert!(events.iter().any(|e| e.kind == "flow_abort"));

@@ -18,36 +18,19 @@ use crate::routing::RouteCache;
 use crate::sim::{FlowResult, FlowSpec, SimReport};
 use crate::topology::Topology;
 
-/// Knobs for the TCP round simulation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TcpOptions {
-    /// Round-trip time; also the simulation step.
-    pub rtt: Duration,
-    /// Maximum segment size in bytes.
-    pub mss: u64,
-    /// Initial congestion window, in segments (RFC 6928 default of 10).
-    pub init_cwnd: u64,
-    /// Initial slow-start threshold, in segments.
-    pub init_ssthresh: u64,
-    /// Switch buffering, as a multiple of the per-round link budget:
-    /// loss (window halving) only triggers once offered load exceeds
-    /// `capacity * rtt * (1 + buffer_factor)`. Zero models bufferless
-    /// links and produces the classic 75%-utilisation sawtooth even for
-    /// a lone flow.
-    pub buffer_factor: f64,
-}
-
-impl Default for TcpOptions {
-    fn default() -> Self {
-        TcpOptions {
-            rtt: Duration::from_micros(250),
-            mss: 1448,
-            init_cwnd: 10,
-            init_ssthresh: 512,
-            buffer_factor: 1.0,
-        }
-    }
-}
+/// Round-trip time; also the simulation step.
+const RTT: Duration = Duration::from_micros(250);
+/// Maximum segment size in bytes.
+const MSS: u64 = 1448;
+/// Initial congestion window, in segments (RFC 6928 default of 10).
+const INIT_CWND: f64 = 10.0;
+/// Initial slow-start threshold, in segments.
+const INIT_SSTHRESH: f64 = 512.0;
+/// Switch buffering, as a multiple of the per-round link budget: loss
+/// (window halving) only triggers once offered load exceeds `capacity *
+/// RTT * (1 + BUFFER_FACTOR)`. Zero would model bufferless links, with
+/// the classic 75%-utilisation sawtooth even for a lone flow.
+const BUFFER_FACTOR: f64 = 1.0;
 
 struct TcpFlow {
     idx: usize,
@@ -63,14 +46,13 @@ struct TcpFlow {
 ///
 /// # Panics
 ///
-/// Panics if a flow references a host outside the topology, or if
-/// `options` contains zero values.
+/// Panics if a flow references a host outside the topology.
 ///
 /// # Examples
 ///
 /// ```
 /// use keddah_des::SimTime;
-/// use keddah_netsim::{simulate_tcp, FlowSpec, HostId, TcpOptions, Topology};
+/// use keddah_netsim::{simulate_tcp, FlowSpec, HostId, Topology};
 ///
 /// let topo = Topology::star(2, 1e9);
 /// let flows = vec![FlowSpec {
@@ -80,19 +62,14 @@ struct TcpFlow {
 ///     start: SimTime::ZERO,
 ///     tag: 0,
 /// }];
-/// let report = simulate_tcp(&topo, &flows, TcpOptions::default());
+/// let report = simulate_tcp(&topo, &flows);
 /// // 10 MiB at ~1 Gb/s plus the slow-start ramp: well under a second.
 /// assert!(report.results[0].fct().as_secs_f64() < 0.5);
 /// ```
 #[must_use]
-pub fn simulate_tcp(topo: &Topology, flows: &[FlowSpec], options: TcpOptions) -> SimReport {
-    assert!(!options.rtt.is_zero(), "rtt must be positive");
-    assert!(
-        options.mss > 0 && options.init_cwnd > 0 && options.init_ssthresh > 0,
-        "TCP parameters must be positive"
-    );
-    let rtt = options.rtt.as_secs_f64();
-    let mss = options.mss as f64;
+pub fn simulate_tcp(topo: &Topology, flows: &[FlowSpec]) -> SimReport {
+    let rtt = RTT.as_secs_f64();
+    let mss = MSS as f64;
     // Link budget per round, in bytes.
     let budgets: Vec<f64> = topo
         .links()
@@ -135,8 +112,8 @@ pub fn simulate_tcp(topo: &Topology, flows: &[FlowSpec], options: TcpOptions) ->
                 idx,
                 remaining: spec.bytes as f64,
                 links,
-                cwnd: options.init_cwnd as f64,
-                ssthresh: options.init_ssthresh as f64,
+                cwnd: INIT_CWND,
+                ssthresh: INIT_SSTHRESH,
             });
         }
         peak_active = peak_active.max(active.len());
@@ -176,7 +153,7 @@ pub fn simulate_tcp(topo: &Topology, flows: &[FlowSpec], options: TcpOptions) ->
         let lossy: Vec<bool> = demand
             .iter()
             .zip(&budgets)
-            .map(|(&d, &b)| d > b * (1.0 + options.buffer_factor))
+            .map(|(&d, &b)| d > b * (1.0 + BUFFER_FACTOR))
             .collect();
 
         // Deliver, adjust windows, retire completions.
@@ -250,7 +227,7 @@ mod tests {
     #[test]
     fn lone_elephant_approaches_line_rate() {
         let topo = Topology::star(2, 1e9);
-        let report = simulate_tcp(&topo, &[flow(0, 1, 125_000_000, 0)], TcpOptions::default());
+        let report = simulate_tcp(&topo, &[flow(0, 1, 125_000_000, 0)]);
         let fct = report.results[0].fct().as_secs_f64();
         // Ideal is 1.0 s; slow-start ramp costs a little.
         assert!((1.0..1.2).contains(&fct), "fct = {fct}");
@@ -259,10 +236,9 @@ mod tests {
     #[test]
     fn mouse_pays_the_slow_start_ramp() {
         let topo = Topology::star(2, 1e9);
-        let opts = TcpOptions::default();
-        let bytes = 100 * opts.mss; // 100 segments
-        let report = simulate_tcp(&topo, &[flow(0, 1, bytes, 0)], opts);
-        let rounds = report.results[0].fct().as_secs_f64() / opts.rtt.as_secs_f64();
+        let bytes = 100 * MSS; // 100 segments
+        let report = simulate_tcp(&topo, &[flow(0, 1, bytes, 0)]);
+        let rounds = report.results[0].fct().as_secs_f64() / RTT.as_secs_f64();
         // cwnd 10 -> 20 -> 40 -> 80 -> done: ~4 rounds, far more than the
         // sub-round a fluid model would charge.
         assert!((3.0..=6.0).contains(&rounds), "rounds = {rounds}");
@@ -272,7 +248,7 @@ mod tests {
     fn sharing_flows_converge_to_fair_shares() {
         let topo = Topology::star(3, 1e9);
         let flows = [flow(0, 2, 62_500_000, 0), flow(1, 2, 62_500_000, 0)];
-        let report = simulate_tcp(&topo, &flows, TcpOptions::default());
+        let report = simulate_tcp(&topo, &flows);
         // 125 MB total through a 1 Gb/s downlink: ideal 1.0 s.
         for r in &report.results {
             let fct = r.fct().as_secs_f64();
@@ -285,7 +261,7 @@ mod tests {
         // The fidelity gap the module exists to expose.
         let topo = Topology::star(3, 1e9);
         let flows: Vec<FlowSpec> = (0..8).map(|i| flow(i % 2, 2, 200_000, 0)).collect();
-        let tcp = simulate_tcp(&topo, &flows, TcpOptions::default());
+        let tcp = simulate_tcp(&topo, &flows);
         let fluid = simulate(&topo, &flows, SimOptions::default());
         let mean = |r: &SimReport| r.fcts().iter().sum::<f64>() / r.results.len() as f64;
         assert!(
@@ -304,7 +280,7 @@ mod tests {
             flow(1, 3, 250_000_000, 0),
             flow(2, 3, 250_000_000, 0),
         ];
-        let tcp = simulate_tcp(&topo, &flows, TcpOptions::default());
+        let tcp = simulate_tcp(&topo, &flows);
         let fluid = simulate(&topo, &flows, SimOptions::default());
         for (a, b) in tcp.results.iter().zip(&fluid.results) {
             let ta = a.fct().as_secs_f64();
@@ -328,7 +304,7 @@ mod tests {
             start: SimTime::from_micros(333), // not a multiple of 250us
             tag: 0,
         };
-        let report = simulate_tcp(&topo, &[f], TcpOptions::default());
+        let report = simulate_tcp(&topo, &[f]);
         assert!(report.results[0].finish > f.start);
     }
 
@@ -336,7 +312,7 @@ mod tests {
     fn idle_gaps_are_skipped() {
         let topo = Topology::star(2, 1e9);
         let flows = [flow(0, 1, 10_000, 0), flow(0, 1, 10_000, 60_000)];
-        let report = simulate_tcp(&topo, &flows, TcpOptions::default());
+        let report = simulate_tcp(&topo, &flows);
         assert_eq!(report.results.len(), 2);
         assert!(report.results[1].finish > SimTime::from_secs(60));
     }
@@ -347,19 +323,8 @@ mod tests {
         let flows: Vec<FlowSpec> = (0..20)
             .map(|i| flow(i % 4, (i + 1) % 4, 1 << 20, i as u64 * 3))
             .collect();
-        let a = simulate_tcp(&topo, &flows, TcpOptions::default());
-        let b = simulate_tcp(&topo, &flows, TcpOptions::default());
+        let a = simulate_tcp(&topo, &flows);
+        let b = simulate_tcp(&topo, &flows);
         assert_eq!(a.results, b.results);
-    }
-
-    #[test]
-    #[should_panic(expected = "rtt must be positive")]
-    fn zero_rtt_rejected() {
-        let topo = Topology::star(2, 1e9);
-        let opts = TcpOptions {
-            rtt: Duration::ZERO,
-            ..TcpOptions::default()
-        };
-        let _ = simulate_tcp(&topo, &[flow(0, 1, 1, 0)], opts);
     }
 }

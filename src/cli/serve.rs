@@ -12,13 +12,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use keddah_core::stream::{
-    bind, ingest_path, serve_http, shared_status, DirTailer, HttpStats, StreamEngine, StreamOptions,
+    bind, ingest_packet_text, ingest_path, serve_http, shared_status, DirTailer, HttpStats,
+    StreamEngine, StreamOptions,
 };
 use keddah_core::SketchMode;
 use keddah_des::Duration;
-use keddah_flowcap::{tcpdump, TraceMeta};
 use keddah_obs::Obs;
 
+use super::obs_out::write_artifacts;
 use super::{err, Args, Result};
 
 const HELP: &str = "\
@@ -148,24 +149,15 @@ pub fn run(args: &Args) -> Result<()> {
 
 /// One-shot mode: stdin packet text → one run → model on stdout.
 fn run_stdin(engine: &mut StreamEngine, obs: &Obs, workload: &str, args: &Args) -> Result<()> {
-    let mut parsed = tcpdump::read_text_lenient(std::io::stdin().lock())
-        .map_err(|e| err(format!("reading stdin: {e}")))?;
-    obs.add("stream", "parse_errors", parsed.errors.len() as u64);
-    print_parse_errors("stdin", &parsed.errors);
-    let reordered = tcpdump::sort_by_time(&mut parsed.packets);
-    obs.add("stream", "packets_reordered", reordered);
-    for packet in parsed.packets {
-        engine.ingest_packet(packet);
-    }
-    engine
-        .end_run(&packet_meta(workload))
+    let stdin = std::io::stdin().lock();
+    let report = ingest_packet_text(engine, obs, workload, "stdin", stdin)
         .map_err(|e| err(e.to_string()))?;
+    print_parse_errors("stdin", &report.parse_errors);
     match engine.model_json() {
         Some(json) => println!("{json}"),
         None => return Err(err("not enough flows on stdin to fit a model")),
     }
-    write_metrics(obs, args)?;
-    Ok(())
+    write_artifacts(obs, args)
 }
 
 /// Daemon mode: tail the directory until SIGTERM/ctrl-c.
@@ -238,8 +230,7 @@ fn run_daemon(
         engine.flows_total(),
         engine.generation()
     );
-    write_metrics(obs, args)?;
-    Ok(())
+    write_artifacts(obs, args)
 }
 
 /// Sleeps `ms` in short slices so a stop signal is honoured promptly
@@ -253,16 +244,8 @@ fn sleep_responsive(ms: u64) {
     }
 }
 
-/// Builds run metadata for packet-text input, which carries no header.
-fn packet_meta(workload: &str) -> TraceMeta {
-    TraceMeta {
-        workload: workload.to_string(),
-        ..TraceMeta::default()
-    }
-}
-
-/// Prints skipped-line diagnostics; counting happened where they were
-/// detected ([`ingest_path`] or the stdin path).
+/// Prints skipped-line diagnostics; [`ingest_packet_text`] and
+/// [`ingest_path`] counted them.
 fn print_parse_errors(source: &str, errors: &[(usize, String)]) {
     for (line, message) in errors.iter().take(5) {
         eprintln!("keddah serve: {source}:{line}: {message}");
@@ -295,17 +278,4 @@ fn set_error(status: &keddah_core::stream::SharedStatus, message: String) {
     if let Ok(mut guard) = status.lock() {
         guard.last_error = Some(message);
     }
-}
-
-fn write_metrics(obs: &Obs, args: &Args) -> Result<()> {
-    if let Some(path) = args.get("metrics-out") {
-        let snapshot = obs.metrics();
-        fs::write(path, snapshot.to_json() + "\n")
-            .map_err(|e| err(format!("writing {path}: {e}")))?;
-        eprintln!(
-            "wrote metrics for {} subsystem(s) to {path}",
-            snapshot.subsystems.len()
-        );
-    }
-    Ok(())
 }

@@ -706,6 +706,76 @@ fn serve_stdin_one_shot() {
 }
 
 #[test]
+fn serve_stdin_fits_what_a_packet_text_rotation_fits() {
+    use std::io::Write;
+    use std::process::{Command, Stdio};
+
+    use keddah::core::stream::{ingest_path, StreamEngine, StreamOptions};
+    use keddah::core::SketchMode;
+    use keddah::obs::Obs;
+
+    let dir = tmp_dir("serve-stdin");
+    let packets = dir.join("packets");
+    run(&[
+        "capture",
+        "--workload",
+        "grep",
+        "--input-gb",
+        "1",
+        "--racks",
+        "2",
+        "--nodes-per-rack",
+        "3",
+        "--reducers",
+        "3",
+        "--repeats",
+        "1",
+        "--seed",
+        "5",
+        "--out",
+        dir.join("traces").to_str().unwrap(),
+        "--packets-out",
+        packets.to_str().unwrap(),
+    ])
+    .expect("capture with packet text");
+    let text_file = packets.join("grep_1gb_r3_seed5.txt");
+    let text = std::fs::read(&text_file).expect("packet text written");
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_keddah"))
+        .args(["serve", "--stdin", "--exact", "--workload", "grep"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn keddah serve --stdin");
+    child
+        .stdin
+        .take()
+        .expect("piped stdin")
+        .write_all(&text)
+        .expect("feed packet text");
+    let out = child.wait_with_output().expect("serve exits");
+    assert!(
+        out.status.success(),
+        "serve --stdin failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let printed = String::from_utf8(out.stdout).expect("utf-8 model");
+
+    // The same text as a `.txt` rotation through the daemon's ingest.
+    let obs = Obs::enabled();
+    let opts = StreamOptions {
+        sketch: SketchMode::Exact,
+        ..StreamOptions::default()
+    };
+    let mut engine = StreamEngine::new(opts, &obs).expect("engine");
+    ingest_path(&mut engine, &obs, "grep", &text_file).expect("ingest rotation");
+    let rotated = engine.model_json().expect("rotation fits a model");
+    assert_eq!(printed, rotated + "\n");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn help_everywhere() {
     for cmd in [
         "capture",

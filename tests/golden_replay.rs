@@ -364,8 +364,8 @@ const TERASORT_FAULTED_ABORTED: &[usize] = &[
 /// (aggregate, FNV of the metrics JSON, FNV of the trace JSONL). The
 /// metrics differ across the knob only in its bundle and solver gauges.
 const TERASORT_FAULTED_DIGESTS: &[(bool, u64, u64)] = &[
-    (true, 0x5e1c_35f5_887e_32b7, 0xd510_1981_43f8_2b45),
-    (false, 0x0707_1312_2330_ff2e, 0xd510_1981_43f8_2b45),
+    (true, 0x9e11_412c_bb95_4387, 0xc57c_631f_91d7_73f3),
+    (false, 0x5405_84c1_2ab4_4b7e, 0xc57c_631f_91d7_73f3),
 ];
 
 /// Open-loop terasort under [`every_fault_kind`], observed, with

@@ -8,7 +8,7 @@ use keddah::core::pipeline::Keddah;
 use keddah::core::replay::jobs_to_flows;
 use keddah::des::{Duration, SimTime};
 use keddah::hadoop::{ClusterSpec, HadoopConfig, JobSpec, Workload};
-use keddah::netsim::{simulate, simulate_tcp, FlowSpec, HostId, SimOptions, TcpOptions, Topology};
+use keddah::netsim::{simulate, simulate_tcp, FlowSpec, HostId, SimOptions, Topology};
 
 fn generated_flows(topo: &Topology) -> Vec<FlowSpec> {
     let traces = Keddah::capture(
@@ -33,7 +33,7 @@ fn mean_fct_fluid(topo: &Topology, flows: &[FlowSpec]) -> f64 {
 }
 
 fn mean_fct_tcp(topo: &Topology, flows: &[FlowSpec]) -> f64 {
-    let fcts = simulate_tcp(topo, flows, TcpOptions::default()).fcts();
+    let fcts = simulate_tcp(topo, flows).fcts();
     fcts.iter().sum::<f64>() / fcts.len() as f64
 }
 
@@ -282,7 +282,7 @@ fn models_agree_on_aggregate_throughput() {
     let flows = generated_flows(&topo);
     let bytes: f64 = flows.iter().map(|f| f.bytes as f64).sum();
     let fluid = simulate(&topo, &flows, SimOptions::default());
-    let tcp = simulate_tcp(&topo, &flows, TcpOptions::default());
+    let tcp = simulate_tcp(&topo, &flows);
     let tput_fluid = bytes / fluid.makespan().as_secs_f64();
     let tput_tcp = bytes / tcp.makespan().as_secs_f64();
     let ratio = tput_fluid / tput_tcp;
