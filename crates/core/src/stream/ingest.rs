@@ -40,15 +40,24 @@ pub struct IngestReport {
 /// `workload` labels packet-text runs, which carry no header. All
 /// failure modes return [`CoreError::Stream`] after bumping the matching
 /// `stream/` counter — the caller (the serve loop) logs and keeps going;
-/// nothing on this path panics.
+/// nothing on this path panics. Every error names `path`, once.
 ///
 /// # Errors
 ///
 /// [`CoreError::Stream`] when the file vanished, cannot be read, has an
-/// unusable header, carries an unsupported extension, or its run is
-/// rejected by the engine (workload mismatch). Refit failures propagate
-/// from [`StreamEngine::end_run`].
+/// unusable header, carries an unsupported extension, its run is
+/// rejected by the engine (workload mismatch) or its refit fails.
 pub fn ingest_path(
+    engine: &mut StreamEngine,
+    obs: &Obs,
+    workload: &str,
+    path: &Path,
+) -> Result<IngestReport> {
+    ingest_file(engine, obs, workload, path).map_err(|e| named(&path.display().to_string(), e))
+}
+
+/// [`ingest_path`], with errors that do not name the file.
+fn ingest_file(
     engine: &mut StreamEngine,
     obs: &Obs,
     workload: &str,
@@ -59,17 +68,11 @@ pub fn ingest_path(
         Ok(file) => file,
         Err(e) if e.kind() == ErrorKind::NotFound => {
             obs.add("stream", "vanished_files", 1);
-            return Err(CoreError::Stream(format!(
-                "{}: rotated away before ingest",
-                path.display()
-            )));
+            return Err(CoreError::Stream("rotated away before ingest".into()));
         }
         Err(e) => {
             obs.add("stream", "io_errors", 1);
-            return Err(CoreError::Stream(format!(
-                "{}: open failed: {e}",
-                path.display()
-            )));
+            return Err(CoreError::Stream(format!("open failed: {e}")));
         }
     };
     let reader = std::io::BufReader::new(file);
@@ -85,7 +88,7 @@ pub fn ingest_path(
                         _ => "malformed_runs",
                     };
                     obs.add("stream", counter, 1);
-                    return Err(CoreError::Stream(format!("{}: {e}", path.display())));
+                    return Err(CoreError::Stream(e.to_string()));
                 }
             };
             obs.add("stream", "parse_errors", rejects.len() as u64);
@@ -99,10 +102,9 @@ pub fn ingest_path(
                 parse_errors: rejects,
             })
         }
-        "txt" => ingest_packet_text(engine, obs, workload, &path.display().to_string(), reader),
+        "txt" => ingest_text(engine, obs, workload, reader),
         other => Err(CoreError::Stream(format!(
-            "{}: unsupported capture extension `{other}`",
-            path.display()
+            "unsupported capture extension `{other}`"
         ))),
     }
 }
@@ -116,8 +118,8 @@ pub fn ingest_path(
 ///
 /// # Errors
 ///
-/// [`CoreError::Stream`] when `reader` fails. Refit failures propagate
-/// from [`StreamEngine::end_run`].
+/// [`CoreError::Stream`], naming `source`, when `reader` fails, the run
+/// is rejected by the engine or its refit fails.
 pub fn ingest_packet_text(
     engine: &mut StreamEngine,
     obs: &Obs,
@@ -125,9 +127,19 @@ pub fn ingest_packet_text(
     source: &str,
     reader: impl Read,
 ) -> Result<IngestReport> {
+    ingest_text(engine, obs, workload, reader).map_err(|e| named(source, e))
+}
+
+/// [`ingest_packet_text`], with errors that do not name the source.
+fn ingest_text(
+    engine: &mut StreamEngine,
+    obs: &Obs,
+    workload: &str,
+    reader: impl Read,
+) -> Result<IngestReport> {
     let mut parsed = tcpdump::read_text_lenient(reader).map_err(|e| {
         obs.add("stream", "io_errors", 1);
-        CoreError::Stream(format!("{source}: {e}"))
+        CoreError::Stream(e.to_string())
     })?;
     obs.add("stream", "parse_errors", parsed.errors.len() as u64);
     let reordered = tcpdump::sort_by_time(&mut parsed.packets);
@@ -143,6 +155,14 @@ pub fn ingest_packet_text(
         refit,
         parse_errors: parsed.errors,
     })
+}
+
+/// `e` as a [`CoreError::Stream`] that names `source`.
+fn named(source: &str, e: CoreError) -> CoreError {
+    match e {
+        CoreError::Stream(msg) => CoreError::Stream(format!("{source}: {msg}")),
+        e => CoreError::Stream(format!("{source}: {e}")),
+    }
 }
 
 #[cfg(test)]

@@ -55,7 +55,7 @@ impl Empirical {
     /// # Errors
     ///
     /// Returns an error for empty/non-finite samples or `knots < 2`.
-    pub fn fit_with_knots(samples: &[f64], knots: usize) -> Result<Self> {
+    fn fit_with_knots(samples: &[f64], knots: usize) -> Result<Self> {
         check_sample(samples)?;
         if knots < 2 {
             return Err(StatError::InvalidParameter {

@@ -3,7 +3,8 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use super::{check_positive_sample, require_positive, Distribution};
+use super::{require_positive, Distribution};
+use crate::memo::{LogSample, TermMemo};
 use crate::special::{digamma, gamma_p, ln_gamma};
 use crate::{Result, StatError};
 
@@ -63,11 +64,13 @@ impl Gamma {
     ///
     /// Returns an error for empty/non-positive or degenerate samples.
     pub fn fit_mle(samples: &[f64]) -> Result<Self> {
-        check_positive_sample(samples)?;
-        let n = samples.len() as f64;
-        let mean = samples.iter().sum::<f64>() / n;
-        let mean_ln = samples.iter().map(|&x| x.ln()).sum::<f64>() / n;
-        let s = mean.ln() - mean_ln;
+        Gamma::from_logs(samples, &LogSample::new(samples, &mut TermMemo::new())?)
+    }
+
+    /// [`Gamma::fit_mle`] from `samples` and their logs.
+    pub(crate) fn from_logs(samples: &[f64], logs: &LogSample) -> Result<Self> {
+        let mean = samples.iter().sum::<f64>() / logs.n;
+        let s = mean.ln() - logs.mean;
         if s <= 0.0 {
             return Err(StatError::DegenerateSample(
                 "ln(mean) <= mean(ln), sample has no spread",

@@ -2,7 +2,8 @@
 
 use serde::{Deserialize, Serialize};
 
-use super::{check_positive_sample, require_positive, Distribution};
+use super::{require_positive, Distribution};
+use crate::memo::{LogSample, TermMemo};
 use crate::{Result, StatError};
 
 /// Log-logistic distribution with scale `alpha` (the median) and shape
@@ -66,11 +67,16 @@ impl LogLogistic {
     /// Returns an error for empty/non-positive/degenerate samples or if
     /// the iteration diverges.
     pub fn fit_mle(samples: &[f64]) -> Result<Self> {
-        check_positive_sample(samples)?;
-        let logs: Vec<f64> = samples.iter().map(|&x| x.ln()).collect();
-        let n = logs.len() as f64;
-        let mean = logs.iter().sum::<f64>() / n;
-        let var = logs.iter().map(|&l| (l - mean) * (l - mean)).sum::<f64>() / n;
+        let mut memo = TermMemo::new();
+        let logs = LogSample::new(samples, &mut memo)?;
+        LogLogistic::from_logs(&logs, &mut memo)
+    }
+
+    /// [`LogLogistic::fit_mle`] from a sample's logs. Each Newton pass
+    /// evaluates `tanh` once per distinct log that `memo` holds, and
+    /// still adds every term in sample order.
+    pub(crate) fn from_logs(logs: &LogSample, memo: &mut TermMemo) -> Result<Self> {
+        let (n, mean, var) = (logs.n, logs.mean, logs.var);
         if var <= 0.0 {
             return Err(StatError::DegenerateSample("zero variance in log-space"));
         }
@@ -82,16 +88,12 @@ impl LogLogistic {
         for _ in 0..60 {
             let mut sum_tanh = 0.0; // d/dmu terms: sum tanh(z/2)
             let mut sum_zt = 0.0; // d/ds terms: sum z*tanh(z/2)
-                                  // A run of bit-equal logs shares one pair of terms; the sums
-                                  // still add every term in sample order.
-            let (mut last, mut t, mut zt) = (f64::NAN.to_bits(), 0.0, 0.0);
-            for &l in &logs {
-                if l.to_bits() != last {
-                    last = l.to_bits();
-                    let z = (l - mu) / s;
-                    t = (z / 2.0).tanh();
-                    zt = z * t;
-                }
+            let terms = memo.pass(&logs.logs, |l| {
+                let z = (l - mu) / s;
+                let t = (z / 2.0).tanh();
+                [t, z * t]
+            });
+            for (_, [t, zt]) in terms {
                 sum_tanh += t;
                 sum_zt += zt;
             }

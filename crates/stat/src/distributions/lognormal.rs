@@ -2,7 +2,8 @@
 
 use serde::{Deserialize, Serialize};
 
-use super::{check_positive_sample, require_finite, require_positive, Distribution};
+use super::{require_finite, require_positive, Distribution};
+use crate::memo::{LogSample, TermMemo};
 use crate::special::{std_normal_cdf, std_normal_quantile};
 use crate::{Result, StatError};
 
@@ -61,15 +62,15 @@ impl LogNormal {
     /// Returns an error if the sample is empty, contains non-positive
     /// values, or is degenerate in log-space.
     pub fn fit_mle(samples: &[f64]) -> Result<Self> {
-        check_positive_sample(samples)?;
-        let n = samples.len() as f64;
-        let logs: Vec<f64> = samples.iter().map(|&x| x.ln()).collect();
-        let mu = logs.iter().sum::<f64>() / n;
-        let var = logs.iter().map(|&l| (l - mu) * (l - mu)).sum::<f64>() / n;
-        if var <= 0.0 {
+        LogNormal::from_logs(&LogSample::new(samples, &mut TermMemo::new())?)
+    }
+
+    /// [`LogNormal::fit_mle`] from a sample's logs.
+    pub(crate) fn from_logs(logs: &LogSample) -> Result<Self> {
+        if logs.var <= 0.0 {
             return Err(StatError::DegenerateSample("zero variance in log-space"));
         }
-        LogNormal::new(mu, var.sqrt())
+        LogNormal::new(logs.mean, logs.var.sqrt())
     }
 }
 

@@ -2,7 +2,8 @@
 
 use serde::{Deserialize, Serialize};
 
-use super::{check_positive_sample, require_positive, Distribution};
+use super::{require_positive, Distribution};
+use crate::memo::{LogSample, TermMemo};
 use crate::special::ln_gamma;
 use crate::{Result, StatError};
 
@@ -65,19 +66,21 @@ impl Weibull {
     /// Returns an error for empty/non-positive samples, degenerate samples,
     /// or if the iteration fails to converge (pathological inputs).
     pub fn fit_mle(samples: &[f64]) -> Result<Self> {
-        check_positive_sample(samples)?;
-        let n = samples.len() as f64;
-        // Each sample's log once, not once per Newton iteration.
-        let logs: Vec<f64> = samples.iter().map(|&x| x.ln()).collect();
-        let mean_ln = logs.iter().sum::<f64>() / n;
-        let var_ln = logs
-            .iter()
-            .map(|&lx| {
-                let d = lx - mean_ln;
-                d * d
-            })
-            .sum::<f64>()
-            / n;
+        let mut memo = TermMemo::new();
+        let logs = LogSample::new(samples, &mut memo)?;
+        Weibull::from_logs(samples, &logs, &mut memo)
+    }
+
+    /// [`Weibull::fit_mle`] from `samples` and their logs. Each Newton
+    /// pass evaluates `exp` once per distinct log that `memo` holds, and
+    /// the scale pass `powf` once per distinct sample; every sum still
+    /// adds every term in sample order.
+    pub(crate) fn from_logs(
+        samples: &[f64],
+        logs: &LogSample,
+        memo: &mut TermMemo,
+    ) -> Result<Self> {
+        let (n, mean_ln, var_ln) = (logs.n, logs.mean, logs.var);
         if var_ln <= 0.0 {
             return Err(StatError::DegenerateSample("zero variance in log-space"));
         }
@@ -91,19 +94,14 @@ impl Weibull {
             let mut s0 = 0.0; // sum x^k
             let mut s1 = 0.0; // sum x^k ln x
             let mut s2 = 0.0; // sum x^k (ln x)^2
-                              // A run of bit-equal logs shares one set of terms; the sums
-                              // still add every term in sample order.
-            let (mut last, mut xk, mut xk_l, mut xk_ll) = (f64::NAN.to_bits(), 0.0, 0.0, 0.0);
-            for &lx in &logs {
-                if lx.to_bits() != last {
-                    last = lx.to_bits();
-                    xk = (k * lx).exp();
-                    xk_l = xk * lx;
-                    xk_ll = xk_l * lx;
-                }
+            let terms = memo.pass(&logs.logs, |lx| {
+                let xk = (k * lx).exp();
+                [xk, xk * lx]
+            });
+            for (lx, [xk, xk_l]) in terms {
                 s0 += xk;
                 s1 += xk_l;
-                s2 += xk_ll;
+                s2 += xk_l * lx;
             }
             if !s0.is_finite() || s0 <= 0.0 {
                 return Err(StatError::NoConvergence("weibull shape overflow"));
@@ -121,8 +119,10 @@ impl Weibull {
             }
             k = next;
         }
-        let scale = (samples.iter().map(|&x| x.powf(k)).sum::<f64>() / n).powf(1.0 / k);
-        Weibull::new(k, scale)
+        let sum_xk: f64 = (memo.pass(samples, |x| [x.powf(k), 0.0]))
+            .map(|(_, [xk, _])| xk)
+            .sum();
+        Weibull::new(k, (sum_xk / n).powf(1.0 / k))
     }
 }
 

@@ -109,25 +109,6 @@ impl Ecdf {
         self.sorted.iter().sum::<f64>() / self.sorted.len() as f64
     }
 
-    /// Produces `(x, F(x))` points for plotting, downsampled to at most
-    /// `max_points` steps (always keeping the first and last).
-    #[must_use]
-    pub fn step_points(&self, max_points: usize) -> Vec<(f64, f64)> {
-        let n = self.sorted.len();
-        let max_points = max_points.max(2);
-        let stride = (n as f64 / max_points as f64).ceil().max(1.0) as usize;
-        let mut pts = Vec::with_capacity(n / stride + 2);
-        let mut i = 0;
-        while i < n {
-            pts.push((self.sorted[i], (i + 1) as f64 / n as f64));
-            i += stride;
-        }
-        if pts.last().map(|&(x, _)| x) != Some(self.sorted[n - 1]) {
-            pts.push((self.sorted[n - 1], 1.0));
-        }
-        pts
-    }
-
     /// Builds a histogram with `bins` equal-width bins over `[min, max]`,
     /// returning `(bin_left_edge, count)` pairs.
     ///
@@ -189,20 +170,6 @@ mod tests {
         for i in 1..=100 {
             let p = i as f64 / 100.0;
             assert!(e.eval(e.quantile(p)) >= p - 1e-12);
-        }
-    }
-
-    #[test]
-    fn step_points_cover_range() {
-        let e = Ecdf::new((1..=1000).map(|i| i as f64).collect()).unwrap();
-        let pts = e.step_points(50);
-        assert!(pts.len() <= 52);
-        assert_eq!(pts[0].0, 1.0);
-        assert_eq!(pts.last().unwrap().1, 1.0);
-        // Monotone in both coordinates.
-        for w in pts.windows(2) {
-            assert!(w[0].0 <= w[1].0);
-            assert!(w[0].1 <= w[1].1);
         }
     }
 

@@ -16,6 +16,7 @@ use crate::distributions::{
     Weibull,
 };
 use crate::ks::{ks_finish, ks_lower_bound, ks_result, ks_sorted, sorted_sample, KsResult};
+use crate::memo::{LogSample, TermMemo};
 use crate::{Result, StatError};
 
 /// A distribution family that can be entered into a candidate sweep.
@@ -64,8 +65,7 @@ impl Candidate {
     ];
 
     /// The number of free parameters, used by the AIC penalty.
-    #[must_use]
-    pub fn param_count(self) -> usize {
+    fn param_count(self) -> usize {
         match self {
             Candidate::Exponential => 1,
             _ => 2,
@@ -94,17 +94,52 @@ impl Candidate {
     /// Propagates the family's `fit_mle` error (empty sample, support
     /// violation, degenerate data, no convergence).
     pub fn fit(self, samples: &[f64]) -> Result<FittedDist> {
+        self.fit_in_sweep(samples, &mut None, &mut TermMemo::new())
+    }
+
+    /// [`Candidate::fit`] as one candidate of a sweep: the log-space
+    /// families fit from the sweep's one pass of logs, which the first
+    /// of them takes into `logs`, and every pass shares `memo`.
+    fn fit_in_sweep(
+        self,
+        samples: &[f64],
+        logs: &mut Option<Result<LogSample>>,
+        memo: &mut TermMemo,
+    ) -> Result<FittedDist> {
         Ok(match self {
             Candidate::Exponential => FittedDist::Exponential(Exponential::fit_mle(samples)?),
             Candidate::Uniform => FittedDist::Uniform(Uniform::fit_mle(samples)?),
             Candidate::Normal => FittedDist::Normal(Normal::fit_mle(samples)?),
-            Candidate::LogLogistic => FittedDist::LogLogistic(LogLogistic::fit_mle(samples)?),
-            Candidate::LogNormal => FittedDist::LogNormal(LogNormal::fit_mle(samples)?),
-            Candidate::Weibull => FittedDist::Weibull(Weibull::fit_mle(samples)?),
+            Candidate::LogLogistic => FittedDist::LogLogistic(LogLogistic::from_logs(
+                shared_logs(logs, samples, memo)?,
+                memo,
+            )?),
+            Candidate::LogNormal => {
+                FittedDist::LogNormal(LogNormal::from_logs(shared_logs(logs, samples, memo)?)?)
+            }
+            Candidate::Weibull => FittedDist::Weibull(Weibull::from_logs(
+                samples,
+                shared_logs(logs, samples, memo)?,
+                memo,
+            )?),
             Candidate::Pareto => FittedDist::Pareto(Pareto::fit_mle(samples)?),
-            Candidate::Gamma => FittedDist::Gamma(Gamma::fit_mle(samples)?),
+            Candidate::Gamma => FittedDist::Gamma(Gamma::from_logs(
+                samples,
+                shared_logs(logs, samples, memo)?,
+            )?),
         })
     }
+}
+
+/// A sweep's logs of `samples`, taken into `logs` on first use.
+fn shared_logs<'a>(
+    logs: &'a mut Option<Result<LogSample>>,
+    samples: &[f64],
+    memo: &mut TermMemo,
+) -> Result<&'a LogSample> {
+    (logs.get_or_insert_with(|| LogSample::new(samples, memo)))
+        .as_ref()
+        .map_err(StatError::clone)
 }
 
 impl std::fmt::Display for Candidate {
@@ -351,16 +386,26 @@ pub enum Selection {
 /// Runs every candidate's maximum-likelihood fit on `samples` in their
 /// original order (likelihood sums depend on it), keeping each family
 /// whose support admits the sample with its position in `candidates`.
-fn fit_candidates(samples: &[f64], candidates: &[Candidate]) -> Vec<(usize, FittedDist)> {
+/// The log-space families share one buffer of logs, freed on return.
+fn fit_candidates(
+    samples: &[f64],
+    candidates: &[Candidate],
+    memo: &mut TermMemo,
+) -> Vec<(usize, FittedDist)> {
+    let mut logs = None;
     (candidates.iter().enumerate())
-        .filter_map(|(idx, cand)| Some((idx, cand.fit(samples).ok()?)))
+        .filter_map(|(idx, cand)| Some((idx, cand.fit_in_sweep(samples, &mut logs, memo).ok()?)))
         .collect()
 }
 
 /// The score card of a fit whose KS distance `d` is already known, or
-/// `None` if its log-likelihood over `samples` is not finite.
-fn score(dist: FittedDist, d: f64, samples: &[f64]) -> Option<FitReport> {
-    let log_likelihood = dist.log_likelihood(samples);
+/// `None` if its log-likelihood over `samples` is not finite. The
+/// log-likelihood is [`Distribution::log_likelihood`], bit for bit, with
+/// each distinct sample's log-density looked up in `memo`.
+fn score(dist: FittedDist, d: f64, samples: &[f64], memo: &mut TermMemo) -> Option<FitReport> {
+    let log_likelihood: f64 = (memo.pass(samples, |x| [dist.ln_pdf(x), 0.0]))
+        .map(|(_, [l, _])| l)
+        .sum();
     if !log_likelihood.is_finite() {
         return None;
     }
@@ -390,7 +435,8 @@ pub fn fit_all(samples: &[f64], candidates: &[Candidate]) -> Result<Vec<FitRepor
     if samples.is_empty() {
         return Err(StatError::EmptySample);
     }
-    let fitted = fit_candidates(samples, candidates);
+    let mut memo = TermMemo::new();
+    let fitted = fit_candidates(samples, candidates, &mut memo);
     let mut reports = Vec::new();
     if !fitted.is_empty() {
         // A successful fit implies a finite sample, so this cannot fail.
@@ -398,7 +444,7 @@ pub fn fit_all(samples: &[f64], candidates: &[Candidate]) -> Result<Vec<FitRepor
         for (_, dist) in fitted {
             let d = ks_sorted(&sorted, &|x| dist.cdf(x));
             if d.is_finite() {
-                reports.extend(score(dist, d, samples));
+                reports.extend(score(dist, d, samples, &mut memo));
             }
         }
     }
@@ -444,11 +490,12 @@ pub fn fit_best(
             value: max_ks,
         });
     }
-    let fitted = fit_candidates(samples, candidates);
+    let mut memo = TermMemo::new();
+    let fitted = fit_candidates(samples, candidates, &mut memo);
     if fitted.is_empty() {
         return Err(StatError::NoConvergence("no candidate family fit"));
     }
-    best_within(samples, &fitted, max_ks)
+    best_within(samples, &fitted, max_ks, &mut memo)
 }
 
 /// The bounded sweep of [`fit_best`] over fits already made, each
@@ -457,6 +504,7 @@ fn best_within(
     samples: &[f64],
     fitted: &[(usize, FittedDist)],
     max_ks: f64,
+    memo: &mut TermMemo,
 ) -> Result<Option<FitReport>> {
     let sorted = sorted_sample(samples)?;
     let mut order: Vec<(f64, usize)> = (fitted.iter().enumerate())
@@ -480,7 +528,7 @@ fn best_within(
         if !d.is_finite() || loses_tie {
             continue;
         }
-        if let Some(report) = score(dist.clone(), d, samples) {
+        if let Some(report) = score(dist.clone(), d, samples, memo) {
             best = Some((*idx, report));
         }
     }
@@ -521,8 +569,9 @@ pub fn fit_select(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memo::{slot_of, SLOTS};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn draw<D: Distribution>(d: &D, n: usize, seed: u64) -> Vec<f64> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -739,18 +788,22 @@ mod tests {
         assert!(
             ks_lower_bound(&sorted, &|x| late.cdf(x)) < ks_lower_bound(&sorted, &|x| early.cdf(x))
         );
-        let best = best_within(&xs, &fitted, f64::INFINITY).unwrap().unwrap();
+        let best = best_within(&xs, &fitted, f64::INFINITY, &mut TermMemo::new())
+            .unwrap()
+            .unwrap();
         assert_eq!(&best.dist, early);
         assert_eq!(best.ks_statistic, 0.5);
         // The reference sweep agrees.
-        let reference = score(early.clone(), 0.5, &xs).unwrap();
+        let reference = score(early.clone(), 0.5, &xs, &mut TermMemo::new()).unwrap();
         assert_eq!(bits(&best), bits(&reference));
     }
 
     #[test]
     fn winner_exactly_at_max_ks_is_kept() {
         let (xs, fitted) = tied_fits();
-        let best = best_within(&xs, &fitted, 0.5).unwrap().unwrap();
+        let best = best_within(&xs, &fitted, 0.5, &mut TermMemo::new())
+            .unwrap()
+            .unwrap();
         assert_eq!(best.dist, fitted[0].1);
         assert_eq!(best.ks_statistic, 0.5);
 
@@ -766,7 +819,10 @@ mod tests {
     #[test]
     fn nothing_within_max_ks_is_none() {
         let (xs, fitted) = tied_fits();
-        assert_eq!(best_within(&xs, &fitted, 0.5f64.next_down()).unwrap(), None);
+        assert_eq!(
+            best_within(&xs, &fitted, 0.5f64.next_down(), &mut TermMemo::new()).unwrap(),
+            None
+        );
 
         let truth = LogNormal::new(3.0, 0.6).unwrap();
         let xs = draw(&truth, 500, 31);
@@ -800,6 +856,258 @@ mod tests {
         let reports = fit_all(&xs, Candidate::ALL).unwrap();
         for w in reports.windows(2) {
             assert!(w[0].ks_statistic <= w[1].ks_statistic);
+        }
+    }
+
+    /// The log-space fits as they were before the term memo: every term
+    /// evaluated for every sample, summed in sample order.
+    mod pre_memo {
+        use crate::distributions::{Gamma, LogLogistic, LogNormal, Weibull};
+        use crate::special::digamma;
+        use std::f64::consts::PI;
+
+        /// The logs, their mean and their mean squared deviation.
+        fn log_moments(xs: &[f64]) -> (Vec<f64>, f64, f64) {
+            let logs: Vec<f64> = xs.iter().map(|&x| x.ln()).collect();
+            let n = logs.len() as f64;
+            let mean = logs.iter().sum::<f64>() / n;
+            let var = logs.iter().map(|&l| (l - mean) * (l - mean)).sum::<f64>() / n;
+            (logs, mean, var)
+        }
+
+        pub fn lognormal(xs: &[f64]) -> Option<LogNormal> {
+            let (_, mean, var) = log_moments(xs);
+            (var > 0.0).then(|| LogNormal::new(mean, var.sqrt()).ok())?
+        }
+
+        pub fn loglogistic(xs: &[f64]) -> Option<LogLogistic> {
+            let (logs, mean, var) = log_moments(xs);
+            if var <= 0.0 {
+                return None;
+            }
+            let n = xs.len() as f64;
+            let (mut mu, mut s) = (mean, (3.0 * var).sqrt() / PI);
+            for _ in 0..60 {
+                let (mut sum_tanh, mut sum_zt) = (0.0, 0.0);
+                for &l in &logs {
+                    let z = (l - mu) / s;
+                    let t = (z / 2.0).tanh();
+                    sum_tanh += t;
+                    sum_zt += z * t;
+                }
+                let step_mu = 3.0 * s * (sum_tanh / n);
+                let step_s = s * (sum_zt / n - 1.0) * 9.0 / (3.0 + PI.powi(2));
+                mu += step_mu;
+                s = (s + step_s).clamp(s * 0.5, s * 2.0).max(1e-12);
+                if step_mu.abs() < 1e-12 * (1.0 + mu.abs()) && step_s.abs() < 1e-12 * s {
+                    break;
+                }
+            }
+            LogLogistic::new(mu.exp(), 1.0 / s).ok()
+        }
+
+        pub fn weibull(xs: &[f64]) -> Option<Weibull> {
+            let (logs, mean_ln, var_ln) = log_moments(xs);
+            if var_ln <= 0.0 {
+                return None;
+            }
+            let n = xs.len() as f64;
+            let mut k = (PI / (6.0f64.sqrt() * var_ln.sqrt())).clamp(0.02, 500.0);
+            for _ in 0..200 {
+                let (mut s0, mut s1, mut s2) = (0.0, 0.0, 0.0);
+                for &lx in &logs {
+                    let xk = (k * lx).exp();
+                    s0 += xk;
+                    s1 += xk * lx;
+                    s2 += xk * lx * lx;
+                }
+                if !s0.is_finite() || s0 <= 0.0 {
+                    return None;
+                }
+                let g = s1 / s0 - 1.0 / k - mean_ln;
+                let dg = (s2 * s0 - s1 * s1) / (s0 * s0) + 1.0 / (k * k);
+                if dg <= 0.0 {
+                    return None;
+                }
+                let next = (k - g / dg).clamp(k * 0.2, k * 5.0).max(1e-6);
+                let done = (next - k).abs() < 1e-10 * k.max(1.0);
+                k = next;
+                if done {
+                    break;
+                }
+            }
+            let scale = (xs.iter().map(|&x| x.powf(k)).sum::<f64>() / n).powf(1.0 / k);
+            Weibull::new(k, scale).ok()
+        }
+
+        pub fn gamma(xs: &[f64]) -> Option<Gamma> {
+            let n = xs.len() as f64;
+            let mean = xs.iter().sum::<f64>() / n;
+            let s = mean.ln() - xs.iter().map(|&x| x.ln()).sum::<f64>() / n;
+            if s <= 0.0 {
+                return None;
+            }
+            let mut k = (3.0 - s + ((s - 3.0) * (s - 3.0) + 24.0 * s).sqrt()) / (12.0 * s);
+            for _ in 0..50 {
+                let f = k.ln() - digamma(k) - s;
+                let h = (k * 1e-6).max(1e-9);
+                let df = 1.0 / k - (digamma(k + h) - digamma(k - h)) / (2.0 * h);
+                if df == 0.0 {
+                    break;
+                }
+                let next = (k - f / df).max(1e-8);
+                let done = (next - k).abs() < 1e-12 * k.max(1.0);
+                k = next;
+                if done {
+                    break;
+                }
+            }
+            Gamma::new(k, mean / k).ok()
+        }
+    }
+
+    /// Groups of two or more values whose `key`s share a memo home slot.
+    fn colliding(key: impl Fn(f64) -> u64) -> Vec<Vec<f64>> {
+        let mut groups = vec![Vec::new(); SLOTS];
+        for i in 0..3 * SLOTS {
+            let x = 1000.0 + 0.37 * i as f64;
+            groups[slot_of(key(x))].push(x);
+        }
+        groups.retain(|g| g.len() >= 2);
+        groups
+    }
+
+    /// A sample of one of four shapes, drawn from `seed`.
+    fn sweep_sample(shape: u32, seed: u64, n: usize) -> Vec<f64> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let truth = LogNormal::new(8.0, 1.5).unwrap();
+        let mut pool: Vec<f64> = (0..rng.random_range(2usize..300))
+            .map(|_| truth.sample(&mut rng).round().max(1.0))
+            .collect();
+        match shape {
+            // Interleaved repeats of a few hundred values, some colliding
+            // in the memo by their bits and some by their logs; sorted,
+            // the run-heavy pseudo-sample where the memo switches off.
+            0 | 1 => {
+                for groups in [colliding(f64::to_bits), colliding(|x| x.ln().to_bits())] {
+                    for _ in 0..4 {
+                        pool.extend(&groups[rng.random_range(0..groups.len())]);
+                    }
+                }
+                let mut xs: Vec<f64> = (0..n)
+                    .map(|_| pool[rng.random_range(0..pool.len())])
+                    .collect();
+                if shape == 1 {
+                    xs.sort_by(f64::total_cmp);
+                }
+                xs
+            }
+            // More distinct values than memo slots, mostly rare, among
+            // frequent ones: the memo stays on with a full pass.
+            2 => {
+                let rare: Vec<f64> = (0..SLOTS + 500).map(|_| truth.sample(&mut rng)).collect();
+                let mut xs = rare.clone();
+                xs.extend((0..8 * rare.len()).map(|_| pool[rng.random_range(0..pool.len())]));
+                let len = xs.len();
+                for i in (1..len).rev() {
+                    xs.swap(i, rng.random_range(0..=i));
+                }
+                xs
+            }
+            // Continuous draws.
+            _ => (0..n).map(|_| truth.sample(&mut rng)).collect(),
+        }
+    }
+
+    /// Run breaks of `xs` by bits, the first value included.
+    fn runs(xs: &[f64]) -> u64 {
+        1 + xs
+            .windows(2)
+            .filter(|w| w[0].to_bits() != w[1].to_bits())
+            .count() as u64
+    }
+
+    /// Runs `f` on `memo` and checks its work: every run break of its
+    /// passes either found its term or evaluated it (`breaks` gives the
+    /// run-break totals its passes may have), and either every break was
+    /// a lookup or none was. Returns the lookups made.
+    fn checked<T>(
+        memo: &mut TermMemo,
+        breaks: impl Fn(u64) -> [u64; 2],
+        f: impl FnOnce(&mut TermMemo) -> T,
+    ) -> (T, u64) {
+        let before = memo.work;
+        let out = f(memo);
+        let (passes, probes) = (
+            memo.work.passes - before.passes,
+            memo.work.probes - before.probes,
+        );
+        let looked_up = memo.work.hits - before.hits + memo.work.evaluated - before.evaluated;
+        assert!(
+            breaks(passes).contains(&looked_up),
+            "{looked_up} run breaks in {passes} passes: each hits or evaluates"
+        );
+        assert!(
+            probes == 0 || probes == looked_up,
+            "{probes} probes for {looked_up} breaks"
+        );
+        (out, probes)
+    }
+
+    fn param_bits(d: Option<FittedDist>) -> Option<Vec<u64>> {
+        d.map(|d| d.params().iter().map(|(_, v)| v.to_bits()).collect())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// The memoised log-space fits and log-likelihoods of one sweep
+        /// equal the pre-memo loops bit for bit, on samples with and
+        /// without repeats, and the memo probes whole passes only.
+        #[test]
+        fn memoised_sweep_is_bit_identical(shape in 0u32..4, seed in proptest::prelude::any::<u64>(), n in 50usize..2500) {
+            let xs = sweep_sample(shape, seed, n);
+            let logs: Vec<f64> = xs.iter().map(|&x| x.ln()).collect();
+            let (x_runs, log_runs) = (runs(&xs), runs(&logs));
+            let mut memo = TermMemo::new();
+
+            let one_pass = |_| [x_runs; 2];
+            let (sample, ln_probes) = checked(&mut memo, one_pass, |m| LogSample::new(&xs, m).unwrap());
+            assert_eq!(ln_probes, x_runs, "the first pass probes every run break");
+            let switched_off = memo.work.hits * 2 < ln_probes;
+            let newton = |passes| [passes * log_runs; 2];
+            let (ll, ll_probes) = checked(&mut memo, newton, |m| LogLogistic::from_logs(&sample, m).ok());
+            // Weibull's scale pass follows only a Newton loop that ended.
+            let newton_then_scale = |passes: u64| {
+                [passes * log_runs, passes.saturating_sub(1) * log_runs + x_runs]
+            };
+            let (weibull, w_probes) = checked(&mut memo, newton_then_scale, |m| Weibull::from_logs(&xs, &sample, m).ok());
+            let fits = [
+                ll.map(FittedDist::LogLogistic),
+                LogNormal::from_logs(&sample).ok().map(FittedDist::LogNormal),
+                weibull.map(FittedDist::Weibull),
+                Gamma::from_logs(&xs, &sample).ok().map(FittedDist::Gamma),
+            ];
+            let want = [
+                pre_memo::loglogistic(&xs).map(FittedDist::LogLogistic),
+                pre_memo::lognormal(&xs).map(FittedDist::LogNormal),
+                pre_memo::weibull(&xs).map(FittedDist::Weibull),
+                pre_memo::gamma(&xs).map(FittedDist::Gamma),
+            ];
+            for (got, want) in fits.iter().zip(want) {
+                assert_eq!(param_bits(got.clone()), param_bits(want), "shape {shape}: {got:?}");
+            }
+            let mut later_probes = ll_probes + w_probes;
+            for dist in fits.into_iter().flatten() {
+                let want = dist.log_likelihood(&xs);
+                let (report, probes) = checked(&mut memo, one_pass, |m| score(dist, 0.0, &xs, m));
+                let got = report.map(|r| r.log_likelihood.to_bits());
+                assert_eq!(got, want.is_finite().then_some(want.to_bits()), "log-likelihood");
+                later_probes += probes;
+            }
+            if switched_off {
+                assert_eq!(later_probes, 0, "no lookups after a pass with few repeats");
+            }
         }
     }
 }

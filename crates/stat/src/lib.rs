@@ -42,6 +42,7 @@ pub mod distributions;
 mod ecdf;
 pub mod fit;
 pub mod ks;
+mod memo;
 pub mod regression;
 pub mod series;
 pub mod shift;

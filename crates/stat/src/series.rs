@@ -1,4 +1,4 @@
-//! Time-series summaries: burstiness and autocorrelation.
+//! Time-series summaries: binned arrival counts and burstiness.
 //!
 //! Marginal distributions do not capture *when* flows arrive relative to
 //! each other; these helpers quantify that second-order structure so the
@@ -76,30 +76,6 @@ pub fn index_of_dispersion(counts: &[f64]) -> Result<f64> {
     Ok(var / mean)
 }
 
-/// Lag-`k` autocorrelation of a series, in `[-1, 1]`.
-///
-/// # Errors
-///
-/// Returns [`StatError::EmptySample`] if the series is shorter than
-/// `lag + 2`, and [`StatError::DegenerateSample`] for constant series.
-pub fn autocorrelation(series: &[f64], lag: usize) -> Result<f64> {
-    if series.len() < lag + 2 {
-        return Err(StatError::EmptySample);
-    }
-    let n = series.len() as f64;
-    let mean = series.iter().sum::<f64>() / n;
-    let var: f64 = series.iter().map(|&x| (x - mean) * (x - mean)).sum::<f64>() / n;
-    if var <= 0.0 {
-        return Err(StatError::DegenerateSample("constant series"));
-    }
-    let cov: f64 = series
-        .windows(lag + 1)
-        .map(|w| (w[0] - mean) * (w[lag] - mean))
-        .sum::<f64>()
-        / n;
-    Ok(cov / var)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,26 +125,8 @@ mod tests {
     }
 
     #[test]
-    fn autocorrelation_detects_periodicity() {
-        let series: Vec<f64> = (0..200).map(|i| (i % 2) as f64).collect();
-        // Alternating series: lag 1 strongly negative, lag 2 strongly
-        // positive.
-        assert!(autocorrelation(&series, 1).unwrap() < -0.9);
-        assert!(autocorrelation(&series, 2).unwrap() > 0.9);
-    }
-
-    #[test]
-    fn autocorrelation_of_noise_is_small() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let series: Vec<f64> = (0..2_000).map(|_| rng.random::<f64>()).collect();
-        assert!(autocorrelation(&series, 3).unwrap().abs() < 0.1);
-    }
-
-    #[test]
     fn error_paths() {
         assert!(index_of_dispersion(&[]).is_err());
         assert!(index_of_dispersion(&[0.0, 0.0]).is_err());
-        assert!(autocorrelation(&[1.0, 2.0], 5).is_err());
-        assert!(autocorrelation(&[3.0; 50], 1).is_err());
     }
 }

@@ -6,7 +6,7 @@
 //! ratio, wrapped in a serializable [`ShiftScore`]. Small samples go
 //! through the exact [`crate::ks::ks_two_sample`]; past
 //! [`EXACT_SHIFT_CAP`] observations per side the comparison switches to
-//! Greenwald–Khanna sketches and [`ks_two_sample_sketch`], the
+//! Greenwald–Khanna sketches and a sketched two-sample KS, the
 //! two-sample sibling of the streaming one-sample test from the serve
 //! path — its statistic is within `2(ε_a + ε_b)` of the exact one, so a
 //! diagnosis over a million-flow trace costs sketch memory, not a sort
@@ -83,7 +83,7 @@ fn mean(xs: &[f64]) -> f64 {
 /// # Errors
 ///
 /// Returns [`StatError::EmptySample`] when either sketch is empty.
-pub fn ks_two_sample_sketch(a: &GkSketch, b: &GkSketch) -> Result<KsResult> {
+fn ks_two_sample_sketch(a: &GkSketch, b: &GkSketch) -> Result<KsResult> {
     if a.count() == 0 || b.count() == 0 {
         return Err(StatError::EmptySample);
     }

@@ -305,8 +305,7 @@ impl GkSketch {
     /// Entry `j` is [`quantile`](StreamingQuantiles::quantile) at
     /// `(j + 0.5)/m`, bit for bit. The targets ascend, so each one's walk
     /// resumes where the previous one stopped: one walk answers them all.
-    #[must_use]
-    pub fn pseudo_sample(&self, cap: usize) -> Vec<f64> {
+    fn pseudo_sample(&self, cap: usize) -> Vec<f64> {
         if self.n == 0 {
             return Vec::new();
         }
@@ -493,7 +492,7 @@ pub enum SampleStore {
     /// Every sample, in insertion order — replaying this through the
     /// offline fitters is bit-identical to a batch fit.
     Exact(Vec<f64>),
-    /// A GK sketch; fits consume [`GkSketch::pseudo_sample`].
+    /// A GK sketch; fits consume its bounded pseudo-sample.
     Sketch(GkSketch),
 }
 
@@ -542,21 +541,6 @@ impl SampleStore {
             SampleStore::Exact(v) => v.len() as u64,
             SampleStore::Sketch(s) => s.count(),
         }
-    }
-
-    /// The store's rank-error guarantee (0 for exact).
-    #[must_use]
-    pub fn rank_error(&self) -> f64 {
-        match self {
-            SampleStore::Exact(_) => 0.0,
-            SampleStore::Sketch(s) => s.rank_error(),
-        }
-    }
-
-    /// True for the exact (offline-identical) store.
-    #[must_use]
-    pub fn is_exact(&self) -> bool {
-        matches!(self, SampleStore::Exact(_))
     }
 
     /// The sample to hand to the offline fitters: the raw insertion
@@ -731,10 +715,9 @@ mod tests {
         for x in [3.0, 1.0, 2.0, f64::NAN] {
             store.push(x);
         }
-        assert!(store.is_exact());
+        assert!(matches!(store, SampleStore::Exact(_)));
         assert_eq!(store.count(), 3);
         assert_eq!(store.fit_samples(), vec![3.0, 1.0, 2.0]);
-        assert_eq!(store.rank_error(), 0.0);
     }
 
     #[test]
@@ -744,8 +727,7 @@ mod tests {
         for _ in 0..10_000 {
             store.push(rng.random::<f64>() * 100.0);
         }
-        assert!(!store.is_exact());
-        assert_eq!(store.rank_error(), 0.02);
+        assert!(matches!(&store, SampleStore::Sketch(s) if s.rank_error() == 0.02));
         let samples = store.fit_samples();
         assert_eq!(samples.len(), PSEUDO_SAMPLE_CAP.min(10_000));
         assert!(samples.windows(2).all(|w| w[0] <= w[1]), "sorted output");

@@ -153,8 +153,7 @@ pub fn erf(x: f64) -> f64 {
 }
 
 /// Complementary error function `erfc(x) = 1 - erf(x)`.
-#[must_use]
-pub fn erfc(x: f64) -> f64 {
+fn erfc(x: f64) -> f64 {
     1.0 - erf(x)
 }
 
@@ -166,8 +165,7 @@ pub fn erfc(x: f64) -> f64 {
 /// # Panics
 ///
 /// Panics in debug builds if `|x| >= 1`.
-#[must_use]
-pub fn erf_inv(x: f64) -> f64 {
+fn erf_inv(x: f64) -> f64 {
     debug_assert!(x > -1.0 && x < 1.0, "erf_inv requires |x| < 1, got {x}");
     if x == 0.0 {
         return 0.0;

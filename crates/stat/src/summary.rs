@@ -22,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// ```
 /// An empty summary reports degenerate statistics as documented finite
 /// values — [`Summary::min`]/[`Summary::max`] are `None`,
-/// [`Summary::variance`]/[`Summary::std_dev`] are `0.0` below two
+/// [`Summary::variance`] and the standard deviation are `0.0` below two
 /// observations — and its JSON form never contains the internal
 /// `±inf` running sentinels (see the manual `Serialize` impl), so
 /// report artefacts stay plain finite numbers.
@@ -162,14 +162,7 @@ impl Summary {
 
     /// Population standard deviation; `0.0` below two observations, like
     /// [`Summary::variance`].
-    ///
-    /// ```
-    /// use keddah_stat::Summary;
-    ///
-    /// assert_eq!(Summary::new().std_dev(), 0.0);
-    /// ```
-    #[must_use]
-    pub fn std_dev(&self) -> f64 {
+    fn std_dev(&self) -> f64 {
         self.variance().sqrt()
     }
 

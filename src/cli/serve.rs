@@ -212,8 +212,8 @@ fn run_daemon(
                     );
                 }
                 Err(e) => {
-                    eprintln!("keddah serve: {}: {e}", path.display());
-                    set_error(&status, format!("{}: {e}", path.display()));
+                    eprintln!("keddah serve: {e}");
+                    set_error(&status, e.to_string());
                 }
             }
             publish(&status, engine, obs, files);

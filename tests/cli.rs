@@ -692,6 +692,51 @@ fn serve_daemon_end_to_end() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A rotation the daemon cannot ingest is reported under its path,
+/// named once, on stderr and in `/status`'s `last_error`. The daemon runs
+/// as a child process, so its stop flag is its own.
+#[test]
+fn serve_names_a_failed_rotation_once() {
+    use std::process::{Command, Stdio};
+
+    let dir = tmp_dir("serve-bad");
+    let watch = dir.join("watch");
+    std::fs::create_dir_all(&watch).expect("watch dir");
+    let addr_file = dir.join("http.addr");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_keddah"))
+        .args(["serve", "--poll-ms", "10", "--dir"])
+        .arg(&watch)
+        .arg("--http-addr-file")
+        .arg(&addr_file)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn keddah serve");
+    let addr = wait_until("bound address file", || {
+        std::fs::read_to_string(&addr_file)
+            .ok()
+            .map(|s| s.trim().to_string())
+            .filter(|s| !s.is_empty())
+    });
+
+    let staged = dir.join("bad.jsonl");
+    std::fs::write(&staged, "not a header\n").expect("write bad rotation");
+    let bad = watch.join("bad.jsonl");
+    std::fs::rename(&staged, &bad).expect("rotate bad file in");
+    let last_error = wait_until("last_error", || {
+        let (_, body) = http_get(&addr, "/status");
+        (!body.contains("\"last_error\":null")).then_some(body)
+    });
+    child.kill().expect("stop serve");
+    let out = child.wait_with_output().expect("serve exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+
+    let path = bad.display().to_string();
+    assert_eq!(last_error.matches(&path).count(), 1, "{last_error}");
+    assert_eq!(stderr.matches(&path).count(), 1, "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn serve_stdin_one_shot() {
     // --stdin and --dir are mutually arranged: missing both is an error,
