@@ -5,9 +5,7 @@
 //! times, select by KS statistic, and record the goodness of fit.
 
 use keddah_flowcap::Component;
-use keddah_stat::distributions::{Distribution, Empirical};
-use keddah_stat::fit::{fit_best, Candidate, FittedDist};
-use keddah_stat::ks::ks_one_sample;
+use keddah_stat::fit::{fit_best, fit_empirical, Candidate, FittedDist};
 
 use crate::dataset::{ComponentSample, Dataset};
 use crate::model::{
@@ -101,8 +99,7 @@ fn fit_with_fallback(
         };
         return Ok((report.dist, fit));
     }
-    let emp = Empirical::fit(samples).map_err(CoreError::Stat)?;
-    let ks = ks_one_sample(samples, |x| emp.cdf(x)).map_err(CoreError::Stat)?;
+    let (emp, ks) = fit_empirical(samples).map_err(CoreError::Stat)?;
     let fit = FitQuality {
         ks_statistic: ks.statistic,
         ks_p_value: ks.p_value,

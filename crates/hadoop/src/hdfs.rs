@@ -102,8 +102,7 @@ impl Hdfs {
     /// node-local if available, else rack-local, else a seeded-random
     /// replica. Returns `None` when the read is local (no network
     /// traffic).
-    #[must_use]
-    pub fn select_read_replica(
+    fn select_read_replica(
         &self,
         block: &Block,
         client: NodeId,
@@ -134,12 +133,12 @@ impl Hdfs {
     }
 
     /// Chooses the replica of `block` that serves a read on `reader`,
-    /// skipping replicas on `down` workers: the locality ladder of
-    /// [`select_read_replica`](Self::select_read_replica) (no draw when
-    /// the block is node-local), or with `uniform` a uniformly random
-    /// live replica (the data-grid access pattern, which may still land
-    /// on `reader` and read locally). `None` means the read is local, or
-    /// that no live replica is left.
+    /// skipping replicas on `down` workers: the locality ladder
+    /// (node-local with no draw, else rack-local, else a seeded-random
+    /// replica), or with `uniform` a uniformly random live replica (the
+    /// data-grid access pattern, which may still land on `reader` and
+    /// read locally). `None` means the read is local, or that no live
+    /// replica is left.
     #[must_use]
     pub fn select_live_replica(
         &self,

@@ -37,8 +37,6 @@
 //! A log where either can happen is assembled from its rendered packets
 //! instead, so traces never depend on which path built them.
 
-use std::collections::HashMap;
-
 use keddah_des::{Duration, EventQueue, SimTime};
 use keddah_flowcap::{ports, FiveTuple, FlowAssembler, FlowRecord, NodeId, PacketRecord};
 
@@ -221,8 +219,7 @@ impl ConnectionLog {
         for c in &self.connections {
             c.render(&mut packets);
         }
-        packets.sort_by_key(|p| p.ts);
-        packets
+        sort_by_time(packets)
     }
 
     /// The capture's flows, unlabelled and sorted by
@@ -270,11 +267,56 @@ impl ConnectionLog {
     }
 }
 
+/// Bits per digit of [`sort_by_time`]'s radix passes.
+const DIGIT_BITS: u32 = 8;
+
+/// `packets` in exactly the order `sort_by_key(|p| p.ts)` leaves them:
+/// by timestamp, and equal timestamps in their original order.
+///
+/// A stable LSD radix sort over the timestamp's nanoseconds, one pass
+/// per [`DIGIT_BITS`]-bit digit, least significant first, and only as
+/// many digits as the largest timestamp needs. Every digit's counts are
+/// taken in one read of the input.
+fn sort_by_time(packets: Vec<PacketRecord>) -> Vec<PacketRecord> {
+    const BUCKETS: usize = 1 << DIGIT_BITS;
+    let digit =
+        |p: &PacketRecord, d: u32| (p.ts.as_nanos() >> (d * DIGIT_BITS)) as usize & (BUCKETS - 1);
+    let max = packets.iter().map(|p| p.ts.as_nanos()).max().unwrap_or(0);
+    let digits = (u64::BITS - max.leading_zeros()).div_ceil(DIGIT_BITS);
+    let mut counts = vec![[0usize; BUCKETS]; digits as usize];
+    for p in &packets {
+        for (d, count) in (0..digits).zip(&mut counts) {
+            count[digit(p, d)] += 1;
+        }
+    }
+    let mut from = packets;
+    let mut to = from.clone();
+    for (d, count) in (0..digits).zip(&counts) {
+        let mut next = [0usize; BUCKETS];
+        let mut at = 0;
+        for (n, c) in next.iter_mut().zip(count) {
+            *n = at;
+            at += c;
+        }
+        for p in &from {
+            let b = digit(p, d);
+            to[next[b]] = *p;
+            next[b] += 1;
+        }
+        std::mem::swap(&mut from, &mut to);
+    }
+    from
+}
+
 /// The cluster network: transfer timing plus capture tap.
+///
+/// Per-node state is kept in tables indexed by node id, so a node's
+/// entry costs memory up to the highest id the model has seen.
 #[derive(Debug)]
 pub struct NetModel {
     nic_bps: f64,
-    active: HashMap<NodeId, u32>,
+    /// Transfers each node takes part in, indexed by node id.
+    active: Vec<u32>,
     /// Pending contention releases, on the shared DES queue: each entry
     /// fires when a transfer's endpoints stop counting as active.
     releases: EventQueue<(NodeId, NodeId)>,
@@ -293,7 +335,7 @@ impl NetModel {
         assert!(nic_bps > 0.0, "NIC rate must be positive");
         NetModel {
             nic_bps,
-            active: HashMap::new(),
+            active: Vec::new(),
             releases: EventQueue::new(),
             log: ConnectionLog::default(),
             ports: PortAllocator::new(),
@@ -306,11 +348,8 @@ impl NetModel {
         while self.releases.peek_time().is_some_and(|t| t <= now) {
             let (a, b) = self.releases.pop().expect("peeked release").event;
             for node in [a, b] {
-                if let Some(c) = self.active.get_mut(&node) {
+                if let Some(c) = self.active.get_mut(node.0 as usize) {
                     *c = c.saturating_sub(1);
-                    if *c == 0 {
-                        self.active.remove(&node);
-                    }
                 }
             }
         }
@@ -354,14 +393,18 @@ impl NetModel {
         payload: Payload,
     ) -> SimTime {
         self.expire(now);
-        let share_src = (*self.active.get(&client).unwrap_or(&0) + 1) as f64;
-        let share_dst = (*self.active.get(&server).unwrap_or(&0) + 1) as f64;
+        let (c, s) = (client.0 as usize, server.0 as usize);
+        if self.active.len() <= c.max(s) {
+            self.active.resize(c.max(s) + 1, 0);
+        }
+        let share_src = (self.active[c] + 1) as f64;
+        let share_dst = (self.active[s] + 1) as f64;
         let byte_rate = (self.nic_bps / 8.0) / share_src.max(share_dst);
         let xfer = Duration::from_secs_f64(bytes as f64 / byte_rate);
         let finish = now + SETUP_LATENCY + xfer;
 
-        *self.active.entry(client).or_insert(0) += 1;
-        *self.active.entry(server).or_insert(0) += 1;
+        self.active[c] += 1;
+        self.active[s] += 1;
         self.releases.push(finish, (client, server));
 
         let carried = Carried::Transfer(bytes, payload);
@@ -579,6 +622,51 @@ mod tests {
             assert!(w[0].ts <= w[1].ts);
         }
         assert_eq!(net.captured(), 0, "tap drained");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The radix order is the order `sort_by_key(|p| p.ts)` gives,
+        /// element for element. Timestamps take 1 to 8 digits: each is 0,
+        /// within 3 of the largest the digit count allows (`u64::MAX` at
+        /// 8), one of three values many connections share, or anything
+        /// in range. Every packet carries its input position, so moving
+        /// one of a group of equal timestamps shows.
+        #[test]
+        fn radix_order_is_the_stable_sort(
+            digits in 1u32..9,
+            draws in proptest::prelude::prop::collection::vec(
+                (0u32..4, proptest::prelude::any::<u64>()),
+                0..600,
+            ),
+        ) {
+            let top = u64::MAX >> (64 - DIGIT_BITS * digits);
+            let shared = [top / 3, top / 2, top - 1];
+            let packets: Vec<PacketRecord> = (draws.iter().enumerate())
+                .map(|(i, &(kind, x))| {
+                    let ts = match kind {
+                        0 => 0,
+                        1 => top - x % 4,
+                        2 => shared[(x % 3) as usize],
+                        _ => x & top,
+                    };
+                    // Three packets per connection, on five clients.
+                    let connection = (i / 3) as u16;
+                    PacketRecord::data(
+                        SimTime::from_nanos(ts),
+                        NodeId(u32::from(connection % 5)),
+                        connection,
+                        NodeId(0),
+                        ports::DATANODE_XFER,
+                        i as u64,
+                    )
+                })
+                .collect();
+            let mut want = packets.clone();
+            want.sort_by_key(|p| p.ts);
+            proptest::prop_assert_eq!(sort_by_time(packets), want);
+        }
     }
 
     /// What the assembler makes of the log's rendered packets: the

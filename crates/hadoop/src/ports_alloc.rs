@@ -1,7 +1,5 @@
 //! Ephemeral port allocation for simulated connections.
 
-use std::collections::HashMap;
-
 use keddah_flowcap::{ports, NodeId};
 
 /// Hands out ephemeral (client-side) ports per node, wrapping within the
@@ -14,7 +12,9 @@ use keddah_flowcap::{ports, NodeId};
 /// connections share a tuple, and each is one flow (`net` module docs).
 #[derive(Debug, Default)]
 pub struct PortAllocator {
-    next: HashMap<NodeId, u16>,
+    /// Each node's next port, indexed by node id; grows to the highest
+    /// node seen.
+    next: Vec<u16>,
 }
 
 impl PortAllocator {
@@ -27,7 +27,11 @@ impl PortAllocator {
 
     /// Returns the next ephemeral port for `node`.
     pub fn next(&mut self, node: NodeId) -> u16 {
-        let slot = self.next.entry(node).or_insert(ports::EPHEMERAL_BASE);
+        let i = node.0 as usize;
+        if self.next.len() <= i {
+            self.next.resize(i + 1, ports::EPHEMERAL_BASE);
+        }
+        let slot = &mut self.next[i];
         let port = *slot;
         *slot = if *slot == u16::MAX {
             ports::EPHEMERAL_BASE

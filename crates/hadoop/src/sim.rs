@@ -33,7 +33,7 @@
 //! [`StageSim`] that borrows it for the stage's span and adds only the
 //! stage's own task state.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 
 use keddah_des::{Duration, EventQueue, ScheduledEvent, SimTime};
 use keddah_faults::{FaultKind, FaultSpec};
@@ -672,7 +672,9 @@ struct StageSim<'j, 'a> {
     pending_reducers: Vec<usize>,
     reducers_released: bool,
     running_reducers: u32,
-    free_slots: HashMap<NodeId, u32>,
+    /// Free container slots, indexed by node id: 0 for the master and
+    /// for a dead worker, whose slots come back when it recovers.
+    free_slots: Vec<u32>,
     completed_maps: usize,
     completed_reducers: usize,
     output_blocks: Vec<Block>,
@@ -718,12 +720,10 @@ impl<'j, 'a> StageSim<'j, 'a> {
             })
             .collect();
         let pending_reducers: Vec<usize> = (0..reducers.len()).collect();
-        let free_slots = job
-            .cluster
-            .workers()
-            .filter(|w| !job.down.contains(w))
-            .map(|w| (w, job.config.slots_per_node))
-            .collect();
+        let mut free_slots = vec![0; job.cluster.node_count() as usize];
+        for w in job.cluster.workers().filter(|w| !job.down.contains(w)) {
+            free_slots[w.0 as usize] = job.config.slots_per_node;
+        }
         StageSim {
             job,
             stage,
@@ -835,7 +835,7 @@ impl<'j, 'a> StageSim<'j, 'a> {
         if !self.job.down.insert(n) {
             return;
         }
-        self.free_slots.remove(&n);
+        self.free_slots[n.0 as usize] = 0;
         // Kill running map attempts on the dead node. No blacklist and
         // no slot release: the node is gone, and losing a node is not
         // the task's fault.
@@ -917,7 +917,7 @@ impl<'j, 'a> StageSim<'j, 'a> {
         if !self.job.down.remove(&n) {
             return;
         }
-        self.free_slots.insert(n, self.job.config.slots_per_node);
+        self.free_slots[n.0 as usize] = self.job.config.slots_per_node;
         self.schedule_tasks(now, queue);
     }
 
@@ -930,8 +930,12 @@ impl<'j, 'a> StageSim<'j, 'a> {
         let cluster = self.job.cluster;
         // Pass 1: node-local maps. Each local candidate gets exactly one
         // scheduling opportunity per invocation; a missed roll defers it
-        // to the FIFO pass (delay-scheduling expiry).
+        // to the FIFO pass (delay-scheduling expiry). A full worker is
+        // skipped: its loop would stop before the first roll.
         for node in cluster.workers() {
+            if !self.slot_free(node) {
+                continue;
+            }
             let local: Vec<usize> = self
                 .pending_maps
                 .iter()
@@ -993,17 +997,17 @@ impl<'j, 'a> StageSim<'j, 'a> {
     }
 
     fn slot_free(&self, node: NodeId) -> bool {
-        self.free_slots.get(&node).copied().unwrap_or(0) > 0
+        self.free_slots[node.0 as usize] > 0
     }
 
     fn take_slot(&mut self, node: NodeId) {
-        let slots = self.free_slots.get_mut(&node).expect("known worker");
+        let slots = &mut self.free_slots[node.0 as usize];
         assert!(*slots > 0, "launching on a full node");
         *slots -= 1;
     }
 
     fn release_slot(&mut self, node: NodeId) {
-        *self.free_slots.get_mut(&node).expect("known worker") += 1;
+        self.free_slots[node.0 as usize] += 1;
     }
 
     fn launch_map(&mut self, m: usize, node: NodeId, now: SimTime, queue: &mut EventQueue<Event>) {

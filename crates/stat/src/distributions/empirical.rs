@@ -65,6 +65,12 @@ impl Empirical {
         }
         let mut sorted = samples.to_vec();
         sorted.sort_by(f64::total_cmp);
+        Ok(Empirical::from_sorted(&sorted, knots))
+    }
+
+    /// The table of `knots` (at least 2) quantile points of a non-empty
+    /// sample already sorted by `f64::total_cmp`.
+    pub(crate) fn from_sorted(sorted: &[f64], knots: usize) -> Self {
         let k = knots.min(sorted.len().max(2));
         let table: Vec<f64> = (0..k)
             .map(|i| {
@@ -76,10 +82,10 @@ impl Empirical {
                 sorted[lo] * (1.0 - frac) + sorted[hi] * frac
             })
             .collect();
-        Ok(Empirical {
+        Empirical {
             knots: table,
-            n: samples.len() as u64,
-        })
+            n: sorted.len() as u64,
+        }
     }
 
     /// The stored quantile knots.

@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 use crate::ad::ad_one_sample;
 use crate::distributions::{
     Distribution, Empirical, Exponential, Gamma, LogLogistic, LogNormal, Normal, Pareto, Uniform,
-    Weibull,
+    Weibull, DEFAULT_KNOTS,
 };
 use crate::ks::{ks_finish, ks_lower_bound, ks_result, ks_sorted, sorted_sample, KsResult};
 use crate::memo::{LogSample, TermMemo};
@@ -535,6 +535,23 @@ fn best_within(
     Ok(best.map(|(_, report)| report))
 }
 
+/// The empirical quantile-table model of `samples` with its one-sample
+/// KS test against the sample, both from one sorted copy: bit for bit
+/// [`Empirical::fit`] and [`ks_one_sample`](crate::ks::ks_one_sample)
+/// with the table's CDF, which sort a copy each.
+///
+/// # Errors
+///
+/// Returns [`StatError::EmptySample`] for an empty sample or
+/// [`StatError::InvalidParameter`] for a non-finite value, as
+/// [`Empirical::fit`] does.
+pub fn fit_empirical(samples: &[f64]) -> Result<(Empirical, KsResult)> {
+    let sorted = sorted_sample(samples)?;
+    let table = Empirical::from_sorted(&sorted, DEFAULT_KNOTS);
+    let ks = ks_result(ks_sorted(&sorted, &|x| table.cdf(x)), sorted.len());
+    Ok((table, ks))
+}
+
 /// Fits every candidate and selects by the given criterion.
 ///
 /// # Errors
@@ -846,6 +863,51 @@ mod tests {
         assert!(matches!(
             fit_best(&[-1.0, 2.0], Candidate::POSITIVE, 0.1),
             Err(StatError::NoConvergence(_))
+        ));
+    }
+
+    /// The one-sort empirical fit equals the table `Empirical::fit`
+    /// builds and the KS test `ks_one_sample` runs against it, by bits:
+    /// on block-sized sizes with ties, a constant sample, a two-value
+    /// sample, a single value, and tied values in arrival order.
+    #[test]
+    fn empirical_fit_matches_the_two_sort_path() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let block = 128.0 * 1024.0 * 1024.0;
+        let samples: Vec<Vec<f64>> = vec![
+            (0..3000)
+                .map(|i| {
+                    if i % 5 == 0 {
+                        rng.random_range(1.0..block)
+                    } else {
+                        block
+                    }
+                })
+                .collect(),
+            vec![900.0; 40],
+            (0..301).map(|i| [3.5, -2.0][i % 2]).collect(),
+            vec![7.25],
+            (0..1000).map(|i| f64::from((i * 37) % 11)).collect(),
+        ];
+        for xs in samples {
+            let (table, ks) = fit_empirical(&xs).unwrap();
+            let want = Empirical::fit(&xs).unwrap();
+            let want_ks = crate::ks::ks_one_sample(&xs, |x| want.cdf(x)).unwrap();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(table.knots()),
+                bits(want.knots()),
+                "{} values",
+                xs.len()
+            );
+            assert_eq!(table.sample_size(), want.sample_size());
+            assert_eq!(ks.statistic.to_bits(), want_ks.statistic.to_bits());
+            assert_eq!(ks.p_value.to_bits(), want_ks.p_value.to_bits());
+        }
+        assert!(matches!(fit_empirical(&[]), Err(StatError::EmptySample)));
+        assert!(matches!(
+            fit_empirical(&[1.0, f64::NAN]),
+            Err(StatError::InvalidParameter { name: "sample", .. })
         ));
     }
 
