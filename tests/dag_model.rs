@@ -79,6 +79,49 @@ fn new_workload_dags_run_end_to_end() {
     assert!(pig.counters.broadcast_bytes > 0);
 }
 
+/// FNV-1a, 64-bit.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Every workload's DAG, pinned by FNV-1a digests of its JSON and of its
+/// `keddah dag show` rendering: a stage name, selectivity, CPU factor,
+/// round count, edge kind or re-read flag that moves fails here, before
+/// any capture is compared. Re-pin only when a workload changes on
+/// purpose.
+#[test]
+fn every_workload_dag_is_pinned() {
+    let pins: [(Workload, u64, u64); 10] = [
+        (Workload::WordCount, 0xe22937ac978d87a5, 0xf9536a6b127faae5),
+        (Workload::TeraSort, 0x225fd0f34c83e684, 0xfc349b0a8f32a5fc),
+        (Workload::PageRank, 0x4625c33a63894b92, 0x684f7cf40c3091b3),
+        (Workload::KMeans, 0x55fc19a4fa5cd791, 0x4be4b31e3fb08e93),
+        (Workload::Bayes, 0x744ea669f969b1f5, 0x6855669e7d2cdec5),
+        (Workload::Grep, 0x0aa75da8e577b083, 0x5f8629dae3b6bced),
+        (Workload::TeraGen, 0x0b7f49c793933484, 0x20bc159bc03a8c8f),
+        (Workload::PigJoin, 0x656d9b80e02fc00d, 0x950da68b19639657),
+        (Workload::DataGrid, 0x21fffdb14b162b9b, 0x466a2efe54b0a6f0),
+        (Workload::TpcxHs, 0x5c7f030b3bd2f8da, 0xcedee81da80889fb),
+    ];
+    assert_eq!(
+        pins.iter().map(|p| p.0).collect::<Vec<_>>(),
+        Workload::ALL,
+        "one pin per workload, in ALL order"
+    );
+    for (w, json, render) in pins {
+        let dag = w.dag();
+        let got_json = fnv1a(
+            serde_json::to_string(&dag)
+                .expect("dag serializes")
+                .as_bytes(),
+        );
+        let got_render = fnv1a(dag.render().as_bytes());
+        assert_eq!((got_json, got_render), (json, render), "{w}");
+    }
+}
+
 // ---------------------------------------------------------------------
 // Byte conservation on random DAGs
 // ---------------------------------------------------------------------
