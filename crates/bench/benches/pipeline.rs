@@ -3,6 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use keddah_core::pipeline::Keddah;
+use keddah_core::validate::validate_model;
 use keddah_hadoop::{ClusterSpec, HadoopConfig, JobSpec, Workload};
 use std::hint::black_box;
 
@@ -28,7 +29,7 @@ fn bench_pipeline(c: &mut Criterion) {
     });
 
     group.bench_function("validate", |b| {
-        b.iter(|| Keddah::validate(black_box(&model), &traces, 2, 3).expect("validates"))
+        b.iter(|| validate_model(black_box(&model), &traces, 2, 3).expect("validates"))
     });
     group.finish();
 }

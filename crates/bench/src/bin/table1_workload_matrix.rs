@@ -1,6 +1,6 @@
 //! Table 1 \[R\]: the evaluation's workload matrix.
 //!
-//! Lists every job type with its data-flow profile and the sweep
+//! Lists every job type with its DAG's data-flow columns and the sweep
 //! dimensions of the capture campaign, plus one measured capture per
 //! workload at the reference point (2 GiB, 8 reducers, replication 3) to
 //! ground the matrix in observed traffic. The per-workload captures run
@@ -30,15 +30,17 @@ fn main() {
         .collect();
     let results = runner().run_matrix(&cells, jobs_from_env());
     for (cell, result) in cells.iter().zip(&results) {
-        let profile = cell.workload.profile();
+        // A paper workload's DAG is a chain of identical rounds.
+        let dag = cell.workload.dag();
+        let round = &dag.stages[0];
         let run = &result.runs[0];
         let maps_per_round = gib(2).div_ceil(config.block_bytes);
         println!(
             "{:<10} {:>8.2} {:>8.2} {:>6} {:>6} | {:>8} {:>12} {:>9.1}s",
             result.workload,
-            profile.map_selectivity,
-            profile.reduce_selectivity,
-            profile.iterations,
+            round.map_selectivity,
+            round.reduce_selectivity,
+            dag.stages.len(),
             maps_per_round,
             run.flows,
             fmt_bytes(run.bytes as f64),

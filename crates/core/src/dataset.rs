@@ -143,12 +143,6 @@ impl Dataset {
     pub fn component(&self, component: Component) -> Option<&ComponentSample> {
         self.components.get(&component)
     }
-
-    /// Mean makespan over runs, seconds.
-    #[must_use]
-    pub fn mean_makespan(&self) -> f64 {
-        self.makespans.iter().sum::<f64>() / self.makespans.len() as f64
-    }
 }
 
 #[cfg(test)]

@@ -113,7 +113,7 @@ impl ModelFamily {
     /// The anchor whose input size is closest (in log-space) to
     /// `input_bytes`.
     #[must_use]
-    pub fn nearest_anchor(&self, input_bytes: u64) -> &KeddahModel {
+    fn nearest_anchor(&self, input_bytes: u64) -> &KeddahModel {
         let target = (input_bytes.max(1) as f64).ln();
         self.anchors
             .iter()

@@ -90,6 +90,13 @@ pub enum CoreError {
         /// What was missing.
         what: &'static str,
     },
+    /// Traces of different workloads were pooled into one model.
+    MixedWorkloads {
+        /// The first trace's workload.
+        first: String,
+        /// The first workload that differs from it.
+        other: String,
+    },
     /// Replay target has fewer hosts than the traffic references.
     TopologyTooSmall {
         /// Hosts the traffic needs.
@@ -114,6 +121,10 @@ impl fmt::Display for CoreError {
         match self {
             CoreError::Stat(e) => write!(f, "statistics error: {e}"),
             CoreError::InsufficientData { what } => write!(f, "insufficient data: {what}"),
+            CoreError::MixedWorkloads { first, other } => write!(
+                f,
+                "traces mix workloads {first} and {other}; fit one workload at a time"
+            ),
             CoreError::TopologyTooSmall { needed, available } => write!(
                 f,
                 "topology too small: traffic references host {needed} but only {available} hosts exist"

@@ -7,15 +7,12 @@
 //! [`crate::replay::replay_faulted`].
 
 use keddah_flowcap::Trace;
-use keddah_hadoop::{
-    run_repeats, run_repeats_seeded, ClusterSpec, HadoopConfig, JobSpec, Workload,
-};
+use keddah_hadoop::{run_job, ClusterSpec, HadoopConfig, JobSpec};
 
 use crate::dataset::Dataset;
 use crate::fitting::fit_model;
 use crate::model::KeddahModel;
-use crate::validate::{validate_model, ValidationReport};
-use crate::Result;
+use crate::{CoreError, Result};
 
 /// The Keddah toolchain entry points.
 ///
@@ -26,6 +23,7 @@ use crate::Result;
 ///
 /// ```
 /// use keddah_core::pipeline::Keddah;
+/// use keddah_core::validate::validate_model;
 /// use keddah_hadoop::{ClusterSpec, HadoopConfig, JobSpec, Workload};
 ///
 /// let cluster = ClusterSpec::racks(2, 4);
@@ -33,7 +31,7 @@ use crate::Result;
 /// let job = JobSpec::new(Workload::TeraSort, 1 << 30);
 /// let traces = Keddah::capture(&cluster, &config, &job, 3, 42);
 /// let model = Keddah::fit(&traces).unwrap();
-/// let report = Keddah::validate(&model, &traces, 3, 7).unwrap();
+/// let report = validate_model(&model, &traces, 3, 7).unwrap();
 /// assert!(report.worst_ks() < 0.5);
 /// ```
 #[derive(Debug)]
@@ -41,7 +39,8 @@ pub struct Keddah;
 
 impl Keddah {
     /// Stage 1 — capture: runs `repeats` executions of `job` on the
-    /// simulated cluster and returns their classified traces.
+    /// simulated cluster, with seeds `seed_base..seed_base + repeats`,
+    /// and returns their classified traces.
     #[must_use]
     pub fn capture(
         cluster: &ClusterSpec,
@@ -50,85 +49,43 @@ impl Keddah {
         repeats: u32,
         seed_base: u64,
     ) -> Vec<Trace> {
-        run_repeats(cluster, config, job, seed_base, repeats)
-            .into_iter()
-            .map(|run| run.trace)
-            .collect()
-    }
-
-    /// Stage 1 variant taking an explicit seed stream: one capture per
-    /// seed, in order. This is how the experiment [`crate::runner`]
-    /// drives captures — its per-cell splitmix64 derivation hands each
-    /// cell a seed stream that is independent of matrix shape and worker
-    /// scheduling.
-    #[must_use]
-    pub fn capture_seeded(
-        cluster: &ClusterSpec,
-        config: &HadoopConfig,
-        job: &JobSpec,
-        seeds: &[u64],
-    ) -> Vec<Trace> {
-        run_repeats_seeded(cluster, config, job, seeds)
-            .into_iter()
-            .map(|run| run.trace)
+        (0..repeats)
+            .map(|i| run_job(cluster, config, job, seed_base + u64::from(i)).trace)
             .collect()
     }
 
     /// Stage 2 — model: pools the traces into a dataset and fits a
-    /// [`KeddahModel`].
+    /// [`KeddahModel`]. Stage 3, generation, lives on
+    /// [`KeddahModel::generate_job`], and stage 4, validation, is
+    /// [`crate::validate::validate_model`].
     ///
     /// # Errors
     ///
-    /// Propagates fitting errors (insufficient flows, degenerate
-    /// samples).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `traces` is empty or mixes workloads (see
-    /// [`Dataset::from_traces`]).
+    /// Returns [`CoreError::InsufficientData`] for an empty slice and
+    /// [`CoreError::MixedWorkloads`] for traces of more than one
+    /// workload, which would pool into a meaningless model. Propagates
+    /// fitting errors (insufficient flows, degenerate samples).
     pub fn fit(traces: &[Trace]) -> Result<KeddahModel> {
-        fit_model(&Dataset::from_traces(traces))
-    }
-
-    /// Convenience for single-trace fitting, asserting the workload for
-    /// the caller.
-    ///
-    /// # Errors
-    ///
-    /// As [`Keddah::fit`], plus an error if the trace's workload does not
-    /// match `workload`.
-    pub fn fit_single(trace: &Trace, workload: Workload) -> Result<KeddahModel> {
-        if trace.meta().workload != workload.name() {
-            return Err(crate::CoreError::Json(format!(
-                "trace is {}, expected {}",
-                trace.meta().workload,
-                workload.name()
-            )));
+        let first = traces.first().ok_or(CoreError::InsufficientData {
+            what: "fitting needs at least one capture trace",
+        })?;
+        let workload = &first.meta().workload;
+        if let Some(other) = traces.iter().find(|t| t.meta().workload != *workload) {
+            return Err(CoreError::MixedWorkloads {
+                first: workload.clone(),
+                other: other.meta().workload.clone(),
+            });
         }
-        Keddah::fit(std::slice::from_ref(trace))
-    }
-
-    /// Stage 4 — validate: regenerates jobs from the model and compares
-    /// against captures (stage 3, generation, lives on
-    /// [`KeddahModel::generate_job`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`validate_model`].
-    pub fn validate(
-        model: &KeddahModel,
-        traces: &[Trace],
-        generated_jobs: u32,
-        seed: u64,
-    ) -> Result<ValidationReport> {
-        validate_model(model, traces, generated_jobs, seed)
+        fit_model(&Dataset::from_traces(traces))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::validate::validate_model;
     use keddah_flowcap::Component;
+    use keddah_hadoop::Workload;
 
     fn testbed() -> (ClusterSpec, HadoopConfig, JobSpec) {
         (
@@ -152,7 +109,7 @@ mod tests {
         let generated = model.generate_job(9);
         assert!(!generated.flows.is_empty());
 
-        let report = Keddah::validate(&model, &traces, 3, 11).unwrap();
+        let report = validate_model(&model, &traces, 3, 11).unwrap();
         let shuffle = report.component(Component::Shuffle).unwrap();
         // Model trained on these traces: shapes should be close.
         assert!(shuffle.ks_statistic < 0.35, "KS = {}", shuffle.ks_statistic);
@@ -164,11 +121,25 @@ mod tests {
     }
 
     #[test]
-    fn fit_single_checks_workload() {
+    fn fit_rejects_no_traces() {
+        assert!(matches!(
+            Keddah::fit(&[]),
+            Err(CoreError::InsufficientData { .. })
+        ));
+    }
+
+    #[test]
+    fn fit_rejects_mixed_workloads_naming_both() {
         let (cluster, config, job) = testbed();
-        let traces = Keddah::capture(&cluster, &config, &job, 1, 5);
-        assert!(Keddah::fit_single(&traces[0], Workload::TeraSort).is_ok());
-        assert!(Keddah::fit_single(&traces[0], Workload::Grep).is_err());
+        let mut traces = Keddah::capture(&cluster, &config, &job, 1, 5);
+        let grep = JobSpec::new(Workload::Grep, 256 << 20);
+        traces.extend(Keddah::capture(&cluster, &config, &grep, 1, 5));
+        match Keddah::fit(&traces) {
+            Err(CoreError::MixedWorkloads { first, other }) => {
+                assert_eq!((first.as_str(), other.as_str()), ("terasort", "grep"));
+            }
+            other => panic!("expected MixedWorkloads, got {other:?}"),
+        }
     }
 
     #[test]

@@ -76,7 +76,7 @@ impl Slo {
     /// True when at least one objective is set; an unconstrained search
     /// simply ranks by p99.
     #[must_use]
-    pub fn is_constrained(&self) -> bool {
+    fn is_constrained(&self) -> bool {
         self.p99_secs.is_some() || self.max_core_util.is_some()
     }
 }
@@ -213,7 +213,7 @@ impl Candidate {
     /// Weighted mean input MiB per map slot — the work-pressure feature
     /// the surrogate predictors regress on.
     #[must_use]
-    pub fn work_per_slot_mib(&self, mix: &[MixJob]) -> f64 {
+    fn work_per_slot_mib(&self, mix: &[MixJob]) -> f64 {
         let weight: f64 = mix.iter().map(|m| m.weight).sum();
         let bytes: f64 = mix
             .iter()
@@ -265,7 +265,7 @@ impl Candidate {
 /// value whose cumulative weight reaches `p` of the total. Deterministic
 /// (ties sort by value via `total_cmp`; weights fold in sorted order).
 #[must_use]
-pub fn weighted_percentile(samples: &[(f64, f64)], p: f64) -> f64 {
+fn weighted_percentile(samples: &[(f64, f64)], p: f64) -> f64 {
     if samples.is_empty() {
         return f64::NAN;
     }
@@ -341,7 +341,7 @@ pub fn measure(candidate: &Candidate, mix: &[MixJob], results: &[CellResult]) ->
 /// hardware (p99 as a tiny tiebreak), and an unconstrained one simply
 /// prefers the fastest.
 #[must_use]
-pub fn slo_score(slo: &Slo, p99_secs: f64, core_util: f64, cost_units: f64) -> f64 {
+fn slo_score(slo: &Slo, p99_secs: f64, core_util: f64, cost_units: f64) -> f64 {
     let mut violation = 0.0;
     if let Some(cap) = slo.p99_secs {
         if p99_secs > cap {

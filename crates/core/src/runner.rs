@@ -37,7 +37,7 @@ use std::sync::Mutex;
 use std::thread;
 
 use keddah_flowcap::{Component, FlowRecord};
-use keddah_hadoop::{run_repeats_seeded, ClusterSpec, HadoopConfig, JobRun, JobSpec, Workload};
+use keddah_hadoop::{run_job, ClusterSpec, HadoopConfig, JobRun, JobSpec, Workload};
 use serde::{Deserialize, Serialize};
 
 use crate::dataset::Dataset;
@@ -119,7 +119,7 @@ impl MatrixCell {
     /// picks it up. Cells without a cluster override keep their
     /// historical seeds (`cluster_hash` is zero).
     #[must_use]
-    pub fn seed_for(&self, repeat: u32) -> u64 {
+    fn seed_for(&self, repeat: u32) -> u64 {
         derive_seed(
             self.workload,
             self.input_bytes,
@@ -156,7 +156,7 @@ impl MatrixCell {
 /// one splitmix64 step, so the final draw depends on every component
 /// non-linearly (flipping one input bit flips ~half the output bits).
 #[must_use]
-pub fn derive_seed(workload: Workload, input_bytes: u64, config_hash: u64, repeat: u32) -> u64 {
+fn derive_seed(workload: Workload, input_bytes: u64, config_hash: u64, repeat: u32) -> u64 {
     let mut state = fnv1a(workload.name().as_bytes());
     let mut out = 0u64;
     for component in [input_bytes, config_hash, u64::from(repeat)] {
@@ -171,7 +171,7 @@ pub fn derive_seed(workload: Workload, input_bytes: u64, config_hash: u64, repea
 /// stable across releases, which would silently re-seed every experiment
 /// on a toolchain bump).
 #[must_use]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
+fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
         hash ^= u64::from(b);
@@ -193,7 +193,7 @@ pub struct ComponentTotals {
 /// numbers the figures and tables consume. Traces themselves are not
 /// retained — a full matrix would hold gigabytes of flow records;
 /// experiments that need raw flows capture them directly via
-/// [`keddah_hadoop::run_repeats_seeded`].
+/// [`keddah_hadoop::run_job`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunSummary {
     /// The seed this run executed under.
@@ -429,17 +429,6 @@ pub struct BudgetedSweep {
     pub rounds: usize,
 }
 
-impl BudgetedSweep {
-    /// Indices of groups whose results are at full fidelity, in input
-    /// order — the only groups an honest ranking may compare.
-    #[must_use]
-    pub fn full_fidelity_groups(&self) -> Vec<usize> {
-        (0..self.groups.len())
-            .filter(|&i| self.groups[i].full_fidelity)
-            .collect()
-    }
-}
-
 /// Maps `f` over `items` on `jobs` scoped worker threads (clamped to at
 /// least 1 and at most one per item) and returns the results in `items`
 /// order. Workers pull the next unclaimed item from a shared cursor, so
@@ -592,7 +581,10 @@ impl Runner {
         cluster.validate().expect("invalid cell cluster override");
         let seeds = cell.seeds();
         let job = JobSpec::new(cell.workload, cell.input_bytes);
-        let runs = run_repeats_seeded(cluster, &cell.config, &job, &seeds);
+        let runs: Vec<JobRun> = seeds
+            .iter()
+            .map(|&seed| run_job(cluster, &cell.config, &job, seed))
+            .collect();
         let summaries: Vec<RunSummary> = runs
             .iter()
             .zip(&seeds)
@@ -961,7 +953,9 @@ mod tests {
         };
         let runner = Runner::new(ClusterSpec::racks(2, 2));
         let sweep = runner.run_budgeted(&groups, |_, r| mean_duration(r), &budget, 2);
-        let survivors = sweep.full_fidelity_groups();
+        let survivors: Vec<usize> = (0..sweep.groups.len())
+            .filter(|&g| sweep.groups[g].full_fidelity)
+            .collect();
         assert_eq!(survivors.len(), 2, "half eliminated after the probe");
         let eliminated = sweep
             .groups
@@ -1018,7 +1012,7 @@ mod tests {
         // Probe round costs 4; only one of the two survivors fits the
         // last execution slot, and the trim favours the better score.
         assert!(sweep.cell_runs == 5);
-        assert_eq!(sweep.full_fidelity_groups().len(), 1);
+        assert_eq!(sweep.groups.iter().filter(|g| g.full_fidelity).count(), 1);
     }
 
     #[test]

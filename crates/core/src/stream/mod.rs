@@ -399,12 +399,6 @@ impl StreamEngine {
         self.meta.as_ref()
     }
 
-    /// Connections currently open in the packet assembler.
-    #[must_use]
-    pub fn open_connections(&self) -> usize {
-        self.assembler.open()
-    }
-
     /// The effective options.
     #[must_use]
     pub fn options(&self) -> &StreamOptions {

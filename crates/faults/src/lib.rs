@@ -159,12 +159,6 @@ impl FaultClass {
             FaultClass::Partition => "partition",
         }
     }
-
-    /// Parses a label produced by [`FaultClass::label`].
-    #[must_use]
-    pub fn from_label(label: &str) -> Option<FaultClass> {
-        FaultClass::ALL.into_iter().find(|c| c.label() == label)
-    }
 }
 
 impl fmt::Display for FaultClass {
@@ -287,28 +281,6 @@ impl FaultSpec {
             }
         }
         Ok(())
-    }
-
-    /// The scenario class this spec represents: the class with the most
-    /// events (recoveries counting with their crash), ties broken by
-    /// canonical [`FaultClass`] order; [`FaultClass::None`] when empty.
-    ///
-    /// This is the ground-truth label the diagnose corpus attaches to a
-    /// generated cell.
-    #[must_use]
-    pub fn dominant_class(&self) -> FaultClass {
-        let mut counts = [0usize; FaultClass::ALL.len()];
-        for fault in &self.faults {
-            counts[fault.kind.class() as usize] += 1;
-        }
-        FaultClass::ALL
-            .into_iter()
-            .skip(1) // None never competes: any fault outranks it.
-            // max_by_key keeps the *last* max, so reverse the class in
-            // the key: ties go to the earliest class in canonical order.
-            .max_by_key(|c| (counts[*c as usize], std::cmp::Reverse(*c)))
-            .filter(|c| counts[*c as usize] > 0)
-            .unwrap_or(FaultClass::None)
     }
 
     /// Compiles the spec into a time-sorted [`FaultSchedule`]. Ties keep
@@ -654,11 +626,7 @@ mod tests {
     }
 
     #[test]
-    fn classes_round_trip_and_order_canonically() {
-        for class in FaultClass::ALL {
-            assert_eq!(FaultClass::from_label(class.label()), Some(class));
-        }
-        assert_eq!(FaultClass::from_label("gremlins"), None);
+    fn classes_order_canonically() {
         let mut sorted = FaultClass::ALL;
         sorted.sort();
         assert_eq!(sorted, FaultClass::ALL, "ALL is the canonical order");
@@ -667,35 +635,6 @@ mod tests {
             FaultKind::NodeRecover { node: 1 }.class(),
             FaultClass::NodeCrash
         );
-    }
-
-    #[test]
-    fn dominant_class_counts_and_breaks_ties_canonically() {
-        assert_eq!(FaultSpec::empty().dominant_class(), FaultClass::None);
-        let crash_with_recovery = FaultSpec {
-            faults: vec![
-                crash(5, 2),
-                TimedFault {
-                    at_nanos: 9,
-                    kind: FaultKind::NodeRecover { node: 2 },
-                },
-            ],
-        };
-        assert_eq!(crash_with_recovery.dominant_class(), FaultClass::NodeCrash);
-        // One of each: the tie goes to the earliest class in ALL.
-        let tie = FaultSpec {
-            faults: vec![
-                TimedFault {
-                    at_nanos: 3,
-                    kind: FaultKind::Partition { cut: vec![1] },
-                },
-                TimedFault {
-                    at_nanos: 1,
-                    kind: FaultKind::LinkDown { link: 0 },
-                },
-            ],
-        };
-        assert_eq!(tie.dominant_class(), FaultClass::LinkDown);
     }
 
     #[test]

@@ -197,13 +197,6 @@ impl FlowRecord {
             self.tuple.dst_port,
         )
     }
-
-    /// Returns a copy labelled with `component`.
-    #[must_use]
-    pub fn with_component(mut self, component: Component) -> FlowRecord {
-        self.component = Some(component);
-        self
-    }
 }
 
 impl std::fmt::Display for FlowRecord {
@@ -304,7 +297,10 @@ mod tests {
         assert_eq!(f.total_bytes(), 1000);
         assert_eq!(f.duration(), Duration::from_secs(2));
         assert!(!f.forward_dominant());
-        let labelled = f.with_component(Component::HdfsRead);
+        let labelled = FlowRecord {
+            component: Some(Component::HdfsRead),
+            ..f
+        };
         assert_eq!(labelled.component, Some(Component::HdfsRead));
         assert!(labelled.to_string().contains("hdfs_read"));
     }

@@ -51,7 +51,7 @@ impl TrafficMatrix {
 
     /// Bytes sent per node (row sums).
     #[must_use]
-    pub fn tx_by_node(&self) -> BTreeMap<NodeId, u64> {
+    fn tx_by_node(&self) -> BTreeMap<NodeId, u64> {
         let mut out = BTreeMap::new();
         for (&(src, _), &bytes) in &self.cells {
             *out.entry(src).or_insert(0) += bytes;
@@ -61,7 +61,7 @@ impl TrafficMatrix {
 
     /// Bytes received per node (column sums).
     #[must_use]
-    pub fn rx_by_node(&self) -> BTreeMap<NodeId, u64> {
+    fn rx_by_node(&self) -> BTreeMap<NodeId, u64> {
         let mut out = BTreeMap::new();
         for (&(_, dst), &bytes) in &self.cells {
             *out.entry(dst).or_insert(0) += bytes;

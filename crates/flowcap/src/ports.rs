@@ -73,12 +73,6 @@ pub fn is_control_port(port: u16) -> bool {
     )
 }
 
-/// Returns true if `port` is a well-known (non-ephemeral) Hadoop port.
-#[must_use]
-pub fn is_hadoop_port(port: u16) -> bool {
-    port == DATANODE_XFER || port == SHUFFLE || port == BROADCAST || is_control_port(port)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,7 +90,6 @@ mod tests {
             AM_UMBILICAL,
         ] {
             assert!(is_control_port(p), "{p} should be control");
-            assert!(is_hadoop_port(p));
         }
     }
 
@@ -105,14 +98,5 @@ mod tests {
         assert!(!is_control_port(DATANODE_XFER));
         assert!(!is_control_port(SHUFFLE));
         assert!(!is_control_port(BROADCAST));
-        assert!(is_hadoop_port(DATANODE_XFER));
-        assert!(is_hadoop_port(SHUFFLE));
-        assert!(is_hadoop_port(BROADCAST));
-    }
-
-    #[test]
-    fn ephemeral_ports_are_unknown() {
-        assert!(!is_hadoop_port(EPHEMERAL_BASE));
-        assert!(!is_hadoop_port(EPHEMERAL_BASE + 100));
     }
 }

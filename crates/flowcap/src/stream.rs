@@ -447,16 +447,6 @@ impl StreamAssembler {
         self.drain()
     }
 
-    /// Advances the stream clock to `now` (if later than anything seen)
-    /// and evicts connections that have idled past the timeout. Lets a
-    /// daemon expire flows during quiet periods with no packet arrivals.
-    pub fn advance_clock(&mut self, now: SimTime) {
-        if now > self.clock {
-            self.clock = now;
-        }
-        self.sweep_idle();
-    }
-
     /// Evicts from the cold end while the last-touch gap exceeds the idle
     /// timeout. The ring is ordered by `touched`, so stopping at the first
     /// warm entry is exact.
@@ -725,23 +715,6 @@ mod tests {
         assert_eq!(flows[0].fwd_bytes, 150);
         assert_eq!(flows[0].rev_bytes, 25);
         assert_eq!((flows[0].start, flows[0].end), (t(4), t(10)));
-    }
-
-    #[test]
-    fn advance_clock_expires_quiet_flows() {
-        let cfg = StreamConfig {
-            idle_timeout: Duration::from_secs(1),
-            max_active: 8,
-        };
-        let mut asm = StreamAssembler::with_config(cfg);
-        asm.push(PacketRecord::data(t(0), NodeId(0), 1, NodeId(1), 2, 9));
-        assert_eq!(asm.open(), 1);
-        asm.advance_clock(t(5_000));
-        assert_eq!(asm.open(), 0);
-        let flows = asm.drain();
-        assert_eq!(flows.len(), 1);
-        assert_eq!(flows[0].fwd_bytes, 9);
-        assert_eq!(asm.stats().evicted_idle, 1);
     }
 
     #[test]

@@ -94,8 +94,8 @@ pub struct DagEdge {
 /// One stage of the DAG: a map wave over the stage's input, optionally
 /// followed by a shuffle into reducers, ending in an HDFS output write.
 ///
-/// The fields mirror [`crate::WorkloadProfile`] — a legacy workload's
-/// round *is* a stage — so the task-level simulator runs unchanged.
+/// A paper workload's MapReduce round *is* a stage; an iterative one
+/// chains several ([`JobDag::chain`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StageSpec {
     /// Stage name, shown by `keddah dag show` (e.g. `"join"`).

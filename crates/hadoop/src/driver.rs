@@ -222,41 +222,6 @@ pub fn run_session(
     (session, log)
 }
 
-/// Runs the same job `repeats` times with seeds `seed_base..seed_base +
-/// repeats`, as the paper repeats each configuration to gather enough
-/// flows per component.
-#[must_use]
-pub fn run_repeats(
-    cluster: &ClusterSpec,
-    config: &HadoopConfig,
-    job: &JobSpec,
-    seed_base: u64,
-    repeats: u32,
-) -> Vec<JobRun> {
-    let seeds: Vec<u64> = (0..repeats).map(|i| seed_base + u64::from(i)).collect();
-    run_repeats_seeded(cluster, config, job, &seeds)
-}
-
-/// Runs the same job once per seed in `seeds`, in order.
-///
-/// The seed-stream form of [`run_repeats`]: callers that derive their
-/// seeds (e.g. the experiment runner's per-cell splitmix64 streams)
-/// control exactly which runs are produced, and the output is a pure
-/// function of `(cluster, config, job, seeds)` — independent of who
-/// calls it or in what larger context.
-#[must_use]
-pub fn run_repeats_seeded(
-    cluster: &ClusterSpec,
-    config: &HadoopConfig,
-    job: &JobSpec,
-    seeds: &[u64],
-) -> Vec<JobRun> {
-    seeds
-        .iter()
-        .map(|&seed| run_job(cluster, config, job, seed))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -307,39 +272,6 @@ mod tests {
             .map(|f| f.rev_bytes)
             .sum();
         assert_eq!(read_captured, run.counters.hdfs_read_bytes);
-    }
-
-    #[test]
-    fn repeats_vary_by_seed() {
-        let runs = run_repeats(
-            &ClusterSpec::racks(2, 2),
-            &HadoopConfig::default().with_reducers(4),
-            &JobSpec::new(Workload::Grep, 256 << 20),
-            100,
-            3,
-        );
-        assert_eq!(runs.len(), 3);
-        assert_ne!(runs[0].duration, runs[1].duration);
-        assert_eq!(runs[0].trace.meta().seed, 100);
-        assert_eq!(runs[2].trace.meta().seed, 102);
-    }
-
-    #[test]
-    fn seeded_repeats_match_contiguous_repeats() {
-        let cluster = ClusterSpec::racks(2, 2);
-        let config = HadoopConfig::default().with_reducers(2);
-        let job = JobSpec::new(Workload::WordCount, 256 << 20);
-        let contiguous = run_repeats(&cluster, &config, &job, 50, 2);
-        let seeded = run_repeats_seeded(&cluster, &config, &job, &[50, 51]);
-        assert_eq!(contiguous.len(), seeded.len());
-        for (a, b) in contiguous.iter().zip(&seeded) {
-            assert_eq!(a.trace, b.trace);
-            assert_eq!(a.duration, b.duration);
-        }
-        // Arbitrary (non-contiguous) seed streams work too.
-        let sparse = run_repeats_seeded(&cluster, &config, &job, &[51, 7]);
-        assert_eq!(sparse[0].trace, seeded[1].trace);
-        assert_eq!(sparse[1].trace.meta().seed, 7);
     }
 
     #[test]

@@ -49,13 +49,10 @@ mod workload;
 pub use cluster::ClusterSpec;
 pub use config::HadoopConfig;
 pub use dag::{DagEdge, EdgeSource, JobDag, StageSpec, TransferKind};
-pub use driver::{
-    run_dag, run_job, run_job_with_packets, run_repeats, run_repeats_seeded, run_session, JobRun,
-    SessionRun,
-};
+pub use driver::{run_dag, run_job, run_job_with_packets, run_session, JobRun, SessionRun};
 pub use net::ConnectionLog;
 pub use sim::{JobCounters, StageStats};
-pub use workload::{JobSpec, Workload, WorkloadProfile};
+pub use workload::{JobSpec, Workload};
 
 use std::fmt;
 

@@ -930,53 +930,22 @@ impl<'j, 'a> StageSim<'j, 'a> {
         let cluster = self.job.cluster;
         // Pass 1: node-local maps. Each local candidate gets exactly one
         // scheduling opportunity per invocation; a missed roll defers it
-        // to the FIFO pass (delay-scheduling expiry). A full worker is
-        // skipped: its loop would stop before the first roll.
+        // to the FIFO pass (delay-scheduling expiry).
         for node in cluster.workers() {
-            if !self.slot_free(node) {
-                continue;
-            }
-            let local: Vec<usize> = self
-                .pending_maps
-                .iter()
-                .copied()
-                .filter(|&m| {
-                    self.maps[m].block.replicas.contains(&node)
-                        && !self.maps[m].blacklist.contains(&node)
-                })
-                .collect();
-            for m in local {
-                if !self.slot_free(node) {
-                    break;
-                }
-                if self.job.rng.random::<f64>() < self.job.config.locality_miss {
-                    continue; // opportunity missed; falls to pass 2
-                }
-                let pos = self
-                    .pending_maps
-                    .iter()
-                    .position(|&x| x == m)
-                    .expect("candidate is pending");
-                self.pending_maps.remove(pos);
-                self.launch_map(m, node, now, queue);
-            }
+            self.launch_pending_maps(node, now, queue, |sim, m| {
+                let map = &sim.maps[m];
+                map.block.replicas.contains(&node)
+                    && !map.blacklist.contains(&node)
+                    && sim.job.rng.random::<f64>() >= sim.job.config.locality_miss
+            });
         }
-        // Pass 2: FIFO — the first pending map not blacklisted on the
-        // node goes to the first node with a free slot, locality or not
-        // (replica selection at read time still prefers a rack-local
-        // source).
+        // Pass 2: FIFO — pending maps not blacklisted on the node go to
+        // the first node with a free slot, locality or not (replica
+        // selection at read time still prefers a rack-local source).
         for node in cluster.workers() {
-            while self.slot_free(node) {
-                let Some(pos) = self
-                    .pending_maps
-                    .iter()
-                    .position(|&m| !self.maps[m].blacklist.contains(&node))
-                else {
-                    break;
-                };
-                let m = self.pending_maps.remove(pos);
-                self.launch_map(m, node, now, queue);
-            }
+            self.launch_pending_maps(node, now, queue, |sim, m| {
+                !sim.maps[m].blacklist.contains(&node)
+            });
         }
         // Pass 3: reducers (after slow-start), capped at half the cluster
         // slots while maps are still pending so maps keep priority.
@@ -994,6 +963,33 @@ impl<'j, 'a> StageSim<'j, 'a> {
                 }
             }
         }
+    }
+
+    /// Walks the pending maps once, in FIFO order, launching on `node`
+    /// each map `accept` takes while the node has a free slot; the rest
+    /// stay pending, in order. `accept` is not called once the node is
+    /// full, so a full node draws no locality roll.
+    fn launch_pending_maps(
+        &mut self,
+        node: NodeId,
+        now: SimTime,
+        queue: &mut EventQueue<Event>,
+        mut accept: impl FnMut(&mut Self, usize) -> bool,
+    ) {
+        // In place: the maps kept so far sit in `pending_maps[..kept]`,
+        // the unvisited ones from `next` on.
+        let (mut kept, mut next) = (0, 0);
+        while next < self.pending_maps.len() && self.slot_free(node) {
+            let m = self.pending_maps[next];
+            next += 1;
+            if accept(self, m) {
+                self.launch_map(m, node, now, queue);
+            } else {
+                self.pending_maps[kept] = m;
+                kept += 1;
+            }
+        }
+        self.pending_maps.drain(kept..next);
     }
 
     fn slot_free(&self, node: NodeId) -> bool {

@@ -1,12 +1,12 @@
-//! MapReduce workload profiles.
+//! MapReduce workloads.
 //!
 //! Keddah characterizes traffic per *job type* because the data-flow
 //! selectivities differ by orders of magnitude between, say, a TeraSort
-//! (shuffles its whole input) and a Grep (shuffles almost nothing). The
-//! profiles below encode each HiBench-style workload's map/reduce
-//! selectivity, iteration count and relative CPU intensity; they are the
-//! simulator's substitute for running the real programs on real inputs
-//! (see DESIGN.md, "Substitutions").
+//! (shuffles its whole input) and a Grep (shuffles almost nothing). Each
+//! workload's [`JobDag`] encodes its map/reduce selectivities, round
+//! count and relative CPU intensity; the DAGs are the simulator's
+//! substitute for running the real programs on real inputs (see
+//! DESIGN.md, "Substitutions").
 
 use serde::{Deserialize, Serialize};
 
@@ -44,28 +44,6 @@ pub enum Workload {
     /// TPCx-HS benchmark preset: teragen→terasort→teravalidate as one
     /// DAG, the full benchmark run as a single job.
     TpcxHs,
-}
-
-/// The data-flow characteristics of a workload.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct WorkloadProfile {
-    /// Map output bytes per input byte (after any combiner).
-    pub map_selectivity: f64,
-    /// Job output bytes per byte of reduce input.
-    pub reduce_selectivity: f64,
-    /// Number of chained MapReduce rounds (1 for single-pass jobs).
-    pub iterations: u32,
-    /// Relative CPU cost multiplier applied to processing rates
-    /// (1.0 = I/O-bound baseline; higher = more compute per byte).
-    pub cpu_factor: f64,
-    /// For multi-round jobs: whether each round re-reads the original
-    /// input (KMeans scans the dataset every iteration) or consumes the
-    /// previous round's output (PageRank chains rank tables).
-    pub reread_input: bool,
-    /// Map-only job: maps synthesize their output locally (no HDFS
-    /// reads, no shuffle, no reducers) and write it through replication
-    /// pipelines. TeraGen-style ingest.
-    pub map_only: bool,
 }
 
 impl Workload {
@@ -123,114 +101,38 @@ impl Workload {
         Workload::ALL.iter().copied().find(|w| w.name() == name)
     }
 
-    /// The workload's data-flow profile.
-    ///
-    /// Selectivities follow the qualitative behaviour reported for the
-    /// HiBench implementations of these jobs: TeraSort moves ~all input
-    /// through the shuffle; WordCount's combiner collapses it to ~20%;
-    /// Grep emits almost nothing; the iterative jobs repeat per-round
-    /// traffic on a near-constant working set.
-    #[must_use]
-    pub fn profile(self) -> WorkloadProfile {
-        match self {
-            Workload::WordCount => WorkloadProfile {
-                map_selectivity: 0.20,
-                reduce_selectivity: 0.45,
-                iterations: 1,
-                cpu_factor: 1.4,
-                reread_input: false,
-                map_only: false,
-            },
-            Workload::TeraSort => WorkloadProfile {
-                map_selectivity: 1.0,
-                reduce_selectivity: 1.0,
-                iterations: 1,
-                cpu_factor: 1.0,
-                reread_input: false,
-                map_only: false,
-            },
-            Workload::PageRank => WorkloadProfile {
-                map_selectivity: 0.9,
-                reduce_selectivity: 0.95,
-                iterations: 3,
-                cpu_factor: 1.2,
-                reread_input: false,
-                map_only: false,
-            },
-            Workload::KMeans => WorkloadProfile {
-                map_selectivity: 0.02,
-                reduce_selectivity: 0.5,
-                iterations: 3,
-                cpu_factor: 2.5,
-                reread_input: true,
-                map_only: false,
-            },
-            Workload::Bayes => WorkloadProfile {
-                map_selectivity: 0.35,
-                reduce_selectivity: 0.3,
-                iterations: 1,
-                cpu_factor: 1.8,
-                reread_input: false,
-                map_only: false,
-            },
-            Workload::Grep => WorkloadProfile {
-                map_selectivity: 0.01,
-                reduce_selectivity: 1.0,
-                iterations: 1,
-                cpu_factor: 0.8,
-                reread_input: false,
-                map_only: false,
-            },
-            Workload::TeraGen => WorkloadProfile {
-                map_selectivity: 1.0,
-                reduce_selectivity: 1.0,
-                iterations: 1,
-                cpu_factor: 0.4,
-                reread_input: false,
-                map_only: true,
-            },
-            // The DAG-native workloads keep a descriptive single-stage
-            // profile (their end-to-end selectivity and dominant cost)
-            // for table rows; their execution shape comes from
-            // [`Workload::dag`], not from these fields.
-            Workload::PigJoin => WorkloadProfile {
-                map_selectivity: 0.35,
-                reduce_selectivity: 0.7,
-                iterations: 1,
-                cpu_factor: 1.3,
-                reread_input: false,
-                map_only: false,
-            },
-            Workload::DataGrid => WorkloadProfile {
-                map_selectivity: 0.05,
-                reduce_selectivity: 1.0,
-                iterations: 1,
-                cpu_factor: 2.0,
-                reread_input: false,
-                map_only: true,
-            },
-            Workload::TpcxHs => WorkloadProfile {
-                map_selectivity: 1.0,
-                reduce_selectivity: 1.0,
-                iterations: 1,
-                cpu_factor: 1.0,
-                reread_input: false,
-                map_only: false,
-            },
-        }
-    }
-
     /// The workload's execution plan as a [`JobDag`].
     ///
-    /// The paper's seven workloads are degenerate DAGs — a chain of
-    /// `iterations` identical stages built from [`profile`](Self::profile)
-    /// — and run byte-identically to the pre-DAG engine. The DAG-native
-    /// families have bespoke stage graphs.
+    /// The paper's seven workloads are degenerate DAGs: a
+    /// [`JobDag::chain`] of identical rounds, one [`StageSpec`] each.
+    /// Their selectivities follow the qualitative behaviour reported for
+    /// the HiBench implementations of these jobs: TeraSort moves ~all
+    /// input through the shuffle; WordCount's combiner collapses it to
+    /// ~20%; Grep emits almost nothing; the iterative jobs repeat
+    /// per-round traffic on a near-constant working set, KMeans
+    /// re-reading its dataset every round while PageRank chains rank
+    /// tables. TeraGen is map-only: its maps synthesize their output and
+    /// write it through replication pipelines. The DAG-native families
+    /// have bespoke stage graphs.
     #[must_use]
     pub fn dag(self) -> JobDag {
+        let name = self.name();
+        let map_reduce = |map_sel, reduce_sel, cpu, rounds, reread_input| {
+            let stage = StageSpec::map_reduce(name, map_sel, reduce_sel, cpu);
+            JobDag::chain(name, &stage, rounds, reread_input)
+        };
         match self {
+            Workload::WordCount => map_reduce(0.20, 0.45, 1.4, 1, false),
+            Workload::TeraSort => map_reduce(1.0, 1.0, 1.0, 1, false),
+            Workload::PageRank => map_reduce(0.9, 0.95, 1.2, 3, false),
+            Workload::KMeans => map_reduce(0.02, 0.5, 2.5, 3, true),
+            Workload::Bayes => map_reduce(0.35, 0.3, 1.8, 1, false),
+            Workload::Grep => map_reduce(0.01, 1.0, 0.8, 1, false),
+            Workload::TeraGen => {
+                JobDag::chain(name, &StageSpec::map_only(name, 1.0, 0.4), 1, false)
+            }
             Workload::PigJoin => JobDag {
-                name: self.name().to_string(),
+                name: name.to_string(),
                 stages: vec![
                     StageSpec::map_only("load_left", 0.35, 1.0),
                     StageSpec::map_only("load_right", 1.0, 0.6),
@@ -283,12 +185,12 @@ impl Workload {
                 ],
             },
             Workload::DataGrid => JobDag::single(
-                self.name(),
+                name,
                 StageSpec::map_only("analysis", 0.05, 2.0),
                 TransferKind::RemoteRead,
             ),
             Workload::TpcxHs => JobDag {
-                name: self.name().to_string(),
+                name: name.to_string(),
                 stages: vec![
                     StageSpec::map_only("teragen", 1.0, 0.4),
                     StageSpec::map_reduce("terasort", 1.0, 1.0, 1.0),
@@ -316,17 +218,6 @@ impl Workload {
                     },
                 ],
             },
-            _ => {
-                let p = self.profile();
-                let stage = StageSpec {
-                    name: self.name().to_string(),
-                    map_selectivity: p.map_selectivity,
-                    reduce_selectivity: p.reduce_selectivity,
-                    cpu_factor: p.cpu_factor,
-                    map_only: p.map_only,
-                };
-                JobDag::chain(self.name(), &stage, p.iterations, p.reread_input)
-            }
         }
     }
 }
@@ -382,46 +273,48 @@ mod tests {
     }
 
     #[test]
-    fn profiles_are_sane() {
+    fn stages_are_sane() {
         for &w in Workload::ALL {
-            let p = w.profile();
-            assert!(p.map_selectivity > 0.0 && p.map_selectivity <= 2.0, "{w}");
-            assert!(
-                p.reduce_selectivity > 0.0 && p.reduce_selectivity <= 2.0,
-                "{w}"
-            );
-            assert!(p.iterations >= 1, "{w}");
-            assert!(p.cpu_factor > 0.0, "{w}");
+            let dag = w.dag();
+            assert!(!dag.stages.is_empty(), "{w}");
+            for s in &dag.stages {
+                assert!(s.map_selectivity > 0.0 && s.map_selectivity <= 2.0, "{w}");
+                assert!(
+                    s.reduce_selectivity > 0.0 && s.reduce_selectivity <= 2.0,
+                    "{w}"
+                );
+                assert!(s.cpu_factor > 0.0, "{w}");
+            }
         }
     }
 
     #[test]
     fn terasort_is_shuffle_heaviest() {
-        let ts = Workload::TeraSort.profile().map_selectivity;
+        let ts = Workload::TeraSort.dag().stages[0].map_selectivity;
         for &w in Workload::ALL {
-            assert!(w.profile().map_selectivity <= ts, "{w}");
+            for s in &w.dag().stages {
+                assert!(s.map_selectivity <= ts, "{w}");
+            }
         }
     }
 
     #[test]
     fn iterative_jobs_iterate() {
-        assert!(Workload::PageRank.profile().iterations > 1);
-        assert!(Workload::KMeans.profile().iterations > 1);
-        assert_eq!(Workload::TeraSort.profile().iterations, 1);
+        assert_eq!(Workload::PageRank.dag().stages.len(), 3);
+        assert_eq!(Workload::KMeans.dag().stages.len(), 3);
+        assert_eq!(Workload::TeraSort.dag().stages.len(), 1);
         // KMeans rescans its dataset; PageRank chains outputs.
-        assert!(Workload::KMeans.profile().reread_input);
-        assert!(!Workload::PageRank.profile().reread_input);
-    }
-
-    #[test]
-    fn map_only_profiles_are_the_expected_ones() {
-        for &w in Workload::ALL {
-            assert_eq!(
-                w.profile().map_only,
-                matches!(w, Workload::TeraGen | Workload::DataGrid),
-                "{w}"
-            );
-        }
+        let from =
+            |w: Workload| -> Vec<EdgeSource> { w.dag().edges.iter().map(|e| e.from).collect() };
+        assert_eq!(from(Workload::KMeans), vec![EdgeSource::JobInput; 3]);
+        assert_eq!(
+            from(Workload::PageRank),
+            vec![
+                EdgeSource::JobInput,
+                EdgeSource::Stage(0),
+                EdgeSource::Stage(1)
+            ]
+        );
     }
 
     #[test]
@@ -439,14 +332,31 @@ mod tests {
     }
 
     #[test]
-    fn legacy_dags_are_degenerate_chains() {
+    fn paper_dags_are_chains_of_one_round() {
         for &w in Workload::PAPER {
-            let p = w.profile();
             let dag = w.dag();
-            assert_eq!(dag.stages.len(), p.iterations as usize, "{w}");
+            let round = &dag.stages[0];
+            for s in &dag.stages {
+                assert_eq!(
+                    (
+                        s.map_selectivity,
+                        s.reduce_selectivity,
+                        s.cpu_factor,
+                        s.map_only
+                    ),
+                    (
+                        round.map_selectivity,
+                        round.reduce_selectivity,
+                        round.cpu_factor,
+                        round.map_only
+                    ),
+                    "{w}: every round is the same stage"
+                );
+            }
+            assert_eq!(dag.edges.len(), dag.stages.len(), "{w}: one feed per round");
             assert!(
                 dag.edges.iter().all(|e| e.selectivity == 1.0),
-                "{w}: legacy edges never scale bytes"
+                "{w}: paper edges never scale bytes"
             );
         }
     }

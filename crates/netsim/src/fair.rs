@@ -272,8 +272,6 @@ pub struct FairShareState {
     /// `busy_pos[l]` is busy link `l`'s index in it.
     busy: Vec<u32>,
     busy_pos: Vec<u32>,
-    /// Active member flows (weights summed), local (link-less) included.
-    active: usize,
     /// Active *entries* (not members) that traverse at least one link —
     /// the giant's fraction denominator.
     active_on_links: usize,
@@ -323,7 +321,6 @@ impl FairShareState {
             load: vec![0; n_links],
             busy: Vec::new(),
             busy_pos: vec![0; n_links],
-            active: 0,
             active_on_links: 0,
             giant: None,
             unmeasured: 0,
@@ -393,7 +390,6 @@ impl FairShareState {
             self.flow_mark.push(0);
             (self.slots.len() - 1) as u32
         };
-        self.active += weight as usize;
         if links.is_empty() {
             self.rates[id as usize] = self.local_bps;
             return FairFlowId(id);
@@ -433,7 +429,6 @@ impl FairShareState {
         );
         assert!(dw > 0, "weight delta must be positive");
         self.slots[slot].weight += dw;
-        self.active += dw as usize;
         for &l in &self.slots[slot].links {
             self.load[l as usize] += dw;
         }
@@ -466,7 +461,6 @@ impl FairShareState {
             "sub_weight({dw}) must leave at least one of {w} members"
         );
         self.slots[slot].weight = w - dw;
-        self.active -= dw as usize;
         for &l in &self.slots[slot].links {
             self.load[l as usize] -= dw;
         }
@@ -512,7 +506,6 @@ impl FairShareState {
         self.slots[slot].alive = false;
         self.slots[slot].weight = 0;
         self.rates[slot] = 0.0;
-        self.active -= w as usize;
         self.free.push(id.0);
         if self.slots[slot].links.is_empty() {
             return;
@@ -614,12 +607,6 @@ impl FairShareState {
             .filter(|(_, s)| s.alive)
             .map(|(i, _)| (FairFlowId(i as u32), self.rates[i]))
             .collect()
-    }
-
-    /// Number of active member flows (weights summed, local included).
-    #[must_use]
-    pub fn active_flows(&self) -> usize {
-        self.active
     }
 
     /// Total solves performed, whole-set solves included.
@@ -1113,12 +1100,10 @@ mod tests {
     }
 
     #[test]
-    fn state_reuses_slots_and_tracks_active() {
+    fn state_reuses_slots() {
         let mut state = FairShareState::new(vec![5.0], 1.0);
         let a = state.insert_flow(&[0]);
-        assert_eq!(state.active_flows(), 1);
         state.remove_flow(a);
-        assert_eq!(state.active_flows(), 0);
         let b = state.insert_flow(&[0]);
         assert_eq!(b, a, "freed slot is recycled");
         assert_eq!(state.rates(), vec![(b, 5.0)]);
@@ -1263,7 +1248,6 @@ mod tests {
             members.push(single.insert_flow(&[0, 1]));
         }
         assert_eq!(grouped.weight(b), 5);
-        assert_eq!(grouped.active_flows(), 6);
         assert_eq!(grouped.rate(b), single.rate(members[0]));
         assert_eq!(grouped.rate(lone_g), single.rate(lone_s));
 
@@ -1278,7 +1262,6 @@ mod tests {
         grouped.remove_flow(b);
         single.remove_flow(members[0]);
         assert_eq!(grouped.rate(lone_g), single.rate(lone_s));
-        assert_eq!(grouped.active_flows(), 1);
     }
 
     #[test]

@@ -69,8 +69,8 @@ impl<'a> RouteCache<'a> {
     }
 
     /// Number of destinations whose distance table is cached.
-    #[must_use]
-    pub fn cached_destinations(&self) -> usize {
+    #[cfg(test)]
+    fn cached_destinations(&self) -> usize {
         self.distances.len()
     }
 

@@ -105,22 +105,25 @@ impl FlowResult {
     }
 }
 
+/// Fixed propagation/startup latency added to every flow.
+const PROPAGATION: Duration = Duration::from_micros(100);
+
+/// Rate allotted to host-local flows (loopback), bits/s.
+const LOCAL_BPS: f64 = 10e9;
+
 /// Simulation knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimOptions {
-    /// Fixed propagation/startup latency added to every flow.
-    pub propagation: Duration,
     /// Flows strictly smaller than this bypass the fluid solver and
     /// complete at line rate — the standard "mice fast-path" that keeps
     /// huge control-plane flow counts tractable. Zero disables it.
     pub mouse_threshold: u64,
-    /// Rate allotted to host-local flows (loopback), bits/s.
-    pub local_bps: f64,
     /// Model TCP slow-start ramp-up: charges each flow
     /// `RTT * log2(segments it must ramp through)` of extra latency, with
-    /// RTT = 2 x propagation. Short flows pay proportionally more — the
-    /// qualitative FCT effect slow start has in packet simulators. Off
-    /// by default (pure fluid model).
+    /// RTT = 200 µs, twice the fixed 100 µs propagation every flow pays.
+    /// Short flows pay proportionally more — the qualitative FCT effect
+    /// slow start has in packet simulators. Off by default (pure fluid
+    /// model).
     pub tcp_slow_start: bool,
     /// Collapse same-path flows into weighted fluid bundles (`true`, the
     /// default). `false` gives every flow its own singleton bundle and
@@ -137,9 +140,7 @@ pub struct SimOptions {
 impl Default for SimOptions {
     fn default() -> Self {
         SimOptions {
-            propagation: Duration::from_micros(100),
             mouse_threshold: 0,
-            local_bps: 10e9,
             tcp_slow_start: false,
             aggregate: true,
             solver_jobs: 0,
@@ -157,7 +158,7 @@ fn slow_start_delay(bytes: u64, options: &SimOptions) -> f64 {
     const MSS: f64 = 1448.0;
     let segments = (bytes as f64 / MSS).max(1.0);
     let rounds = segments.log2().ceil().clamp(0.0, 16.0);
-    let rtt = 2.0 * options.propagation.as_secs_f64();
+    let rtt = 2.0 * PROPAGATION.as_secs_f64();
     rounds * rtt
 }
 
@@ -524,7 +525,7 @@ impl<'a> Run<'a> {
             queue,
             predicted: None,
             router: RouteCache::new(topo),
-            fair: FairShareState::new(topo.capacities(), options.local_bps),
+            fair: FairShareState::new(topo.capacities(), LOCAL_BPS),
             flows,
             results: vec![None; n],
             member_of: vec![None; n],
@@ -717,8 +718,8 @@ impl<'a> Run<'a> {
             let bottleneck = links
                 .iter()
                 .map(|&l| self.fair.capacity(l))
-                .fold(self.options.local_bps, f64::min);
-            let fct = self.options.propagation.as_secs_f64()
+                .fold(LOCAL_BPS, f64::min);
+            let fct = PROPAGATION.as_secs_f64()
                 + slow_start_delay(spec.bytes, &self.options)
                 + spec.bytes as f64 * 8.0 / bottleneck;
             self.c_mice.inc();
@@ -867,8 +868,7 @@ impl<'a> Run<'a> {
             let id = idx as usize;
             self.leave(id);
             let spec = self.flows[id];
-            let extra = self.options.propagation.as_secs_f64()
-                + slow_start_delay(spec.bytes, &self.options);
+            let extra = PROPAGATION.as_secs_f64() + slow_start_delay(spec.bytes, &self.options);
             let finish = SimTime::from_secs_f64(self.now + extra);
             let fct_us = finish.saturating_since(spec.start).as_secs_f64() * 1e6;
             self.complete(t, id, finish, fct_us, "");
@@ -1271,13 +1271,9 @@ mod tests {
         let topo = Topology::star(3, 1e9);
         let opts_ss = SimOptions {
             tcp_slow_start: true,
-            propagation: Duration::from_millis(1), // RTT = 2 ms
             ..SimOptions::default()
         };
-        let opts_fluid = SimOptions {
-            propagation: Duration::from_millis(1),
-            ..SimOptions::default()
-        };
+        let opts_fluid = SimOptions::default();
         let short = [flow(0, 1, 100_000, 0)];
         let long = [flow(0, 1, 100_000_000, 0)];
         let rel = |flows: &[FlowSpec]| {
@@ -1291,11 +1287,16 @@ mod tests {
         };
         let short_penalty = rel(&short);
         let long_penalty = rel(&long);
+        // RTT = 200 µs. The 100 kB flow ramps through
+        // ceil(log2(100000 / 1448)) = 7 windows: 1.4 ms on a 0.9 ms fluid
+        // FCT (0.8 ms on the wire, 0.1 ms propagation). The 100 MB flow
+        // hits the 16-window cap: 3.2 ms on 800.1 ms.
+        assert!((short_penalty - 1.4 / 0.9).abs() < 1e-9, "{short_penalty}");
+        assert!((long_penalty - 3.2 / 800.1).abs() < 1e-9, "{long_penalty}");
         assert!(
             short_penalty > 5.0 * long_penalty,
             "{short_penalty} vs {long_penalty}"
         );
-        assert!(long_penalty >= 0.0);
     }
 
     /// A clean, unobserved run of a reactive source.

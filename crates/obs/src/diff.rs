@@ -91,7 +91,7 @@ impl MetricsDiff {
     /// Signed counter delta (degraded − baseline), 0 when absent on
     /// both sides.
     #[must_use]
-    pub fn counter_delta(&self, subsystem: &str, name: &str) -> i64 {
+    fn counter_delta(&self, subsystem: &str, name: &str) -> i64 {
         self.subsystems
             .get(subsystem)
             .and_then(|s| s.counters.get(name))

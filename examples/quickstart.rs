@@ -9,6 +9,7 @@
 //! ```
 
 use keddah::core::pipeline::Keddah;
+use keddah::core::validate::validate_model;
 use keddah::flowcap::Component;
 use keddah::hadoop::{ClusterSpec, HadoopConfig, JobSpec, Workload};
 
@@ -50,7 +51,7 @@ fn main() {
     );
 
     // 5. Validate: generated vs captured, per component.
-    let report = Keddah::validate(&model, &traces, 5, 1).expect("validation runs");
+    let report = validate_model(&model, &traces, 5, 1).expect("validation runs");
     println!("\nvalidation (generated vs captured):");
     println!(
         "  {:<10} {:>8} {:>10} {:>12}",

@@ -35,13 +35,6 @@ pub fn run(args: &Args) -> Result<()> {
         return Err(err("no trace files given; run `keddah fit --help`"));
     }
     let traces = load_traces(args.positional())?;
-    let workloads: std::collections::BTreeSet<&str> =
-        traces.iter().map(|t| t.meta().workload.as_str()).collect();
-    if workloads.len() > 1 {
-        return Err(err(format!(
-            "traces mix workloads {workloads:?}; fit one workload at a time"
-        )));
-    }
     let model = Keddah::fit(&traces).map_err(|e| err(format!("fit failed: {e}")))?;
     let out = args.get_or("out", "model.json");
     fs::write(out, model.to_json())?;

@@ -36,7 +36,7 @@
 //! let run = run_job(&cluster, &config, &job, 1);
 //!
 //! // 2. Model the captured traffic.
-//! let model = Keddah::fit_single(&run.trace, Workload::TeraSort).unwrap();
+//! let model = Keddah::fit(std::slice::from_ref(&run.trace)).unwrap();
 //!
 //! // 3. Generate synthetic traffic from the model.
 //! let synthetic = model.generate_job(7);

@@ -236,6 +236,60 @@ fn error_paths_are_reported() {
         .contains("unknown flag"));
 }
 
+/// Fitting traces of two workloads is an error the fit reports, naming
+/// both, not a panic.
+#[test]
+fn fit_of_mixed_workloads_fails_naming_both() {
+    let dir = tmp_dir("mixed-fit");
+    let mut paths = Vec::new();
+    for workload in ["grep", "terasort"] {
+        let out = dir.join(workload);
+        run(&[
+            "capture",
+            "--workload",
+            workload,
+            "--input-gb",
+            "0.25",
+            "--racks",
+            "2",
+            "--nodes-per-rack",
+            "2",
+            "--reducers",
+            "2",
+            "--repeats",
+            "1",
+            "--seed",
+            "3",
+            "--out",
+            out.to_str().unwrap(),
+        ])
+        .expect("capture succeeds");
+        let entry = std::fs::read_dir(&out)
+            .expect("capture dir exists")
+            .next()
+            .expect("one trace")
+            .expect("entry");
+        paths.push(entry.path().to_str().unwrap().to_string());
+    }
+    let model = dir.join("model.json");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_keddah"))
+        .args(["fit", "--out", model.to_str().unwrap()])
+        .args(&paths)
+        .output()
+        .expect("keddah runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(
+        stderr
+            .lines()
+            .any(|l| l.starts_with("keddah: ") && l.contains("grep") && l.contains("terasort")),
+        "{stderr}"
+    );
+    assert!(!model.exists());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A cluster with fewer workers than the replication factor is a
 /// one-line configuration error in `capture` and `matrix`, and a
 /// skipped candidate in `provision`, never a panic; configuration

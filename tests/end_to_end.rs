@@ -3,6 +3,7 @@
 
 use keddah::core::pipeline::Keddah;
 use keddah::core::replay::{jobs_to_flows, replay, trace_to_flows};
+use keddah::core::validate::validate_model;
 use keddah::core::KeddahModel;
 use keddah::flowcap::Component;
 use keddah::hadoop::{ClusterSpec, HadoopConfig, JobSpec, Workload};
@@ -65,7 +66,7 @@ fn capture_model_generate_replay_validate() {
         .contains_key(&Component::Shuffle));
 
     // Validate.
-    let report = Keddah::validate(&model, &traces, 4, 1).expect("validates");
+    let report = validate_model(&model, &traces, 4, 1).expect("validates");
     let shuffle = report.component(Component::Shuffle).expect("has shuffle");
     assert!(shuffle.ks_statistic < 0.3, "KS = {}", shuffle.ks_statistic);
     assert!(shuffle.volume_error < 0.5, "vol = {}", shuffle.volume_error);

@@ -6,7 +6,7 @@
 
 use keddah::core::pipeline::Keddah;
 use keddah::core::replay::jobs_to_flows;
-use keddah::des::{Duration, SimTime};
+use keddah::des::SimTime;
 use keddah::hadoop::{ClusterSpec, HadoopConfig, JobSpec, Workload};
 use keddah::netsim::{simulate, simulate_tcp, FlowSpec, HostId, SimOptions, Topology};
 
@@ -180,7 +180,6 @@ fn static_source_is_byte_identical_to_pre_refactor_loop() {
     let opts = SimOptions {
         mouse_threshold: 10_000,
         tcp_slow_start: true,
-        propagation: Duration::from_micros(100),
         ..SimOptions::default()
     };
     let report = simulate(&topo, &flows, opts);
