@@ -27,16 +27,6 @@ impl ComponentSample {
     pub fn total_bytes(&self) -> f64 {
         self.sizes.iter().sum()
     }
-
-    /// Mean flows per job.
-    #[must_use]
-    pub fn mean_count(&self) -> f64 {
-        if self.counts.is_empty() {
-            0.0
-        } else {
-            self.counts.iter().sum::<f64>() / self.counts.len() as f64
-        }
-    }
 }
 
 /// Per-component samples pooled over runs, one [`ComponentSample`] per
@@ -190,7 +180,6 @@ mod tests {
         let shuffle = ds.component(Component::Shuffle).unwrap();
         assert_eq!(shuffle.sizes.len(), 8);
         assert_eq!(shuffle.counts, vec![3.0, 5.0]);
-        assert_eq!(shuffle.mean_count(), 4.0);
         assert_eq!(ds.makespans.len(), 2);
         assert!(ds.component(Component::HdfsRead).is_none());
     }

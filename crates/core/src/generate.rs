@@ -12,7 +12,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::model::{EndpointPattern, KeddahModel, ScalarModel};
+use crate::model::{ComponentModel, EndpointPattern, KeddahModel, ScalarModel};
 
 /// One generated flow.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -67,41 +67,17 @@ impl KeddahModel {
     /// See the crate-level example in [`keddah-core`](crate).
     #[must_use]
     pub fn generate_job(&self, seed: u64) -> GeneratedJob {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let makespan = sample_scalar(&self.makespan, &mut rng).max(1.0);
-        let workers = self.nodes.max(2);
+        let mut job = JobSampler::new(self, seed);
         let mut flows = Vec::new();
-
         for (&component, cm) in &self.components {
-            let count = sample_scalar(&cm.count, &mut rng).round().max(0.0) as u64;
-            // Shuffle sinks: one slot per configured reducer, placed on
-            // workers *with replacement* — a node hosting two reducers
-            // receives twice the in-cast, matching how YARN actually
-            // packs containers.
-            let reducer_nodes: Vec<u32> = {
-                let k = self.reducers.max(1);
-                (0..k).map(|_| rng.random_range(1..=workers)).collect()
-            };
-            for _ in 0..count {
-                let bytes = cm.size_dist.sample(&mut rng).max(1.0) as u64;
-                // Arrival times are clamped into the job window; the
-                // fitted family occasionally produces negative or far-tail
-                // values.
-                let start = cm.start_dist.sample(&mut rng).clamp(0.0, makespan * 1.25);
-                let (src, dst) = endpoints(cm.pattern, workers, &reducer_nodes, &mut rng);
-                flows.push(GenFlow {
-                    src,
-                    dst,
-                    bytes,
-                    start,
-                    component,
-                });
-            }
+            let count = job.count(cm);
+            job.place_reducers();
+            job.flows(component, cm, count, &mut flows);
         }
         flows.sort_by(|a, b| a.start.partial_cmp(&b.start).expect("finite starts"));
         GeneratedJob {
-            nodes: workers,
-            makespan,
+            nodes: job.workers,
+            makespan: job.makespan,
             flows,
         }
     }
@@ -121,10 +97,118 @@ impl KeddahModel {
             })
             .collect()
     }
+
+    /// The worker count generated flows assume (node ids 1..=workers).
+    pub(crate) fn workers(&self) -> u32 {
+        self.nodes.max(2)
+    }
+
+    /// Draws one job's flows stage by stage, in Hadoop's order: reads,
+    /// control and other traffic; then shuffles and broadcasts; then
+    /// HDFS writes. Deterministic in `seed`; starts are job-relative.
+    pub(crate) fn staged_job(&self, seed: u64) -> [Vec<GenFlow>; 3] {
+        let mut job = JobSampler::new(self, seed);
+        job.place_reducers();
+        STAGES.map(|stage| {
+            let mut flows = Vec::new();
+            for &component in stage {
+                if let Some(cm) = self.component(component) {
+                    let count = job.count(cm);
+                    job.flows(component, cm, count, &mut flows);
+                }
+            }
+            flows
+        })
+    }
+}
+
+/// Hadoop's stages: what drives a job, what waits for its map input,
+/// and what waits for its shuffles.
+const STAGES: [&[Component]; 3] = [
+    &[Component::HdfsRead, Component::Control, Component::Other],
+    &[Component::Shuffle, Component::Broadcast],
+    &[Component::HdfsWrite],
+];
+
+/// One job's draws from a model: its seeded RNG, sampled makespan,
+/// worker count and reducer placement.
+///
+/// [`KeddahModel::generate_job`] and [`KeddahModel::staged_job`] draw
+/// the same quantities through it and differ in order only:
+/// `generate_job` walks the components in model order and places the
+/// reducers anew for each one, after its count; `staged_job` places them
+/// once per job and walks the components stage by stage. One order for
+/// both would move every flow one of them draws, and with them the
+/// benchmark's pinned digests, so it waits for the change that fits
+/// starts relative to the makespan, which moves them on purpose.
+struct JobSampler {
+    rng: StdRng,
+    /// Sampled makespan, seconds; bounds every start.
+    makespan: f64,
+    /// Worker count (node ids 1..=workers).
+    workers: u32,
+    /// Shuffle sinks, one per configured reducer.
+    reducer_nodes: Vec<u32>,
+}
+
+impl JobSampler {
+    fn new(model: &KeddahModel, seed: u64) -> Self {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let makespan = sample_scalar(&model.makespan, &mut rng).max(1.0);
+        JobSampler {
+            rng,
+            makespan,
+            workers: model.workers(),
+            reducer_nodes: vec![0; model.reducers.max(1) as usize],
+        }
+    }
+
+    /// Places the shuffle sinks on workers *with replacement* — a node
+    /// hosting two reducers receives twice the in-cast, matching how
+    /// YARN actually packs containers.
+    fn place_reducers(&mut self) {
+        for node in &mut self.reducer_nodes {
+            *node = self.rng.random_range(1..=self.workers);
+        }
+    }
+
+    /// Draws a component's flow count.
+    fn count(&mut self, cm: &ComponentModel) -> u64 {
+        sample_scalar(&cm.count, &mut self.rng).round().max(0.0) as u64
+    }
+
+    /// Draws `count` flows of `component`, each its size, start and
+    /// endpoints, onto `out`.
+    fn flows(
+        &mut self,
+        component: Component,
+        cm: &ComponentModel,
+        count: u64,
+        out: &mut Vec<GenFlow>,
+    ) {
+        for _ in 0..count {
+            let bytes = cm.size_dist.sample(&mut self.rng).max(1.0) as u64;
+            // Arrival times are clamped into the job window; the fitted
+            // family occasionally produces negative or far-tail values.
+            let start = cm
+                .start_dist
+                .sample(&mut self.rng)
+                .clamp(0.0, self.makespan * 1.25);
+            let (src, dst) =
+                endpoints(cm.pattern, self.workers, &self.reducer_nodes, &mut self.rng);
+            out.push(GenFlow {
+                src,
+                dst,
+                bytes,
+                start,
+                component,
+            });
+        }
+    }
 }
 
 /// Samples a normal-ish scalar (mean/std), truncated at zero.
-pub(crate) fn sample_scalar(model: &ScalarModel, rng: &mut StdRng) -> f64 {
+fn sample_scalar(model: &ScalarModel, rng: &mut StdRng) -> f64 {
     if model.std <= 0.0 {
         return model.mean;
     }
@@ -135,7 +219,7 @@ pub(crate) fn sample_scalar(model: &ScalarModel, rng: &mut StdRng) -> f64 {
 }
 
 /// Synthesizes flow endpoints for a component's pattern.
-pub(crate) fn endpoints(
+fn endpoints(
     pattern: EndpointPattern,
     workers: u32,
     reducer_nodes: &[u32],

@@ -76,12 +76,6 @@ impl JobMix {
         &self.entries
     }
 
-    /// Mean arrivals per second.
-    #[must_use]
-    pub fn arrival_rate(&self) -> f64 {
-        self.arrival_rate
-    }
-
     /// Generates the jobs arriving in `[0, horizon_secs)`: exponential
     /// inter-arrival gaps at the configured rate, job type drawn by
     /// weight, each job's flows offset to its arrival time.

@@ -243,7 +243,7 @@ impl Candidate {
     ///
     /// A human-readable reason when the Hadoop configuration, cluster
     /// shape or oversubscription is unusable.
-    pub fn check(&self) -> std::result::Result<(), String> {
+    fn check(&self) -> std::result::Result<(), String> {
         if !(self.oversubscription.is_finite() && self.oversubscription >= 1.0) {
             return Err(format!(
                 "oversubscription must be >= 1, got {}",

@@ -44,7 +44,7 @@ use keddah_netsim::{
 };
 use keddah_obs::Obs;
 
-use crate::generate::GeneratedJob;
+use crate::generate::{GenFlow, GeneratedJob};
 use crate::model::KeddahModel;
 use crate::source::ModelSource;
 use crate::{CoreError, Result};
@@ -73,7 +73,7 @@ impl ReplayReport {
 }
 
 /// Encodes a component into the netsim `tag` field and back.
-pub(crate) fn tag_of(component: Component) -> u32 {
+fn tag_of(component: Component) -> u32 {
     Component::ALL
         .iter()
         .position(|&c| c == component)
@@ -82,7 +82,7 @@ pub(crate) fn tag_of(component: Component) -> u32 {
 
 /// Decodes a netsim `tag`. Sources outside this crate may tag flows
 /// freely, so tags that name no component count as [`Component::Other`].
-pub(crate) fn component_of(tag: u32) -> Component {
+fn component_of(tag: u32) -> Component {
     Component::ALL
         .get(tag as usize)
         .copied()
@@ -130,21 +130,25 @@ pub fn jobs_to_flows(jobs: &[GeneratedJob], topo: &Topology) -> Result<Vec<FlowS
     let mut specs = Vec::new();
     for job in jobs {
         check_host(job.nodes, topo)?;
-        for f in &job.flows {
-            specs.push(FlowSpec {
-                src: HostId(f.src),
-                dst: HostId(f.dst),
-                bytes: f.bytes,
-                start: SimTime::from_secs_f64(f.start),
-                tag: tag_of(f.component),
-            });
-        }
+        specs.extend(job.flows.iter().map(|f| gen_spec(f, f.start)));
     }
     specs.sort_by_key(|s| s.start);
     Ok(specs)
 }
 
-fn check_host(node: u32, topo: &Topology) -> Result<()> {
+/// The flow spec of a generated flow, starting at `start_secs`.
+pub(crate) fn gen_spec(flow: &GenFlow, start_secs: f64) -> FlowSpec {
+    FlowSpec {
+        src: HostId(flow.src),
+        dst: HostId(flow.dst),
+        bytes: flow.bytes,
+        start: SimTime::from_secs_f64(start_secs),
+        tag: tag_of(flow.component),
+    }
+}
+
+/// Rejects a node id the topology has no host for.
+pub(crate) fn check_host(node: u32, topo: &Topology) -> Result<()> {
     if node >= topo.host_count() {
         return Err(CoreError::TopologyTooSmall {
             needed: node + 1,
@@ -238,7 +242,7 @@ pub fn replay_source_observed(
 }
 
 /// Closed-loop replay of jobs generated from a model, with dependent
-/// stages sampled on release by [`ModelSource`].
+/// stages held back by [`ModelSource`] until their parents complete.
 ///
 /// # Errors
 ///
@@ -264,7 +268,6 @@ pub fn replay_model_closed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generate::GenFlow;
 
     fn job() -> GeneratedJob {
         GeneratedJob {

@@ -18,23 +18,22 @@
 //!   reducer). The captured gap between parent end and child start is
 //!   preserved as *lag*, so uncongested replays reproduce the capture and
 //!   congested ones shift dependants later.
-//! * [`ModelSource`] generates jobs from a fitted [`KeddahModel`] stage by
-//!   stage — reads/control up front, shuffles sampled only when the job's
-//!   reads complete, writes only when its shuffles complete — instead of
-//!   sampling every start time up front as [`KeddahModel::generate_job`]
-//!   does.
+//! * [`ModelSource`] releases jobs drawn from a fitted [`KeddahModel`]
+//!   stage by stage — reads/control up front, shuffles only when the
+//!   job's reads complete, writes only when its shuffles complete —
+//!   instead of at the start times [`KeddahModel::generate_job`] draws.
+//!
+//! Both only hold flows back: [`trace_to_flows`] converts the trace and
+//! [`KeddahModel`]'s job sampler draws the model's flows.
 
-use keddah_des::{Duration, SimTime};
-use keddah_flowcap::{Component, Trace};
-use keddah_netsim::{FlowId, FlowResult, FlowSpec, HostId, Topology, TrafficSource};
-use keddah_stat::distributions::Distribution;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use keddah_des::Duration;
+use keddah_flowcap::{Component, FlowRecord, Trace};
+use keddah_netsim::{FlowId, FlowResult, FlowSpec, Topology, TrafficSource};
 
-use crate::generate::{endpoints, sample_scalar};
+use crate::generate::GenFlow;
 use crate::model::KeddahModel;
-use crate::replay::tag_of;
-use crate::{CoreError, Result};
+use crate::replay::{check_host, gen_spec, trace_to_flows};
+use crate::Result;
 
 // ---------------------------------------------------------------------
 // TraceSource
@@ -74,38 +73,36 @@ impl TraceSource {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::TopologyTooSmall`] if any flow endpoint
-    /// exceeds the topology's host count.
+    /// Returns [`CoreError::TopologyTooSmall`](crate::CoreError::TopologyTooSmall)
+    /// if any flow endpoint exceeds the topology's host count.
     pub fn new(trace: &Trace, topo: &Topology) -> Result<Self> {
+        let specs = trace_to_flows(trace, topo)?;
         let flows = trace.flows();
-        let t0 = flows.iter().map(|f| f.start).min().unwrap_or(SimTime::ZERO);
-        // Scan in capture start order so "latest eligible parent" is
-        // well-defined; ties keep trace order.
+        // Scan in capture start order, ties in trace order, so the last
+        // eligible flow scanned is the latest-started one.
         let mut order: Vec<usize> = (0..flows.len()).collect();
         order.sort_by_key(|&i| (flows[i].start, i));
+        // Entries are built in `order`: trace index -> entry index.
+        let mut entry_of = vec![0; flows.len()];
+        for (entry, &idx) in order.iter().enumerate() {
+            entry_of[idx] = entry;
+        }
 
         let mut entries = Vec::with_capacity(flows.len());
         let mut children: Vec<Vec<usize>> = vec![Vec::new(); flows.len()];
         let mut roots = Vec::new();
-        for (pos, &idx) in order.iter().enumerate() {
+        for (entry, &idx) in order.iter().enumerate() {
             let f = &flows[idx];
-            let node = f.tuple.src.0.max(f.tuple.dst.0);
-            if node >= topo.host_count() {
-                return Err(CoreError::TopologyTooSmall {
-                    needed: node + 1,
-                    available: topo.host_count(),
-                });
-            }
-            let component = f.component.unwrap_or(Component::Other);
-            // Parent = the latest-ending already-finished flow upstream of
+            let scanned = &order[..entry];
+            // Parent = the latest-started already-scanned flow upstream of
             // this one on Hadoop's data path.
-            let parent = match component {
+            let parent = match f.component.unwrap_or(Component::Other) {
                 // A shuffle fetch (reducer = tuple.src pulls from the map
                 // node = tuple.dst) waits for the HDFS read that fed that
                 // map (read client = map node = tuple.src of the read);
                 // the map finished consuming its input before serving, so
                 // the read must have ended first.
-                Component::Shuffle => best_parent(flows, &order[..pos], |p| {
+                Component::Shuffle => best_parent(flows, scanned, |p| {
                     p.component == Some(Component::HdfsRead)
                         && p.tuple.src == f.tuple.dst
                         && p.end <= f.start
@@ -116,11 +113,11 @@ impl TraceSource {
                 // capture (data streams through), so only require the
                 // parent to have started first — or, at the head of a
                 // reducer's pipeline, for the shuffle into that reducer.
-                Component::HdfsWrite => best_parent(flows, &order[..pos], |p| {
+                Component::HdfsWrite => best_parent(flows, scanned, |p| {
                     p.component == Some(Component::HdfsWrite) && p.tuple.dst == f.tuple.src
                 })
                 .or_else(|| {
-                    best_parent(flows, &order[..pos], |p| {
+                    best_parent(flows, scanned, |p| {
                         p.component == Some(Component::Shuffle)
                             && p.tuple.src == f.tuple.src
                             && p.end <= f.start
@@ -130,7 +127,7 @@ impl TraceSource {
                 // payload from a replica holder = tuple.dst) waits for the
                 // write-pipeline hop that delivered the payload to that
                 // holder.
-                Component::Broadcast => best_parent(flows, &order[..pos], |p| {
+                Component::Broadcast => best_parent(flows, scanned, |p| {
                     p.component == Some(Component::HdfsWrite)
                         && p.tuple.dst == f.tuple.dst
                         && p.end <= f.start
@@ -139,31 +136,13 @@ impl TraceSource {
                 // they replay at their captured times.
                 _ => None,
             };
-            let lag = match parent {
-                Some(p) => f.start.saturating_since(flows[p].end),
-                None => Duration::ZERO,
-            };
-            let entry = entries.len();
+            let lag = parent.map_or(Duration::ZERO, |p| f.start.saturating_since(flows[p].end));
             entries.push(TraceEntry {
-                spec: FlowSpec {
-                    src: HostId(f.tuple.src.0),
-                    dst: HostId(f.tuple.dst.0),
-                    bytes: f.total_bytes(),
-                    start: SimTime::from_nanos(f.start.as_nanos() - t0.as_nanos()),
-                    tag: tag_of(component),
-                },
+                spec: specs[idx],
                 lag,
             });
             match parent {
-                // `order` positions map 1:1 onto entry indices (entries are
-                // built in `order`), so translate the trace index back.
-                Some(p_idx) => {
-                    let p_entry = order[..pos]
-                        .iter()
-                        .position(|&o| o == p_idx)
-                        .expect("parent scanned earlier");
-                    children[p_entry].push(entry);
-                }
+                Some(p) => children[entry_of[p]].push(entry),
                 None => roots.push(entry),
             }
         }
@@ -207,17 +186,13 @@ impl TraceSource {
 }
 
 /// The latest-started flow among the already-scanned prefix that matches
-/// `eligible`.
+/// `eligible`: the prefix is in start order, so that is its last match.
 fn best_parent(
-    flows: &[keddah_flowcap::FlowRecord],
+    flows: &[FlowRecord],
     scanned: &[usize],
-    eligible: impl Fn(&keddah_flowcap::FlowRecord) -> bool,
+    eligible: impl Fn(&FlowRecord) -> bool,
 ) -> Option<usize> {
-    scanned
-        .iter()
-        .copied()
-        .filter(|&j| eligible(&flows[j]))
-        .max_by_key(|&j| (flows[j].start, j))
+    scanned.iter().rev().copied().find(|&j| eligible(&flows[j]))
 }
 
 impl TrafficSource for TraceSource {
@@ -251,51 +226,47 @@ impl TrafficSource for TraceSource {
 // ModelSource
 // ---------------------------------------------------------------------
 
-/// Hadoop's stage structure, used to hold back dependent components.
-fn stage_of(component: Component) -> u8 {
-    match component {
-        Component::Shuffle | Component::Broadcast => 2,
-        Component::HdfsWrite => 3,
-        _ => 1, // HdfsRead, Control, Other drive the job
-    }
+/// Whether a flow of `component` holds back its job's next stage: HDFS
+/// reads gate the shuffle stage, shuffles and broadcasts the writes.
+fn gates(component: Component) -> bool {
+    matches!(
+        component,
+        Component::HdfsRead | Component::Shuffle | Component::Broadcast
+    )
 }
 
-/// Per-job generation state for [`ModelSource`].
+/// One job of a [`ModelSource`]: its flows, held back by stage.
 #[derive(Debug, Clone)]
-struct JobState {
-    rng: StdRng,
-    /// Job submission offset, seconds.
+struct StagedJob {
+    /// Submission offset, seconds.
     start: f64,
-    /// Sampled makespan (bounds the arrival-time clamp window).
-    makespan: f64,
-    /// Reducer container placements (with replacement, like YARN).
-    reducer_nodes: Vec<u32>,
-    /// Outstanding stage-1 HDFS reads gating the shuffle stage.
-    pending_reads: usize,
-    /// Outstanding shuffles gating the write stage.
-    pending_shuffles: usize,
-    shuffle_released: bool,
-    write_released: bool,
+    /// Unreleased flows by stage, starts job-relative (see
+    /// `KeddahModel::staged_job`); a released stage is left empty.
+    stages: [Vec<GenFlow>; 3],
+    /// The stage released next.
+    next: usize,
+    /// Released flows still gating the next stage.
+    pending: usize,
 }
 
 /// Closed-loop job generation from a fitted [`KeddahModel`].
 ///
-/// Where [`KeddahModel::generate_job`] samples every flow's start time up
-/// front (open loop), this source samples each *stage* only when the
-/// simulation reaches it: shuffles are drawn once all the job's HDFS
-/// reads have completed, HDFS writes once all its shuffles have. Sampled
-/// start times still follow the fitted arrival distributions, but are
-/// floored at the stage's release time — so on a congested fabric the
-/// shuffle and write waves slide later, as they would in a real job.
+/// Where open-loop replay injects every generated flow at its sampled
+/// start time, this source releases each *stage* only when the
+/// simulation reaches it: shuffles once all the job's HDFS reads have
+/// completed, HDFS writes once all its shuffles have. Start times still
+/// follow the fitted arrival distributions, but are floored at the
+/// stage's release time — so on a congested fabric the shuffle and write
+/// waves slide later, as they would in a real job.
 ///
-/// Deterministic in `seed`: each job owns an independent RNG and its
-/// stages are sampled in a fixed order.
+/// Deterministic in `seed`: job `i` is drawn with seed `seed + i`, all
+/// up front, by the sampler behind [`KeddahModel::generate_job`].
 #[derive(Debug, Clone)]
 pub struct ModelSource {
-    model: KeddahModel,
-    jobs: Vec<JobState>,
-    /// FlowId -> (job index, component), in injection order.
-    injected: Vec<(usize, Component)>,
+    jobs: Vec<StagedJob>,
+    /// FlowId -> the job whose next stage the flow gates, if it gates
+    /// one, in injection order.
+    injected: Vec<Option<usize>>,
 }
 
 impl ModelSource {
@@ -304,8 +275,8 @@ impl ModelSource {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::TopologyTooSmall`] if the model assumes more
-    /// nodes than the topology has hosts.
+    /// Returns [`CoreError::TopologyTooSmall`](crate::CoreError::TopologyTooSmall)
+    /// if the model assumes more nodes than the topology has hosts.
     pub fn new(
         model: &KeddahModel,
         n_jobs: u32,
@@ -313,99 +284,35 @@ impl ModelSource {
         stagger_secs: f64,
         topo: &Topology,
     ) -> Result<Self> {
-        let workers = model.nodes.max(2);
-        if workers >= topo.host_count() {
-            return Err(CoreError::TopologyTooSmall {
-                needed: workers + 1,
-                available: topo.host_count(),
-            });
-        }
+        check_host(model.workers(), topo)?;
         let jobs = (0..n_jobs.max(1))
-            .map(|i| {
-                // Mirror generate_job's per-job seeding and draw order so
-                // the sampled populations stay comparable.
-                let mut rng = StdRng::seed_from_u64(seed + u64::from(i));
-                let makespan = sample_scalar(&model.makespan, &mut rng).max(1.0);
-                let reducer_nodes = (0..model.reducers.max(1))
-                    .map(|_| rng.random_range(1..=workers))
-                    .collect();
-                JobState {
-                    rng,
-                    start: stagger_secs * f64::from(i),
-                    makespan,
-                    reducer_nodes,
-                    pending_reads: 0,
-                    pending_shuffles: 0,
-                    shuffle_released: false,
-                    write_released: false,
-                }
+            .map(|i| StagedJob {
+                start: stagger_secs * f64::from(i),
+                stages: model.staged_job(seed + u64::from(i)),
+                next: 0,
+                pending: 0,
             })
             .collect();
         Ok(ModelSource {
-            model: model.clone(),
             jobs,
             injected: Vec::new(),
         })
     }
 
-    /// Samples one component's flows for job `j`, with start times floored
-    /// at `release` (absolute seconds), and records their injection order.
-    fn sample_component(
-        &mut self,
-        j: usize,
-        component: Component,
-        release: f64,
-        out: &mut Vec<FlowSpec>,
-    ) -> usize {
-        let Some(cm) = self.model.component(component).cloned() else {
-            return 0;
-        };
-        let workers = self.model.nodes.max(2);
+    /// Releases job `j`'s next stage at absolute time `at` (seconds),
+    /// flooring its starts there, and the stage after it at once while
+    /// nothing released holds it back.
+    fn release(&mut self, j: usize, at: f64, out: &mut Vec<FlowSpec>) {
         let job = &mut self.jobs[j];
-        let count = sample_scalar(&cm.count, &mut job.rng).round().max(0.0) as u64;
-        for _ in 0..count {
-            let bytes = cm.size_dist.sample(&mut job.rng).max(1.0) as u64;
-            let start = cm
-                .start_dist
-                .sample(&mut job.rng)
-                .clamp(0.0, job.makespan * 1.25);
-            let (src, dst) = endpoints(cm.pattern, workers, &job.reducer_nodes, &mut job.rng);
-            out.push(FlowSpec {
-                src: HostId(src),
-                dst: HostId(dst),
-                bytes,
-                start: SimTime::from_secs_f64((job.start + start).max(release)),
-                tag: tag_of(component),
-            });
-            self.injected.push((j, component));
+        while job.pending == 0 && job.next < job.stages.len() {
+            for f in std::mem::take(&mut job.stages[job.next]) {
+                out.push(gen_spec(&f, (job.start + f.start).max(at)));
+                let gating = gates(f.component);
+                job.pending += usize::from(gating);
+                self.injected.push(gating.then_some(j));
+            }
+            job.next += 1;
         }
-        count as usize
-    }
-
-    /// Releases job `j`'s shuffle stage — shuffles plus broadcast
-    /// distribution, which ride the same map-output barrier — at absolute
-    /// time `release` (seconds), cascading straight to the write stage if
-    /// the model has neither.
-    fn release_shuffles(&mut self, j: usize, release: f64, out: &mut Vec<FlowSpec>) {
-        if self.jobs[j].shuffle_released {
-            return;
-        }
-        self.jobs[j].shuffle_released = true;
-        let n = self.sample_component(j, Component::Shuffle, release, out)
-            + self.sample_component(j, Component::Broadcast, release, out);
-        self.jobs[j].pending_shuffles = n;
-        if n == 0 {
-            self.release_writes(j, release, out);
-        }
-    }
-
-    /// Releases job `j`'s HDFS-write stage at absolute time `release`.
-    fn release_writes(&mut self, j: usize, release: f64, out: &mut Vec<FlowSpec>) {
-        if self.jobs[j].write_released {
-            return;
-        }
-        self.jobs[j].write_released = true;
-        self.sample_component(j, Component::HdfsWrite, release, out);
     }
 }
 
@@ -413,42 +320,16 @@ impl TrafficSource for ModelSource {
     fn on_start(&mut self) -> Vec<FlowSpec> {
         let mut specs = Vec::new();
         for j in 0..self.jobs.len() {
-            let job_start = self.jobs[j].start;
-            // Stage 1 in canonical component order.
-            for &component in Component::ALL {
-                if stage_of(component) != 1 {
-                    continue;
-                }
-                let n = self.sample_component(j, component, job_start, &mut specs);
-                if component == Component::HdfsRead {
-                    self.jobs[j].pending_reads = n;
-                }
-            }
-            // No reads to wait for: the shuffle wave is unconstrained.
-            if self.jobs[j].pending_reads == 0 {
-                self.release_shuffles(j, job_start, &mut specs);
-            }
+            self.release(j, self.jobs[j].start, &mut specs);
         }
         specs
     }
 
     fn on_flow_complete(&mut self, id: FlowId, result: &FlowResult) -> Vec<FlowSpec> {
-        let (j, component) = self.injected[id.0];
         let mut out = Vec::new();
-        match component {
-            Component::HdfsRead => {
-                self.jobs[j].pending_reads -= 1;
-                if self.jobs[j].pending_reads == 0 {
-                    self.release_shuffles(j, result.finish.as_secs_f64(), &mut out);
-                }
-            }
-            Component::Shuffle | Component::Broadcast => {
-                self.jobs[j].pending_shuffles -= 1;
-                if self.jobs[j].pending_shuffles == 0 {
-                    self.release_writes(j, result.finish.as_secs_f64(), &mut out);
-                }
-            }
-            _ => {}
+        if let Some(j) = self.injected[id.0] {
+            self.jobs[j].pending -= 1;
+            self.release(j, result.finish.as_secs_f64(), &mut out);
         }
         out
     }
@@ -464,6 +345,8 @@ impl TrafficSource for ModelSource {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CoreError;
+    use keddah_des::SimTime;
     use keddah_flowcap::{FiveTuple, FlowRecord, NodeId, TraceMeta};
 
     fn flow(

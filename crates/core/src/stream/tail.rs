@@ -42,18 +42,6 @@ impl DirTailer {
         }
     }
 
-    /// The watched directory.
-    #[must_use]
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Files already handed out.
-    #[must_use]
-    pub fn processed(&self) -> usize {
-        self.processed.len()
-    }
-
     /// One poll: returns files that became ready, sorted by name.
     ///
     /// # Errors

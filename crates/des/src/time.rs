@@ -90,12 +90,6 @@ impl SimTime {
         self.0 as f64 / NANOS_PER_SEC as f64
     }
 
-    /// Returns the time as fractional milliseconds.
-    #[must_use]
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / NANOS_PER_MILLI as f64
-    }
-
     /// Duration elapsed since `earlier`, saturating to zero if `earlier` is
     /// in the future.
     #[must_use]
@@ -160,12 +154,6 @@ impl Duration {
     #[must_use]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / NANOS_PER_SEC as f64
-    }
-
-    /// Returns the duration as fractional milliseconds.
-    #[must_use]
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / NANOS_PER_MILLI as f64
     }
 
     /// Returns true if this is the zero duration.
@@ -322,7 +310,7 @@ mod tests {
         assert_eq!(t.as_nanos(), 1_250_000_000);
         assert_eq!(SimTime::from_secs_f64(-3.0), SimTime::ZERO);
         assert_eq!(SimTime::from_secs_f64(f64::NAN), SimTime::ZERO);
-        assert_eq!(Duration::from_secs_f64(0.5).as_millis_f64(), 500.0);
+        assert_eq!(Duration::from_secs_f64(0.5), Duration::from_millis(500));
     }
 
     #[test]

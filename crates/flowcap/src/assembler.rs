@@ -162,12 +162,6 @@ impl FlowAssembler {
         }
     }
 
-    /// Number of flows completed so far (FIN or idle-expired).
-    #[must_use]
-    pub fn completed(&self) -> usize {
-        self.finished.len()
-    }
-
     /// Number of connections still open.
     #[must_use]
     pub fn open(&self) -> usize {
@@ -293,7 +287,6 @@ mod tests {
         let mut asm = FlowAssembler::new();
         asm.push(PacketRecord::syn(t(0), NodeId(3), 1, NodeId(4), 2, 7));
         assert_eq!(asm.open(), 1);
-        assert_eq!(asm.completed(), 0);
         let flows = asm.finish();
         assert_eq!(flows.len(), 1);
         assert_eq!(flows[0].fwd_bytes, 7);
@@ -338,6 +331,9 @@ mod tests {
             PacketRecord::syn(t(0), NodeId(0), 1, NodeId(1), 2, 5),
             PacketRecord::fin(t(1), NodeId(0), 1, NodeId(1), 2, 5),
         ]);
-        assert_eq!(asm.completed(), 1);
+        assert_eq!(asm.open(), 0, "the FIN closed the flow");
+        let flows = asm.finish();
+        assert_eq!(flows.len(), 1);
+        assert_eq!((flows[0].packets, flows[0].fwd_bytes), (2, 10));
     }
 }

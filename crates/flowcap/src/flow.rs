@@ -30,7 +30,7 @@ impl FiveTuple {
     /// The tuple with source and destination swapped — the reverse
     /// direction of the same connection.
     #[must_use]
-    pub fn reversed(self) -> FiveTuple {
+    fn reversed(self) -> FiveTuple {
         FiveTuple {
             src: self.dst,
             src_port: self.dst_port,

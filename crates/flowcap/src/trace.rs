@@ -224,25 +224,6 @@ impl Trace {
         }
     }
 
-    /// Merges several traces (e.g. repeated runs of the same job) into one
-    /// pooled trace carrying the first trace's metadata.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `traces` is empty.
-    #[must_use]
-    pub fn pooled(traces: &[Trace]) -> Trace {
-        assert!(!traces.is_empty(), "cannot pool zero traces");
-        let mut flows = Vec::with_capacity(traces.iter().map(Trace::len).sum());
-        for t in traces {
-            flows.extend_from_slice(&t.flows);
-        }
-        Trace {
-            meta: traces[0].meta.clone(),
-            flows,
-        }
-    }
-
     /// Writes the trace as JSONL: one metadata header line, then one line
     /// per flow.
     ///
@@ -447,15 +428,6 @@ mod tests {
             Trace::read_jsonl_lenient(&b"not json\n"[..]),
             Err(TraceError::Parse { line: 1, .. })
         ));
-    }
-
-    #[test]
-    fn pooled_concatenates() {
-        let t = sample_trace();
-        let pooled = Trace::pooled(&[t.clone(), t.clone()]);
-        assert_eq!(pooled.len(), 8);
-        assert_eq!(pooled.meta().workload, "terasort");
-        assert_eq!(pooled.total_bytes(), 2 * t.total_bytes());
     }
 
     #[test]

@@ -222,9 +222,9 @@ const REMEASURE_EVERY: u32 = 32;
 /// rates across mutations. Each public mutation re-solves at once, over
 /// one of two link lists chosen from what the allocator has observed:
 ///
-/// * the *components* holding the mutated entry's links (for
-///   [`set_capacity`](Self::set_capacity), those of an entry on the
-///   changed link), found by a BFS over the flow/link sharing graph;
+/// * the *components* holding the mutated entry's links (for a capacity
+///   change, those of an entry on the changed link), found by a BFS over
+///   the flow/link sharing graph;
 /// * every busy link (one with at least one entry), with no BFS, when
 ///   one of those links lies in the *giant*: the component the latest
 ///   BFS to reach it found to hold at least 64 entries and more than 75%
@@ -535,23 +535,18 @@ impl FairShareState {
     }
 
     /// Changes one link's capacity (a degraded or repaired optic, a
-    /// downed link at 0) and re-solves only the component sharing it:
-    /// an entry on the link seeds the re-solve exactly like an arrival on
-    /// that link would, so the incremental allocator absorbs fault
-    /// events without refilling unrelated components. With no flows on
-    /// the link this is a pure bookkeeping update.
+    /// downed link at 0). The new capacity is
+    /// [`capacity`](Self::capacity) at once; the next
+    /// [`settle`](Self::settle) re-solves only the component sharing the
+    /// link: an entry on the link seeds the re-solve exactly like an
+    /// arrival on that link would, so the incremental allocator absorbs
+    /// fault events without refilling unrelated components. With no flows
+    /// on the link this is a pure bookkeeping update.
     ///
     /// # Panics
     ///
     /// Panics if the link id is out of range or the capacity is not a
     /// finite non-negative number.
-    pub fn set_capacity(&mut self, link: u32, bps: f64) {
-        self.record_capacity(link, bps);
-        self.settle();
-    }
-
-    /// [`set_capacity`](Self::set_capacity) without the re-solve. The new
-    /// capacity is [`capacity`](Self::capacity) at once.
     pub(crate) fn record_capacity(&mut self, link: u32, bps: f64) {
         assert!(
             (link as usize) < self.capacities.len(),
@@ -922,7 +917,7 @@ mod tests {
     }
 
     #[test]
-    fn set_capacity_rescales_only_the_affected_component() {
+    fn capacity_change_rescales_only_the_affected_component() {
         let (mut caps, entries) = hub_and_spokes(70, 6, 1);
         let mut state = FairShareState::new(caps.clone(), 1e10);
         let ids: Vec<FairFlowId> = entries.iter().map(|(l, _)| state.insert_flow(l)).collect();
@@ -935,7 +930,8 @@ mod tests {
         // Degrading the hub's trunk re-solves the hub densely.
         let dense = state.dense_solves();
         caps[0] = 2.5e8;
-        state.set_capacity(0, caps[0]);
+        state.record_capacity(0, caps[0]);
+        state.settle();
         assert!(state.dense_solves() > dense, "hub re-solved densely");
         assert_bitwise(
             &state,
@@ -947,7 +943,8 @@ mod tests {
         // Degrading a spoke's link re-solves that spoke alone.
         let (dense, solved) = (state.dense_solves(), state.solved_flows());
         caps[1] = 5e7;
-        state.set_capacity(1, caps[1]);
+        state.record_capacity(1, caps[1]);
+        state.settle();
         assert_eq!(state.dense_solves(), dense, "a spoke re-solves locally");
         assert_eq!(state.solved_flows() - solved, 1, "only the spoke re-solved");
         assert_bitwise(
@@ -960,19 +957,21 @@ mod tests {
         // Repair restores the original allocation.
         caps[0] = 1e9;
         caps[1] = 1e9 + 3.7e7;
-        state.set_capacity(0, caps[0]);
-        state.set_capacity(1, caps[1]);
+        state.record_capacity(0, caps[0]);
+        state.record_capacity(1, caps[1]);
+        state.settle();
         let (original_caps, _) = hub_and_spokes(70, 6, 1);
         assert_eq!(caps, original_caps);
         assert_bitwise(&state, &ids, &reference_rates(&caps, &entries), "repaired");
     }
 
     #[test]
-    fn set_capacity_on_an_empty_link_is_pure_bookkeeping() {
+    fn capacity_change_on_an_empty_link_is_pure_bookkeeping() {
         let mut state = FairShareState::new(vec![10.0, 6.0], 100.0);
         let f0 = state.insert_flow(&[0]);
         let solves_before = state.solves();
-        state.set_capacity(1, 1.0);
+        state.record_capacity(1, 1.0);
+        state.settle();
         assert_eq!(state.solves(), solves_before, "no flows, no re-solve");
         // The new capacity still takes effect for later arrivals.
         let f1 = state.insert_flow(&[1]);

@@ -59,7 +59,7 @@ impl<'a> RouteCache<'a> {
     }
 
     /// Precomputes the distance tables of all hosts not yet cached.
-    pub fn warm(&mut self) {
+    fn warm(&mut self) {
         for dst in 0..self.topo.host_count() {
             let (topo, down) = (self.topo, &self.down);
             self.distances

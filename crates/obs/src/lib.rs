@@ -164,30 +164,6 @@ impl Obs {
         }
     }
 
-    /// Merges an externally produced snapshot into this handle's
-    /// registry (counters add, gauges high-water). Used to fold
-    /// per-cell / per-run snapshots into a session-level artefact.
-    pub fn absorb(&self, snapshot: &MetricsSnapshot) {
-        if !self.enabled {
-            return;
-        }
-        for (sub, metrics) in &snapshot.subsystems {
-            for (name, value) in &metrics.counters {
-                self.registry.counter(sub, name).add(*value);
-            }
-            for (name, value) in &metrics.gauges {
-                self.registry.gauge(sub, name).set_max(*value);
-            }
-            for (name, hist) in &metrics.histograms {
-                // Histograms merge through their snapshot form.
-                let handle = self.registry.histogram(sub, name);
-                let mut merged = handle.snapshot();
-                merged.merge(hist);
-                self.registry.replace_histogram(sub, name, &merged);
-            }
-        }
-    }
-
     /// Snapshot of every registered metric.
     #[must_use]
     pub fn metrics(&self) -> MetricsSnapshot {
@@ -260,27 +236,6 @@ mod tests {
         assert_eq!(snap.gauge("netsim", "peak_active"), 5);
         assert_eq!(
             snap.subsystems["netsim"].histograms["fct_us"]
-                .summary
-                .count(),
-            1
-        );
-    }
-
-    #[test]
-    fn absorb_folds_snapshots() {
-        let cell = Obs::enabled();
-        cell.add("runner", "cells", 1);
-        cell.gauge("runner", "peak_active").set(4);
-        cell.histogram("runner", "duration_secs").observe(2.0);
-        let total = Obs::enabled();
-        total.add("runner", "cells", 1);
-        total.gauge("runner", "peak_active").set(2);
-        total.absorb(&cell.metrics());
-        let snap = total.metrics();
-        assert_eq!(snap.counter("runner", "cells"), 2);
-        assert_eq!(snap.gauge("runner", "peak_active"), 4);
-        assert_eq!(
-            snap.subsystems["runner"].histograms["duration_secs"]
                 .summary
                 .count(),
             1

@@ -300,20 +300,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Overwrites a histogram's state from a snapshot (used when
-    /// folding externally merged snapshots back into a live registry).
-    pub fn replace_histogram(&self, subsystem: &str, name: &str, snap: &HistogramSnapshot) {
-        let key = (subsystem.to_string(), name.to_string());
-        if let Ok(mut map) = self.histograms.lock() {
-            let cell = map.entry(key).or_default().clone();
-            drop(map);
-            if let Ok(mut inner) = cell.lock() {
-                inner.buckets = snap.buckets.iter().map(|b| (b.log2, b.count)).collect();
-                inner.summary = snap.summary;
-            };
-        }
-    }
-
     /// Snapshots every registered metric.
     #[must_use]
     pub fn snapshot(&self) -> MetricsSnapshot {
@@ -414,6 +400,8 @@ mod tests {
         for (i, reg) in [&a, &b].into_iter().enumerate() {
             let c = reg.counter("s", "n");
             c.add(i as u64 + 1);
+            // Gauges merge as a high-water mark: a's 8 over b's 4.
+            reg.gauge("s", "g").set(8 - 4 * i as u64);
             let h = reg.histogram("s", "h");
             for x in 0..50 {
                 let v = (x as f64) * (i as f64 + 1.0);
@@ -422,10 +410,13 @@ mod tests {
             }
         }
         pooled.counter("s", "n").add(3);
+        pooled.gauge("s", "g").set(8);
         let mut merged = a.snapshot();
         merged.merge(&b.snapshot());
         let direct = pooled.snapshot();
         assert_eq!(merged.counter("s", "n"), direct.counter("s", "n"));
+        assert_eq!(merged.gauge("s", "g"), 8);
+        assert_eq!(direct.gauge("s", "g"), 8);
         let hm = &merged.subsystems["s"].histograms["h"];
         let hd = &direct.subsystems["s"].histograms["h"];
         assert_eq!(hm.buckets, hd.buckets);

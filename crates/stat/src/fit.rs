@@ -197,7 +197,7 @@ impl FittedDist {
     /// The parametric family this fit belongs to, or `None` for the
     /// empirical fallback (which is not a sweep candidate).
     #[must_use]
-    pub fn candidate(&self) -> Option<Candidate> {
+    fn candidate(&self) -> Option<Candidate> {
         match self {
             FittedDist::Exponential(_) => Some(Candidate::Exponential),
             FittedDist::Uniform(_) => Some(Candidate::Uniform),

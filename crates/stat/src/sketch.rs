@@ -113,12 +113,6 @@ impl GkSketch {
         })
     }
 
-    /// The configured rank-error parameter.
-    #[must_use]
-    pub fn eps(&self) -> f64 {
-        self.eps
-    }
-
     /// Stored tuples — the sketch's memory footprint.
     #[must_use]
     pub fn tuple_count(&self) -> usize {

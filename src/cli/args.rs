@@ -96,6 +96,23 @@ impl Args {
         }
     }
 
+    /// A finite, non-negative number of seconds, with a default.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error naming the flag if the value does not parse, is
+    /// negative or is not finite.
+    pub fn get_secs(&self, key: &str, default: f64) -> Result<f64> {
+        let secs: f64 = self.get_num(key, default)?;
+        if secs.is_finite() && secs >= 0.0 {
+            Ok(secs)
+        } else {
+            Err(err(format!(
+                "--{key} must be a finite number of seconds >= 0, got `{secs}`"
+            )))
+        }
+    }
+
     /// A boolean flag (present means true).
     #[must_use]
     pub fn get_bool(&self, key: &str) -> bool {
@@ -121,6 +138,41 @@ impl Args {
             }
         }
         Ok(())
+    }
+}
+
+/// Parses a comma-separated list given to `--{flag}`, skipping empty
+/// entries.
+///
+/// # Errors
+///
+/// Returns an error naming the flag and the first entry that does not
+/// parse.
+pub(crate) fn parse_list<T: std::str::FromStr>(raw: &str, flag: &str) -> Result<Vec<T>> {
+    raw.split(',')
+        .map(str::trim)
+        .filter(|s| !s.is_empty())
+        .map(|s| {
+            s.parse()
+                .map_err(|_| err(format!("--{flag}: cannot parse `{s}`")))
+        })
+        .collect()
+}
+
+/// Converts a size in GiB given to `--{flag}` to bytes.
+///
+/// # Errors
+///
+/// Returns an error naming the flag if the size is not finite or is
+/// less than one byte.
+pub(crate) fn gib_bytes(flag: &str, gib: f64) -> Result<u64> {
+    let bytes = gib * (1u64 << 30) as f64;
+    if bytes.is_finite() && bytes >= 1.0 {
+        Ok(bytes as u64)
+    } else {
+        Err(err(format!(
+            "--{flag} must be a finite size of at least one byte, got `{gib}` GiB"
+        )))
     }
 }
 

@@ -10,7 +10,8 @@ use keddah_flowcap::tcpdump::{self, read_text_lenient};
 use keddah_flowcap::FlowAssembler;
 use keddah_hadoop::{run_dag, ClusterSpec, HadoopConfig, JobSpec, Workload};
 
-use super::{err, obs_out, Args, Result};
+use super::args::gib_bytes;
+use super::{err, load, obs_out, Args, Result};
 
 const HELP: &str = "\
 keddah capture — run simulated Hadoop jobs and write capture traces
@@ -159,9 +160,7 @@ pub fn run(args: &Args) -> Result<()> {
         ))
     })?;
     let input_gb: f64 = args.get_num("input-gb", 2.0)?;
-    if input_gb <= 0.0 {
-        return Err(err("--input-gb must be positive"));
-    }
+    let input_bytes = gib_bytes("input-gb", input_gb)?;
     let cluster = ClusterSpec::racks(
         args.get_num("racks", 4u32)?.max(1),
         args.get_num("nodes-per-rack", 5u32)?.max(1),
@@ -185,9 +184,7 @@ pub fn run(args: &Args) -> Result<()> {
 
     let faults = match args.get("faults") {
         Some(path) => {
-            let json =
-                fs::read_to_string(path).map_err(|e| err(format!("cannot read {path}: {e}")))?;
-            let spec = FaultSpec::from_json(&json).map_err(|e| err(e.to_string()))?;
+            let spec = load::fault_spec(path)?;
             // The capture layer consumes node faults only; link faults
             // are validated leniently (any index) and ignored by the
             // cluster simulator.
@@ -207,7 +204,7 @@ pub fn run(args: &Args) -> Result<()> {
 
     let jobs: usize = args.get_num("jobs", 1usize)?.max(1);
 
-    let job = JobSpec::new(workload, (input_gb * (1u64 << 30) as f64) as u64);
+    let job = JobSpec::new(workload, input_bytes);
     eprintln!(
         "capturing {repeats} run(s) of {job} on {} workers (--jobs {jobs})...",
         cluster.worker_count()

@@ -9,9 +9,8 @@ use keddah_diagnose::{diagnose, Diagnosis, Evidence};
 use keddah_hadoop::Workload;
 use keddah_obs::Obs;
 
-use super::fit::load_traces;
 use super::obs_out::{self, METRICS_OUT};
-use super::{err, Args, Result};
+use super::{err, load, Args, Result};
 
 const HELP: &str = "\
 keddah diagnose — infer the fault behind a degraded run
@@ -113,7 +112,7 @@ fn gather_evidence(args: &Args, obs: &Obs) -> Result<Evidence> {
             if let Some(baseline) = args.get("baseline-trace") {
                 paths.push(baseline.to_string());
             }
-            let mut traces = load_traces(&paths).map_err(|e| reject(obs, args, e.to_string()))?;
+            let mut traces = load::traces(&paths).map_err(|e| reject(obs, args, e.0))?;
             let baseline = if traces.len() > 1 { traces.pop() } else { None };
             Evidence::from_traces(&traces[0], baseline.as_ref())
         }
@@ -132,11 +131,7 @@ fn gather_evidence(args: &Args, obs: &Obs) -> Result<Evidence> {
         ("baseline-metrics", &mut evidence.baseline_metrics),
     ] {
         if let Some(path) = args.get(flag) {
-            let json = std::fs::read_to_string(path)
-                .map_err(|e| reject(obs, args, format!("cannot read {path}: {e}")))?;
-            let snapshot = keddah_obs::MetricsSnapshot::from_json(&json)
-                .map_err(|e| reject(obs, args, format!("cannot parse {path}: {e}")))?;
-            slot.merge(&snapshot);
+            slot.merge(&load::snapshot(path).map_err(|e| reject(obs, args, e.0))?);
         }
     }
     Ok(evidence)

@@ -5,7 +5,8 @@ use std::fs;
 use keddah_core::family::ModelFamily;
 use keddah_core::KeddahModel;
 
-use super::{err, Args, Result};
+use super::args::gib_bytes;
+use super::{err, load, Args, Result};
 
 const HELP: &str = "\
 keddah family — fit a scaling-law model family and extrapolate models
@@ -37,13 +38,8 @@ pub fn run(args: &Args) -> Result<()> {
     match args.get("from") {
         Some(family_path) => {
             let input_gb: f64 = args.get_num("input-gb", 0.0)?;
-            if input_gb <= 0.0 {
-                return Err(err("extrapolation needs --input-gb > 0"));
-            }
-            let json = fs::read_to_string(family_path)
-                .map_err(|e| err(format!("cannot read {family_path}: {e}")))?;
-            let family = ModelFamily::from_json(&json).map_err(|e| err(e.to_string()))?;
-            let model = family.model_at((input_gb * (1u64 << 30) as f64) as u64);
+            let input_bytes = gib_bytes("input-gb", input_gb)?;
+            let model = load::family(family_path)?.model_at(input_bytes);
             let out = args.get_or("out", "model.json");
             fs::write(out, model.to_json())?;
             eprintln!(
@@ -61,11 +57,7 @@ pub fn run(args: &Args) -> Result<()> {
             let anchors: Vec<KeddahModel> = args
                 .positional()
                 .iter()
-                .map(|path| {
-                    let json = fs::read_to_string(path)
-                        .map_err(|e| err(format!("cannot read {path}: {e}")))?;
-                    KeddahModel::from_json(&json).map_err(|e| err(e.to_string()))
-                })
+                .map(|path| load::model(path))
                 .collect::<Result<_>>()?;
             let family = ModelFamily::fit(&anchors).map_err(|e| err(e.to_string()))?;
             let out = args.get_or("out", "family.json");

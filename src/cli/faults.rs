@@ -1,11 +1,9 @@
 //! `keddah faults` — generate and inspect fault schedules.
 
-use std::fs;
-
-use keddah_faults::{generate, FaultGen, FaultKind, FaultSpec};
+use keddah_faults::{generate, FaultGen, FaultKind};
 
 use super::topo_spec::parse_topology;
-use super::{err, Args, Result};
+use super::{err, load, Args, Result};
 
 const HELP: &str = "\
 keddah faults — deterministic fault schedules for degraded-mode runs
@@ -120,8 +118,7 @@ fn gen(args: &Args) -> Result<()> {
 }
 
 fn show(path: &str) -> Result<()> {
-    let json = fs::read_to_string(path).map_err(|e| err(format!("cannot read {path}: {e}")))?;
-    let spec = FaultSpec::from_json(&json).map_err(|e| err(e.to_string()))?;
+    let spec = load::fault_spec(path)?;
     println!("fault schedule: {} fault(s)", spec.faults.len());
     for fault in &spec.faults {
         println!(

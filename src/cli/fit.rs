@@ -3,9 +3,8 @@
 use std::fs;
 
 use keddah_core::pipeline::Keddah;
-use keddah_flowcap::Trace;
 
-use super::{err, Args, Result};
+use super::{err, load, Args, Result};
 
 const HELP: &str = "\
 keddah fit — fit a Keddah traffic model from capture traces
@@ -34,7 +33,7 @@ pub fn run(args: &Args) -> Result<()> {
     if args.positional().is_empty() {
         return Err(err("no trace files given; run `keddah fit --help`"));
     }
-    let traces = load_traces(args.positional())?;
+    let traces = load::traces(args.positional())?;
     let model = Keddah::fit(&traces).map_err(|e| err(format!("fit failed: {e}")))?;
     let out = args.get_or("out", "model.json");
     fs::write(out, model.to_json())?;
@@ -45,16 +44,4 @@ pub fn run(args: &Args) -> Result<()> {
         model.components.len()
     );
     Ok(())
-}
-
-/// Loads and lightly validates a list of trace files.
-pub(crate) fn load_traces(paths: &[String]) -> Result<Vec<Trace>> {
-    paths
-        .iter()
-        .map(|path| {
-            let file = fs::File::open(path).map_err(|e| err(format!("cannot open {path}: {e}")))?;
-            Trace::read_jsonl(std::io::BufReader::new(file))
-                .map_err(|e| err(format!("cannot parse {path}: {e}")))
-        })
-        .collect()
 }

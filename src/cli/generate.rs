@@ -2,9 +2,7 @@
 
 use std::fs;
 
-use keddah_core::KeddahModel;
-
-use super::{err, Args, Result};
+use super::{err, load, Args, Result};
 
 const HELP: &str = "\
 keddah generate — generate synthetic jobs from a Keddah model
@@ -33,12 +31,10 @@ pub fn run(args: &Args) -> Result<()> {
     }
     args.check_known(FLAGS)?;
     let model_path = args.require("model")?;
-    let json = fs::read_to_string(model_path)
-        .map_err(|e| err(format!("cannot read {model_path}: {e}")))?;
-    let model = KeddahModel::from_json(&json).map_err(|e| err(e.to_string()))?;
+    let model = load::model(model_path)?;
     let jobs: u32 = args.get_num("jobs", 1u32)?;
     let seed: u64 = args.get_num("seed", 1u64)?;
-    let stagger: f64 = args.get_num("stagger-secs", 0.0f64)?;
+    let stagger = args.get_secs("stagger-secs", 0.0)?;
     if jobs == 0 {
         return Err(err("--jobs must be at least 1"));
     }

@@ -1,11 +1,6 @@
 //! `keddah inspect` — print a human-readable model or trace card.
 
-use std::fs;
-
-use keddah_core::KeddahModel;
-use keddah_flowcap::Trace;
-
-use super::{err, Args, Result};
+use super::{err, load, Args, Result};
 
 const HELP: &str = "\
 keddah inspect — print a card for a fitted model or a capture trace
@@ -35,8 +30,7 @@ pub fn run(args: &Args) -> Result<()> {
     if path.ends_with(".jsonl") {
         return inspect_trace(path);
     }
-    let json = fs::read_to_string(path).map_err(|e| err(format!("cannot read {path}: {e}")))?;
-    let model = KeddahModel::from_json(&json).map_err(|e| err(e.to_string()))?;
+    let model = load::model(path)?;
 
     println!("Keddah model: {}", model.workload);
     println!(
@@ -78,9 +72,7 @@ pub fn run(args: &Args) -> Result<()> {
 
 fn inspect_trace(path: &str) -> Result<()> {
     use keddah_flowcap::Component;
-    let file = fs::File::open(path).map_err(|e| err(format!("cannot open {path}: {e}")))?;
-    let trace = Trace::read_jsonl(std::io::BufReader::new(file))
-        .map_err(|e| err(format!("cannot parse {path}: {e}")))?;
+    let trace = load::trace(path)?;
     let meta = trace.meta();
 
     println!("Keddah trace: {}", meta.workload);

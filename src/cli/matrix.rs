@@ -6,6 +6,7 @@ use std::path::PathBuf;
 use keddah_core::runner::{MatrixCell, Runner};
 use keddah_hadoop::{ClusterSpec, HadoopConfig, Workload};
 
+use super::args::{gib_bytes, parse_list};
 use super::{err, obs_out, Args, Result};
 
 const HELP: &str = "\
@@ -50,17 +51,6 @@ pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-fn parse_list<T: std::str::FromStr>(raw: &str, what: &str) -> Result<Vec<T>> {
-    raw.split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(|s| {
-            s.parse()
-                .map_err(|_| err(format!("--{what}: cannot parse `{s}`")))
-        })
-        .collect()
-}
-
 /// Runs the subcommand.
 ///
 /// # Errors
@@ -84,11 +74,14 @@ pub fn run(args: &Args) -> Result<()> {
             })
             .collect::<Result<_>>()?,
     };
-    let sizes_gb: Vec<f64> = parse_list(args.get_or("sizes-gb", "2"), "sizes-gb")?;
+    let sizes = parse_list::<f64>(args.get_or("sizes-gb", "2"), "sizes-gb")?
+        .into_iter()
+        .map(|gb| gib_bytes("sizes-gb", gb))
+        .collect::<Result<Vec<u64>>>()?;
     let reducers: Vec<u32> = parse_list(args.get_or("reducers", "8"), "reducers")?;
     let repeats: u32 = args.get_num("repeats", 3u32)?;
     let jobs: usize = args.get_num("jobs", default_jobs())?.max(1);
-    if workloads.is_empty() || sizes_gb.is_empty() || reducers.is_empty() || repeats == 0 {
+    if workloads.is_empty() || sizes.is_empty() || reducers.is_empty() || repeats == 0 {
         return Err(err(
             "matrix is empty: need workloads, sizes, reducers and repeats",
         ));
@@ -100,13 +93,12 @@ pub fn run(args: &Args) -> Result<()> {
     );
     let mut cells = Vec::new();
     for &workload in &workloads {
-        for &gb in &sizes_gb {
+        for &input_bytes in &sizes {
             for &r in &reducers {
                 let config = HadoopConfig::default().with_reducers(r);
                 config
                     .validate_for(&cluster)
                     .map_err(|e| err(e.to_string()))?;
-                let input_bytes = (gb * (1u64 << 30) as f64) as u64;
                 cells.push(MatrixCell::new(workload, input_bytes, config, repeats));
             }
         }

@@ -4,11 +4,10 @@ use std::fs;
 
 use keddah_core::mix::{JobMix, MixEntry};
 use keddah_core::replay::{jobs_to_flows, replay};
-use keddah_core::KeddahModel;
 use keddah_netsim::SimOptions;
 
 use super::topo_spec::parse_topology;
-use super::{err, Args, Result};
+use super::{err, load, Args, Result};
 
 const HELP: &str = "\
 keddah mix — generate a cluster workload from a weighted model mix
@@ -59,9 +58,10 @@ pub fn run(args: &Args) -> Result<()> {
             }
             _ => (spec.as_str(), 1.0),
         };
-        let json = fs::read_to_string(path).map_err(|e| err(format!("cannot read {path}: {e}")))?;
-        let model = KeddahModel::from_json(&json).map_err(|e| err(e.to_string()))?;
-        entries.push(MixEntry { model, weight });
+        entries.push(MixEntry {
+            model: load::model(path)?,
+            weight,
+        });
     }
     let horizon: f64 = args.get_num("horizon-secs", 600.0)?;
     let rate_per_min: f64 = args.get_num("rate-per-min", 2.0)?;

@@ -9,6 +9,7 @@ mod faults;
 mod fit;
 mod generate;
 mod inspect;
+mod load;
 mod matrix;
 mod mix;
 mod obs_out;

@@ -9,6 +9,7 @@ use keddah_core::provision::{
 use keddah_core::runner::SweepBudget;
 use keddah_hadoop::{HadoopConfig, Workload};
 
+use super::args::{gib_bytes, parse_list};
 use super::matrix::default_jobs;
 use super::{err, obs_out, Args, Result};
 
@@ -73,17 +74,6 @@ const FLAGS: &[&str] = &[
     obs_out::METRICS_OUT,
 ];
 
-fn parse_list<T: std::str::FromStr>(raw: &str, what: &str) -> Result<Vec<T>> {
-    raw.split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(|s| {
-            s.parse()
-                .map_err(|_| err(format!("--{what}: cannot parse `{s}`")))
-        })
-        .collect()
-}
-
 /// Parses `name[:weight]` mix entries.
 fn parse_mix(raw: &str, input_bytes: u64) -> Result<Vec<MixJob>> {
     raw.split(',')
@@ -132,10 +122,9 @@ pub fn run(args: &Args) -> Result<()> {
     }
     args.check_known(FLAGS)?;
 
-    let input_gb: f64 = args.get_num("input-gb", 0.5f64)?;
     let mix = parse_mix(
         args.get_or("workloads", "terasort:3,grep:1"),
-        (input_gb * (1u64 << 30) as f64) as u64,
+        gib_bytes("input-gb", args.get_num("input-gb", 0.5f64)?)?,
     )?;
     let space = ConfigSpace {
         nodes: parse_nodes(args.get_or("nodes", "1x4,2x2,2x4"))?,

@@ -1,7 +1,5 @@
 //! `keddah replay` — replay traffic on a simulated topology.
 
-use std::fs;
-
 use keddah_core::replay::{jobs_to_flows, replay_faulted, trace_to_flows, ReplayReport};
 use keddah_core::validate::compare_replays;
 use keddah_core::{FaultSpec, KeddahModel, ModelSource, TraceSource};
@@ -10,7 +8,7 @@ use keddah_netsim::{SimOptions, StaticSource, Topology, TrafficSource};
 use keddah_obs::Obs;
 
 use super::topo_spec::parse_topology;
-use super::{err, obs_out, Args, Result};
+use super::{err, load, obs_out, Args, Result};
 
 const HELP: &str = "\
 keddah replay — replay generated or captured traffic on a topology
@@ -73,36 +71,19 @@ pub fn run(args: &Args) -> Result<()> {
     };
 
     let closed_loop = args.get_bool("closed-loop");
-    let spec = match args.get("faults") {
-        Some(path) => {
-            let json =
-                fs::read_to_string(path).map_err(|e| err(format!("cannot read {path}: {e}")))?;
-            Some(FaultSpec::from_json(&json).map_err(|e| err(e.to_string()))?)
-        }
-        None => None,
-    };
+    let spec = args.get("faults").map(load::fault_spec).transpose()?;
 
     let traffic = match (args.get("model"), args.get("trace")) {
         (Some(_), Some(_)) => {
             return Err(err("give either --model or --trace, not both"));
         }
-        (Some(model_path), None) => {
-            let json = fs::read_to_string(model_path)
-                .map_err(|e| err(format!("cannot read {model_path}: {e}")))?;
-            Traffic::Model {
-                model: KeddahModel::from_json(&json).map_err(|e| err(e.to_string()))?,
-                jobs: args.get_num("jobs", 1u32)?.max(1),
-                seed: args.get_num("seed", 1u64)?,
-                stagger: args.get_num("stagger-secs", 10.0f64)?,
-            }
-        }
-        (None, Some(trace_path)) => {
-            let file = fs::File::open(trace_path)
-                .map_err(|e| err(format!("cannot open {trace_path}: {e}")))?;
-            let trace = Trace::read_jsonl(std::io::BufReader::new(file))
-                .map_err(|e| err(format!("cannot parse {trace_path}: {e}")))?;
-            Traffic::Trace(trace)
-        }
+        (Some(model_path), None) => Traffic::Model {
+            model: load::model(model_path)?,
+            jobs: args.get_num("jobs", 1u32)?.max(1),
+            seed: args.get_num("seed", 1u64)?,
+            stagger: args.get_secs("stagger-secs", 10.0)?,
+        },
+        (None, Some(trace_path)) => Traffic::Trace(load::trace(trace_path)?),
         (None, None) => {
             return Err(err("need --model or --trace; run `keddah replay --help`"));
         }

@@ -1,10 +1,8 @@
 //! `keddah stats` — render a metrics snapshot as a per-subsystem table.
 
-use std::fs;
-
 use keddah_obs::{MetricsDiff, MetricsSnapshot};
 
-use super::{err, Args, Result};
+use super::{err, load, Args, Result};
 
 const HELP: &str = "\
 keddah stats — render metrics snapshots written by --metrics-out
@@ -51,7 +49,7 @@ pub fn run(args: &Args) -> Result<()> {
                 ))
             }
         };
-        let diff = load_snapshot(degraded)?.diff(&load_snapshot(baseline)?);
+        let diff = load::snapshot(degraded)?.diff(&load::snapshot(baseline)?);
         print!("{}", render_diff(&diff));
         return Ok(());
     }
@@ -62,18 +60,10 @@ pub fn run(args: &Args) -> Result<()> {
     }
     let mut merged = MetricsSnapshot::default();
     for path in files {
-        let json = fs::read_to_string(path).map_err(|e| err(format!("cannot read {path}: {e}")))?;
-        let snapshot = MetricsSnapshot::from_json(&json)
-            .map_err(|e| err(format!("cannot parse {path}: {e}")))?;
-        merged.merge(&snapshot);
+        merged.merge(&load::snapshot(path)?);
     }
     print!("{}", render(&merged));
     Ok(())
-}
-
-fn load_snapshot(path: &str) -> Result<MetricsSnapshot> {
-    let json = fs::read_to_string(path).map_err(|e| err(format!("cannot read {path}: {e}")))?;
-    MetricsSnapshot::from_json(&json).map_err(|e| err(format!("cannot parse {path}: {e}")))
 }
 
 /// Renders a baseline-vs-degraded diff, changed metrics only; split

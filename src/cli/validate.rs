@@ -1,12 +1,8 @@
 //! `keddah validate` — compare a model's generated traffic to captures.
 
-use std::fs;
-
 use keddah_core::validate::validate_model;
-use keddah_core::KeddahModel;
 
-use super::fit::load_traces;
-use super::{err, Args, Result};
+use super::{err, load, Args, Result};
 
 const HELP: &str = "\
 keddah validate — compare generated traffic against capture traces
@@ -33,13 +29,11 @@ pub fn run(args: &Args) -> Result<()> {
     }
     args.check_known(FLAGS)?;
     let model_path = args.require("model")?;
-    let json = fs::read_to_string(model_path)
-        .map_err(|e| err(format!("cannot read {model_path}: {e}")))?;
-    let model = KeddahModel::from_json(&json).map_err(|e| err(e.to_string()))?;
+    let model = load::model(model_path)?;
     if args.positional().is_empty() {
         return Err(err("no trace files given; run `keddah validate --help`"));
     }
-    let traces = load_traces(args.positional())?;
+    let traces = load::traces(args.positional())?;
     let report = validate_model(
         &model,
         &traces,

@@ -384,6 +384,99 @@ fn replication_above_the_worker_count_is_reported_not_panicked_on() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Runs the `keddah` binary and asserts it fails with exit 1 and a
+/// `keddah: ` line naming `flag`, without panicking.
+fn assert_rejects_naming(args: &[&str], flag: &str) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_keddah"))
+        .args(args)
+        .output()
+        .expect("keddah runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    assert!(
+        stderr
+            .lines()
+            .any(|l| l.starts_with("keddah: ") && l.contains(flag)),
+        "{args:?}: {stderr}"
+    );
+}
+
+/// An input size that is not finite, or rounds to no bytes, is an error
+/// naming its flag in every subcommand that takes one.
+#[test]
+fn input_sizes_below_one_byte_or_not_finite_are_reported() {
+    let dir = tmp_dir("input-sizes");
+    let out = dir.to_str().unwrap();
+    for gb in ["nan", "1e-12", "inf", "0"] {
+        assert_rejects_naming(
+            &[
+                "capture",
+                "--workload",
+                "grep",
+                "--input-gb",
+                gb,
+                "--out",
+                out,
+            ],
+            "--input-gb",
+        );
+    }
+    assert_rejects_naming(
+        &["matrix", "--workloads", "grep", "--sizes-gb", "0"],
+        "--sizes-gb",
+    );
+    assert_rejects_naming(
+        &["provision", "--workloads", "grep", "--input-gb", "0"],
+        "--input-gb",
+    );
+    assert!(std::fs::read_dir(&dir).expect("dir").next().is_none());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Jobs cannot be staggered by a negative or non-finite time.
+#[test]
+fn stagger_must_be_finite_and_non_negative() {
+    let dir = tmp_dir("stagger");
+    let model = dir.join("model.json");
+    std::fs::write(
+        &model,
+        model_with_size_dist(r#"{"family": "lognormal", "mu": 13.0, "sigma": 0.5}"#),
+    )
+    .expect("model written");
+    let model = model.to_str().unwrap();
+    for stagger in ["-5", "nan", "inf"] {
+        assert_rejects_naming(
+            &[
+                "generate",
+                "--model",
+                model,
+                "--jobs",
+                "2",
+                "--stagger-secs",
+                stagger,
+            ],
+            "--stagger-secs",
+        );
+        assert_rejects_naming(
+            &[
+                "replay",
+                "--model",
+                model,
+                "--topology",
+                "star:8",
+                "--jobs",
+                "2",
+                "--closed-loop",
+                "--stagger-secs",
+                stagger,
+            ],
+            "--stagger-secs",
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A one-component model file whose shuffle sizes follow `size_dist`.
 fn model_with_size_dist(size_dist: &str) -> String {
     format!(
