@@ -375,6 +375,21 @@ mod tests {
         assert!(first_start(&jobs[2]) >= 60.0);
     }
 
+    /// Both replay loops draw nothing for no jobs: the open loop gets no
+    /// jobs, and a closed-loop replay of none is an empty report.
+    #[test]
+    fn zero_jobs_replay_nothing_in_either_loop() {
+        use keddah_netsim::{SimOptions, Topology};
+        let m = model();
+        assert!(m.generate_jobs(0, 11, 5.0).is_empty());
+        let topo = Topology::star(21, 1e9);
+        let report =
+            crate::replay::replay_model_closed(&m, &topo, 0, 11, 5.0, SimOptions::default())
+                .unwrap();
+        assert!(report.sim.results.is_empty());
+        assert!(report.fct_by_component.is_empty());
+    }
+
     #[test]
     fn component_sizes_filter() {
         let job = model().generate_job(4);

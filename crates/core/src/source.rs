@@ -285,7 +285,7 @@ impl ModelSource {
         topo: &Topology,
     ) -> Result<Self> {
         check_host(model.workers(), topo)?;
-        let jobs = (0..n_jobs.max(1))
+        let jobs = (0..n_jobs)
             .map(|i| StagedJob {
                 start: stagger_secs * f64::from(i),
                 stages: model.staged_job(seed + u64::from(i)),

@@ -15,7 +15,9 @@ use crate::distributions::{
     Distribution, Empirical, Exponential, Gamma, LogLogistic, LogNormal, Normal, Pareto, Uniform,
     Weibull, DEFAULT_KNOTS,
 };
-use crate::ks::{ks_finish, ks_lower_bound, ks_result, ks_sorted, sorted_sample, KsResult};
+use crate::ks::{
+    ks_finish, ks_lower_bound, ks_result, ks_sorted, sorted_sample, KsProbe, KsResult,
+};
 use crate::memo::{LogSample, TermMemo};
 use crate::{Result, StatError};
 
@@ -128,6 +130,20 @@ impl Candidate {
                 shared_logs(logs, samples, memo)?,
             )?),
         })
+    }
+
+    /// For the families whose maximum-likelihood fit runs a Newton pass
+    /// over the sample per iteration, the transform `t` that makes every
+    /// member's CDF a line in `ln x` with a positive slope: the logit
+    /// `ln(F / (1 − F))` for log-logistic, whose logit is
+    /// `beta (ln x − ln alpha)`, and `ln(−ln(1 − F))` for Weibull, which
+    /// is `shape (ln x − ln scale)`.
+    pub(crate) fn line(self) -> Option<fn(f64) -> f64> {
+        match self {
+            Candidate::LogLogistic => Some(|q| (q / (1.0 - q)).ln()),
+            Candidate::Weibull => Some(|q| (-(-q).ln_1p()).ln()),
+            _ => None,
+        }
     }
 }
 
@@ -385,15 +401,16 @@ pub enum Selection {
 
 /// Runs every candidate's maximum-likelihood fit on `samples` in their
 /// original order (likelihood sums depend on it), keeping each family
-/// whose support admits the sample with its position in `candidates`.
-/// The log-space families share one buffer of logs, freed on return.
+/// whose support admits the sample with its position in the candidate
+/// list, which it is given with. The log-space families share one buffer
+/// of logs, freed on return.
 fn fit_candidates(
     samples: &[f64],
-    candidates: &[Candidate],
+    candidates: impl IntoIterator<Item = (usize, Candidate)>,
     memo: &mut TermMemo,
 ) -> Vec<(usize, FittedDist)> {
     let mut logs = None;
-    (candidates.iter().enumerate())
+    (candidates.into_iter())
         .filter_map(|(idx, cand)| Some((idx, cand.fit_in_sweep(samples, &mut logs, memo).ok()?)))
         .collect()
 }
@@ -436,7 +453,7 @@ pub fn fit_all(samples: &[f64], candidates: &[Candidate]) -> Result<Vec<FitRepor
         return Err(StatError::EmptySample);
     }
     let mut memo = TermMemo::new();
-    let fitted = fit_candidates(samples, candidates, &mut memo);
+    let fitted = fit_candidates(samples, candidates.iter().copied().enumerate(), &mut memo);
     let mut reports = Vec::new();
     if !fitted.is_empty() {
         // A successful fit implies a finite sample, so this cannot fail.
@@ -462,14 +479,21 @@ pub fn fit_all(samples: &[f64], candidates: &[Candidate]) -> Result<Vec<FitRepor
 /// is at most `max_ks`, and `Ok(None)` otherwise: the first report of
 /// [`fit_all`] within `max_ks`, bit for bit, at a fraction of the cost.
 ///
-/// Every candidate's maximum-likelihood fit runs on `samples` as given.
-/// The KS scans then share one sorted copy of the sample. Each candidate
-/// first gets a cheap lower bound on its distance from a sixteenth of the
-/// tie groups. Candidates are finished in ascending (bound, position in
-/// `candidates`) order, and one is dropped as soon as its running distance
-/// exceeds `max_ks` or the best finished distance. Ties go to the earlier
-/// candidate, and only a candidate about to become the best has its
-/// log-likelihood summed; a non-finite one disqualifies it.
+/// Maximum-likelihood fits run on `samples` as given, and KS scans on a
+/// sorted copy. Each fitted candidate first gets a cheap lower bound on its
+/// distance from a sixteenth of the tie groups. Candidates are finished in
+/// ascending (bound, position in `candidates`) order, and one is dropped
+/// as soon as its running distance exceeds `max_ks` or the best finished
+/// distance. Ties go to the earlier candidate, and only a candidate about
+/// to become the best has its log-likelihood summed; a non-finite one
+/// disqualifies it.
+///
+/// On a sample of 2,048 values or more, log-logistic and Weibull, whose
+/// fits run a Newton pass over the sample per iteration, join that order
+/// unfitted once another family has fitted. Their bound is one on every
+/// member of the family, from the KS terms of a few tie groups, and a
+/// family whose bound is past the limit when its turn comes is never
+/// fitted.
 ///
 /// # Errors
 ///
@@ -481,6 +505,30 @@ pub fn fit_best(
     candidates: &[Candidate],
     max_ks: f64,
 ) -> Result<Option<FitReport>> {
+    best_fit(samples, candidates, max_ks, &mut SweepWork::default())
+}
+
+/// The maximum-likelihood fits of bounded sweeps.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct SweepWork {
+    /// Fits run.
+    pub(crate) fitted: u64,
+    /// Fits skipped: their family's bound was past the limit.
+    pub(crate) skipped: u64,
+}
+
+/// The smallest sample on which [`fit_best`] bounds log-logistic and
+/// Weibull before fitting them. Below it, both fits cost less than the
+/// probe's bisection, about 0.1 ms, so every family is fitted up front.
+const PROBE_MIN_SAMPLES: usize = 2048;
+
+/// [`fit_best`], counting its fits into `work`.
+fn best_fit(
+    samples: &[f64],
+    candidates: &[Candidate],
+    max_ks: f64,
+    work: &mut SweepWork,
+) -> Result<Option<FitReport>> {
     if samples.is_empty() {
         return Err(StatError::EmptySample);
     }
@@ -491,48 +539,112 @@ pub fn fit_best(
         });
     }
     let mut memo = TermMemo::new();
-    let fitted = fit_candidates(samples, candidates, &mut memo);
+    let probed = samples.len() >= PROBE_MIN_SAMPLES;
+    let (mut newton, first): (Vec<_>, Vec<_>) = (candidates.iter().copied().enumerate())
+        .partition(|(_, cand)| probed && cand.line().is_some());
+    work.fitted += first.len() as u64;
+    let mut fitted = fit_candidates(samples, first, &mut memo);
+    // Only once a family has fitted may one be skipped, so that skipping
+    // never turns `Ok(None)` into `NoConvergence`.
     if fitted.is_empty() {
-        return Err(StatError::NoConvergence("no candidate family fit"));
+        work.fitted += newton.len() as u64;
+        fitted = fit_candidates(samples, newton.drain(..), &mut memo);
+        if fitted.is_empty() {
+            return Err(StatError::NoConvergence("no candidate family fit"));
+        }
     }
-    best_within(samples, &fitted, max_ks, &mut memo)
+    // A successful fit implies a finite sample, so this cannot fail.
+    let sorted = sorted_sample(samples)?;
+    let probe = KsProbe::new(&sorted);
+    let mut sweep = Sweep {
+        samples,
+        max_ks,
+        memo,
+        sorted,
+        best: None,
+        pending: Vec::new(),
+    };
+    for (idx, dist) in fitted {
+        sweep.queue(idx, dist);
+    }
+    for (idx, cand) in newton {
+        let bound = cand.line().map_or(0.0, |t| probe.bound(t));
+        sweep.pending.push((bound, idx, Pending::Unfitted(cand)));
+    }
+    sweep.run(work);
+    Ok(sweep.best.map(|(_, report)| report))
 }
 
-/// The bounded sweep of [`fit_best`] over fits already made, each
-/// tagged with its position in the candidate list.
-fn best_within(
-    samples: &[f64],
-    fitted: &[(usize, FittedDist)],
-    max_ks: f64,
-    memo: &mut TermMemo,
-) -> Result<Option<FitReport>> {
-    let sorted = sorted_sample(samples)?;
-    let mut order: Vec<(f64, usize)> = (fitted.iter().enumerate())
-        .map(|(k, (_, dist))| (ks_lower_bound(&sorted, &|x| dist.cdf(x)), k))
-        .collect();
-    order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+/// A candidate waiting in a bounded sweep.
+enum Pending {
+    /// A fit, queued with a lower bound on its KS distance.
+    Fitted(FittedDist),
+    /// A family not fitted yet, queued with a lower bound on the KS
+    /// distance of every member.
+    Unfitted(Candidate),
+}
 
-    // The best finished candidate: its position in the list and report.
-    let mut best: Option<(usize, FitReport)> = None;
-    for (bound, k) in order {
-        let (idx, dist) = &fitted[k];
-        let limit = best
-            .as_ref()
-            .map_or(max_ks, |(_, b)| b.ks_statistic.min(max_ks));
-        let Some(d) = ks_finish(&sorted, &|x| dist.cdf(x), bound, limit) else {
-            continue;
-        };
-        let loses_tie = best
-            .as_ref()
-            .is_some_and(|(b_idx, b)| d == b.ks_statistic && idx > b_idx);
-        if !d.is_finite() || loses_tie {
-            continue;
-        }
-        if let Some(report) = score(dist.clone(), d, samples, memo) {
-            best = Some((*idx, report));
+/// A bounded sweep's scans.
+struct Sweep<'a> {
+    samples: &'a [f64],
+    max_ks: f64,
+    memo: TermMemo,
+    /// The sample's sorted copy, or nothing while a fit holds its logs.
+    sorted: Vec<f64>,
+    /// The best finished candidate: its position in the list and report.
+    best: Option<(usize, FitReport)>,
+    /// Candidates waiting, each with its bound and its position in the list.
+    pending: Vec<(f64, usize, Pending)>,
+}
+
+impl Sweep<'_> {
+    /// Queues a fit with its lower bound.
+    fn queue(&mut self, idx: usize, dist: FittedDist) {
+        let bound = ks_lower_bound(&self.sorted, &|x| dist.cdf(x));
+        self.pending.push((bound, idx, Pending::Fitted(dist)));
+    }
+
+    /// Runs the queue in ascending (bound, position) order. A fitted
+    /// candidate's scan is dropped as soon as its running distance exceeds
+    /// the limit, and one that finishes replaces the best when closer, or
+    /// tied from an earlier position. An unfitted one is skipped if its
+    /// bound is past the limit, and is otherwise fitted and finished at once.
+    fn run(&mut self, work: &mut SweepWork) {
+        // Descending, so that the next candidate pops off the end.
+        (self.pending).sort_by(|a, b| b.0.total_cmp(&a.0).then(b.1.cmp(&a.1)));
+        while let Some((bound, idx, candidate)) = self.pending.pop() {
+            let limit =
+                (self.best.as_ref()).map_or(self.max_ks, |(_, b)| b.ks_statistic.min(self.max_ks));
+            let (bound, dist) = match candidate {
+                Pending::Fitted(dist) => (bound, dist),
+                Pending::Unfitted(_) if bound > limit => {
+                    work.skipped += 1;
+                    continue;
+                }
+                Pending::Unfitted(cand) => {
+                    work.fitted += 1;
+                    // One sample-sized buffer at a time: the fit's logs,
+                    // then the sorted copy again.
+                    self.sorted = Vec::new();
+                    let fit = cand.fit_in_sweep(self.samples, &mut None, &mut self.memo);
+                    self.sorted = sorted_sample(self.samples).expect("the sample sorted before");
+                    let Ok(dist) = fit else { continue };
+                    (ks_lower_bound(&self.sorted, &|x| dist.cdf(x)), dist)
+                }
+            };
+            let Some(d) = ks_finish(&self.sorted, &|x| dist.cdf(x), bound, limit) else {
+                continue;
+            };
+            let loses_tie =
+                (self.best.as_ref()).is_some_and(|(b_idx, b)| d == b.ks_statistic && idx > *b_idx);
+            if !d.is_finite() || loses_tie {
+                continue;
+            }
+            if let Some(report) = score(dist, d, self.samples, &mut self.memo) {
+                self.best = Some((idx, report));
+            }
         }
     }
-    Ok(best.map(|(_, report)| report))
 }
 
 /// The empirical quantile-table model of `samples` with its one-sample
@@ -586,6 +698,7 @@ pub fn fit_select(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ks::ks_one_sample;
     use crate::memo::{slot_of, SLOTS};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -780,6 +893,27 @@ mod tests {
         (r.dist.name(), params, scores.map(f64::to_bits))
     }
 
+    /// The bounded scans of fits already made, alone.
+    fn best_within(
+        xs: &[f64],
+        fitted: &[(usize, FittedDist)],
+        max_ks: f64,
+    ) -> Result<Option<FitReport>> {
+        let mut sweep = Sweep {
+            samples: xs,
+            max_ks,
+            memo: TermMemo::new(),
+            sorted: sorted_sample(xs)?,
+            best: None,
+            pending: Vec::new(),
+        };
+        for (idx, dist) in fitted {
+            sweep.queue(*idx, dist.clone());
+        }
+        sweep.run(&mut SweepWork::default());
+        Ok(sweep.best.map(|(_, report)| report))
+    }
+
     /// Two uniform fits of `1..=32` whose KS distances tie at exactly 0.5
     /// (both reach it at the top sample, where the bound does not look),
     /// with the earlier one's bound above the later one's.
@@ -805,9 +939,7 @@ mod tests {
         assert!(
             ks_lower_bound(&sorted, &|x| late.cdf(x)) < ks_lower_bound(&sorted, &|x| early.cdf(x))
         );
-        let best = best_within(&xs, &fitted, f64::INFINITY, &mut TermMemo::new())
-            .unwrap()
-            .unwrap();
+        let best = best_within(&xs, &fitted, f64::INFINITY).unwrap().unwrap();
         assert_eq!(&best.dist, early);
         assert_eq!(best.ks_statistic, 0.5);
         // The reference sweep agrees.
@@ -818,9 +950,7 @@ mod tests {
     #[test]
     fn winner_exactly_at_max_ks_is_kept() {
         let (xs, fitted) = tied_fits();
-        let best = best_within(&xs, &fitted, 0.5, &mut TermMemo::new())
-            .unwrap()
-            .unwrap();
+        let best = best_within(&xs, &fitted, 0.5).unwrap().unwrap();
         assert_eq!(best.dist, fitted[0].1);
         assert_eq!(best.ks_statistic, 0.5);
 
@@ -836,10 +966,7 @@ mod tests {
     #[test]
     fn nothing_within_max_ks_is_none() {
         let (xs, fitted) = tied_fits();
-        assert_eq!(
-            best_within(&xs, &fitted, 0.5f64.next_down(), &mut TermMemo::new()).unwrap(),
-            None
-        );
+        assert_eq!(best_within(&xs, &fitted, 0.5f64.next_down()).unwrap(), None);
 
         let truth = LogNormal::new(3.0, 0.6).unwrap();
         let xs = draw(&truth, 500, 31);
@@ -1169,6 +1296,142 @@ mod tests {
             }
             if switched_off {
                 assert_eq!(later_probes, 0, "no lookups after a pass with few repeats");
+            }
+        }
+    }
+
+    /// A sample of one of six kinds, drawn from `seed`, with `masses`
+    /// block-sized point masses mixed in: log-logistic, Weibull or gamma
+    /// draws, a log-normal body, interleaved repeats of a few control-
+    /// message sizes, and start times.
+    fn flow_sample(kind: usize, seed: u64, n: usize, masses: usize) -> Vec<f64> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let shape = rng.random_range(0.5..8.0);
+        let scale = rng.random_range(1e3..1e7);
+        let truth = match kind {
+            0 => FittedDist::LogLogistic(LogLogistic::new(scale, shape).unwrap()),
+            1 => FittedDist::Weibull(Weibull::new(shape, scale).unwrap()),
+            2 => FittedDist::Gamma(Gamma::new(shape, scale).unwrap()),
+            3 => FittedDist::LogNormal(LogNormal::new(scale.ln(), 1.0 / shape).unwrap()),
+            4 => FittedDist::Empirical(Empirical::fit(&[450.0, 700.0, 1200.0, 2500.0]).unwrap()),
+            _ => FittedDist::Uniform(Uniform::new(1e-9, 60.0).unwrap()),
+        };
+        let mut xs: Vec<f64> = (0..n).map(|_| truth.sample(&mut rng)).collect();
+        if kind == 4 {
+            xs.iter_mut().for_each(|x| *x = x.round());
+        }
+        for m in 0..masses {
+            let block = [65_536.0, 67_108_864.0, 134_217_728.0][m % 3];
+            for _ in 0..rng.random_range(1..n / 2 + 2) {
+                xs.insert(rng.random_range(0..=xs.len()), block);
+            }
+        }
+        xs
+    }
+
+    /// The log-logistic or Weibull member with the two parameters of
+    /// `dist`, the first scaled by `f` and the second by `g`.
+    fn member(dist: &FittedDist, f: f64, g: f64) -> FittedDist {
+        match *dist {
+            FittedDist::LogLogistic(d) => {
+                FittedDist::LogLogistic(LogLogistic::new(d.alpha() * f, d.beta() * g).unwrap())
+            }
+            FittedDist::Weibull(d) => {
+                FittedDist::Weibull(Weibull::new(d.shape() * f, d.scale() * g).unwrap())
+            }
+            _ => unreachable!("only log-logistic and Weibull are probed"),
+        }
+    }
+
+    /// On log-logistic and Weibull alone, nothing is skipped before a
+    /// family has fitted: a sweep no family wins is `Ok(None)`, and one in
+    /// which neither fits, although the probe would rule both out, is
+    /// `NoConvergence`.
+    #[test]
+    fn skippable_families_alone_still_fit() {
+        let xs = flow_sample(3, 5, 3000, 2);
+        let alone = [Candidate::LogLogistic, Candidate::Weibull];
+        assert!(fit_all(&xs, &alone).is_ok());
+        let mut work = SweepWork::default();
+        assert_eq!(best_fit(&xs, &alone, 0.0, &mut work), Ok(None));
+        assert_eq!(
+            work,
+            SweepWork {
+                fitted: 2,
+                skipped: 0
+            }
+        );
+        // Two thirds at -1, where every log-logistic or Weibull CDF is 0.
+        let negative: Vec<f64> = (0..3000)
+            .map(|i| if i % 3 == 0 { f64::from(i) + 1.0 } else { -1.0 })
+            .collect();
+        let t = Candidate::Weibull.line().unwrap();
+        assert!(KsProbe::new(&sorted_sample(&negative).unwrap()).rules_out(t, 0.1));
+        assert!(matches!(
+            fit_best(&negative, &alone, 0.1),
+            Err(StatError::NoConvergence(_))
+        ));
+    }
+
+    /// The fits a fixed sweep runs and skips: 24 samples, six kinds with
+    /// and without block-sized masses, over `Candidate::POSITIVE` and
+    /// `Candidate::ALL` within 0.12, each result the first `fit_all`
+    /// report within 0.12, by bits.
+    #[test]
+    fn sweep_work_is_pinned() {
+        let mut work = SweepWork::default();
+        for kind in 0..6 {
+            for (seed, masses) in [(1, 0), (2, 0), (3, 1), (4, 3)] {
+                let xs = flow_sample(kind, seed, 3000, masses);
+                for candidates in [Candidate::POSITIVE, Candidate::ALL] {
+                    let best = best_fit(&xs, candidates, 0.12, &mut work).unwrap();
+                    let all = fit_all(&xs, candidates).unwrap();
+                    let want = all.iter().find(|r| r.ks_statistic <= 0.12);
+                    assert_eq!(best.as_ref().map(bits), want.map(bits), "kind {kind}");
+                }
+            }
+        }
+        // 336 fits in all, of which 96 log-logistic or Weibull: 71 skipped.
+        assert_eq!(
+            work,
+            SweepWork {
+                fitted: 265,
+                skipped: 71
+            }
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// Whenever the probe rules log-logistic or Weibull out at a
+        /// distance, the family's maximum-likelihood fit and the members
+        /// around it are all farther than that from the sample: at a grid
+        /// of distances, at each member's own and at the probe's bound.
+        #[test]
+        fn a_ruled_out_family_has_no_member_within_the_distance(
+            kind in 0usize..6,
+            seed in proptest::prelude::any::<u64>(),
+            n in 20usize..2000,
+            masses in 0usize..3,
+        ) {
+            let xs = flow_sample(kind, seed, n, masses);
+            let probe = KsProbe::new(&sorted_sample(&xs).unwrap());
+            for family in [Candidate::LogLogistic, Candidate::Weibull] {
+                let Ok(mle) = family.fit(&xs) else { continue };
+                let t = family.line().unwrap();
+                let near = [0.8, 0.95, 1.0, 1.05, 1.25];
+                let distances: Vec<f64> = (near.iter())
+                    .flat_map(|&f| near.map(|g| member(&mle, f, g)))
+                    .map(|m| ks_one_sample(&xs, |x| m.cdf(x)).unwrap().statistic)
+                    .collect();
+                let closest = distances.iter().copied().fold(f64::INFINITY, f64::min);
+                let grid = [0.0, 0.02, 0.05, 0.08, 0.12, 0.2, 0.3, 0.5, probe.bound(t)];
+                for &d in grid.iter().chain(&distances) {
+                    if probe.rules_out(t, d) {
+                        proptest::prop_assert!(closest > d, "{family} ruled out at {d}, a member reaches {closest}");
+                    }
+                }
             }
         }
     }

@@ -59,7 +59,9 @@ pub(crate) fn sorted_sample(samples: &[f64]) -> Result<Vec<f64>> {
         });
     }
     let mut sorted = samples.to_vec();
-    sorted.sort_by(f64::total_cmp);
+    // Values equal under `total_cmp` have equal bits, so this is the order
+    // a stable sort gives, without a stable sort's scratch buffer.
+    sorted.sort_unstable_by(f64::total_cmp);
     Ok(sorted)
 }
 
@@ -103,9 +105,14 @@ fn group_term<F: Fn(f64) -> f64>(sorted: &[f64], i: usize, j: usize, cdf: &F) ->
     let lo = i as f64 / n;
     let hi = j as f64 / n;
     let f_at = cdf(v);
-    let delta = (v.abs() * 1e-12).max(f64::MIN_POSITIVE);
-    let f_before = cdf(v - delta);
+    let f_before = cdf(below(v));
     (f_before - lo).abs().max((hi - f_at).abs())
+}
+
+/// The point just below `v` at which [`group_term`] reads F(v⁻).
+#[inline]
+fn below(v: f64) -> f64 {
+    v - (v.abs() * 1e-12).max(f64::MIN_POSITIVE)
 }
 
 /// The one-sample KS distance of a sorted sample against `cdf`.
@@ -160,6 +167,163 @@ pub(crate) fn ks_finish<F: Fn(f64) -> f64>(
         }
     }
     Some(d)
+}
+
+/// Rank-spaced tie groups a [`KsProbe`] keeps.
+const PROBE_RANKS: usize = 16;
+
+/// The largest tie groups a [`KsProbe`] keeps besides.
+const PROBE_HEAVY: usize = 4;
+
+/// The most points a [`KsProbe`] keeps: two per group.
+const PROBE_POINTS: usize = 2 * (PROBE_RANKS + PROBE_HEAVY);
+
+/// What [`KsProbe::rules_out`] adds to the distance it is asked about:
+/// far above the rounding of a CDF against the exact curve it computes.
+const PROBE_MARGIN: f64 = 1e-6;
+
+/// The relative slack of [`KsProbe::rules_out`]'s slope comparison, far
+/// above the rounding of its own arithmetic.
+const PROBE_SLACK: f64 = 1e-9;
+
+/// Bisection steps of [`KsProbe::bound`]: a resolution of 2⁻¹⁰.
+const PROBE_STEPS: u32 = 10;
+
+/// A bound on the error of `ln x` plus its share of a difference of two
+/// logs, relative to the computed log: two ulps.
+const LN_ERROR: f64 = 2.0 * f64::EPSILON;
+
+/// A few tie groups' KS terms: a parameter-free test of how close a
+/// family whose CDF is a line in `ln x` can come to the sample.
+///
+/// At a tie group `[i, j)` of value v, [`group_term`] compares F(v⁻),
+/// read at `v − δ`, with i/n and F(v) with j/n, so a CDF within KS
+/// distance d of the sample keeps both within d. The probe keeps these
+/// two points for the groups holding 16 evenly spaced sorted positions and
+/// for the 4 largest groups: at most 40, whatever the sample's size.
+#[derive(Debug)]
+pub(crate) struct KsProbe {
+    /// `(ln x, a bound on its rounding, p)` of each point at `x > 0`: the
+    /// CDF at `x` must be within the distance of `p`.
+    points: Vec<(f64, f64, f64)>,
+    /// The largest `p` of a point at `x ≤ 0`, where the CDF is 0.
+    at_zero: f64,
+}
+
+impl KsProbe {
+    /// The probe of a sorted, non-empty sample.
+    pub(crate) fn new(sorted: &[f64]) -> KsProbe {
+        let n = sorted.len();
+        let group_at = |p: usize| {
+            let v = sorted[p];
+            let i = sorted[..p].partition_point(|&x| x < v);
+            (i, p + sorted[p..].partition_point(|&x| x == v))
+        };
+        let mut groups: Vec<(usize, usize)> = (0..PROBE_RANKS)
+            .map(|k| group_at((2 * k + 1) * n / (2 * PROBE_RANKS)))
+            .collect();
+        // The largest groups, largest first, ties to the earlier one.
+        let mut heavy = [(0, 0); PROBE_HEAVY];
+        for (i, j) in tie_groups(sorted) {
+            if let Some(at) = heavy.iter().position(|&(a, b)| j - i > b - a) {
+                heavy[at..].rotate_right(1);
+                heavy[at] = (i, j);
+            }
+        }
+        groups.extend(heavy.iter().filter(|&&(i, j)| j - i > 1));
+        groups.sort_unstable();
+        groups.dedup();
+        let n = n as f64;
+        let mut probe = KsProbe {
+            points: Vec::with_capacity(PROBE_POINTS),
+            at_zero: 0.0,
+        };
+        for &(i, j) in &groups {
+            let v = sorted[i];
+            for (x, p) in [(below(v), i as f64 / n), (v, j as f64 / n)] {
+                if x > 0.0 {
+                    let u = x.ln();
+                    probe.points.push((u, u.abs() * LN_ERROR, p));
+                } else {
+                    probe.at_zero = probe.at_zero.max(p);
+                }
+            }
+        }
+        probe
+    }
+
+    /// Whether every CDF F with `t(F(x)) = a + b ln x`, for some `a` and
+    /// some `b > 0`, and `F(x) = 0` at `x ≤ 0`, is more than `d` from the
+    /// sample at one of the probe's points, and so has a KS distance above
+    /// `d`. `t` must increase on (0, 1); it is read only there.
+    ///
+    /// Each point bounds the line at `u = ln x` between `t(p − d)` and
+    /// `t(p + d)`, unbounded where those leave (0, 1). Eliminating `a`
+    /// leaves a test on every ordered pair of points `k`, `m`:
+    /// `b (u_k − u_m) ≥ L_k − U_m`. Each pair bounds `b` from below or
+    /// from above, and the family is ruled out when no `b > 0` meets every
+    /// bound. The test is conservative throughout: `d` grows by
+    /// [`PROBE_MARGIN`], which covers the CDF's rounding for shapes up to
+    /// about 1e9; each log difference is widened by its rounding; and
+    /// the bounds must cross by more than [`PROBE_SLACK`].
+    pub(crate) fn rules_out(&self, t: fn(f64) -> f64, d: f64) -> bool {
+        let d = d + PROBE_MARGIN;
+        if !d.is_finite() {
+            return false;
+        }
+        if self.at_zero > d {
+            return true;
+        }
+        let line = |q: f64| match q {
+            q if q <= 0.0 => f64::NEG_INFINITY,
+            q if q >= 1.0 => f64::INFINITY,
+            q => t(q),
+        };
+        // (u, its rounding bound, lowest line value, highest line value)
+        let mut bands = [(0.0, 0.0, 0.0, 0.0); PROBE_POINTS];
+        for (band, &(u, e, p)) in bands.iter_mut().zip(&self.points) {
+            *band = (u, e, line(p - d), line(p + d));
+        }
+        let bands = &bands[..self.points.len()];
+        let (mut lo, mut hi) = (0.0f64, f64::INFINITY);
+        for &(u_k, e_k, low_k, _) in bands {
+            for &(u_m, e_m, _, high_m) in bands {
+                // At least the exact u_k − u_m.
+                let du = (u_k - u_m) + (e_k + e_m);
+                let rise = low_k - high_m;
+                if du > 0.0 {
+                    lo = lo.max(rise / du);
+                } else if du < 0.0 {
+                    hi = hi.min(rise / du);
+                } else if rise > 0.0 {
+                    return true;
+                }
+            }
+            if hi <= 0.0 || lo > hi * (1.0 + PROBE_SLACK) {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// A lower bound on the KS distance of every CDF [`KsProbe::rules_out`]
+    /// describes: the largest multiple of 2⁻¹⁰ below 1 at which it rules
+    /// them out, found by bisection, or 0 if it does not at 0.
+    pub(crate) fn bound(&self, t: fn(f64) -> f64) -> f64 {
+        if !self.rules_out(t, 0.0) {
+            return 0.0;
+        }
+        let (mut lo, mut hi) = (0.0, 1.0);
+        for _ in 0..PROBE_STEPS {
+            let mid = 0.5 * (lo + hi);
+            if self.rules_out(t, mid) {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
 }
 
 /// Two-sample KS test.
@@ -370,6 +534,49 @@ mod tests {
                 assert_eq!(finished.to_bits(), full.to_bits());
                 assert_eq!(ks_finish(&sorted, &cdf, bound, full), Some(full));
                 assert_eq!(ks_finish(&sorted, &cdf, bound, full.next_down()), None);
+            }
+        }
+    }
+
+    /// Three points at which a log-logistic or Weibull member is exactly
+    /// its own distance d away, above, below and above again, so that it
+    /// is the one member within d of them. Its shape is so large that the
+    /// CDF's rounding moves its slope by far more than the slope slack:
+    /// the probe must still not rule its family out at d.
+    #[test]
+    fn a_member_at_its_own_distance_keeps_its_family() {
+        use crate::distributions::{LogLogistic, Weibull};
+        use crate::fit::Candidate;
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(16);
+        for _ in 0..100 {
+            let scale = 1.0 + rng.random_range(1e-7..1e-6);
+            let shape = rng.random_range(5e7..2e8);
+            let d = rng.random_range(0.01..0.2);
+            let xs = [1.0 - 1e-9, 1.0, 1.0 + 1e-9].map(|r| scale * r);
+            let ll = LogLogistic::new(scale, shape).unwrap();
+            let weibull = Weibull::new(shape, scale).unwrap();
+            let members: [(&dyn Fn(f64) -> f64, Candidate); 2] = [
+                (&|x| ll.cdf(x), Candidate::LogLogistic),
+                (&|x| weibull.cdf(x), Candidate::Weibull),
+            ];
+            for (cdf, family) in members {
+                let points: Vec<(f64, f64)> = (xs.iter().zip([-d, d, -d]))
+                    .map(|(&x, off)| (x, cdf(x) + off))
+                    .collect();
+                let reached = (points.iter())
+                    .map(|&(x, p)| (cdf(x) - p).abs())
+                    .fold(0.0, f64::max);
+                let probe = KsProbe {
+                    points: (points.iter())
+                        .map(|&(x, p)| (x.ln(), x.ln().abs() * LN_ERROR, p))
+                        .collect(),
+                    at_zero: 0.0,
+                };
+                assert!(
+                    !probe.rules_out(family.line().unwrap(), reached),
+                    "{family} ({scale}, {shape}) reaches {reached}"
+                );
             }
         }
     }

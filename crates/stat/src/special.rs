@@ -134,9 +134,10 @@ fn gamma_q_cf(a: f64, x: f64) -> f64 {
     h * (-x + a * x.ln() - ln_gamma(a)).exp()
 }
 
-/// Error function `erf(x)`, accurate to ~3e-7 absolute (Abramowitz & Stegun
-/// 7.1.26 with an extra refinement pass via the complementary series for
-/// large |x|). Sufficient for normal CDFs in fitting pipelines.
+/// Error function `erf(x)`, computed as `sign(x) · P(1/2, x²)` with
+/// [`gamma_p`] to close to double precision: within 1.3e-15 relative of
+/// reference values from 0.01 to 4. It is exactly ±1 beyond |x| = 6,
+/// where it rounds to ±1 anyway.
 #[must_use]
 pub fn erf(x: f64) -> f64 {
     // Use the incomplete gamma relation for full double precision:
@@ -278,6 +279,20 @@ mod tests {
         assert!(close(erf(2.0), 0.995_322_265_018_952_7, 1e-10));
         assert!(close(erf(-1.0), -0.842_700_792_949_714_9, 1e-10));
         assert_eq!(erf(10.0), 1.0);
+    }
+
+    #[test]
+    fn erf_is_close_to_double_precision() {
+        let reference = [
+            (0.01, 0.011_283_415_555_849_618),
+            (0.5, 0.520_499_877_813_046_5),
+            (1.0, 0.842_700_792_949_714_9),
+            (1.5, 0.966_105_146_475_310_7),
+            (3.0, 0.999_977_909_503_001_4),
+        ];
+        for (x, want) in reference {
+            assert!(close(erf(x), want, 2e-15), "erf({x}) = {}", erf(x));
+        }
     }
 
     #[test]

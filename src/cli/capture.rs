@@ -257,7 +257,7 @@ pub fn run(args: &Args) -> Result<()> {
             },
         );
         let stem = format!(
-            "{}_{:.0}gb_r{}_seed{}",
+            "{}_{}gb_r{}_seed{}",
             workload.name(),
             input_gb,
             config.reducers,

@@ -77,12 +77,18 @@ pub fn run(args: &Args) -> Result<()> {
         (Some(_), Some(_)) => {
             return Err(err("give either --model or --trace, not both"));
         }
-        (Some(model_path), None) => Traffic::Model {
-            model: load::model(model_path)?,
-            jobs: args.get_num("jobs", 1u32)?.max(1),
-            seed: args.get_num("seed", 1u64)?,
-            stagger: args.get_secs("stagger-secs", 10.0)?,
-        },
+        (Some(model_path), None) => {
+            let jobs = args.get_num("jobs", 1u32)?;
+            if jobs == 0 {
+                return Err(err("--jobs must be at least 1"));
+            }
+            Traffic::Model {
+                model: load::model(model_path)?,
+                jobs,
+                seed: args.get_num("seed", 1u64)?,
+                stagger: args.get_secs("stagger-secs", 10.0)?,
+            }
+        }
         (None, Some(trace_path)) => Traffic::Trace(load::trace(trace_path)?),
         (None, None) => {
             return Err(err("need --model or --trace; run `keddah replay --help`"));

@@ -434,6 +434,70 @@ fn input_sizes_below_one_byte_or_not_finite_are_reported() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Captures of two sizes below 1 GiB into one directory, at one seed,
+/// write two files, each named by its exact size; a whole size keeps its
+/// integer name.
+#[test]
+fn sub_gib_captures_keep_one_file_each() {
+    let dir = tmp_dir("sub-gib");
+    let out = dir.to_str().unwrap();
+    for gb in ["0.1", "0.4", "1"] {
+        run(&[
+            "capture",
+            "--workload",
+            "grep",
+            "--input-gb",
+            gb,
+            "--racks",
+            "1",
+            "--nodes-per-rack",
+            "4",
+            "--reducers",
+            "2",
+            "--repeats",
+            "1",
+            "--seed",
+            "42",
+            "--out",
+            out,
+        ])
+        .expect("capture succeeds");
+    }
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .expect("dir")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    assert_eq!(
+        names,
+        [
+            "grep_0.1gb_r2_seed42.jsonl",
+            "grep_0.4gb_r2_seed42.jsonl",
+            "grep_1gb_r2_seed42.jsonl"
+        ]
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A model replay of no jobs is an error naming `--jobs`, as in
+/// `generate`, not a silent replay of one.
+#[test]
+fn replaying_zero_jobs_is_reported() {
+    for loop_flag in [None, Some("--closed-loop")] {
+        let mut args = vec![
+            "replay",
+            "--model",
+            "no-such-model.json",
+            "--topology",
+            "star:21",
+            "--jobs",
+            "0",
+        ];
+        args.extend(loop_flag);
+        assert_rejects_naming(&args, "--jobs");
+    }
+}
+
 /// Jobs cannot be staggered by a negative or non-finite time.
 #[test]
 fn stagger_must_be_finite_and_non_negative() {

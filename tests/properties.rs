@@ -5,9 +5,9 @@ use keddah::des::{Duration, SimTime};
 use keddah::flowcap::{FlowAssembler, NodeId, PacketRecord, Timeline};
 use keddah::netsim::fair::max_min_rates;
 use keddah::stat::distributions::{
-    Distribution, Empirical, Exponential, LogNormal, Pareto, Weibull,
+    Distribution, Empirical, Exponential, Gamma, LogLogistic, LogNormal, Pareto, Weibull,
 };
-use keddah::stat::fit::{fit_all, fit_best, Candidate, FitReport};
+use keddah::stat::fit::{fit_all, fit_best, Candidate, FitReport, FittedDist};
 use keddah::stat::Ecdf;
 use proptest::prelude::*;
 
@@ -745,5 +745,56 @@ proptest! {
             .with_cluster(ClusterSpec::racks(racks, nodes_per_rack + 1));
         prop_assert!(other_cluster.cluster_hash() != base.cluster_hash());
         prop_assert!(other_cluster.key() != base.key());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// `bounded_sweep_matches_full_sweep` on draws from the families the
+    /// bounded sweep may skip (log-logistic and Weibull) and from gamma,
+    /// which races them, mixed with block-sized point masses, so that a
+    /// family the sweep may skip is often the winner or a near tie. The
+    /// samples are large enough for the sweep to bound those families.
+    #[test]
+    fn bounded_sweep_matches_full_sweep_on_skippable_families(
+        family in 0usize..3,
+        shape in 0.4f64..12.0,
+        scale in 1e2f64..1e8,
+        draws in prop::collection::vec(0.001f64..0.999, 2048..3000),
+        masses in prop::collection::vec((0usize..4, 1usize..120, 0usize..1000), 0..3),
+    ) {
+        const BLOCKS: [f64; 4] = [1024.0, 65_536.0, 67_108_864.0, 134_217_728.0];
+        let truth = match family {
+            0 => FittedDist::LogLogistic(LogLogistic::new(scale, shape).unwrap()),
+            1 => FittedDist::Weibull(Weibull::new(shape, scale).unwrap()),
+            _ => FittedDist::Gamma(Gamma::new(shape, scale).unwrap()),
+        };
+        let mut xs: Vec<f64> = draws.iter().map(|&u| truth.quantile(u)).collect();
+        for &(block, count, at) in &masses {
+            for c in 0..count {
+                xs.insert((at + 7 * c) % (xs.len() + 1), BLOCKS[block]);
+            }
+        }
+        let newton_last = [Candidate::Weibull, Candidate::Gamma, Candidate::LogLogistic];
+        for candidates in [Candidate::POSITIVE, Candidate::ALL, &newton_last] {
+            let all = fit_all(&xs, candidates);
+            for max_ks in [0.0, 0.05, EMPIRICAL_FALLBACK_KS, f64::INFINITY] {
+                let best = fit_best(&xs, candidates, max_ks);
+                prop_assert!(best.is_ok() || all.is_err(), "{best:?} with max_ks {max_ks}");
+                let want = all
+                    .as_ref()
+                    .ok()
+                    .and_then(|reports| reports.iter().find(|r| r.ks_statistic <= max_ks));
+                let got = best.ok().flatten();
+                prop_assert_eq!(
+                    got.as_ref().map(report_bits),
+                    want.map(report_bits),
+                    "{} max_ks {}",
+                    truth,
+                    max_ks
+                );
+            }
+        }
     }
 }
