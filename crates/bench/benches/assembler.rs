@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use keddah_des::{Duration, SimTime};
-use keddah_flowcap::{FlowAssembler, NodeId, PacketRecord};
+use keddah_flowcap::{sort_by_time, FlowAssembler, NodeId, PacketRecord};
 use std::hint::black_box;
 
 /// A synthetic packet stream: `flows` concurrent connections, 10
@@ -24,7 +24,7 @@ fn packet_stream(flows: u32) -> Vec<PacketRecord> {
             packets.push(p);
         }
     }
-    packets.sort_by_key(|p| p.ts);
+    sort_by_time(&mut packets);
     packets
 }
 
@@ -65,7 +65,7 @@ fn bench_timeout_ablation(c: &mut Criterion) {
             ));
         }
     }
-    packets.sort_by_key(|p| p.ts);
+    sort_by_time(&mut packets);
     for timeout_s in [1u64, 5, 60] {
         let mut asm = FlowAssembler::with_idle_timeout(Duration::from_secs(timeout_s));
         asm.extend(packets.iter().copied());

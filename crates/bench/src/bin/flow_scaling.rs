@@ -39,7 +39,7 @@ use std::time::Instant;
 use criterion::{black_box, BenchmarkId, Criterion};
 use keddah_bench::{heading, smoke};
 use keddah_des::SimTime;
-use keddah_faults::FaultSchedule;
+use keddah_faults::FaultSpec;
 use keddah_netsim::{
     simulate, simulate_faulted, FairShareState, FlowId, FlowResult, FlowSpec, HostId, SimOptions,
     SimReport, Topology, TrafficSource,
@@ -360,7 +360,7 @@ fn main() {
                         simulate_faulted(
                             &topo,
                             &mut source,
-                            &FaultSchedule::empty(),
+                            &FaultSpec::empty(),
                             options(aggregate),
                             &Obs::disabled(),
                         )

@@ -5,7 +5,7 @@
 //! times, select by KS statistic, and record the goodness of fit.
 
 use keddah_flowcap::Component;
-use keddah_stat::fit::{fit_best, fit_empirical, Candidate, FittedDist};
+use keddah_stat::fit::{fit_best_or_empirical, Candidate, FittedDist};
 
 use crate::dataset::{ComponentSample, Dataset};
 use crate::model::{
@@ -86,26 +86,19 @@ fn fit_component(component: Component, sample: &ComponentSample) -> Result<Compo
 /// Runs the parametric candidate sweep; if the winner's KS distance
 /// exceeds [`EMPIRICAL_FALLBACK_KS`] — or no parametric family fits at
 /// all (e.g. a constant-valued sample) — falls back to the empirical
-/// quantile-table model.
+/// quantile-table model ([`fit_best_or_empirical`]).
 fn fit_with_fallback(
     samples: &[f64],
     candidates: &[Candidate],
 ) -> Result<(FittedDist, FitQuality)> {
-    if let Ok(Some(report)) = fit_best(samples, candidates, EMPIRICAL_FALLBACK_KS) {
-        let fit = FitQuality {
-            ks_statistic: report.ks_statistic,
-            ks_p_value: report.ks_p_value,
-            samples: samples.len() as u64,
-        };
-        return Ok((report.dist, fit));
-    }
-    let (emp, ks) = fit_empirical(samples).map_err(CoreError::Stat)?;
+    let (dist, ks) = fit_best_or_empirical(samples, candidates, EMPIRICAL_FALLBACK_KS)
+        .map_err(CoreError::Stat)?;
     let fit = FitQuality {
         ks_statistic: ks.statistic,
         ks_p_value: ks.p_value,
         samples: samples.len() as u64,
     };
-    Ok((FittedDist::Empirical(emp), fit))
+    Ok((dist, fit))
 }
 
 #[cfg(test)]

@@ -72,17 +72,17 @@ impl ReplayReport {
     }
 }
 
-/// Encodes a component into the netsim `tag` field and back.
+/// Encodes a component into the netsim `tag` field: its position in
+/// [`Component::ALL`], which is its discriminant.
 fn tag_of(component: Component) -> u32 {
-    Component::ALL
-        .iter()
-        .position(|&c| c == component)
-        .expect("component in ALL") as u32
+    component as u32
 }
 
-/// Decodes a netsim `tag`. Sources outside this crate may tag flows
-/// freely, so tags that name no component count as [`Component::Other`].
-fn component_of(tag: u32) -> Component {
+/// Decodes a netsim `tag`, the inverse of the encoding every replay
+/// source uses. Sources outside this crate may tag flows freely, so tags
+/// that name no component count as [`Component::Other`].
+#[must_use]
+pub fn component_of(tag: u32) -> Component {
     Component::ALL
         .get(tag as usize)
         .copied()
@@ -207,7 +207,7 @@ pub fn replay_faulted(
 ) -> Result<ReplayReport> {
     spec.validate(topo.host_count(), topo.link_count() as u32)
         .map_err(|e| CoreError::Fault(e.to_string()))?;
-    let sim = simulate_faulted(topo, source, &spec.schedule(), options, obs);
+    let sim = simulate_faulted(topo, source, spec, options, obs);
     Ok(split_report(sim))
 }
 

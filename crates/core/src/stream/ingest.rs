@@ -18,7 +18,7 @@
 use std::io::{ErrorKind, Read};
 use std::path::Path;
 
-use keddah_flowcap::{tcpdump, Trace, TraceError, TraceMeta};
+use keddah_flowcap::{sort_by_time, tcpdump, Trace, TraceError, TraceMeta};
 use keddah_obs::Obs;
 
 use super::StreamEngine;
@@ -142,7 +142,7 @@ fn ingest_text(
         CoreError::Stream(e.to_string())
     })?;
     obs.add("stream", "parse_errors", parsed.errors.len() as u64);
-    let reordered = tcpdump::sort_by_time(&mut parsed.packets);
+    let reordered = sort_by_time(&mut parsed.packets);
     obs.add("stream", "packets_reordered", reordered);
     for packet in parsed.packets {
         engine.ingest_packet(packet);

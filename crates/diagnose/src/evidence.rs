@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
 
-use keddah_core::replay::ReplayReport;
+use keddah_core::replay::{component_of, ReplayReport};
 use keddah_flowcap::{Component, Trace};
 use keddah_obs::MetricsSnapshot;
 use serde::{Deserialize, Serialize};
@@ -63,13 +63,6 @@ pub struct Evidence {
     pub baseline_node_last_seen: BTreeMap<u32, f64>,
     /// Baseline makespan in seconds.
     pub baseline_makespan_secs: f64,
-}
-
-fn component_name(tag: u32) -> String {
-    Component::ALL
-        .get(tag as usize)
-        .map_or("other", |c| c.name())
-        .to_string()
 }
 
 /// Per-component FCT samples, per-node last-seen times, and makespan of
@@ -143,7 +136,7 @@ impl Evidence {
                 src: r.spec.src.0,
                 dst: r.spec.dst.0,
                 bytes: r.spec.bytes,
-                component: component_name(r.spec.tag),
+                component: component_of(r.spec.tag).name().to_string(),
             })
             .collect();
         Evidence {

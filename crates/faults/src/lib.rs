@@ -5,11 +5,11 @@
 //! re-replication, shuffle re-fetches, task re-execution) is a
 //! first-order part of the network behaviour Keddah models. This crate
 //! provides the *schedule* half of that story: a serializable
-//! [`FaultSpec`] listing timed [`FaultKind`] events, validated against a
-//! target cluster/topology and compiled into a time-sorted
-//! [`FaultSchedule`] that the simulators (`keddah-netsim`,
-//! `keddah-hadoop`) consume as discrete events in their
-//! `keddah_des::EventQueue` loops.
+//! [`FaultSpec`] listing timed [`FaultKind`] events in any order,
+//! validated against a target cluster/topology. The simulators
+//! (`keddah-netsim`, `keddah-hadoop`) queue its faults in stable time
+//! order as discrete events in their `keddah_des::EventQueue` loops, so
+//! equal-time faults apply in the order they were written.
 //!
 //! Schedules are either hand-written JSON or derived deterministically
 //! from a seed via [`generate`] — the same `(profile, seed)` pair always
@@ -31,8 +31,6 @@
 //!     ],
 //! };
 //! spec.validate(8, 0).unwrap();
-//! let schedule = spec.schedule();
-//! assert_eq!(schedule.events().len(), 2);
 //!
 //! // Seed-derived: same seed, same schedule.
 //! let gen = FaultGen { hosts: 8, node_crashes: 2, ..FaultGen::default() };
@@ -213,7 +211,8 @@ impl TimedFault {
 /// all (the golden replay corpus pins this).
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct FaultSpec {
-    /// The scenario's faults, in any order.
+    /// The scenario's faults, in any order; faults at one nanosecond
+    /// apply in the order listed here.
     pub faults: Vec<TimedFault>,
 }
 
@@ -283,16 +282,6 @@ impl FaultSpec {
         Ok(())
     }
 
-    /// Compiles the spec into a time-sorted [`FaultSchedule`]. Ties keep
-    /// spec order (stable sort), so equal-time faults apply in the order
-    /// they were written.
-    #[must_use]
-    pub fn schedule(&self) -> FaultSchedule {
-        let mut events = self.faults.clone();
-        events.sort_by_key(|f| f.at_nanos);
-        FaultSchedule { events }
-    }
-
     /// Parses a spec from its JSON representation.
     ///
     /// # Errors
@@ -326,34 +315,6 @@ impl FaultSpec {
     /// Returns [`FaultError::Io`] on write failure.
     pub fn save(&self, path: &str) -> Result<(), FaultError> {
         std::fs::write(path, self.to_json()).map_err(FaultError::Io)
-    }
-}
-
-/// A validated, time-sorted fault schedule ready for a simulator to
-/// turn into DES events.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct FaultSchedule {
-    events: Vec<TimedFault>,
-}
-
-impl FaultSchedule {
-    /// The empty schedule — consumers must treat it exactly like "no
-    /// faults requested".
-    #[must_use]
-    pub fn empty() -> FaultSchedule {
-        FaultSchedule::default()
-    }
-
-    /// True when no faults are scheduled.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// The faults in firing order.
-    #[must_use]
-    pub fn events(&self) -> &[TimedFault] {
-        &self.events
     }
 }
 
@@ -554,23 +515,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_sorts_stably_by_time() {
-        let spec = FaultSpec {
-            faults: vec![crash(10, 3), crash(5, 1), crash(10, 2)],
-        };
-        let sched = spec.schedule();
-        let nodes: Vec<u32> = sched
-            .events()
-            .iter()
-            .map(|f| match f.kind {
-                FaultKind::NodeCrash { node } => node,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(nodes, vec![1, 3, 2]);
-    }
-
-    #[test]
     fn validate_rejects_out_of_range_and_degenerate_faults() {
         let bad_node = FaultSpec {
             faults: vec![crash(0, 9)],
@@ -638,10 +582,9 @@ mod tests {
     }
 
     #[test]
-    fn empty_spec_round_trips_and_schedules_empty() {
+    fn empty_spec_round_trips() {
         let spec = FaultSpec::empty();
         assert!(spec.is_empty());
-        assert!(spec.schedule().is_empty());
         assert_eq!(FaultSpec::from_json(&spec.to_json()).unwrap(), spec);
     }
 }

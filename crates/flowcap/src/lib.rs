@@ -16,7 +16,9 @@
 //!   [`Component`]s the paper models (HDFS read, HDFS write, shuffle,
 //!   control);
 //! * [`Trace`] — a labelled flow trace with JSONL persistence, filtering,
-//!   and the per-component statistics the modelling step consumes.
+//!   and the per-component samples the modelling step consumes;
+//! * [`sort_by_time`] — the one packet order: captures and parsed packet
+//!   text alike are put in stable time order before assembly.
 //!
 //! # Examples
 //!
@@ -51,7 +53,7 @@ pub use assembler::FlowAssembler;
 pub use classify::Component;
 pub use flow::{FiveTuple, FlowRecord};
 pub use matrix::TrafficMatrix;
-pub use packet::{NodeId, PacketRecord};
-pub use stats::{component_stats, ComponentStats, Timeline, TimelineBin};
+pub use packet::{sort_by_time, NodeId, PacketRecord};
+pub use stats::{Timeline, TimelineBin};
 pub use stream::{StreamAssembler, StreamConfig, StreamStats};
 pub use trace::{Trace, TraceError, TraceMeta};

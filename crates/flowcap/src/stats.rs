@@ -1,4 +1,4 @@
-//! Per-component statistics over labelled flow traces.
+//! Per-component traffic timelines over labelled flow traces.
 
 use std::collections::BTreeMap;
 
@@ -7,78 +7,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::classify::Component;
 use crate::flow::FlowRecord;
-
-/// Aggregate statistics for one traffic component within a trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ComponentStats {
-    /// The component these statistics describe.
-    pub component: Component,
-    /// Number of flows.
-    pub flow_count: u64,
-    /// Total payload bytes across all flows (both directions).
-    pub total_bytes: u64,
-    /// Mean flow size in bytes.
-    pub mean_flow_bytes: f64,
-    /// Largest flow in bytes.
-    pub max_flow_bytes: u64,
-    /// Mean flow duration in seconds.
-    pub mean_duration_secs: f64,
-}
-
-/// Computes per-component statistics for `flows`, returning entries only
-/// for components that appear. Unlabelled flows count as
-/// [`Component::Other`].
-///
-/// # Examples
-///
-/// ```
-/// use keddah_flowcap::{component_stats, Component, FiveTuple, FlowRecord, NodeId};
-/// use keddah_des::SimTime;
-///
-/// let f = FlowRecord {
-///     tuple: FiveTuple { src: NodeId(0), src_port: 1, dst: NodeId(1), dst_port: 2 },
-///     start: SimTime::ZERO,
-///     end: SimTime::from_secs(2),
-///     fwd_bytes: 10,
-///     rev_bytes: 0,
-///     packets: 1,
-///     component: Some(Component::Shuffle),
-/// };
-/// let stats = component_stats(&[f]);
-/// assert_eq!(stats.len(), 1);
-/// assert_eq!(stats[0].component, Component::Shuffle);
-/// assert_eq!(stats[0].total_bytes, 10);
-/// ```
-#[must_use]
-pub fn component_stats(flows: &[FlowRecord]) -> Vec<ComponentStats> {
-    #[derive(Default)]
-    struct Acc {
-        count: u64,
-        bytes: u64,
-        max: u64,
-        dur: f64,
-    }
-    let mut by_component: BTreeMap<Component, Acc> = BTreeMap::new();
-    for f in flows {
-        let c = f.component.unwrap_or(Component::Other);
-        let acc = by_component.entry(c).or_default();
-        acc.count += 1;
-        acc.bytes += f.total_bytes();
-        acc.max = acc.max.max(f.total_bytes());
-        acc.dur += f.duration().as_secs_f64();
-    }
-    by_component
-        .into_iter()
-        .map(|(component, acc)| ComponentStats {
-            component,
-            flow_count: acc.count,
-            total_bytes: acc.bytes,
-            mean_flow_bytes: acc.bytes as f64 / acc.count as f64,
-            max_flow_bytes: acc.max,
-            mean_duration_secs: acc.dur / acc.count as f64,
-        })
-        .collect()
-}
 
 /// One bin of a traffic timeline: bytes transferred per component during
 /// `[start, start + width)`.
@@ -187,36 +115,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_aggregate_per_component() {
-        let flows = vec![
-            flow(0, 1, 100, Component::Shuffle),
-            flow(0, 3, 300, Component::Shuffle),
-            flow(0, 2, 50, Component::Control),
-        ];
-        let stats = component_stats(&flows);
-        assert_eq!(stats.len(), 2);
-        let shuffle = stats
-            .iter()
-            .find(|s| s.component == Component::Shuffle)
-            .unwrap();
-        assert_eq!(shuffle.flow_count, 2);
-        assert_eq!(shuffle.total_bytes, 400);
-        assert_eq!(shuffle.mean_flow_bytes, 200.0);
-        assert_eq!(shuffle.max_flow_bytes, 300);
-        assert_eq!(shuffle.mean_duration_secs, 2.0);
-    }
-
-    #[test]
-    fn unlabelled_flows_count_as_other() {
-        let mut f = flow(0, 1, 10, Component::Shuffle);
-        f.component = None;
-        let stats = component_stats(&[f]);
-        assert_eq!(stats[0].component, Component::Other);
-    }
-
-    #[test]
     fn empty_flows_empty_stats() {
-        assert!(component_stats(&[]).is_empty());
         let tl = Timeline::build(&[], Duration::from_secs(1));
         assert!(tl.bins.is_empty());
         assert_eq!(tl.total_bytes(), 0);

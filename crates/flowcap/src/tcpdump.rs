@@ -52,26 +52,19 @@ pub fn write_text<W: Write>(packets: &[PacketRecord], mut writer: W) -> Result<(
 }
 
 /// Parses tcpdump-style text lines back into packets. Blank lines are
-/// skipped; anything else malformed is an error naming the line.
+/// skipped; anything else malformed is an error naming the line: the
+/// first error [`read_text_lenient`] collects.
 ///
 /// # Errors
 ///
 /// Returns [`TraceError::Parse`] with a 1-based line number on malformed
 /// input.
 pub fn read_text<R: Read>(reader: R) -> Result<Vec<PacketRecord>, TraceError> {
-    let mut packets = Vec::new();
-    for (i, line) in BufReader::new(reader).lines().enumerate() {
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        packets.push(parse_line(trimmed).map_err(|message| TraceError::Parse {
-            line: i + 1,
-            message,
-        })?);
+    let parsed = read_text_lenient(reader)?;
+    match parsed.errors.into_iter().next() {
+        Some((line, message)) => Err(TraceError::Parse { line, message }),
+        None => Ok(parsed.packets),
     }
-    Ok(packets)
 }
 
 /// The outcome of a lenient parse: every line that parsed, plus every
@@ -119,28 +112,6 @@ pub fn read_text_lenient<R: Read>(reader: R) -> Result<LenientParse, TraceError>
         }
     }
     Ok(out)
-}
-
-/// Puts parsed packets into time order for assembly and returns how many
-/// were stamped before a packet listed earlier.
-///
-/// A file can list packets out of time order (per-node captures
-/// concatenated, say). The sort is stable, so same-instant packets keep
-/// their listed order, and it is skipped when nothing is late.
-pub fn sort_by_time(packets: &mut [PacketRecord]) -> u64 {
-    let mut latest = SimTime::ZERO;
-    let late = packets
-        .iter()
-        .filter(|p| {
-            let late = p.ts < latest;
-            latest = latest.max(p.ts);
-            late
-        })
-        .count();
-    if late > 0 {
-        packets.sort_by_key(|p| p.ts);
-    }
-    late as u64
 }
 
 /// Parses one `ts IP a.p > b.q: Flags [X], length N` line.
@@ -347,25 +318,6 @@ mod tests {
         assert_eq!(parsed.errors[0].0, 2);
         // The strict reader refuses the same input outright.
         assert!(read_text(text.as_bytes()).is_err());
-    }
-
-    #[test]
-    fn sort_by_time_counts_late_packets_and_keeps_ties_in_order() {
-        let at = |micros, port| {
-            PacketRecord::data(
-                SimTime::from_micros(micros),
-                NodeId(0),
-                port,
-                NodeId(1),
-                2,
-                1,
-            )
-        };
-        let mut packets = vec![at(9, 1), at(3, 2), at(9, 3), at(5, 4), at(3, 5)];
-        assert_eq!(sort_by_time(&mut packets), 3);
-        let ports: Vec<u16> = packets.iter().map(|p| p.src_port).collect();
-        assert_eq!(ports, [2, 5, 4, 1, 3]);
-        assert_eq!(sort_by_time(&mut packets), 0);
     }
 
     #[test]

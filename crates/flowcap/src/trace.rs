@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::classify::{self, Component};
 use crate::flow::FlowRecord;
-use crate::stats::{component_stats, ComponentStats, Timeline};
+use crate::stats::Timeline;
 use keddah_des::{Duration, SimTime};
 
 /// Metadata describing how a trace was captured: the covariates Keddah's
@@ -193,12 +193,6 @@ impl Trace {
         self.component_flows(component)
             .map(|f| f.start.saturating_since(t0).as_secs_f64())
             .collect()
-    }
-
-    /// Per-component aggregate statistics.
-    #[must_use]
-    pub fn stats(&self) -> Vec<ComponentStats> {
-        component_stats(&self.flows)
     }
 
     /// Binned traffic timeline.

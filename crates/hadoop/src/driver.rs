@@ -296,6 +296,40 @@ mod tests {
     }
 
     #[test]
+    fn fault_listing_order_does_not_change_the_capture() {
+        use keddah_faults::{FaultKind, TimedFault};
+        let at = |secs: u64, kind| TimedFault {
+            at_nanos: secs * 1_000_000_000,
+            kind,
+        };
+        // Worker 4 crashes and recovers at one instant, listed in that
+        // order; the link fault is ignored at this layer.
+        let listed = vec![
+            at(30, FaultKind::NodeRecover { node: 2 }),
+            at(20, FaultKind::NodeCrash { node: 4 }),
+            at(5, FaultKind::LinkDown { link: 0 }),
+            at(20, FaultKind::NodeRecover { node: 4 }),
+            at(10, FaultKind::NodeCrash { node: 2 }),
+        ];
+        let mut sorted = listed.clone();
+        sorted.sort_by_key(|f| f.at_nanos);
+        let capture = |faults: Vec<TimedFault>| {
+            let (run, log) = run_dag(
+                &ClusterSpec::racks(2, 3),
+                &HadoopConfig::default(),
+                &Workload::TeraSort.dag(),
+                1 << 30,
+                7,
+                &FaultSpec { faults },
+            );
+            (run.trace, run.duration, run.counters, log)
+        };
+        let want = capture(sorted);
+        assert!(want.2.node_crashes > 0, "{:?}", want.2);
+        assert_eq!(capture(listed), want);
+    }
+
+    #[test]
     fn session_chains_teragen_into_terasort() {
         let (session, _) = run_session(
             &ClusterSpec::racks(2, 4),

@@ -38,7 +38,9 @@
 //! instead, so traces never depend on which path built them.
 
 use keddah_des::{Duration, EventQueue, SimTime};
-use keddah_flowcap::{ports, FiveTuple, FlowAssembler, FlowRecord, NodeId, PacketRecord};
+use keddah_flowcap::{
+    ports, sort_by_time, FiveTuple, FlowAssembler, FlowRecord, NodeId, PacketRecord,
+};
 
 use crate::ports_alloc::PortAllocator;
 
@@ -211,15 +213,16 @@ impl ConnectionLog {
     }
 
     /// Renders the packet capture: every connection's packets, sorted by
-    /// timestamp. The sort is stable, so same-instant packets keep the
-    /// order the connections were opened in.
+    /// timestamp with [`sort_by_time`]. The sort is stable, so
+    /// same-instant packets keep the order the connections were opened in.
     #[must_use]
     pub fn packets(&self) -> Vec<PacketRecord> {
         let mut packets = Vec::with_capacity(self.packet_count());
         for c in &self.connections {
             c.render(&mut packets);
         }
-        sort_by_time(packets)
+        sort_by_time(&mut packets);
+        packets
     }
 
     /// The capture's flows, unlabelled and sorted by
@@ -265,47 +268,6 @@ impl ConnectionLog {
         flows.sort_unstable_by_key(FlowRecord::capture_order);
         Some(flows)
     }
-}
-
-/// Bits per digit of [`sort_by_time`]'s radix passes.
-const DIGIT_BITS: u32 = 8;
-
-/// `packets` in exactly the order `sort_by_key(|p| p.ts)` leaves them:
-/// by timestamp, and equal timestamps in their original order.
-///
-/// A stable LSD radix sort over the timestamp's nanoseconds, one pass
-/// per [`DIGIT_BITS`]-bit digit, least significant first, and only as
-/// many digits as the largest timestamp needs. Every digit's counts are
-/// taken in one read of the input.
-fn sort_by_time(packets: Vec<PacketRecord>) -> Vec<PacketRecord> {
-    const BUCKETS: usize = 1 << DIGIT_BITS;
-    let digit =
-        |p: &PacketRecord, d: u32| (p.ts.as_nanos() >> (d * DIGIT_BITS)) as usize & (BUCKETS - 1);
-    let max = packets.iter().map(|p| p.ts.as_nanos()).max().unwrap_or(0);
-    let digits = (u64::BITS - max.leading_zeros()).div_ceil(DIGIT_BITS);
-    let mut counts = vec![[0usize; BUCKETS]; digits as usize];
-    for p in &packets {
-        for (d, count) in (0..digits).zip(&mut counts) {
-            count[digit(p, d)] += 1;
-        }
-    }
-    let mut from = packets;
-    let mut to = from.clone();
-    for (d, count) in (0..digits).zip(&counts) {
-        let mut next = [0usize; BUCKETS];
-        let mut at = 0;
-        for (n, c) in next.iter_mut().zip(count) {
-            *n = at;
-            at += c;
-        }
-        for p in &from {
-            let b = digit(p, d);
-            to[next[b]] = *p;
-            next[b] += 1;
-        }
-        std::mem::swap(&mut from, &mut to);
-    }
-    from
 }
 
 /// The cluster network: transfer timing plus capture tap.
@@ -622,51 +584,6 @@ mod tests {
             assert!(w[0].ts <= w[1].ts);
         }
         assert_eq!(net.captured(), 0, "tap drained");
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
-
-        /// The radix order is the order `sort_by_key(|p| p.ts)` gives,
-        /// element for element. Timestamps take 1 to 8 digits: each is 0,
-        /// within 3 of the largest the digit count allows (`u64::MAX` at
-        /// 8), one of three values many connections share, or anything
-        /// in range. Every packet carries its input position, so moving
-        /// one of a group of equal timestamps shows.
-        #[test]
-        fn radix_order_is_the_stable_sort(
-            digits in 1u32..9,
-            draws in proptest::prelude::prop::collection::vec(
-                (0u32..4, proptest::prelude::any::<u64>()),
-                0..600,
-            ),
-        ) {
-            let top = u64::MAX >> (64 - DIGIT_BITS * digits);
-            let shared = [top / 3, top / 2, top - 1];
-            let packets: Vec<PacketRecord> = (draws.iter().enumerate())
-                .map(|(i, &(kind, x))| {
-                    let ts = match kind {
-                        0 => 0,
-                        1 => top - x % 4,
-                        2 => shared[(x % 3) as usize],
-                        _ => x & top,
-                    };
-                    // Three packets per connection, on five clients.
-                    let connection = (i / 3) as u16;
-                    PacketRecord::data(
-                        SimTime::from_nanos(ts),
-                        NodeId(u32::from(connection % 5)),
-                        connection,
-                        NodeId(0),
-                        ports::DATANODE_XFER,
-                        i as u64,
-                    )
-                })
-                .collect();
-            let mut want = packets.clone();
-            want.sort_by_key(|p| p.ts);
-            proptest::prop_assert_eq!(sort_by_time(packets), want);
-        }
     }
 
     /// What the assembler makes of the log's rendered packets: the

@@ -175,15 +175,14 @@ struct NodeFault {
     down: bool,
 }
 
-/// Extracts the time-ordered worker crash/recover events a fault spec
-/// holds for a cluster of `worker_count` workers. Events naming the
+/// Extracts the worker crash/recover events a fault spec holds for a
+/// cluster of `worker_count` workers, in stable time order: events at
+/// one instant keep the order the spec lists them in. Events naming the
 /// master (node 0) or out-of-range nodes are dropped: losing the
 /// NameNode/ResourceManager kills the job rather than degrading it, and
 /// that failure mode is out of scope (see `DESIGN.md`).
 fn node_faults(spec: &FaultSpec, worker_count: u32) -> Vec<NodeFault> {
-    spec.schedule()
-        .events()
-        .iter()
+    let mut faults: Vec<NodeFault> = (spec.faults.iter())
         .filter_map(|ev| {
             let (node, down) = match ev.kind {
                 FaultKind::NodeCrash { node } => (node, true),
@@ -196,7 +195,9 @@ fn node_faults(spec: &FaultSpec, worker_count: u32) -> Vec<NodeFault> {
                 down,
             })
         })
-        .collect()
+        .collect();
+    faults.sort_by_key(|f| f.at);
+    faults
 }
 
 /// A task's lifetime on a node, recorded for umbilical control traffic.

@@ -60,7 +60,7 @@
 use std::collections::{BTreeSet, HashMap};
 
 use keddah_des::{Duration, EventQueue, SimTime};
-use keddah_faults::{FaultKind, FaultSchedule};
+use keddah_faults::{FaultKind, FaultSpec, TimedFault};
 use keddah_obs::{Counter, Histogram, Obs};
 use serde::{Deserialize, Serialize};
 
@@ -308,7 +308,8 @@ enum Ev {
     /// Flow `id`'s last byte has arrived: tell the source, which may
     /// inject dependent flows. Never touches fluid state.
     Notify { id: usize },
-    /// Scheduled fault `idx` (index into the fault schedule) fires.
+    /// Fault `idx` fires: the `idx`-th of the spec's faults in stable
+    /// time order.
     Fault { idx: usize },
 }
 
@@ -356,14 +357,14 @@ pub fn simulate(topo: &Topology, flows: &[FlowSpec], options: SimOptions) -> Sim
     simulate_faulted(
         topo,
         &mut source,
-        &FaultSchedule::empty(),
+        &FaultSpec::empty(),
         options,
         &Obs::disabled(),
     )
 }
 
 /// Runs the fluid simulation of a [`TrafficSource`] under a fault
-/// schedule, recording into `obs` — the one event loop every entry point
+/// spec, recording into `obs` — the one event loop every entry point
 /// funnels through.
 ///
 /// The source's initial flows are injected at their start times; on
@@ -372,7 +373,11 @@ pub fn simulate(topo: &Topology, flows: &[FlowSpec], options: SimOptions) -> Sim
 /// Results are indexed by injection order ([`FlowId`]); a
 /// [`StaticSource`] gives open-loop replay.
 ///
-/// Each scheduled fault fires as a DES event at its exact timestamp:
+/// The spec's faults may be listed in any order. Each fires as a DES
+/// event at its exact timestamp, after same-instant arrivals, and
+/// faults at one nanosecond fire in the order the spec lists them. A
+/// fault naming a host or link the topology lacks does nothing
+/// ([`FaultSpec::validate`] catches it beforehand):
 ///
 /// - `NodeCrash` kills every flow to/from the host (hosts are leaf
 ///   nodes, so no transit traffic exists) and dooms later arrivals that
@@ -390,7 +395,7 @@ pub fn simulate(topo: &Topology, flows: &[FlowSpec], options: SimOptions) -> Sim
 /// Aborted flows get a [`FlowResult`] whose `finish` is the abort time,
 /// are listed in [`FaultStats::aborted`], and are reported to the source
 /// via [`TrafficSource::on_flow_aborted`], which may re-issue them or
-/// release their dependents. An empty schedule takes exactly the
+/// release their dependents. An empty spec takes exactly the
 /// fault-free arithmetic path; the golden replay corpus pins the
 /// byte-identity, and one faulted replay.
 ///
@@ -414,12 +419,12 @@ pub fn simulate(topo: &Topology, flows: &[FlowSpec], options: SimOptions) -> Sim
 pub fn simulate_faulted(
     topo: &Topology,
     source: &mut dyn TrafficSource,
-    schedule: &FaultSchedule,
+    spec: &FaultSpec,
     options: SimOptions,
     obs: &Obs,
 ) -> SimReport {
     let c_dispatch = obs.counter("des", "events_dispatched");
-    let mut run = Run::new(topo, source, schedule, options, obs);
+    let mut run = Run::new(topo, source, spec, options, obs);
     let mut now = SimTime::ZERO;
     while let Some((t, ev)) = run.next_event() {
         debug_assert!(t >= now, "event at {t:?} delivered after {now:?}");
@@ -445,7 +450,8 @@ pub fn simulate_faulted(
 struct Run<'a> {
     topo: &'a Topology,
     source: &'a mut dyn TrafficSource,
-    schedule: &'a FaultSchedule,
+    /// The spec's faults in stable time order: `Ev::Fault`'s index.
+    faults: Vec<&'a TimedFault>,
     options: SimOptions,
     obs: &'a Obs,
     /// Pending arrivals, completion callbacks and faults.
@@ -496,7 +502,7 @@ impl<'a> Run<'a> {
     fn new(
         topo: &'a Topology,
         source: &'a mut dyn TrafficSource,
-        schedule: &'a FaultSchedule,
+        spec: &'a FaultSpec,
         options: SimOptions,
         obs: &'a Obs,
     ) -> Self {
@@ -512,14 +518,17 @@ impl<'a> Run<'a> {
             .iter()
             .map(|&i| (flows[i].start, Ev::Arrive { id: i }));
         queue.push_batch(arrivals);
-        // Fault events after same-time arrivals (FIFO ties), so a crash at a
-        // flow's exact start still sees the flow on the wire.
-        let faults = schedule.events().iter().enumerate();
-        queue.push_batch(faults.map(|(i, fault)| (fault.at(), Ev::Fault { idx: i })));
+        // Faults likewise, in stable time order, and after same-time
+        // arrivals (FIFO ties), so a crash at a flow's exact start still
+        // sees the flow on the wire.
+        let mut faults: Vec<&TimedFault> = spec.faults.iter().collect();
+        faults.sort_by_key(|f| f.at_nanos);
+        let fault_events = faults.iter().enumerate();
+        queue.push_batch(fault_events.map(|(i, fault)| (fault.at(), Ev::Fault { idx: i })));
         Run {
             topo,
             source,
-            schedule,
+            faults,
             options,
             obs,
             queue,
@@ -580,7 +589,7 @@ impl<'a> Run<'a> {
                 self.inject(t, released);
                 return;
             }
-            Ev::Fault { idx } => self.schedule.events()[idx].at().as_secs_f64(),
+            Ev::Fault { idx } => self.faults[idx].at().as_secs_f64(),
         };
 
         self.iterations += 1;
@@ -920,7 +929,7 @@ impl<'a> Run<'a> {
     /// Applies scheduled fault `idx`: updates the fault state, then
     /// reroutes or aborts the active flows it displaces.
     fn fault(&mut self, t: SimTime, idx: usize) {
-        let fault = &self.schedule.events()[idx];
+        let fault = self.faults[idx];
         self.fstats.faults_applied += 1;
         self.obs
             .trace(t.as_nanos(), "faults", "fault_fire", None, || {
@@ -1106,7 +1115,7 @@ mod tests {
         let report = simulate_faulted(
             &topo,
             &mut source,
-            &FaultSchedule::empty(),
+            &FaultSpec::empty(),
             SimOptions::default(),
             &obs,
         );
@@ -1163,7 +1172,7 @@ mod tests {
         let report = simulate_faulted(
             &topo,
             &mut source,
-            &FaultSchedule::empty(),
+            &FaultSpec::empty(),
             SimOptions::default(),
             &obs,
         );
@@ -1304,7 +1313,7 @@ mod tests {
         simulate_faulted(
             topo,
             source,
-            &FaultSchedule::empty(),
+            &FaultSpec::empty(),
             SimOptions::default(),
             &Obs::disabled(),
         )
@@ -1392,7 +1401,7 @@ mod tests {
             flow(0, 1, 125_000_000, 0),
             flow(2, 1, 125_000_000, 1_000),
         ]);
-        let clean = FaultSchedule::empty();
+        let clean = FaultSpec::empty();
         let report = simulate_faulted(&topo, &mut source, &clean, SimOptions::default(), &obs);
         let at_1s = dispatches_at(&obs, 1_000_000_000);
         assert_eq!(at_1s[0], "Arrive { id: 1 }", "{at_1s:?}");
@@ -1443,17 +1452,15 @@ mod tests {
 
     // ---- fault layer ----
 
-    use keddah_faults::{FaultSpec, TimedFault};
-
-    fn schedule(faults: Vec<TimedFault>) -> FaultSchedule {
-        FaultSpec { faults }.schedule()
+    fn schedule(faults: Vec<TimedFault>) -> FaultSpec {
+        FaultSpec { faults }
     }
 
     fn fault(at_nanos: u64, kind: FaultKind) -> TimedFault {
         TimedFault { at_nanos, kind }
     }
 
-    fn run_static(topo: &Topology, flows: &[FlowSpec], sched: &FaultSchedule) -> SimReport {
+    fn run_static(topo: &Topology, flows: &[FlowSpec], sched: &FaultSpec) -> SimReport {
         let mut source = StaticSource::new(flows.to_vec());
         simulate_faulted(
             topo,
@@ -1487,7 +1494,7 @@ mod tests {
             })
             .collect();
         let clean = simulate(&topo, &flows, SimOptions::default());
-        let faulted = run_static(&topo, &flows, &FaultSchedule::empty());
+        let faulted = run_static(&topo, &flows, &FaultSpec::empty());
         assert_eq!(clean.results, faulted.results);
         assert_eq!(clean.link_bytes, faulted.link_bytes);
         assert_eq!(clean.events, faulted.events);
@@ -1545,7 +1552,7 @@ mod tests {
         // flow continues over the other spine with its remaining bits.
         let topo = Topology::leaf_spine(2, 2, 2, 1e9, 1.0);
         let flows = [flow(0, 3, 125_000_000, 0)];
-        let clean = run_static(&topo, &flows, &FaultSchedule::empty());
+        let clean = run_static(&topo, &flows, &FaultSpec::empty());
         // The first fabric link the flow used (host links carry bytes
         // too; any non-host link on its path works — pick the first link
         // with traffic that is not the host access link pair).
@@ -1595,11 +1602,7 @@ mod tests {
         // A star host has exactly one downlink: kill it and the flow has
         // nowhere to go.
         let topo = Topology::star(3, 1e9);
-        let clean = run_static(
-            &topo,
-            &[flow(0, 1, 125_000_000, 0)],
-            &FaultSchedule::empty(),
-        );
+        let clean = run_static(&topo, &[flow(0, 1, 125_000_000, 0)], &FaultSpec::empty());
         let used: Vec<u32> = clean
             .link_bytes
             .iter()
@@ -1623,7 +1626,7 @@ mod tests {
         let flows = [flow(0, 1, 125_000_000, 0)];
         // Find the loaded links, then halve both from t=0 (the fault
         // event schedules after the same-instant arrival).
-        let clean = run_static(&topo, &flows, &FaultSchedule::empty());
+        let clean = run_static(&topo, &flows, &FaultSpec::empty());
         let faults: Vec<TimedFault> = clean
             .link_bytes
             .iter()
@@ -1756,5 +1759,75 @@ mod tests {
         assert!(retry.finish > retry.spec.start, "retry completed");
         // Conservation holds across the original + reissued flows.
         conserved(&report);
+    }
+
+    /// An observed run's report, metrics JSON and trace JSONL.
+    fn observed_outputs(
+        topo: &Topology,
+        source: &mut dyn TrafficSource,
+        spec: &FaultSpec,
+    ) -> (String, String, Vec<u8>) {
+        let obs = Obs::enabled();
+        let report = simulate_faulted(topo, source, spec, SimOptions::default(), &obs);
+        let mut trace = Vec::new();
+        obs.write_trace_jsonl(&mut trace).expect("writes to a Vec");
+        (format!("{report:?}"), obs.metrics().to_json(), trace)
+    }
+
+    #[test]
+    fn faults_fire_in_stable_time_order_however_listed() {
+        let topo = Topology::leaf_spine(2, 3, 2, 1e9, 2.0);
+        let flows: Vec<FlowSpec> = (0..12)
+            .map(|i| {
+                let bytes = 20_000_000 + u64::from(i) * 997;
+                flow(i % 6, (i + 4) % 6, bytes, u64::from(i) * 40)
+            })
+            .collect();
+        // Host 2 crashes and recovers at one nanosecond, listed in that
+        // order: it is back up afterwards. Hosts own links 0..12.
+        let tie = 300_000_000;
+        let listed = vec![
+            fault(450_000_000, FaultKind::Partition { cut: vec![0, 3] }),
+            fault(tie, FaultKind::NodeCrash { node: 2 }),
+            fault(
+                200_000_000,
+                FaultKind::LinkDegraded {
+                    link: 13,
+                    factor: 0.25,
+                },
+            ),
+            fault(tie, FaultKind::NodeRecover { node: 2 }),
+            fault(100_000_000, FaultKind::LinkDown { link: 12 }),
+        ];
+        let mut sorted = listed.clone();
+        sorted.sort_by_key(|f| f.at_nanos);
+        assert_ne!(sorted, listed);
+        let mut swapped = sorted.clone();
+        swapped.swap(2, 3);
+        assert!(matches!(swapped[2].kind, FaultKind::NodeRecover { .. }));
+
+        for closed in [false, true] {
+            let run = |faults: &[TimedFault]| {
+                let mut source: Box<dyn TrafficSource> = if closed {
+                    Box::new(ChainSource {
+                        initial: flows.clone(),
+                        child: Some(flow(1, 5, 30_000_000, 0)),
+                        releases: Vec::new(),
+                    })
+                } else {
+                    Box::new(StaticSource::new(flows.clone()))
+                };
+                let spec = schedule(faults.to_vec());
+                observed_outputs(&topo, source.as_mut(), &spec)
+            };
+            let want = run(&sorted);
+            let got = run(&listed);
+            assert_eq!(got.0, want.0, "report, closed loop {closed}");
+            assert_eq!(got.1, want.1, "metrics, closed loop {closed}");
+            assert_eq!(got.2, want.2, "trace, closed loop {closed}");
+            // The tie's order shows: recovered before it crashed, host 2
+            // stays down.
+            assert_ne!(run(&swapped).0, want.0, "closed loop {closed}");
+        }
     }
 }

@@ -5,7 +5,8 @@
 //! models where the elephants live. Offered alongside KS so the fitting
 //! pipeline's selection criterion can be ablated.
 
-use crate::{Result, StatError};
+use crate::ks::sorted_sample;
+use crate::Result;
 
 /// The Anderson–Darling statistic for a sample against a reference CDF.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -24,8 +25,8 @@ pub struct AdResult {
 ///
 /// # Errors
 ///
-/// Returns [`StatError::EmptySample`] for an empty sample and
-/// [`StatError::InvalidParameter`] for non-finite values.
+/// Returns [`crate::StatError::EmptySample`] for an empty sample and
+/// [`crate::StatError::InvalidParameter`] for non-finite values.
 ///
 /// # Examples
 ///
@@ -37,19 +38,7 @@ pub struct AdResult {
 /// assert!(r.statistic < 2.0, "A2 = {}", r.statistic);
 /// ```
 pub fn ad_one_sample<F: Fn(f64) -> f64>(samples: &[f64], cdf: F) -> Result<AdResult> {
-    if samples.is_empty() {
-        return Err(StatError::EmptySample);
-    }
-    let mut sorted = samples.to_vec();
-    for &x in &sorted {
-        if !x.is_finite() {
-            return Err(StatError::InvalidParameter {
-                name: "sample",
-                value: x,
-            });
-        }
-    }
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
+    let sorted = sorted_sample(samples.to_vec())?;
     let n = sorted.len();
     let nf = n as f64;
     const CLAMP: f64 = 1e-12;

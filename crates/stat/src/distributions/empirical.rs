@@ -2,7 +2,8 @@
 
 use serde::{Deserialize, Serialize};
 
-use super::{check_sample, Distribution};
+use super::Distribution;
+use crate::ks::sorted_sample;
 use crate::{Result, StatError};
 
 /// Default number of quantile knots stored by [`Empirical::fit`].
@@ -56,15 +57,13 @@ impl Empirical {
     ///
     /// Returns an error for empty/non-finite samples or `knots < 2`.
     fn fit_with_knots(samples: &[f64], knots: usize) -> Result<Self> {
-        check_sample(samples)?;
+        let sorted = sorted_sample(samples.to_vec())?;
         if knots < 2 {
             return Err(StatError::InvalidParameter {
                 name: "knots",
                 value: knots as f64,
             });
         }
-        let mut sorted = samples.to_vec();
-        sorted.sort_by(f64::total_cmp);
         Ok(Empirical::from_sorted(&sorted, knots))
     }
 

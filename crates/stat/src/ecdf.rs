@@ -1,6 +1,7 @@
 //! Empirical cumulative distribution functions.
 
-use crate::{Result, StatError};
+use crate::ks::sorted_sample;
+use crate::Result;
 
 /// An empirical CDF built from a sample.
 ///
@@ -30,22 +31,12 @@ impl Ecdf {
     ///
     /// # Errors
     ///
-    /// Returns [`StatError::EmptySample`] for an empty sample and
-    /// [`StatError::InvalidParameter`] if any value is non-finite.
-    pub fn new(mut samples: Vec<f64>) -> Result<Self> {
-        if samples.is_empty() {
-            return Err(StatError::EmptySample);
-        }
-        for &x in &samples {
-            if !x.is_finite() {
-                return Err(StatError::InvalidParameter {
-                    name: "sample",
-                    value: x,
-                });
-            }
-        }
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
-        Ok(Ecdf { sorted: samples })
+    /// Returns [`crate::StatError::EmptySample`] for an empty sample and
+    /// [`crate::StatError::InvalidParameter`] if any value is non-finite.
+    pub fn new(samples: Vec<f64>) -> Result<Self> {
+        Ok(Ecdf {
+            sorted: sorted_sample(samples)?,
+        })
     }
 
     /// The number of underlying samples.
@@ -137,6 +128,7 @@ impl Ecdf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::StatError;
 
     #[test]
     fn rejects_bad_input() {

@@ -457,7 +457,7 @@ pub fn fit_all(samples: &[f64], candidates: &[Candidate]) -> Result<Vec<FitRepor
     let mut reports = Vec::new();
     if !fitted.is_empty() {
         // A successful fit implies a finite sample, so this cannot fail.
-        let sorted = sorted_sample(samples)?;
+        let sorted = sorted_sample(samples.to_vec())?;
         for (_, dist) in fitted {
             let d = ks_sorted(&sorted, &|x| dist.cdf(x));
             if d.is_finite() {
@@ -505,7 +505,40 @@ pub fn fit_best(
     candidates: &[Candidate],
     max_ks: f64,
 ) -> Result<Option<FitReport>> {
-    best_fit(samples, candidates, max_ks, &mut SweepWork::default())
+    Ok(sweep(samples, candidates, max_ks, &mut SweepWork::default())?.0)
+}
+
+/// [`fit_best`]'s winner within `max_ks` with its KS test or else, when
+/// none is within it or none fits, the empirical quantile-table model with
+/// its KS test against the sample: bit for bit [`Empirical::fit`] and
+/// [`ks_one_sample`](crate::ks::ks_one_sample) with the table's CDF, but
+/// built from the sorted copy the sweep already holds.
+///
+/// # Errors
+///
+/// Returns [`StatError::EmptySample`] for an empty sample, or
+/// [`StatError::InvalidParameter`] if `max_ks` is NaN or a value is not
+/// finite.
+pub fn fit_best_or_empirical(
+    samples: &[f64],
+    candidates: &[Candidate],
+    max_ks: f64,
+) -> Result<(FittedDist, KsResult)> {
+    let sorted = match sweep(samples, candidates, max_ks, &mut SweepWork::default()) {
+        Ok((Some(best), _)) => {
+            let ks = KsResult {
+                statistic: best.ks_statistic,
+                p_value: best.ks_p_value,
+            };
+            return Ok((best.dist, ks));
+        }
+        Ok((None, sorted)) => sorted,
+        Err(StatError::NoConvergence(_)) => sorted_sample(samples.to_vec())?,
+        Err(e) => return Err(e),
+    };
+    let table = Empirical::from_sorted(&sorted, DEFAULT_KNOTS);
+    let ks = ks_result(ks_sorted(&sorted, &|x| table.cdf(x)), sorted.len());
+    Ok((FittedDist::Empirical(table), ks))
 }
 
 /// The maximum-likelihood fits of bounded sweeps.
@@ -522,13 +555,14 @@ pub(crate) struct SweepWork {
 /// probe's bisection, about 0.1 ms, so every family is fitted up front.
 const PROBE_MIN_SAMPLES: usize = 2048;
 
-/// [`fit_best`], counting its fits into `work`.
-fn best_fit(
+/// The bounded sweep of [`fit_best`], counting its fits into `work`: its
+/// best candidate within `max_ks`, if any, and the sample's sorted copy.
+fn sweep(
     samples: &[f64],
     candidates: &[Candidate],
     max_ks: f64,
     work: &mut SweepWork,
-) -> Result<Option<FitReport>> {
+) -> Result<(Option<FitReport>, Vec<f64>)> {
     if samples.is_empty() {
         return Err(StatError::EmptySample);
     }
@@ -554,7 +588,7 @@ fn best_fit(
         }
     }
     // A successful fit implies a finite sample, so this cannot fail.
-    let sorted = sorted_sample(samples)?;
+    let sorted = sorted_sample(samples.to_vec())?;
     let probe = KsProbe::new(&sorted);
     let mut sweep = Sweep {
         samples,
@@ -572,7 +606,7 @@ fn best_fit(
         sweep.pending.push((bound, idx, Pending::Unfitted(cand)));
     }
     sweep.run(work);
-    Ok(sweep.best.map(|(_, report)| report))
+    Ok((sweep.best.map(|(_, report)| report), sweep.sorted))
 }
 
 /// A candidate waiting in a bounded sweep.
@@ -627,7 +661,8 @@ impl Sweep<'_> {
                     // then the sorted copy again.
                     self.sorted = Vec::new();
                     let fit = cand.fit_in_sweep(self.samples, &mut None, &mut self.memo);
-                    self.sorted = sorted_sample(self.samples).expect("the sample sorted before");
+                    self.sorted =
+                        sorted_sample(self.samples.to_vec()).expect("the sample sorted before");
                     let Ok(dist) = fit else { continue };
                     (ks_lower_bound(&self.sorted, &|x| dist.cdf(x)), dist)
                 }
@@ -645,23 +680,6 @@ impl Sweep<'_> {
             }
         }
     }
-}
-
-/// The empirical quantile-table model of `samples` with its one-sample
-/// KS test against the sample, both from one sorted copy: bit for bit
-/// [`Empirical::fit`] and [`ks_one_sample`](crate::ks::ks_one_sample)
-/// with the table's CDF, which sort a copy each.
-///
-/// # Errors
-///
-/// Returns [`StatError::EmptySample`] for an empty sample or
-/// [`StatError::InvalidParameter`] for a non-finite value, as
-/// [`Empirical::fit`] does.
-pub fn fit_empirical(samples: &[f64]) -> Result<(Empirical, KsResult)> {
-    let sorted = sorted_sample(samples)?;
-    let table = Empirical::from_sorted(&sorted, DEFAULT_KNOTS);
-    let ks = ks_result(ks_sorted(&sorted, &|x| table.cdf(x)), sorted.len());
-    Ok((table, ks))
 }
 
 /// Fits every candidate and selects by the given criterion.
@@ -706,6 +724,16 @@ mod tests {
     fn draw<D: Distribution>(d: &D, n: usize, seed: u64) -> Vec<f64> {
         let mut rng = StdRng::seed_from_u64(seed);
         (0..n).map(|_| d.sample(&mut rng)).collect()
+    }
+
+    /// [`fit_best`], counting its fits into `work`.
+    fn best_fit(
+        samples: &[f64],
+        candidates: &[Candidate],
+        max_ks: f64,
+        work: &mut SweepWork,
+    ) -> Result<Option<FitReport>> {
+        Ok(sweep(samples, candidates, max_ks, work)?.0)
     }
 
     #[test]
@@ -903,7 +931,7 @@ mod tests {
             samples: xs,
             max_ks,
             memo: TermMemo::new(),
-            sorted: sorted_sample(xs)?,
+            sorted: sorted_sample(xs.to_vec())?,
             best: None,
             pending: Vec::new(),
         };
@@ -928,7 +956,7 @@ mod tests {
     fn ks_tie_goes_to_the_earlier_candidate_that_finishes_later() {
         use crate::ks::ks_one_sample;
         let (xs, fitted) = tied_fits();
-        let sorted = sorted_sample(&xs).unwrap();
+        let sorted = sorted_sample(xs.clone()).unwrap();
         let [(_, early), (_, late)] = &fitted[..] else {
             unreachable!()
         };
@@ -1016,10 +1044,16 @@ mod tests {
             vec![7.25],
             (0..1000).map(|i| f64::from((i * 37) % 11)).collect(),
         ];
-        for xs in samples {
-            let (table, ks) = fit_empirical(&xs).unwrap();
-            let want = Empirical::fit(&xs).unwrap();
-            let want_ks = crate::ks::ks_one_sample(&xs, |x| want.cdf(x)).unwrap();
+        // With no candidate, and with every candidate out of reach.
+        let fallbacks = [(&[][..], 0.0), (Candidate::ALL, f64::NEG_INFINITY)];
+        for (xs, (candidates, max_ks)) in samples.iter().flat_map(|xs| fallbacks.map(|f| (xs, f))) {
+            let Ok((FittedDist::Empirical(table), ks)) =
+                fit_best_or_empirical(xs, candidates, max_ks)
+            else {
+                panic!("{} values fall back", xs.len());
+            };
+            let want = Empirical::fit(xs).unwrap();
+            let want_ks = crate::ks::ks_one_sample(xs, |x| want.cdf(x)).unwrap();
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(
                 bits(table.knots()),
@@ -1031,10 +1065,30 @@ mod tests {
             assert_eq!(ks.statistic.to_bits(), want_ks.statistic.to_bits());
             assert_eq!(ks.p_value.to_bits(), want_ks.p_value.to_bits());
         }
-        assert!(matches!(fit_empirical(&[]), Err(StatError::EmptySample)));
         assert!(matches!(
-            fit_empirical(&[1.0, f64::NAN]),
+            fit_best_or_empirical(&[], Candidate::ALL, 0.1),
+            Err(StatError::EmptySample)
+        ));
+        assert!(matches!(
+            fit_best_or_empirical(&[1.0, f64::NAN], Candidate::ALL, 0.1),
             Err(StatError::InvalidParameter { name: "sample", .. })
+        ));
+    }
+
+    /// Within `max_ks`, the fallback keeps `fit_best`'s winner and its KS
+    /// test, by bits.
+    #[test]
+    fn fallback_keeps_the_winner_within_max_ks() {
+        let truth = LogNormal::new(3.0, 0.6).unwrap();
+        let xs = draw(&truth, 500, 31);
+        let winner = fit_best(&xs, Candidate::POSITIVE, 0.12).unwrap().unwrap();
+        let (dist, ks) = fit_best_or_empirical(&xs, Candidate::POSITIVE, 0.12).unwrap();
+        assert_eq!(dist, winner.dist);
+        assert_eq!(ks.statistic.to_bits(), winner.ks_statistic.to_bits());
+        assert_eq!(ks.p_value.to_bits(), winner.ks_p_value.to_bits());
+        assert!(matches!(
+            fit_best_or_empirical(&xs, Candidate::POSITIVE, f64::NAN),
+            Err(StatError::InvalidParameter { name: "max_ks", .. })
         ));
     }
 
@@ -1366,7 +1420,7 @@ mod tests {
             .map(|i| if i % 3 == 0 { f64::from(i) + 1.0 } else { -1.0 })
             .collect();
         let t = Candidate::Weibull.line().unwrap();
-        assert!(KsProbe::new(&sorted_sample(&negative).unwrap()).rules_out(t, 0.1));
+        assert!(KsProbe::new(&sorted_sample(negative.clone()).unwrap()).rules_out(t, 0.1));
         assert!(matches!(
             fit_best(&negative, &alone, 0.1),
             Err(StatError::NoConvergence(_))
@@ -1416,7 +1470,7 @@ mod tests {
             masses in 0usize..3,
         ) {
             let xs = flow_sample(kind, seed, n, masses);
-            let probe = KsProbe::new(&sorted_sample(&xs).unwrap());
+            let probe = KsProbe::new(&sorted_sample(xs.clone()).unwrap());
             for family in [Candidate::LogLogistic, Candidate::Weibull] {
                 let Ok(mle) = family.fit(&xs) else { continue };
                 let t = family.line().unwrap();

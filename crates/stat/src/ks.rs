@@ -4,6 +4,7 @@
 //! against the empirical sample (one-sample test) and validates generated
 //! traffic against captured traffic with the two-sample test.
 
+use crate::distributions::check_sample;
 use crate::{Result, StatError};
 
 /// The outcome of a KS test: the supremum distance and an asymptotic
@@ -37,32 +38,23 @@ pub struct KsResult {
 /// assert!(r.statistic < 0.02);
 /// ```
 pub fn ks_one_sample<F: Fn(f64) -> f64>(samples: &[f64], cdf: F) -> Result<KsResult> {
-    let sorted = sorted_sample(samples)?;
+    let sorted = sorted_sample(samples.to_vec())?;
     Ok(ks_result(ks_sorted(&sorted, &cdf), sorted.len()))
 }
 
-/// A sorted copy of `samples`, the input every one-sample scan below
-/// takes.
+/// `samples`, checked and sorted by `f64::total_cmp`: the crate's one
+/// validate-and-sort, behind every ECDF, empirical table, KS and AD test.
 ///
 /// # Errors
 ///
 /// Returns [`StatError::EmptySample`] if `samples` is empty or
-/// [`StatError::InvalidParameter`] if a sample is non-finite.
-pub(crate) fn sorted_sample(samples: &[f64]) -> Result<Vec<f64>> {
-    if samples.is_empty() {
-        return Err(StatError::EmptySample);
-    }
-    if let Some(&x) = samples.iter().find(|x| !x.is_finite()) {
-        return Err(StatError::InvalidParameter {
-            name: "sample",
-            value: x,
-        });
-    }
-    let mut sorted = samples.to_vec();
+/// [`StatError::InvalidParameter`] naming the first non-finite sample.
+pub(crate) fn sorted_sample(mut samples: Vec<f64>) -> Result<Vec<f64>> {
+    check_sample(&samples)?;
     // Values equal under `total_cmp` have equal bits, so this is the order
     // a stable sort gives, without a stable sort's scratch buffer.
-    sorted.sort_unstable_by(f64::total_cmp);
-    Ok(sorted)
+    samples.sort_unstable_by(f64::total_cmp);
+    Ok(samples)
 }
 
 /// The statistic `d` of a sample of `n` values with its asymptotic
@@ -347,18 +339,8 @@ pub fn ks_two_sample(a: &[f64], b: &[f64]) -> Result<KsResult> {
     if a.is_empty() || b.is_empty() {
         return Err(StatError::EmptySample);
     }
-    for &x in a.iter().chain(b.iter()) {
-        if !x.is_finite() {
-            return Err(StatError::InvalidParameter {
-                name: "sample",
-                value: x,
-            });
-        }
-    }
-    let mut sa = a.to_vec();
-    let mut sb = b.to_vec();
-    sa.sort_by(f64::total_cmp);
-    sb.sort_by(f64::total_cmp);
+    let sa = sorted_sample(a.to_vec())?;
+    let sb = sorted_sample(b.to_vec())?;
     let (na, nb) = (sa.len(), sb.len());
     let (mut i, mut j) = (0usize, 0usize);
     let mut d: f64 = 0.0;
@@ -523,7 +505,7 @@ mod tests {
         massed.extend([64.0; 70].iter().chain(&[128.0; 300]));
         let tiny = vec![3.0, 1.0, 2.0, 2.0];
         for xs in [smooth, massed, tiny] {
-            let sorted = sorted_sample(&xs).unwrap();
+            let sorted = sorted_sample(xs.clone()).unwrap();
             let emp = Empirical::fit(&xs[..xs.len() / 2]).unwrap();
             let cdfs: [&dyn Fn(f64) -> f64; 2] = [&|x| d.cdf(x), &|x| emp.cdf(x)];
             for cdf in cdfs {

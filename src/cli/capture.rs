@@ -7,7 +7,7 @@ use keddah_core::runner::par_map;
 use keddah_faults::FaultSpec;
 use keddah_flowcap::classify::classify_all;
 use keddah_flowcap::tcpdump::{self, read_text_lenient};
-use keddah_flowcap::FlowAssembler;
+use keddah_flowcap::{sort_by_time, FlowAssembler};
 use keddah_hadoop::{run_dag, ClusterSpec, HadoopConfig, JobSpec, Workload};
 
 use super::args::gib_bytes;
@@ -90,7 +90,7 @@ fn ingest(args: &Args, path: &str) -> Result<()> {
     }
 
     let mut packets = std::mem::take(&mut parsed.packets);
-    let reordered = tcpdump::sort_by_time(&mut packets);
+    let reordered = sort_by_time(&mut packets);
     obs.add("flowcap", "packets_reordered", reordered);
     if reordered > 0 {
         eprintln!("  {reordered} packet(s) out of time order; sorted before assembly");

@@ -409,7 +409,7 @@ proptest! {
             1..40
         )
     ) {
-        use keddah::faults::FaultSchedule;
+        use keddah::faults::FaultSpec;
         use keddah::netsim::{
             simulate, simulate_faulted, FlowSpec, HostId, SimOptions, StaticSource, Topology,
         };
@@ -430,7 +430,7 @@ proptest! {
         let closed = simulate_faulted(
             &topo,
             &mut StaticSource::new(specs),
-            &FaultSchedule::empty(),
+            &FaultSpec::empty(),
             opts,
             &Obs::disabled(),
         );
@@ -627,7 +627,7 @@ proptest! {
         let report = simulate_faulted(
             &topo,
             &mut source,
-            &spec.schedule(),
+            &spec,
             SimOptions::default(),
             &keddah::obs::Obs::disabled(),
         );
