@@ -29,7 +29,7 @@ use keddah_flowcap::{
     ports, FiveTuple, FlowRecord, NodeId, PacketRecord, StreamAssembler, StreamConfig, TraceMeta,
 };
 use keddah_obs::Obs;
-use keddah_stat::sketch::{GkSketch, StreamingQuantiles};
+use keddah_stat::sketch::GkSketch;
 use serde::{Deserialize, Serialize};
 
 /// Flows per synthetic rotation (one `end_run` per this many records).

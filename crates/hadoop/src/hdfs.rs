@@ -58,12 +58,12 @@ impl Hdfs {
     /// and places `replication` replicas of each using the rack-aware
     /// policy. Primaries are spread by a seeded shuffle of the workers so
     /// input data is balanced, as a real ingest (or balancer pass) leaves
-    /// it.
+    /// it. An empty file has no blocks.
     ///
     /// # Panics
     ///
-    /// Panics if `block_bytes` or `file_bytes` is zero, or replication
-    /// exceeds the worker count.
+    /// Panics if `block_bytes` is zero, or replication exceeds the worker
+    /// count.
     #[must_use]
     pub fn place_file(
         &self,
@@ -72,10 +72,7 @@ impl Hdfs {
         replication: u16,
         rng: &mut StdRng,
     ) -> Vec<Block> {
-        assert!(
-            block_bytes > 0 && file_bytes > 0,
-            "file and block sizes must be positive"
-        );
+        assert!(block_bytes > 0, "block size must be positive");
         assert!(
             (replication as u32) <= self.cluster.worker_count(),
             "replication {replication} exceeds worker count {}",

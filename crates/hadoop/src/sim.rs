@@ -721,6 +721,8 @@ impl<'j, 'a> StageSim<'j, 'a> {
             })
             .collect();
         let pending_reducers: Vec<usize> = (0..reducers.len()).collect();
+        // With no maps to wait for, slow-start has nothing to count.
+        let reducers_released = maps.is_empty();
         let mut free_slots = vec![0; job.cluster.node_count() as usize];
         for w in job.cluster.workers().filter(|w| !job.down.contains(w)) {
             free_slots[w.0 as usize] = job.config.slots_per_node;
@@ -734,7 +736,7 @@ impl<'j, 'a> StageSim<'j, 'a> {
             pending_maps,
             reducers,
             pending_reducers,
-            reducers_released: false,
+            reducers_released,
             running_reducers: 0,
             free_slots,
             completed_maps: 0,

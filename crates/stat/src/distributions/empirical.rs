@@ -4,10 +4,11 @@ use serde::{Deserialize, Serialize};
 
 use super::Distribution;
 use crate::ks::sorted_sample;
-use crate::{Result, StatError};
+use crate::Result;
 
-/// Default number of quantile knots stored by [`Empirical::fit`].
-pub const DEFAULT_KNOTS: usize = 256;
+/// The quantile knots an empirical table stores: fewer for a smaller
+/// sample, one per value.
+const DEFAULT_KNOTS: usize = 256;
 
 /// A distribution defined directly by a sample's quantile table.
 ///
@@ -40,37 +41,20 @@ pub struct Empirical {
 }
 
 impl Empirical {
-    /// Builds an empirical distribution from a sample with the default
-    /// knot count.
+    /// Builds the empirical distribution of a sample: a table of 256
+    /// quantile points.
     ///
     /// # Errors
     ///
     /// Returns an error for empty or non-finite samples.
     pub fn fit(samples: &[f64]) -> Result<Self> {
-        Empirical::fit_with_knots(samples, DEFAULT_KNOTS)
+        Ok(Empirical::from_sorted(&sorted_sample(samples.to_vec())?))
     }
 
-    /// Builds an empirical distribution storing `knots` quantile points
-    /// (at least 2).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for empty/non-finite samples or `knots < 2`.
-    fn fit_with_knots(samples: &[f64], knots: usize) -> Result<Self> {
-        let sorted = sorted_sample(samples.to_vec())?;
-        if knots < 2 {
-            return Err(StatError::InvalidParameter {
-                name: "knots",
-                value: knots as f64,
-            });
-        }
-        Ok(Empirical::from_sorted(&sorted, knots))
-    }
-
-    /// The table of `knots` (at least 2) quantile points of a non-empty
-    /// sample already sorted by `f64::total_cmp`.
-    pub(crate) fn from_sorted(sorted: &[f64], knots: usize) -> Self {
-        let k = knots.min(sorted.len().max(2));
+    /// The table of `DEFAULT_KNOTS` quantile points (at least 2) of a
+    /// non-empty sample already sorted by `f64::total_cmp`.
+    pub(crate) fn from_sorted(sorted: &[f64]) -> Self {
+        let k = DEFAULT_KNOTS.min(sorted.len().max(2));
         let table: Vec<f64> = (0..k)
             .map(|i| {
                 let pos = i as f64 / (k - 1) as f64 * (sorted.len() - 1) as f64;
@@ -254,7 +238,6 @@ mod tests {
     fn rejects_bad_input() {
         assert!(Empirical::fit(&[]).is_err());
         assert!(Empirical::fit(&[1.0, f64::NAN]).is_err());
-        assert!(Empirical::fit_with_knots(&[1.0, 2.0], 1).is_err());
     }
 
     #[test]

@@ -19,7 +19,6 @@ mod uniform;
 mod weibull;
 
 pub use empirical::Empirical;
-pub(crate) use empirical::DEFAULT_KNOTS;
 pub use exponential::Exponential;
 pub use gamma::Gamma;
 pub use loglogistic::LogLogistic;

@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 use crate::ad::ad_one_sample;
 use crate::distributions::{
     Distribution, Empirical, Exponential, Gamma, LogLogistic, LogNormal, Normal, Pareto, Uniform,
-    Weibull, DEFAULT_KNOTS,
+    Weibull,
 };
 use crate::ks::{
     ks_finish, ks_lower_bound, ks_result, ks_sorted, sorted_sample, KsProbe, KsResult,
@@ -536,7 +536,7 @@ pub fn fit_best_or_empirical(
         Err(StatError::NoConvergence(_)) => sorted_sample(samples.to_vec())?,
         Err(e) => return Err(e),
     };
-    let table = Empirical::from_sorted(&sorted, DEFAULT_KNOTS);
+    let table = Empirical::from_sorted(&sorted);
     let ks = ks_result(ks_sorted(&sorted, &|x| table.cdf(x)), sorted.len());
     Ok((FittedDist::Empirical(table), ks))
 }

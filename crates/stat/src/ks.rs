@@ -336,11 +336,17 @@ impl KsProbe {
 /// assert!(r.statistic < 0.05);
 /// ```
 pub fn ks_two_sample(a: &[f64], b: &[f64]) -> Result<KsResult> {
+    ks_two_sample_owned(a.to_vec(), b.to_vec())
+}
+
+/// [`ks_two_sample`] on samples it may reorder: each is sorted in place,
+/// so a caller that already holds its own copies makes no more.
+pub(crate) fn ks_two_sample_owned(a: Vec<f64>, b: Vec<f64>) -> Result<KsResult> {
     if a.is_empty() || b.is_empty() {
         return Err(StatError::EmptySample);
     }
-    let sa = sorted_sample(a.to_vec())?;
-    let sb = sorted_sample(b.to_vec())?;
+    let sa = sorted_sample(a)?;
+    let sb = sorted_sample(b)?;
     let (na, nb) = (sa.len(), sb.len());
     let (mut i, mut j) = (0usize, 0usize);
     let mut d: f64 = 0.0;

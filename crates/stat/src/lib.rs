@@ -13,9 +13,10 @@
 //! * [`ks`] — one- and two-sample Kolmogorov–Smirnov tests;
 //! * [`fit`] — candidate sweeps with KS/AIC model selection, producing a
 //!   serializable [`fit::FittedDist`] that the Keddah model format embeds;
-//! * [`sketch`] — bounded-memory streaming quantiles (Greenwald–Khanna)
-//!   and a streaming KS test with provable error bounds, the online
-//!   counterpart of the sort-the-world path;
+//! * [`shift`] — distribution-shift scores for fault diagnosis: the
+//!   exact two-sample KS test and the mean ratio, at every sample size;
+//! * [`sketch`] — the bounded-memory Greenwald–Khanna quantile sketch
+//!   behind `keddah serve`'s streaming refits;
 //! * [`regression`] — ordinary least squares and power-law scaling fits used
 //!   for the traffic-vs-input-size scaling laws.
 //!

@@ -2,28 +2,12 @@
 //!
 //! Fault fingerprinting (`keddah-diagnose`) asks, per traffic component:
 //! *did this dimension's distribution move, and by how much?* The answer
-//! is a two-sample Kolmogorov–Smirnov comparison plus the first-moment
-//! ratio, wrapped in a serializable [`ShiftScore`]. Small samples go
-//! through the exact [`crate::ks::ks_two_sample`]; past
-//! [`EXACT_SHIFT_CAP`] observations per side the comparison switches to
-//! Greenwald–Khanna sketches and a sketched two-sample KS, the
-//! two-sample sibling of the streaming one-sample test from the serve
-//! path — its statistic is within `2(ε_a + ε_b)` of the exact one, so a
-//! diagnosis over a million-flow trace costs sketch memory, not a sort
-//! of the world.
+//! is an exact two-sample Kolmogorov–Smirnov comparison
+//! ([`crate::ks::ks_two_sample`], at every sample size) plus the
+//! first-moment ratio, wrapped in a serializable [`ShiftScore`].
 
-use crate::ks::{kolmogorov_sf, ks_two_sample, KsResult};
-use crate::sketch::{GkSketch, StreamingQuantiles};
+use crate::ks::ks_two_sample_owned;
 use crate::{Result, StatError};
-
-/// Per-side sample size above which [`shift_between`] switches from the
-/// exact two-sample KS to the sketched one.
-pub const EXACT_SHIFT_CAP: usize = 4096;
-
-/// Rank-error parameter used for the sketched comparison; the KS
-/// statistic is then within `4ε = 0.02` of exact — far below any
-/// decision threshold a fingerprint rule uses.
-pub const SHIFT_SKETCH_EPS: f64 = 0.005;
 
 /// The outcome of comparing one dimension across two runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -65,51 +49,17 @@ impl ShiftScore {
     }
 }
 
+/// The mean of a non-empty sample, summed in its order.
 fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
     xs.iter().sum::<f64>() / xs.len() as f64
-}
-
-/// Two-sample KS between two GK sketches.
-///
-/// Both step CDFs are evaluated exactly at the union of the sketches'
-/// supports (where any supremum over step functions is attained), so the
-/// only error is each sketch's own CDF error: the returned statistic is
-/// within `2(ε_a + ε_b)` of the exact two-sample statistic on the
-/// underlying streams.
-///
-/// # Errors
-///
-/// Returns [`StatError::EmptySample`] when either sketch is empty.
-fn ks_two_sample_sketch(a: &GkSketch, b: &GkSketch) -> Result<KsResult> {
-    if a.count() == 0 || b.count() == 0 {
-        return Err(StatError::EmptySample);
-    }
-    let mut support = a.support();
-    support.extend(b.support());
-    support.sort_by(f64::total_cmp);
-    support.dedup();
-    let mut d: f64 = 0.0;
-    for &x in &support {
-        d = d.max((a.cdf(x) - b.cdf(x)).abs());
-    }
-    let (na, nb) = (a.count() as f64, b.count() as f64);
-    let ne = (na * nb) / (na + nb);
-    let p_value = kolmogorov_sf(d * (ne.sqrt() + 0.12 + 0.11 / ne.sqrt()));
-    Ok(KsResult {
-        statistic: d,
-        p_value,
-    })
 }
 
 /// Scores the distribution shift from `baseline` to `degraded`.
 ///
 /// Non-finite observations are dropped (a diagnosis input is historical
-/// artefact data, not a place to panic). Samples up to
-/// [`EXACT_SHIFT_CAP`] per side use the exact two-sample KS; larger ones
-/// stream both sides through [`SHIFT_SKETCH_EPS`] GK sketches.
+/// artefact data, not a place to panic). The KS statistic and p-value are
+/// [`ks_two_sample`](crate::ks::ks_two_sample)'s on the finite values, bit
+/// for bit, whatever the sample sizes.
 ///
 /// # Errors
 ///
@@ -121,34 +71,23 @@ pub fn shift_between(baseline: &[f64], degraded: &[f64]) -> Result<ShiftScore> {
     if base.is_empty() || deg.is_empty() {
         return Err(StatError::EmptySample);
     }
-    let ks = if base.len() <= EXACT_SHIFT_CAP && deg.len() <= EXACT_SHIFT_CAP {
-        ks_two_sample(&base, &deg)?
-    } else {
-        let mut sa = GkSketch::new(SHIFT_SKETCH_EPS)?;
-        let mut sb = GkSketch::new(SHIFT_SKETCH_EPS)?;
-        for &x in &base {
-            sa.observe(x);
-        }
-        for &x in &deg {
-            sb.observe(x);
-        }
-        ks_two_sample_sketch(&sa, &sb)?
-    };
+    // The means sum in arrival order, before the KS test sorts the copies.
+    let (n_baseline, n_degraded) = (base.len() as u64, deg.len() as u64);
+    let (mean_baseline, mean_degraded) = (mean(&base), mean(&deg));
+    let ks = ks_two_sample_owned(base, deg)?;
     Ok(ShiftScore {
-        n_baseline: base.len() as u64,
-        n_degraded: deg.len() as u64,
+        n_baseline,
+        n_degraded,
         ks: ks.statistic,
         p_value: ks.p_value,
-        mean_baseline: mean(&base),
-        mean_degraded: mean(&deg),
+        mean_baseline,
+        mean_degraded,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
 
     #[test]
     fn identical_samples_score_zero_shift() {
@@ -189,34 +128,6 @@ mod tests {
             shift_between(&[f64::NAN], &[1.0]),
             Err(StatError::EmptySample)
         ));
-    }
-
-    #[test]
-    fn sketched_path_tracks_exact_within_bound() {
-        // Push both sides past EXACT_SHIFT_CAP so shift_between takes
-        // the sketch path, and check it against the exact statistic.
-        let mut rng = StdRng::seed_from_u64(77);
-        let base: Vec<f64> = (0..6000).map(|_| rng.random_range(0.0..1.0)).collect();
-        let deg: Vec<f64> = (0..6000)
-            .map(|_| rng.random_range(0.0..1.0) + 0.2)
-            .collect();
-        let sketched = shift_between(&base, &deg).unwrap();
-        let exact = ks_two_sample(&base, &deg).unwrap();
-        let bound = 4.0 * SHIFT_SKETCH_EPS + 1e-9;
-        assert!(
-            (sketched.ks - exact.statistic).abs() <= bound,
-            "sketched {} vs exact {}",
-            sketched.ks,
-            exact.statistic
-        );
-    }
-
-    #[test]
-    fn sketch_two_sample_rejects_empty() {
-        let empty = GkSketch::new(0.01).unwrap();
-        let mut full = GkSketch::new(0.01).unwrap();
-        full.observe(1.0);
-        assert!(ks_two_sample_sketch(&empty, &full).is_err());
     }
 
     #[test]

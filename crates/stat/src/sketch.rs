@@ -1,55 +1,23 @@
-//! Streaming quantile sketches for online model fitting.
+//! The Greenwald–Khanna (GK) quantile sketch behind `keddah serve`'s
+//! bounded-memory refits.
 //!
 //! The offline fitting path sorts the whole pooled sample; a service
-//! ingesting an unbounded capture stream cannot. This module provides
-//! the bounded-memory replacement: a Greenwald–Khanna (GK) quantile
-//! sketch with a provable rank-error guarantee, an exact reference
-//! implementation behind the same trait, and a streaming one-sample
-//! Kolmogorov–Smirnov test whose deviation from the offline statistic
-//! is bounded by the sketch error.
+//! ingesting an unbounded capture stream cannot. A [`SampleStore`] holds
+//! one model dimension either exactly or as a [`GkSketch`], whose
+//! bounded pseudo-sample the offline fitters consume.
 //!
-//! # Error bounds
+//! # Error bound
 //!
-//! For a sketch with parameter `ε` over `n` observations:
-//!
-//! * [`StreamingQuantiles::quantile`] at target rank `r = ⌈qn⌉` returns
-//!   a stored value whose true rank lies in `[r − εn, r + εn]` — the GK
-//!   guarantee, maintained by keeping every tuple's `g + Δ ≤ 2εn`;
-//! * [`ks_one_sample_sketch`] differs from the offline
-//!   [`crate::ks::ks_one_sample`] on the same data by at most `2ε`:
-//!   the sketch's weighted step function `F̃` (jump `gᵢ/n` at `vᵢ`)
-//!   satisfies `0 ≤ Fₙ(x) − F̃(x) ≤ 2ε` pointwise, because for
-//!   `x ∈ [vᵢ, vᵢ₊₁)` the empirical count through `x` is at least
-//!   `rminᵢ` and less than `rmaxᵢ₊₁ = rminᵢ + gᵢ₊₁ + Δᵢ₊₁ ≤ rminᵢ + 2εn`.
-//!
-//! Both bounds are asserted exactly (plus float-rounding slack) by the
-//! sketch-equivalence proptests in `tests/stream_model.rs`.
+//! For a sketch with parameter `ε` over `n` observations,
+//! [`GkSketch::quantile`] at target rank `r = ⌈qn⌉` returns a stored
+//! value whose true rank lies in `[r − εn, r + εn]` — the GK guarantee,
+//! maintained by keeping every tuple's `g + Δ ≤ 2εn`. The bound is
+//! asserted exactly (plus float-rounding slack) by the sketch proptest in
+//! `tests/stream_model.rs`.
 
 use std::cmp::Ordering;
 
-use crate::ks::{kolmogorov_sf, KsResult};
 use crate::{Result, StatError};
-
-/// A streaming quantile estimator: the shared interface of the online
-/// (sketched) and offline (exact, sort-the-world) fitting paths.
-pub trait StreamingQuantiles {
-    /// Ingests one observation. Non-finite values are ignored.
-    fn observe(&mut self, x: f64);
-
-    /// Number of (finite) observations ingested.
-    fn count(&self) -> u64;
-
-    /// The value at quantile `q ∈ [0, 1]` (clamped).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatError::EmptySample`] before any observation.
-    fn quantile(&self, q: f64) -> Result<f64>;
-
-    /// The rank-error guarantee `ε`: the returned quantile's true rank
-    /// is within `ε·n` of the target rank. Zero for exact stores.
-    fn rank_error(&self) -> f64;
-}
 
 /// One GK tuple: a stored value `v` covering `g` observations, with
 /// rank uncertainty `Δ`. With `rminᵢ = Σ_{j≤i} gⱼ`, the tracked
@@ -71,7 +39,7 @@ struct GkTuple {
 /// # Examples
 ///
 /// ```
-/// use keddah_stat::sketch::{GkSketch, StreamingQuantiles};
+/// use keddah_stat::sketch::GkSketch;
 ///
 /// let mut sk = GkSketch::new(0.01).unwrap();
 /// for i in 0..10_000 {
@@ -120,14 +88,12 @@ impl GkSketch {
     }
 
     /// The exact minimum observed, if any.
-    #[must_use]
-    pub fn min(&self) -> Option<f64> {
+    fn min(&self) -> Option<f64> {
         self.tuples.first().map(|t| t.v)
     }
 
     /// The exact maximum observed, if any.
-    #[must_use]
-    pub fn max(&self) -> Option<f64> {
+    fn max(&self) -> Option<f64> {
         self.tuples.last().map(|t| t.v)
     }
 
@@ -262,41 +228,12 @@ impl GkSketch {
         self.tuples.drain(..keep);
     }
 
-    /// The sketch's lower empirical CDF `F̃(x) = rmin(x)/n`: the jump
-    /// function with mass `gᵢ/n` at `vᵢ`. Satisfies
-    /// `0 ≤ Fₙ(x) − F̃(x) ≤ 2ε` against the exact empirical CDF.
-    #[must_use]
-    pub fn cdf(&self, x: f64) -> f64 {
-        if self.n == 0 {
-            return 0.0;
-        }
-        let mut cum = 0u64;
-        for t in &self.tuples {
-            if t.v <= x {
-                cum += t.g;
-            } else {
-                break;
-            }
-        }
-        cum as f64 / self.n as f64
-    }
-
-    /// The stored support values, ascending — the points at which the
-    /// sketch's step CDF jumps. Two-sample comparisons (see
-    /// [`crate::shift`]) evaluate both sketches' CDFs exactly at the
-    /// union of their supports, which is where any supremum over step
-    /// functions is attained.
-    #[must_use]
-    pub fn support(&self) -> Vec<f64> {
-        self.tuples.iter().map(|t| t.v).collect()
-    }
-
     /// A bounded, sorted pseudo-sample reconstructed from the quantile
     /// grid: `m` mid-rank quantiles, `m = min(n, cap)`. Feeding these
     /// to the offline fitters approximates the full-sample fit to
     /// within the sketch's rank error.
     ///
-    /// Entry `j` is [`quantile`](StreamingQuantiles::quantile) at
+    /// Entry `j` is [`quantile`](GkSketch::quantile) at
     /// `(j + 0.5)/m`, bit for bit. The targets ascend, so each one's walk
     /// resumes where the previous one stopped: one walk answers them all.
     fn pseudo_sample(&self, cap: usize) -> Vec<f64> {
@@ -327,22 +264,29 @@ impl GkSketch {
         }
         out
     }
-}
 
-impl StreamingQuantiles for GkSketch {
-    /// Interior inserts take the maximal allowed uncertainty; new
-    /// extremes are exact (Δ = 0), which keeps min/max queries
-    /// error-free and anchors the query-walk proof. The one-value case of
-    /// [`GkSketch::extend_from_slice`].
-    fn observe(&mut self, x: f64) {
+    /// Ingests one observation (non-finite values are ignored): the
+    /// one-value case of [`GkSketch::extend_from_slice`]. Interior inserts
+    /// take the maximal allowed uncertainty; new extremes are exact
+    /// (Δ = 0), which keeps the extremes error-free and anchors the
+    /// query-walk proof.
+    pub fn observe(&mut self, x: f64) {
         self.extend_from_slice(std::slice::from_ref(&x));
     }
 
-    fn count(&self) -> u64 {
+    /// Number of (finite) observations ingested.
+    #[must_use]
+    pub fn count(&self) -> u64 {
         self.n
     }
 
-    fn quantile(&self, q: f64) -> Result<f64> {
+    /// The value at quantile `q ∈ [0, 1]` (clamped), within the rank error
+    /// of the module docs.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StatError::EmptySample`] before any observation.
+    pub fn quantile(&self, q: f64) -> Result<f64> {
         if self.n == 0 {
             return Err(StatError::EmptySample);
         }
@@ -372,109 +316,6 @@ impl StreamingQuantiles for GkSketch {
         }
         Ok(prev)
     }
-
-    fn rank_error(&self) -> f64 {
-        self.eps
-    }
-}
-
-/// The exact (offline-equivalent) quantile store: keeps every value,
-/// sorted. The reference implementation the sketch is tested against,
-/// and the "degenerate sketch config" of `keddah serve --exact`.
-#[derive(Debug, Clone, Default)]
-pub struct ExactQuantiles {
-    sorted: Vec<f64>,
-}
-
-impl ExactQuantiles {
-    /// Creates an empty store.
-    #[must_use]
-    pub fn new() -> ExactQuantiles {
-        ExactQuantiles::default()
-    }
-
-    /// The sorted values.
-    #[must_use]
-    pub fn values(&self) -> &[f64] {
-        &self.sorted
-    }
-}
-
-impl StreamingQuantiles for ExactQuantiles {
-    fn observe(&mut self, x: f64) {
-        if !x.is_finite() {
-            return;
-        }
-        let pos = self.sorted.partition_point(|&v| v <= x);
-        self.sorted.insert(pos, x);
-    }
-
-    fn count(&self) -> u64 {
-        self.sorted.len() as u64
-    }
-
-    fn quantile(&self, q: f64) -> Result<f64> {
-        if self.sorted.is_empty() {
-            return Err(StatError::EmptySample);
-        }
-        let n = self.sorted.len();
-        // Same rank convention as `Ecdf::quantile`.
-        let rank = ((q.clamp(0.0, 1.0) * n as f64).ceil() as usize).clamp(1, n);
-        Ok(self.sorted[rank - 1])
-    }
-
-    fn rank_error(&self) -> f64 {
-        0.0
-    }
-}
-
-/// Streaming one-sample KS test: the supremum distance between the
-/// sketch's weighted empirical step function and a reference CDF.
-///
-/// Differs from the offline [`crate::ks::ks_one_sample`] on the same
-/// data by at most `2ε` (see the module docs for the argument); the
-/// p-value uses the same asymptotic Kolmogorov formula on the sketch
-/// statistic.
-///
-/// # Errors
-///
-/// Returns [`StatError::EmptySample`] for an empty sketch.
-///
-/// # Examples
-///
-/// ```
-/// use keddah_stat::sketch::{ks_one_sample_sketch, GkSketch, StreamingQuantiles};
-///
-/// let mut sk = GkSketch::new(0.005).unwrap();
-/// for i in 1..1000 {
-///     sk.observe(f64::from(i) / 1000.0);
-/// }
-/// let r = ks_one_sample_sketch(&sk, |x| x.clamp(0.0, 1.0)).unwrap();
-/// assert!(r.statistic < 0.02);
-/// ```
-pub fn ks_one_sample_sketch<F: Fn(f64) -> f64>(sketch: &GkSketch, cdf: F) -> Result<KsResult> {
-    if sketch.n == 0 {
-        return Err(StatError::EmptySample);
-    }
-    let n = sketch.n as f64;
-    let mut d: f64 = 0.0;
-    let mut cum = 0u64;
-    for t in &sketch.tuples {
-        let lo = cum as f64 / n;
-        cum += t.g;
-        let hi = cum as f64 / n;
-        let f_at = cdf(t.v);
-        // Mirror the offline test's point-mass handling: the lower
-        // comparison evaluates the reference just left of the jump.
-        let delta = (t.v.abs() * 1e-12).max(f64::MIN_POSITIVE);
-        let f_before = cdf(t.v - delta);
-        d = d.max((f_before - lo).abs()).max((hi - f_at).abs());
-    }
-    let p_value = kolmogorov_sf(d * (n.sqrt() + 0.12 + 0.11 / n.sqrt()));
-    Ok(KsResult {
-        statistic: d,
-        p_value,
-    })
 }
 
 /// A bounded-memory sample accumulator for one model dimension: either
@@ -512,15 +353,9 @@ impl SampleStore {
         Ok(SampleStore::Sketch(GkSketch::new(eps)?))
     }
 
-    /// Ingests one observation (non-finite values are ignored): the
-    /// one-value case of [`SampleStore::extend_from_slice`].
-    pub fn push(&mut self, x: f64) {
-        self.extend_from_slice(std::slice::from_ref(&x));
-    }
-
     /// Ingests every finite value of `xs`, in order (non-finite values
     /// are ignored). A sketch ends up exactly as if each value were
-    /// pushed on its own.
+    /// observed on its own.
     pub fn extend_from_slice(&mut self, xs: &[f64]) {
         match self {
             SampleStore::Exact(v) => v.extend(xs.iter().copied().filter(|x| x.is_finite())),
@@ -578,7 +413,6 @@ mod tests {
     fn empty_sketch_errors() {
         let sk = GkSketch::new(0.1).unwrap();
         assert!(matches!(sk.quantile(0.5), Err(StatError::EmptySample)));
-        assert!(ks_one_sample_sketch(&sk, |x| x).is_err());
         assert_eq!(sk.min(), None);
         assert_eq!(sk.max(), None);
     }
@@ -642,73 +476,12 @@ mod tests {
         sk.observe(f64::INFINITY);
         sk.observe(1.0);
         assert_eq!(sk.count(), 1);
-        let mut ex = ExactQuantiles::new();
-        ex.observe(f64::NAN);
-        ex.observe(2.0);
-        assert_eq!(ex.count(), 1);
-    }
-
-    #[test]
-    fn exact_store_matches_ecdf_quantiles() {
-        let mut ex = ExactQuantiles::new();
-        let data = [5.0, 1.0, 3.0, 2.0, 4.0];
-        for &x in &data {
-            ex.observe(x);
-        }
-        let ecdf = crate::Ecdf::new(data.to_vec()).unwrap();
-        for q in [0.0, 0.2, 0.5, 0.8, 1.0] {
-            assert_eq!(ex.quantile(q).unwrap(), ecdf.quantile(q));
-        }
-        assert_eq!(ex.rank_error(), 0.0);
-    }
-
-    #[test]
-    fn sketch_cdf_brackets_empirical() {
-        let mut sk = GkSketch::new(0.02).unwrap();
-        let mut rng = StdRng::seed_from_u64(3);
-        let data: Vec<f64> = (0..20_000).map(|_| rng.random::<f64>()).collect();
-        for &x in &data {
-            sk.observe(x);
-        }
-        let mut sorted = data.clone();
-        sorted.sort_by(f64::total_cmp);
-        let n = sorted.len() as f64;
-        for &x in &[0.1, 0.33, 0.5, 0.77, 0.95] {
-            let fn_x = sorted.partition_point(|&v| v <= x) as f64 / n;
-            let ft_x = sk.cdf(x);
-            assert!(
-                fn_x - ft_x >= -1e-12 && fn_x - ft_x <= 2.0 * 0.02 + 1e-9,
-                "x={x}: Fn={fn_x} F̃={ft_x}"
-            );
-        }
-    }
-
-    #[test]
-    fn streaming_ks_close_to_offline() {
-        let eps = 0.01;
-        let mut sk = GkSketch::new(eps).unwrap();
-        let mut rng = StdRng::seed_from_u64(11);
-        let data: Vec<f64> = (0..30_000).map(|_| rng.random::<f64>()).collect();
-        for &x in &data {
-            sk.observe(x);
-        }
-        let cdf = |x: f64| x.clamp(0.0, 1.0);
-        let offline = crate::ks::ks_one_sample(&data, cdf).unwrap();
-        let streaming = ks_one_sample_sketch(&sk, cdf).unwrap();
-        assert!(
-            (streaming.statistic - offline.statistic).abs() <= 2.0 * eps + 1e-9,
-            "stream D={} offline D={}",
-            streaming.statistic,
-            offline.statistic
-        );
     }
 
     #[test]
     fn sample_store_exact_preserves_insertion_order() {
         let mut store = SampleStore::exact();
-        for x in [3.0, 1.0, 2.0, f64::NAN] {
-            store.push(x);
-        }
+        store.extend_from_slice(&[3.0, 1.0, 2.0, f64::NAN]);
         assert!(matches!(store, SampleStore::Exact(_)));
         assert_eq!(store.count(), 3);
         assert_eq!(store.fit_samples(), vec![3.0, 1.0, 2.0]);
@@ -718,10 +491,9 @@ mod tests {
     fn sample_store_sketch_reconstructs_sorted_pseudo_sample() {
         let mut store = SampleStore::sketch(0.02).unwrap();
         let mut rng = StdRng::seed_from_u64(5);
-        for _ in 0..10_000 {
-            store.push(rng.random::<f64>() * 100.0);
-        }
-        assert!(matches!(&store, SampleStore::Sketch(s) if s.rank_error() == 0.02));
+        let xs: Vec<f64> = (0..10_000).map(|_| rng.random::<f64>() * 100.0).collect();
+        store.extend_from_slice(&xs);
+        assert!(matches!(&store, SampleStore::Sketch(s) if s.eps == 0.02));
         let samples = store.fit_samples();
         assert_eq!(samples.len(), PSEUDO_SAMPLE_CAP.min(10_000));
         assert!(samples.windows(2).all(|w| w[0] <= w[1]), "sorted output");
@@ -730,9 +502,7 @@ mod tests {
     #[test]
     fn pseudo_sample_smaller_than_cap_for_tiny_streams() {
         let mut store = SampleStore::sketch(0.1).unwrap();
-        for i in 0..5 {
-            store.push(f64::from(i));
-        }
+        store.extend_from_slice(&[0.0, 1.0, 2.0, 3.0, 4.0]);
         assert_eq!(store.fit_samples().len(), 5);
     }
 

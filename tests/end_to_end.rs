@@ -6,7 +6,7 @@ use keddah::core::replay::{jobs_to_flows, replay, trace_to_flows};
 use keddah::core::validate::validate_model;
 use keddah::core::KeddahModel;
 use keddah::flowcap::Component;
-use keddah::hadoop::{ClusterSpec, HadoopConfig, JobSpec, Workload};
+use keddah::hadoop::{run_job, run_session, ClusterSpec, HadoopConfig, JobSpec, Workload};
 use keddah::netsim::{SimOptions, Topology};
 
 fn testbed() -> (ClusterSpec, HadoopConfig) {
@@ -189,4 +189,28 @@ fn oversubscription_hurts_generated_shuffle() {
         slow > 1.5 * fast,
         "8x oversubscription should slow shuffle: {fast} vs {slow}"
     );
+}
+
+/// An empty input is a job with no maps, not a panic: each paper workload
+/// still submits its job, starts its application master and runs its
+/// reducers, so the capture holds control traffic, and a session chains
+/// two empty jobs.
+#[test]
+fn empty_inputs_capture_a_job_with_no_maps() {
+    let (cluster, config) = testbed();
+    for &w in Workload::PAPER {
+        let run = run_job(&cluster, &config, &JobSpec::new(w, 0), 5);
+        assert_eq!(run.counters.maps, 0, "{w}");
+        assert!(
+            run.trace.component_flows(Component::Control).count() > 0,
+            "{w}: no control flow"
+        );
+    }
+    let jobs = [
+        JobSpec::new(Workload::TeraGen, 0),
+        JobSpec::new(Workload::TeraSort, 0),
+    ];
+    let (session, _) = run_session(&cluster, &config, &jobs, 5);
+    assert_eq!(session.job_ends.len(), 2);
+    assert!(session.counters.iter().all(|c| c.maps == 0));
 }

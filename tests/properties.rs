@@ -8,6 +8,8 @@ use keddah::stat::distributions::{
     Distribution, Empirical, Exponential, Gamma, LogLogistic, LogNormal, Pareto, Weibull,
 };
 use keddah::stat::fit::{fit_all, fit_best, Candidate, FitReport, FittedDist};
+use keddah::stat::ks::ks_two_sample;
+use keddah::stat::shift::shift_between;
 use keddah::stat::Ecdf;
 use proptest::prelude::*;
 
@@ -796,5 +798,57 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// `shift_between` scores two samples with `ks_two_sample` on their
+    /// finite values, statistic and p-value bit for bit, at any size. Each
+    /// side holds 3,500 to 5,000 values, either side of the 4,096 per side
+    /// above which a sketched comparison once took over; values tie within
+    /// and across the sides on a grid, and non-finite values are mixed in.
+    #[test]
+    fn shift_between_is_the_exact_two_sample_ks(
+        base in prop::collection::vec(0.0f64..10.0, 3_500..5_000),
+        degraded in prop::collection::vec(0.0f64..10.0, 3_500..5_000),
+        offset in -2.0f64..2.0,
+        grid in 0usize..3,
+        junk in prop::collection::vec((0usize..10_000, 0usize..3), 0..40),
+    ) {
+        // No grid, or one of 1 or 1/4.
+        let snap = |x: f64| match grid {
+            0 => x,
+            1 => x.round(),
+            _ => (x * 4.0).round() / 4.0,
+        };
+        let mut base: Vec<f64> = base.into_iter().map(snap).collect();
+        let mut degraded: Vec<f64> = degraded.into_iter().map(|x| snap(x + offset)).collect();
+        for &(at, kind) in &junk {
+            let side = if at % 2 == 0 { &mut base } else { &mut degraded };
+            let x = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][kind];
+            side.insert(at / 2 % (side.len() + 1), x);
+        }
+        let finite = |xs: &[f64]| -> Vec<f64> {
+            xs.iter().copied().filter(|x| x.is_finite()).collect()
+        };
+        let (fb, fd) = (finite(&base), finite(&degraded));
+        let score = shift_between(&base, &degraded).unwrap();
+        let exact = ks_two_sample(&fb, &fd).unwrap();
+        prop_assert_eq!(
+            (score.n_baseline, score.n_degraded),
+            (fb.len() as u64, fd.len() as u64)
+        );
+        prop_assert_eq!(
+            score.ks.to_bits(),
+            exact.statistic.to_bits(),
+            "KS {} against {} ({} and {} values)",
+            score.ks,
+            exact.statistic,
+            fb.len(),
+            fd.len()
+        );
+        prop_assert_eq!(score.p_value.to_bits(), exact.p_value.to_bits());
     }
 }
