@@ -216,7 +216,8 @@ fn packet_case(total: usize) -> Case {
 }
 
 /// Criterion micro-group: per-sample cost of the two sample stores the
-/// engine chooses between — raw vector vs GK sketch.
+/// engine chooses between — raw vector vs GK sketch — each fed one
+/// slice, as `SampleStore::extend_from_slice` feeds a rotation.
 fn bench_sketch_push(c: &mut Criterion) {
     let samples: Vec<f64> = (0..65_536u64)
         .map(|i| (mix(i) % 1_000_000) as f64)
@@ -240,9 +241,7 @@ fn bench_sketch_push(c: &mut Criterion) {
         |b, samples| {
             b.iter(|| {
                 let mut sketch = GkSketch::new(0.01).expect("valid eps");
-                for &x in samples {
-                    sketch.observe(x);
-                }
+                sketch.extend_from_slice(black_box(samples));
                 black_box(sketch.tuple_count())
             });
         },

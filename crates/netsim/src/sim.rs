@@ -18,7 +18,10 @@
 //! flow's payload is done — so the per-event work (draining, completion
 //! prediction, retirement scan) is O(live bundles), not O(active flows).
 //! DC-scale replays have hundreds of distinct paths carrying hundreds of
-//! thousands of flows, which is what removes the 100k-flow cliff.
+//! thousands of flows, which is what removes the 100k-flow cliff. Those
+//! scans walk one dense array of [`LiveBundle`] records, which hold each
+//! live bundle's service curve and head target, and open a bundle's
+//! member set only for the members they take.
 //!
 //! Service accounting is integer (Q64 fixed point, see [`Q_SCALE`]), so
 //! grouping flows into bundles — or not, via the singleton-bundle oracle
@@ -205,6 +208,15 @@ pub struct SimReport {
     /// notifications; stale rate predictions excluded). The throughput
     /// denominator of the `flow_scaling` bench.
     pub events: u64,
+    /// Largest number of bundles with members at once: the fair-share
+    /// entries the bundled engine kept, `peak_active` under the
+    /// no-aggregate oracle. The `netsim`/`peak_bundles` gauge.
+    pub peak_bundles: usize,
+    /// Fair-share fills run (the `netsim`/`fair_solves` gauge).
+    pub fair_solves: u64,
+    /// Entry rates those fills wrote (the `netsim`/`fair_solved_flows`
+    /// gauge).
+    pub fair_solved_flows: u64,
     /// Fault accounting; all-zero when no faults were scheduled.
     pub faults: FaultStats,
 }
@@ -254,17 +266,33 @@ struct Bundle {
     links: Vec<u32>,
     /// Weighted fair-share entry, `None` while the bundle is empty.
     fair: Option<FairFlowId>,
+    /// The service curve parked while the bundle is empty; its
+    /// [`LiveBundle`] record holds the only live copy.
+    service: u128,
+    /// Members as (absolute service target, flow idx): a member is done
+    /// when the service curve reaches its target, so the head is always
+    /// the next member to finish. Ordering inside a bundle is
+    /// time-invariant — members share one rate.
+    members: BTreeSet<(u128, u32)>,
+    /// Position of its record in the live list while `fair` is `Some`.
+    live_pos: usize,
+}
+
+/// A bundle with members, as the per-event scans read it: the advance,
+/// the prediction, retirement and the fault-victim scan walk one dense
+/// array of these and open a [`Bundle`] only for the members they take.
+#[derive(Clone, Copy)]
+struct LiveBundle {
+    /// Index into the run's bundles.
+    bundle: u32,
+    /// The bundle's weighted fair-share entry.
+    fair: FairFlowId,
     /// Cumulative per-member service in Q64 bits (see [`Q_SCALE`]):
     /// every live member slot has been served exactly this much since
     /// the bundle's creation.
     service: u128,
-    /// Members as (absolute service target, flow idx): a member is done
-    /// when `service` reaches its target, so the head is always the next
-    /// member to finish. Ordering inside a bundle is time-invariant —
-    /// members share one rate.
-    members: BTreeSet<(u128, u32)>,
-    /// Position in the live-bundle list while `fair` is `Some`.
-    live_pos: usize,
+    /// The smallest member target: the next member to finish.
+    head: u128,
 }
 
 /// Fixed-point scale for bundle service accounting: Q64, i.e. bits
@@ -473,10 +501,11 @@ struct Run<'a> {
     /// A fluid flow's bundle and absolute service target.
     member_of: Vec<Option<(u32, u128)>>,
     /// Same-path flows share one bundle (or each flow its own, under the
-    /// no-aggregate oracle); `live` lists the bundles with members.
+    /// no-aggregate oracle); `live` holds a record per bundle with
+    /// members.
     bundles: Vec<Bundle>,
     by_path: HashMap<Vec<u32>, u32>,
-    live: Vec<u32>,
+    live: Vec<LiveBundle>,
     active_members: usize,
     peak_active: usize,
     peak_bundles: usize,
@@ -622,10 +651,9 @@ impl<'a> Run<'a> {
         let dt = (tf - self.now).max(0.0);
         if dt > 0.0 {
             self.fair.settle();
-            for &bi in &self.live {
-                let b = &mut self.bundles[bi as usize];
-                let rate = self.fair.live_rate(b.fair.expect("live bundle"));
-                b.service = b.service.saturating_add(((rate * dt) * Q_SCALE) as u128);
+            for r in &mut self.live {
+                let rate = self.fair.live_rate(r.fair);
+                r.service = r.service.saturating_add(((rate * dt) * Q_SCALE) as u128);
             }
         }
         self.now = tf;
@@ -635,6 +663,9 @@ impl<'a> Run<'a> {
             Ev::Complete { .. } => self.retire(t),
             Ev::Fault { idx } => self.fault(t, idx),
             Ev::Notify { .. } => unreachable!("handled above"),
+        }
+        if cfg!(debug_assertions) {
+            self.check_live();
         }
 
         // Re-predict the earliest completion with the post-event rates and
@@ -652,11 +683,9 @@ impl<'a> Run<'a> {
         }
         self.fair.settle();
         let mut next_completion = f64::INFINITY;
-        for &bi in &self.live {
-            let b = &self.bundles[bi as usize];
-            let &(target, _) = b.members.first().expect("live bundle has members");
-            let rem_bits = q_to_bits(target.saturating_sub(b.service));
-            let rate = self.fair.live_rate(b.fair.expect("live bundle"));
+        for r in &self.live {
+            let rem_bits = q_to_bits(r.head.saturating_sub(r.service));
+            let rate = self.fair.live_rate(r.fair);
             next_completion = next_completion.min(self.now + rem_bits / rate.max(1e-9));
         }
         if next_completion.is_finite() {
@@ -768,15 +797,29 @@ impl<'a> Run<'a> {
             bi
         });
         let b = &mut self.bundles[bi as usize];
-        match b.fair {
-            Some(fid) => self.fair.record_add_weight(fid, 1),
-            None => {
-                b.fair = Some(self.fair.record_insert(&b.links, 1));
-                b.live_pos = self.live.len();
-                self.live.push(bi);
+        let target = match b.fair {
+            Some(fid) => {
+                self.fair.record_add_weight(fid, 1);
+                let r = &mut self.live[b.live_pos];
+                let target = r.service.saturating_add(amount_q);
+                r.head = r.head.min(target);
+                target
             }
-        }
-        let target = b.service.saturating_add(amount_q);
+            None => {
+                // The bundle goes live where its parked curve left off.
+                let fair = self.fair.record_insert(&b.links, 1);
+                let target = b.service.saturating_add(amount_q);
+                b.fair = Some(fair);
+                b.live_pos = self.live.len();
+                self.live.push(LiveBundle {
+                    bundle: bi,
+                    fair,
+                    service: b.service,
+                    head: target,
+                });
+                target
+            }
+        };
         b.members.insert((target, id as u32));
         self.member_of[id] = Some((bi, target));
         self.active_members += 1;
@@ -785,25 +828,28 @@ impl<'a> Run<'a> {
     }
 
     /// Detaches flow `id` from its bundle, returning its undrained Q64
-    /// remainder and the bundle; the last member out retires the
-    /// bundle's fair entry.
+    /// remainder and the bundle, and refreshes the bundle's head; the
+    /// last member out parks the service curve and retires the bundle's
+    /// fair entry.
     fn leave(&mut self, id: usize) -> (u128, u32) {
         let (bi, target) = self.member_of[id].take().expect("flow is an active member");
         let b = &mut self.bundles[bi as usize];
         let removed = b.members.remove(&(target, id as u32));
         debug_assert!(removed, "member set out of sync");
-        let fid = b.fair.expect("member bundle is live");
-        let rem_q = target.saturating_sub(b.service);
-        if b.members.is_empty() {
-            b.fair = None;
-            let pos = b.live_pos;
-            self.live.swap_remove(pos);
-            if let Some(&moved) = self.live.get(pos) {
-                self.bundles[moved as usize].live_pos = pos;
-            }
-            self.fair.record_remove(fid);
+        let pos = b.live_pos;
+        let r = &mut self.live[pos];
+        let rem_q = target.saturating_sub(r.service);
+        if let Some(&(head, _)) = b.members.first() {
+            r.head = head;
+            self.fair.record_sub_weight(r.fair, 1);
         } else {
-            self.fair.record_sub_weight(fid, 1);
+            let r = self.live.swap_remove(pos);
+            b.fair = None;
+            b.service = r.service;
+            if let Some(moved) = self.live.get(pos) {
+                self.bundles[moved.bundle as usize].live_pos = pos;
+            }
+            self.fair.record_remove(r.fair);
         }
         self.active_members -= 1;
         (rem_q, bi)
@@ -831,8 +877,8 @@ impl<'a> Run<'a> {
         let mut ids: Vec<usize> = self
             .live
             .iter()
-            .flat_map(|&bi| {
-                let b = &self.bundles[bi as usize];
+            .flat_map(|r| {
+                let b = &self.bundles[r.bundle as usize];
                 b.members
                     .iter()
                     .map(|&(_, idx)| idx as usize)
@@ -844,31 +890,31 @@ impl<'a> Run<'a> {
     }
 
     /// Retires every member whose target the service curve has reached
-    /// (ties complete together). Each bundle's member set is
+    /// (ties complete together). A bundle whose head is out of reach is
+    /// skipped on its record alone, and each member set is
     /// target-ordered, so the scan is O(bundles + retiring); the
     /// cross-bundle flow-idx sort fixes one canonical processing order
     /// whatever the bundling — the aggregation knob must not reorder
     /// Notify delivery.
     fn retire(&mut self, t: SimTime) {
         let mut finished: Vec<u32> = Vec::new();
-        for &bi in &self.live {
-            let b = &self.bundles[bi as usize];
-            let cut = b.service.saturating_add(RETIRE_EPS_Q);
-            finished.extend(
-                b.members
-                    .iter()
-                    .take_while(|&&(target, _)| target <= cut)
-                    .map(|&(_, idx)| idx),
-            );
+        for r in &self.live {
+            let cut = r.service.saturating_add(RETIRE_EPS_Q);
+            if r.head > cut {
+                continue;
+            }
+            let members = self.bundles[r.bundle as usize].members.iter();
+            let due = members.take_while(|&&(target, _)| target <= cut);
+            finished.extend(due.map(|&(_, idx)| idx));
         }
         if finished.is_empty() && self.active_members > 0 {
             // Guaranteed progress: float rounding left every member just
             // above the epsilon; retire the globally closest (smallest
             // remainder, then smallest idx).
-            let closest = self.live.iter().map(|&bi| {
-                let b = &self.bundles[bi as usize];
-                let &(target, idx) = b.members.first().expect("live bundle has members");
-                (target.saturating_sub(b.service), idx)
+            let closest = self.live.iter().map(|r| {
+                let members = &self.bundles[r.bundle as usize].members;
+                let &(_, idx) = members.first().expect("live bundle has members");
+                (r.head.saturating_sub(r.service), idx)
             });
             finished.extend(closest.min().map(|(_, idx)| idx));
         }
@@ -1009,19 +1055,31 @@ impl<'a> Run<'a> {
         }
     }
 
+    /// Debug builds, after each fluid event: every live record agrees
+    /// with its bundle on the head, the fair entry and the position.
+    fn check_live(&self) {
+        for (pos, r) in self.live.iter().enumerate() {
+            let b = &self.bundles[r.bundle as usize];
+            assert_eq!(b.live_pos, pos, "bundle {} live_pos", r.bundle);
+            assert_eq!(b.fair, Some(r.fair), "bundle {} fair entry", r.bundle);
+            let head = b.members.first().map(|&(target, _)| target);
+            assert_eq!(head, Some(r.head), "bundle {} head", r.bundle);
+        }
+    }
+
     /// The report, plus the end-of-run metrics when `obs` records.
     fn report(self) -> SimReport {
         let obs = self.obs;
+        let (fair_solves, fair_solved_flows) = (self.fair.solves(), self.fair.solved_flows());
         if obs.is_enabled() {
             obs.add("netsim", "events", self.events);
             obs.gauge("netsim", "peak_active")
                 .set_max(self.peak_active as u64);
             obs.gauge("netsim", "peak_bundles")
                 .set_max(self.peak_bundles as u64);
-            obs.gauge("netsim", "fair_solves")
-                .set_max(self.fair.solves());
+            obs.gauge("netsim", "fair_solves").set_max(fair_solves);
             obs.gauge("netsim", "fair_solved_flows")
-                .set_max(self.fair.solved_flows());
+                .set_max(fair_solved_flows);
             obs.gauge("netsim", "fair_dense_solves")
                 .set_max(self.fair.dense_solves());
             // The `faults` counters mirror the returned FaultStats exactly —
@@ -1043,6 +1101,9 @@ impl<'a> Run<'a> {
             link_bytes: self.link_bytes,
             peak_active: self.peak_active,
             events: self.events,
+            peak_bundles: self.peak_bundles,
+            fair_solves,
+            fair_solved_flows,
             faults: self.fstats,
         }
     }
@@ -1758,6 +1819,88 @@ mod tests {
         assert!(retry.spec.start >= report.results[0].finish);
         assert!(retry.finish > retry.spec.start, "retry completed");
         // Conservation holds across the original + reissued flows.
+        conserved(&report);
+    }
+
+    /// A run's finish nanoseconds, after checking that the bundled
+    /// engine gives every flow the no-aggregate oracle's finish time.
+    fn finishes_both_ways(topo: &Topology, flows: &[FlowSpec], spec: &FaultSpec) -> Vec<u64> {
+        let run = |aggregate| {
+            let mut source = StaticSource::new(flows.to_vec());
+            let options = SimOptions {
+                aggregate,
+                ..SimOptions::default()
+            };
+            simulate_faulted(topo, &mut source, spec, options, &Obs::disabled())
+        };
+        let (bundled, oracle) = (run(true), run(false));
+        assert_eq!(bundled.results, oracle.results, "bundled vs oracle");
+        assert_eq!(bundled.faults, oracle.faults, "bundled vs oracle");
+        bundled
+            .results
+            .iter()
+            .map(|r| r.finish.as_nanos())
+            .collect()
+    }
+
+    #[test]
+    fn parked_service_carries_a_bundle_across_idle_spells() {
+        let star = Topology::star(3, 1e9);
+        let clean = FaultSpec::empty();
+        // The path 0 -> 1 empties at about 0.8 s, and its bundle goes
+        // live again at 1.2 s from the parked service curve.
+        let mut flows = vec![flow(0, 1, 100_000_007, 0), flow(0, 1, 50_000_011, 1_200)];
+        let refilled = finishes_both_ways(&star, &flows, &clean);
+        assert_eq!(refilled, [800_100_056, 1_600_100_088]);
+
+        // A third flow joins the refilled bundle with a nearer target:
+        // it becomes the head, finishes first, and hands the head back.
+        flows.push(flow(0, 1, 20_000_003, 1_250));
+        let overlapped = finishes_both_ways(&star, &flows, &clean);
+        assert_eq!(overlapped, [800_100_056, 1_760_100_112, 1_570_100_048]);
+
+        // Flows 0 -> 3 spread over both spines; downing a fabric link of
+        // flow 0's path moves its flows onto the other spine's path, into
+        // the bundle already live there.
+        let fabric = Topology::leaf_spine(2, 2, 2, 1e9, 1.0);
+        let flows: Vec<FlowSpec> = (0..6)
+            .map(|i| flow(0, 3, 40_000_000 + i * 1_000_003, i * 10))
+            .collect();
+        let mut router = RouteCache::new(&fabric);
+        let paths: Vec<Vec<LinkId>> = (0..flows.len() as u64)
+            .map(|id| router.route(HostId(0), HostId(3), id).expect("connected"))
+            .collect();
+        let other = paths
+            .iter()
+            .find(|p| **p != paths[0])
+            .expect("two spines used");
+        let link = paths[0]
+            .iter()
+            .find(|l| !other.contains(l))
+            .expect("a fabric hop");
+        let moved = paths.iter().filter(|p| p.contains(link)).count() as u64;
+        router.set_down(*link);
+        let detour = router.route(HostId(0), HostId(3), 0);
+        assert_eq!(detour.as_ref(), Some(other), "the detour is a live path");
+        let down = schedule(vec![fault(
+            200_000_000,
+            FaultKind::LinkDown { link: link.0 },
+        )]);
+        let rerouted = finishes_both_ways(&fabric, &flows, &down);
+        assert_eq!(
+            rerouted,
+            [
+                1_833_100_000,
+                1_923_100_120,
+                1_975_100_216,
+                2_009_100_288,
+                2_030_100_336,
+                2_040_100_360
+            ]
+        );
+        let report = run_static(&fabric, &flows, &down);
+        assert_eq!(report.faults.rerouted_flows, moved);
+        assert!(report.faults.aborted.is_empty());
         conserved(&report);
     }
 

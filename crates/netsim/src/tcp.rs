@@ -202,8 +202,12 @@ pub fn simulate_tcp(topo: &Topology, flows: &[FlowSpec]) -> SimReport {
             .collect(),
         link_bytes,
         peak_active,
-        // Each simulated RTT round is one event of this stepped model.
+        // Each simulated RTT round is one event of this stepped model,
+        // which keeps no bundles and runs no fair-share solver.
         events: round,
+        peak_bundles: 0,
+        fair_solves: 0,
+        fair_solved_flows: 0,
         faults: crate::sim::FaultStats::default(),
     }
 }
